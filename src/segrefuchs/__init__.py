@@ -19,7 +19,7 @@ from .fuchs import (FuchsReport, check_fuchsian_real, check_fuchsian_complex,
                     check_fuchsian_ode)
 from .prolongation import (VectorField, prolong2, tangency_residual,
                            collect_initial_system, initial_system,
-                           structural_reduce, assemble_u_system,
+                           assemble_u_system,
                            assemble_Y_system, assemble_twelve_system,
                            LinearODESystem, TwelveSystem)
 from .frobenius import (ResidueSpectrum, FrobeniusBasis, SymmetryBasis,
@@ -46,7 +46,7 @@ __all__ = [
     "FuchsReport", "check_fuchsian_real", "check_fuchsian_complex",
     "check_fuchsian_ode",
     "VectorField", "prolong2", "tangency_residual",
-    "collect_initial_system", "initial_system", "structural_reduce",
+    "collect_initial_system", "initial_system",
     "assemble_u_system", "assemble_Y_system", "assemble_twelve_system",
     "LinearODESystem", "TwelveSystem",
     "ResidueSpectrum", "FrobeniusBasis", "SymmetryBasis",

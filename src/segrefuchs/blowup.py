@@ -111,7 +111,7 @@ def pullback_surface(M, B, order=None):
                                "term vanishes at this truncation")
     mv = psi.var_valuation(ETAB)
     m_star = mv + 1
-    c0 = psi.coefficient(_exps(psi.vars, {XI: 1, XIB: 1, ETAB: mv}))
+    c0 = psi.coefficient((1, 1, mv))  # psi is over (xi, xib, etab)
     surface = None
     if not c0.is_zero() and c0.is_rational():
         eps_star = 1 if c0.re > 0 else -1
@@ -127,10 +127,6 @@ def pullback_surface(M, B, order=None):
         except NotNormalizableError:
             surface = None
     return PulledBackSurface(s, l, m_star, M.eps, psi, R, surface)
-
-
-def _exps(vars, powers):
-    return tuple(powers.get(v, 0) for v in vars)
 
 
 def levi_unit_off_locus(P):

@@ -9,7 +9,7 @@ taxonomy so drivers never parse error text.
   2   undecidable-at-order verdict    (check-fuchsian)
   3   refusal: non-fuchsian surface   (symmetries)
   4   oracle disagreement             (derive-ode, selftest)
-  10  parse or format error
+  10  parse or format error, including command-line usage errors
   11  truncation order too low
   12  reality violation
   13  numeric non-convergence
@@ -25,10 +25,10 @@ from . import serialize
 from .errors import (FormatError, OrderTooLowError, RealityViolation,
                      NonFuchsianError, NonConvergenceError, SegrefuchsError)
 from .surfaces import (RealDefining, ComplexDefining, real_to_complex,
-                       check_reality, validate_complex, min_order)
+                       require_reality, validate_complex)
 from .segre import eliminate, closed_form_coeffs, families_agree
 from .fuchs import (check_fuchsian_real, check_fuchsian_complex,
-                    check_fuchsian_ode, FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
+                    FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
 from .frobenius import formal_symmetries, real_form_basis
 from .blowup import BlowupMap, pullback_surface, find_blowup_exponent
 from .monodromy import LoopSpec, monodromy_matrix
@@ -45,9 +45,13 @@ EXIT_NUMERIC = 13
 EXIT_DOMAIN = 14
 
 
-def _read_surface(path):
+def _load(path):
     with open(path) as f:
-        return serialize.surface_from_json(serialize.loads(f.read()))
+        return serialize.loads(f.read())
+
+
+def _read_surface(path):
+    return serialize.surface_from_json(_load(path))
 
 
 def _as_complex(M, order=None):
@@ -60,7 +64,7 @@ def _as_complex(M, order=None):
 
 
 def _emit(payload, out):
-    text = serialize.dumps(payload)
+    text = payload if isinstance(payload, str) else serialize.dumps(payload)
     if out:
         with open(out, "w") as f:
             f.write(text)
@@ -80,9 +84,7 @@ def cmd_verify(args):
 def cmd_derive_ode(args):
     M = _read_surface(args.surface)
     Mc = _as_complex(M, args.order)
-    res = check_reality(Mc)
-    if not res.is_zero():
-        raise RealityViolation(res)
+    require_reality(Mc)
     E = eliminate(Mc, args.order or Mc.order)
     ok, report = families_agree(E.coeffs, closed_form_coeffs(Mc))
     payload = serialize.ode_to_json(E)
@@ -109,12 +111,7 @@ def cmd_check_fuchsian(args):
                 ">=%d" % (r.available + 1)
             lines.append("%-8s %-10s >=%-8d %s" % (r.name, meas, r.bound,
                                                    r.status))
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit(rep.as_dict(), args.output)
     return {FUCHSIAN: EXIT_OK, NON_FUCHSIAN: EXIT_NON_FUCHSIAN,
@@ -160,8 +157,7 @@ def cmd_blowup(args):
 
 
 def cmd_monodromy(args):
-    with open(args.system) as f:
-        S = serialize.system_from_json(serialize.loads(f.read()))
+    S = serialize.system_from_json(_load(args.system))
     loop = LoopSpec(radius=args.radius, steps=args.steps,
                     direction=-1 if args.reverse else 1, tol=args.tol)
     res = monodromy_matrix(S, loop, trusted_radius=args.trusted_radius)
@@ -203,17 +199,12 @@ def build_parser():
                     "associated singular ODEs, Fuchsian classification, "
                     "infinitesimal automorphisms, blow-ups and numeric "
                     "monodromy.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized self-tests")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, surface=True):
-        if surface:
-            sp.add_argument("surface", help="surface JSON file")
+    def common(sp):
+        sp.add_argument("surface", help="surface JSON file")
         sp.add_argument("--order", type=int, default=None)
         sp.add_argument("-o", "--output", default=None)
-        sp.add_argument("--format", choices=["json", "table"],
-                        default="json")
 
     sp = sub.add_parser("verify", help="reality/normality validation")
     common(sp)
@@ -225,6 +216,7 @@ def build_parser():
 
     sp = sub.add_parser("check-fuchsian", help="Fuchsian-type classification")
     common(sp)
+    sp.add_argument("--format", choices=["json", "table"], default="json")
     sp.set_defaults(fn=cmd_check_fuchsian)
 
     sp = sub.add_parser("symmetries",
@@ -251,12 +243,18 @@ def build_parser():
     sp.set_defaults(fn=cmd_monodromy)
 
     sp = sub.add_parser("selftest", help="seeded randomized oracle check")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the randomized surfaces")
     sp.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_FORMAT
     try:
         return args.fn(args)
     except FormatError as exc:

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Each error class maps to a distinct CLI exit code (see cli.EXIT_CODES),
-so failures stay machine-distinguishable end to end.
+Each error class maps to a distinct CLI exit code (see the EXIT_*
+constants in cli.py), so failures stay machine-distinguishable end to end.
 """
 
 

@@ -11,11 +11,12 @@ vanishes; the filter, not the recurrence, is the source of truth.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .qfield import GaussianRational, ZERO, ONE
+from .qfield import GaussianRational, ZERO, ONE, I, _gcd4
 from .series import MultiSeries, EXACT
 from .segre import WV, eliminate
-from .surfaces import Z, min_order
+from .surfaces import Z, ZB, WB, min_order, bar_series
 from .errors import NonFuchsianError, SegrefuchsError, OrderTooLowError
 from .prolongation import (VectorField, assemble_Y_system,
                            reconstruct_field, tangency_residual)
@@ -38,9 +39,6 @@ class ResidueSpectrum:
                 d = y - x
                 if d != 0 and d.denominator == 1:
                     self.resonances.append((x, y))
-
-    def integer_eigenvalues(self):
-        return sorted(x for x in self.rational if x.denominator == 1)
 
     def as_dict(self):
         return {
@@ -76,12 +74,6 @@ def _divisors(n, cap=10 ** 12):
     return sorted(set(out)), False
 
 
-def _gaussian_int_content(c):
-    """gcd of the integer components of a coefficient (must be Gaussian)."""
-    from math import gcd
-    return gcd(gcd(abs(c.a), abs(c.b)), gcd(abs(c.c), abs(c.d)))
-
-
 def residue_spectrum(S):
     """Characteristic polynomial of A(0) with exact rational-root data."""
     if S.pole_order > 1:
@@ -100,18 +92,18 @@ def residue_spectrum(S):
     progress = True
     while progress and len(work) > 1:
         progress = False
-        from math import lcm
         den = 1
         for c in work:
             den = lcm(den, c.q)
         cleared = [c * GaussianRational.from_int(den) for c in work]
-        p_div, t1 = _divisors(_gaussian_int_content(cleared[0]))
-        q_div, t2 = _divisors(_gaussian_int_content(cleared[-1]))
+        lo, hi = cleared[0], cleared[-1]
+        p_div, t1 = _divisors(_gcd4(lo.a, lo.b, lo.c, lo.d))
+        q_div, t2 = _divisors(_gcd4(hi.a, hi.b, hi.c, hi.d))
         truncated = truncated or t1 or t2
         found = None
         for q in q_div:
             for p in p_div:
-                if _gcd_int(p, q) != 1:
+                if gcd(p, q) != 1:
                     continue
                 for sign in (1, -1):
                     r = GaussianRational.of(Fraction(sign * p, q))
@@ -131,11 +123,6 @@ def residue_spectrum(S):
             progress = True
     residual = work if len(work) > 1 else None
     return ResidueSpectrum(cp, rational, residual, truncated)
-
-
-def _gcd_int(a, b):
-    from math import gcd
-    return gcd(abs(a), abs(b))
 
 
 class FrobeniusBasis:
@@ -235,6 +222,14 @@ def _dot(xs, ys):
     return s
 
 
+def _solution_vectors(Ms, n, params, order):
+    """One vector of n w-series per parameter of the recurrence output."""
+    return [[MultiSeries((WV,), order,
+                         {(k,): Ms[k][i][p] for k in range(order + 1)
+                          if not Ms[k][i][p].is_zero()}, _clean=False)
+             for i in range(n)] for p in range(params)]
+
+
 def holomorphic_solutions(S, order=None):
     """Basis of power-series solutions of a Fuchsian system.
 
@@ -254,18 +249,8 @@ def holomorphic_solutions(S, order=None):
         order = 16
     A_mats = _matrix_coeffs(A, order)
     Ms, params, obstructions = _param_recurrence(A_mats, S.n, order)
-    sols = []
-    for p in range(params):
-        vec = []
-        for i in range(S.n):
-            terms = {}
-            for k in range(order + 1):
-                c = Ms[k][i][p]
-                if not c.is_zero():
-                    terms[(k,)] = c
-            vec.append(MultiSeries((WV,), order, terms, _clean=False))
-        sols.append(vec)
-    basis = FrobeniusBasis(sols, params, obstructions, order)
+    basis = FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),
+                           params, obstructions, order)
     _assert_independent(basis, S.n)
     return basis
 
@@ -293,17 +278,7 @@ def frobenius_basis(S, order=None):
         lam0 = min(lams)
         Ms, params, _ = _param_recurrence(A_mats, S.n, hol.order,
                                           base_shift=lam0)
-        sols = []
-        for p in range(params):
-            vec = []
-            for i in range(S.n):
-                terms = {}
-                for k in range(hol.order + 1):
-                    c = Ms[k][i][p]
-                    if not c.is_zero():
-                        terms[(k,)] = c
-                vec.append(MultiSeries((WV,), hol.order, terms, _clean=False))
-            sols.append(vec)
+        sols = _solution_vectors(Ms, S.n, params, hol.order)
         if sols:
             branches.append((lam0, sols))
     return FrobeniusBasis(hol.solutions, hol.dimension,
@@ -526,24 +501,34 @@ def field_u_vector(L):
 # optional real-form post-step
 # ---------------------------------------------------------------------------
 
+def _surface_parts(L, rho, order):
+    """The real tangency residual of L on w = rho, split as A + B.
+
+    A = Q - rho_z P with P, Q evaluated on the surface and
+    B = -(rho_zb bar(P) + rho_wb bar(Q)); A is linear in the field and B in
+    its conjugate.
+    """
+    amb = (Z, ZB, WB)
+    on, bar = [], []
+    for s in (L.P, L.Q):
+        s = s.rename({WV: WB}).truncate(order)
+        on.append(s.rename({WB: "_w"}).embed(amb + ("_w",))
+                  .compose({"_w": rho}))
+        bar.append(bar_series(s.embed(amb), swap=(Z, ZB)))
+    A = on[1] - rho.diff(Z) * on[0]
+    B = -(rho.diff(ZB) * bar[0]) - (rho.diff(WB) * bar[1])
+    return A, B
+
+
 def real_tangency_residual(L, M, order=None):
     """Residual of Q = rho_z P + rho_zb bar(P) + rho_wb bar(Q) on w = rho.
 
     Zero iff the real flow of L preserves the surface (L lies in the real
     automorphism algebra, not merely its complexification).
     """
-    from .surfaces import bar_series, ZB, WB
     order = min(M.order, L.order()) if order is None else order
-    rho = M.defining_series(order)
-    amb = (Z, ZB, WB)
-    P = L.P.rename({WV: "_w"}).embed(amb + ("_w",))
-    Q = L.Q.rename({WV: "_w"}).embed(amb + ("_w",))
-    Pm = P.compose({"_w": rho})
-    Qm = Q.compose({"_w": rho})
-    barP = bar_series(L.P.rename({WV: WB}).embed(amb), swap=(Z, ZB))
-    barQ = bar_series(L.Q.rename({WV: WB}).embed(amb), swap=(Z, ZB))
-    return (Qm - rho.diff(Z) * Pm - rho.diff(ZB) * barP
-            - rho.diff(WB) * barQ).truncate(order)
+    A, B = _surface_parts(L, M.defining_series(order), order)
+    return (A + B).truncate(order)
 
 
 def real_form_basis(basis, M, order=None):
@@ -554,7 +539,6 @@ def real_form_basis(basis, M, order=None):
     coordinates; returns the real fields sum (a_j + i b_j) L_j spanning the
     kernel.
     """
-    from .surfaces import bar_series, ZB, WB
     order = min(M.order, basis.order) if order is None else order
     # below total degree m+2 the defining function cannot distinguish a
     # field from its complex rotation; constraints would be vacuous
@@ -565,26 +549,11 @@ def real_form_basis(basis, M, order=None):
                                "raise the input truncation order"
                                % (M.m + 2, order))
     rho = M.defining_series(order)
-    rho_z = rho.diff(Z)
-    rho_zb = rho.diff(ZB)
-    rho_wb = rho.diff(WB)
-    amb = (Z, ZB, WB)
-    rows_by_key = {}
     cols = []
-    for j, L in enumerate(basis.fields):
-        P = L.P.rename({WV: WB}).truncate(order)
-        Q = L.Q.rename({WV: WB}).truncate(order)
-        # on-surface values: substitute w -> rho(z, zb, wb)
-        Pm = P.embed((Z, WB)).rename({WB: "_w"}).embed(amb + ("_w",)) \
-              .compose({"_w": rho}, polynomial_vars=())
-        Qm = Q.embed((Z, WB)).rename({WB: "_w"}).embed(amb + ("_w",)) \
-              .compose({"_w": rho}, polynomial_vars=())
-        barP = bar_series(P.embed((Z, ZB, WB)), swap=(Z, ZB))
-        barQ = bar_series(Q.embed((Z, ZB, WB)), swap=(Z, ZB))
-        A = Qm - rho_z * Pm
-        B = -(rho_zb * barP) - (rho_wb * barQ)
+    for L in basis.fields:
+        A, B = _surface_parts(L, rho, order)
         col_a = A + B                 # coefficient of a_j
-        col_b = (A - B).scale(GaussianRational(0, 1, 0, 0, 1))  # of b_j
+        col_b = (A - B).scale(I)      # coefficient of b_j
         cols.append((col_a, col_b))
     nvar = 2 * len(basis.fields)
     keys = set()
@@ -612,7 +581,7 @@ def real_form_basis(basis, M, order=None):
         P = MultiSeries.zero((Z, WV))
         Q = MultiSeries.zero((Z, WV))
         for j, L in enumerate(basis.fields):
-            coeff = v[2 * j] + v[2 * j + 1] * GaussianRational(0, 1, 0, 0, 1)
+            coeff = v[2 * j] + v[2 * j + 1] * I
             if not coeff.is_zero():
                 P = P + L.P.scale(coeff)
                 Q = Q + L.Q.scale(coeff)

@@ -6,6 +6,7 @@ throughout; no fraction-free tricks are needed.
 """
 
 from .qfield import GaussianRational, ZERO, ONE
+from .errors import SegrefuchsError
 
 
 def zeros(n, m):
@@ -34,25 +35,6 @@ def mat_mul(A, B):
                 if not Bt[j].is_zero():
                     Ci[j] = Ci[j] + a * Bt[j]
     return C
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = ZERO
-        for a, x in zip(row, v):
-            if not a.is_zero() and not x.is_zero():
-                s = s + a * x
-        out.append(s)
-    return out
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
 
 
 def rref(M):
@@ -89,6 +71,16 @@ def rank(M):
         return 0
     _, pivots = rref(M)
     return len(pivots)
+
+
+def inverse(M):
+    """Inverse of a square matrix; raises SegrefuchsError when singular."""
+    n = len(M)
+    I = identity(n)
+    R, piv = rref([row[:] + I[i] for i, row in enumerate(M)])
+    if piv != list(range(n)):
+        raise SegrefuchsError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 def kernel_basis(M):

@@ -2,10 +2,11 @@
 
 Truncated series entries are evaluated as polynomials inside a configured
 trusted radius; every numeric result reports the ignored-tail magnitude
-estimated from the last retained degree.  Continuation runs a fixed
-classical fourth-order step with Richardson step-doubling until two
-consecutive refinements agree to tolerance; loops at |w| = r never meet the
-singularity, so no stiff machinery is needed.
+estimated from the last retained degree.  Continuation runs classical
+fourth-order steps of fixed size over the whole loop, then reruns it from
+the start with twice as many steps until two consecutive runs agree to
+tolerance; the last run is the result (no extrapolation).  Loops at
+|w| = r never meet the singularity, so no stiff machinery is needed.
 """
 
 import numpy as np
@@ -115,16 +116,28 @@ def tail_estimate(S, radius):
     the artifact cannot know true convergence radii, so this is reported,
     not enforced.
     """
-    _, pole, tail_deg, tail_max = _dense_matrix_data(S)
+    return _tail_bound(_dense_matrix_data(S), radius)
+
+
+def _tail_bound(data, radius):
+    _, pole, tail_deg, tail_max = data
     if radius >= 1.0:
         return float("inf")
     geo = radius ** max(tail_deg + 1 - pole, 0) / (1.0 - radius)
     return tail_max * geo
 
 
-def _rk4_loop(S, loop, Y0):
-    """One full loop with n fixed RK4 steps; Y0 columns are continued."""
-    C, pole, _, _ = _dense_matrix_data(S)
+def _rk4_loop(data, loop, Y0, trusted_radius):
+    """Continue the columns of Y0 once around the loop.
+
+    data is _dense_matrix_data of the system.  Runs n fixed RK4 steps, then
+    2n, 4n, ... until two consecutive runs agree to loop.tol.
+    """
+    if loop.radius >= trusted_radius:
+        raise SegrefuchsError("loop radius %g is not strictly inside the "
+                              "trusted evaluation radius %g"
+                              % (loop.radius, trusted_radius))
+    C, pole, _, _ = data
     r = loop.radius
     two_pi_i = 2j * np.pi * loop.direction
 
@@ -163,25 +176,19 @@ def _rk4_loop(S, loop, Y0):
 
 def continue_system(S, loop, y0, trusted_radius=TRUSTED_RADIUS):
     """Analytic continuation of one solution vector around the loop."""
-    if loop.radius >= trusted_radius:
-        raise SegrefuchsError("loop radius %g is not strictly inside the "
-                              "trusted evaluation radius %g"
-                              % (loop.radius, trusted_radius))
     Y0 = np.array(y0, dtype=complex).reshape(-1, 1)
-    Y, diff, steps = _rk4_loop(S, loop, Y0)
+    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0,
+                               trusted_radius)
     return Y[:, 0], diff, steps
 
 
 def monodromy_matrix(S, loop, trusted_radius=TRUSTED_RADIUS):
     """Monodromy of the identity frame at the base point w = r."""
-    if loop.radius >= trusted_radius:
-        raise SegrefuchsError("loop radius %g is not strictly inside the "
-                              "trusted evaluation radius %g"
-                              % (loop.radius, trusted_radius))
-    Y0 = np.eye(S.n, dtype=complex)
-    Y, diff, steps = _rk4_loop(S, loop, Y0)
+    data = _dense_matrix_data(S)
+    Y, diff, steps = _rk4_loop(data, loop, np.eye(S.n, dtype=complex),
+                               trusted_radius)
     cond = float(np.linalg.cond(Y))
-    return MonodromyResult(Y, diff, tail_estimate(S, loop.radius), cond,
+    return MonodromyResult(Y, diff, _tail_bound(data, loop.radius), cond,
                            steps)
 
 
@@ -195,10 +202,6 @@ def infinitesimal_monodromy(basis_vectors, S, loop,
     least-squares residual (a large value signals the basis does not span
     its continuation at this truncation; reported, not fatal).
     """
-    if loop.radius >= trusted_radius:
-        raise SegrefuchsError("loop radius %g is not strictly inside the "
-                              "trusted evaluation radius %g"
-                              % (loop.radius, trusted_radius))
     r = loop.radius
     cols = []
     for vec in basis_vectors:
@@ -208,7 +211,8 @@ def infinitesimal_monodromy(basis_vectors, S, loop,
         else:
             cols.append([complex(x) for x in vec])
     B = np.array(cols, dtype=complex).T          # n x d
-    Y, diff, steps = _rk4_loop(S, loop, B)
+    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B,
+                               trusted_radius)
     sol, res, rank, _ = np.linalg.lstsq(B, Y, rcond=None)
     offspan = float(np.max(np.abs(B @ sol - Y)))
     return sol, offspan

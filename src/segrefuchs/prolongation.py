@@ -13,9 +13,7 @@ the collected system is kept as a regression fixture and compared against
 the mechanical collection symbolically.
 """
 
-from fractions import Fraction
-
-from .qfield import GaussianRational, ZERO, ONE, I
+from .qfield import ZERO, ONE
 from .series import MultiSeries, LaurentInW, EXACT
 from .segre import WV, ZETA
 from .surfaces import Z
@@ -29,8 +27,8 @@ class VectorField:
     __slots__ = ("P", "Q")
 
     def __init__(self, P, Q):
-        self.P = P.embed((Z, WV)) if P.vars != (Z, WV) else P
-        self.Q = Q.embed((Z, WV)) if Q.vars != (Z, WV) else Q
+        self.P = P.embed((Z, WV))
+        self.Q = Q.embed((Z, WV))
 
     def order(self):
         return min(self.P.order, self.Q.order)
@@ -57,15 +55,14 @@ class VectorField:
 class ProlongedField:
     """Second jet prolongation: coefficients of d/dw1 and d/dw2.
 
-    q1 maps powers of w1 to series coefficients of Q^(1); q2 and q2_w2 hold
-    the w2-free and w2-linear parts of Q^(2) the same way.
+    q1 maps powers of w1 to the coefficients of Q^(1); q2 and q2_w2 hold
+    the w2-free and w2-linear parts of Q^(2) the same way.  P and Q may be
+    concrete series or LinForms over tagged unknowns.
     """
 
-    def __init__(self, field):
-        P, Q = field.P, field.Q
+    def __init__(self, P, Q):
         Pz, Pw = P.diff(Z), P.diff(WV)
         Qz, Qw = Q.diff(Z), Q.diff(WV)
-        self.field = field
         self.q1 = {0: Qz, 1: Qw - Pz, 2: -Pw}
         self.q2 = {0: Qz.diff(Z),
                    1: Qz.diff(WV).scale(2) - Pz.diff(Z),
@@ -73,13 +70,10 @@ class ProlongedField:
                    3: -Pw.diff(WV)}
         self.q2_w2 = {0: Qw - Pz.scale(2), 1: -Pw.scale(3)}
 
-    def __repr__(self):
-        return "<ProlongedField of %r>" % (self.field,)
-
 
 def prolong2(L):
     """Exact second prolongation of a vector field."""
-    return ProlongedField(L)
+    return ProlongedField(L.P, L.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +82,11 @@ def prolong2(L):
 
 CONST_TAG = ("1",)
 
+# A tag algebra maps each variable to the derivative rule of the tags: the
+# tag of the differentiated unknown, or None for a constant tag.
+STRUCT_ALG = {Z: lambda t: None, WV: lambda t: (t[0], t[1] + 1)}
 
-class TagAlgebra:
-    """Derivative rules for tags.  dz/dw return a tag or None."""
-
-    def __init__(self, dz, dw, name=""):
-        self.dz = dz
-        self.dw = dw
-        self.name = name
-
-
-STRUCT_ALG = TagAlgebra(lambda t: None,
-                        lambda t: (t[0], t[1] + 1),
-                        name="structural")
-
-CONST_ALG = TagAlgebra(lambda t: None, lambda t: None, name="concrete")
+CONST_ALG = {Z: lambda t: None, WV: lambda t: None}
 
 
 def _jet_dz(t):
@@ -113,7 +97,7 @@ def _jet_dw(t):
     return (t[0], t[1], t[2] + 1)
 
 
-JET_ALG = TagAlgebra(_jet_dz, _jet_dw, name="jet")
+JET_ALG = {Z: _jet_dz, WV: _jet_dw}
 
 
 class LinForm:
@@ -148,27 +132,20 @@ class LinForm:
     def __neg__(self):
         return LinForm({t: -c for t, c in self.coef.items()}, self.alg)
 
+    def scale(self, c):
+        return LinForm({t: v.scale(c) for t, v in self.coef.items()},
+                       self.alg)
+
     def lmul(self, x):
-        """Multiply every coefficient by a concrete series/Laurent/scalar."""
-        if isinstance(x, (int, GaussianRational, Fraction)):
-            return LinForm({t: c.scale(x) for t, c in self.coef.items()},
-                           self.alg)
+        """Multiply every coefficient by a concrete series or Laurent value."""
         return LinForm({t: c * x for t, c in self.coef.items()}, self.alg)
 
-    def dz(self):
+    def diff(self, var):
+        step = self.alg[var]
         coef = {}
         for t, c in self.coef.items():
-            _acc(coef, t, c.diff(Z))
-            dt = self.alg.dz(t)
-            if dt is not None:
-                _acc(coef, dt, c)
-        return LinForm(coef, self.alg)
-
-    def dw(self):
-        coef = {}
-        for t, c in self.coef.items():
-            _acc(coef, t, c.diff(WV))
-            dt = self.alg.dw(t)
+            _acc(coef, t, c.diff(var))
+            dt = step(t)
             if dt is not None:
                 _acc(coef, dt, c)
         return LinForm(coef, self.alg)
@@ -194,9 +171,6 @@ class LinForm:
     def is_zero(self):
         return not self.coef
 
-    def max_tag_order(self):
-        return max((t[1] for t in self.coef), default=-1)
-
     def __repr__(self):
         return "LinForm{" + ", ".join(
             "%s: %r" % (t, c) for t, c in sorted(self.coef.items())) + "}"
@@ -215,8 +189,7 @@ def _acc(coef, t, c):
 def _phi_data(E):
     m = E.m
     Phi = E.Phi
-    J = MultiSeries.monomial(ONE, _exps((Z, WV, ZETA), {WV: m, ZETA: 1}),
-                             (Z, WV, ZETA))
+    J = MultiSeries.monomial(ONE, (0, m, 1), (Z, WV, ZETA))
     Phz = Phi.diff(Z)
     Phw = Phi.diff(WV)
     Phzeta = Phi.diff(ZETA)
@@ -226,33 +199,22 @@ def _phi_data(E):
     return J, Phi, Phz, G, H
 
 
-def _exps(vars, powers):
-    return tuple(powers.get(v, 0) for v in vars)
-
-
 def tangency_forms(Pf, Qf, E):
     """Tangency residual of the prolonged field, linear in the unknowns.
 
-    Works over any tag algebra; coefficients live in (z, w, zeta) with the
-    jet substitution w1 = zeta * w^m already performed.  The result is
-    polynomial: the zeta^j coefficient carries the weight w^(j*m) relative
-    to the four collected equations.
+    Evaluates the prolongation of (Pf, Qf) at w1 = J = zeta * w^m and
+    w2 = Phi, so coefficients live in (z, w, zeta); works over any tag
+    algebra.  The result is polynomial: the zeta^j coefficient carries the
+    weight w^(j*m) relative to the four collected equations.
     """
     J, Phi, Phz, G, H = _phi_data(E)
     J2 = J * J
-    J3 = J2 * J
-    Pz, Pw = Pf.dz(), Pf.dw()
-    Qz, Qw = Qf.dz(), Qf.dw()
-    Pzz, Pzw, Pww = Pz.dz(), Pz.dw(), Pw.dw()
-    Qzz, Qzw, Qww = Qz.dz(), Qz.dw(), Qw.dw()
-    lhs = (Qzz
-           + (Qzw.lmul(2) - Pzz).lmul(J)
-           + (Qww - Pzw.lmul(2)).lmul(J2)
-           - Pww.lmul(J3)
-           + (Qw - Pz.lmul(2)).lmul(Phi)
-           - Pw.lmul(J * Phi).lmul(3))
-    q1 = Qz + (Qw - Pz).lmul(J) - Pw.lmul(J2)
-    rhs = Pf.lmul(Phz) + Qf.lmul(H) + q1.lmul(G)
+    pf = ProlongedField(Pf, Qf)
+    q1, q2, q2_w2 = pf.q1, pf.q2, pf.q2_w2
+    lhs = (q2[0] + q2[1].lmul(J) + q2[2].lmul(J2) + q2[3].lmul(J2 * J)
+           + q2_w2[0].lmul(Phi) + q2_w2[1].lmul(J * Phi))
+    Q1 = q1[0] + q1[1].lmul(J) + q1[2].lmul(J2)
+    rhs = Pf.lmul(Phz) + Qf.lmul(H) + Q1.lmul(G)
     return lhs - rhs
 
 
@@ -262,7 +224,6 @@ class TangencyResidual:
     def __init__(self, by_zeta, m):
         self.by_zeta = by_zeta
         self.m = m
-        self.weights = {j: "w^%d" % (j * m) for j in by_zeta}
 
     def is_zero(self):
         return all(s.is_zero() for s in self.by_zeta.values())
@@ -287,7 +248,7 @@ def tangency_residual(L, E):
     Zero modulo the shared truncation iff L is a Lie point symmetry of the
     ODE (equivalently, lies in the complexified symmetry algebra).  The
     zeta^j slice equals w^(j*m) times the j-th collected equation, so the
-    residual is polynomial; the weights are recorded on the result.
+    residual is polynomial.
     """
     Pf = LinForm.from_tags({CONST_TAG: L.P.embed((Z, WV, ZETA))}, CONST_ALG)
     Qf = LinForm.from_tags({CONST_TAG: L.Q.embed((Z, WV, ZETA))}, CONST_ALG)
@@ -365,19 +326,6 @@ def collect_initial_system():
 # structural reduction and the 8x8 systems
 # ---------------------------------------------------------------------------
 
-def structural_reduce(E):
-    """The shape data of the structural solve.
-
-    Returns the Laurent value a_tilde (double z-antiderivative of the
-    meromorphic a, vanishing to second order in z) plus the parametrization
-    metadata: Q = Q0 + Q1 z and P = P0 + P1 z + Q1' z^2 - 2 Q1 a_tilde.
-    """
-    at = E.a_tilde()
-    return {"a_tilde": at,
-            "Q_shape": "Q0(w) + Q1(w) z",
-            "P_shape": "P0(w) + P1(w) z + Q1'(w) z^2 - 2 Q1(w) a_tilde(z,w)"}
-
-
 def reconstruct_field(E, P0, P1, Q0, Q1):
     """Build (P, Q) from structural components (series in w).
 
@@ -420,10 +368,6 @@ class LinearODESystem:
                     acc = acc - self.entries[i][j] * uj
             out.append(acc)
         return out
-
-    def eval_matrix(self, w):
-        return [[e.eval_complex({WV: w}) if not e.is_zero() else 0j
-                 for e in row] for row in self.entries]
 
     def fuchsian_A(self):
         """For pole order <= 1: the holomorphic matrix A with C = A/w."""
@@ -690,8 +634,8 @@ def assemble_twelve_system(E):
     lines = initial_system(E)
     eqs = []
     for ln in lines:
-        eqs.append(ln.dz())
-        eqs.append(ln.dw())
+        eqs.append(ln.diff(Z))
+        eqs.append(ln.diff(WV))
     # linear solve for the third-order tags; their coefficient matrix is
     # constant, so the elimination happens over plain rationals
     M = []
@@ -705,7 +649,7 @@ def assemble_twelve_system(E):
                 cc = _constant_of(c)
                 row.append(cc)
         M.append(row)
-    Minv = _invert_const_matrix(M)
+    Minv = linalg.inverse(M)
     rests = []
     for eq in eqs:
         rest = LinForm({t: c for t, c in eq.coef.items()
@@ -717,7 +661,7 @@ def assemble_twelve_system(E):
         for e in range(8):
             if Minv[i][e].is_zero():
                 continue
-            expr = expr - rests[e].lmul(Minv[i][e])
+            expr = expr - rests[e].scale(Minv[i][e])
         solved[t] = expr
         bad = [u for u in expr.coef if u not in set(Y12_COMPONENTS)]
         if bad:
@@ -755,15 +699,6 @@ def _constant_of(L):
         raise SegrefuchsError("third-order coefficient is not constant: %r"
                               % (L,))
     return body.constant_term()
-
-
-def _invert_const_matrix(M):
-    n = len(M)
-    aug = [row[:] + linalg.identity(n)[i] for i, row in enumerate(M)]
-    R, piv = linalg.rref(aug)
-    if piv != list(range(n)):
-        raise SegrefuchsError("third-order block is singular")
-    return [row[n:] for row in R]
 
 
 def _zero_zw():

@@ -237,7 +237,6 @@ def _coerce(x):
 
 ZERO = GaussianRational.from_int(0)
 ONE = GaussianRational.from_int(1)
-MINUS_ONE = GaussianRational.from_int(-1)
 I = GaussianRational(0, 1, 0, 0, 1)
 SQRT2 = GaussianRational(0, 0, 1, 0, 1)
 

@@ -18,7 +18,7 @@ from .qfield import GaussianRational, ONE, I
 from .series import MultiSeries, LaurentInW, EXACT, exp_series, \
     solve_implicit
 from .surfaces import Z, ZB, WB, min_order
-from .errors import OrderTooLowError, SegrefuchsError
+from .errors import OrderTooLowError
 
 XIB, ETAB, WV, ZETA = "xib", "etab", "w", "zeta"
 
@@ -70,10 +70,6 @@ class AssociatedODE:
         """Assert Phi = O(w^m zeta^2); exact divisibility in both factors."""
         self.Phi.monomial_div(WV, self.m)
         self.Phi.monomial_div(ZETA, 2)
-
-    def phi_slice(self, j):
-        """Phi's zeta^j slice divided by w^m: a holomorphic series in (z,w)."""
-        return self.Phi.coeff_of({ZETA: j}).monomial_div(WV, self.m)
 
     @property
     def coeffs(self):
@@ -180,7 +176,7 @@ def closed_form_coeffs(M):
             "c0": c0, "c1": c1}
 
 
-def families_agree(f1, f2, min_window=0):
+def families_agree(f1, f2):
     """Exact coefficient-family equality on the common trusted window.
 
     Returns (ok, report) where report maps keys to the compared order or to
@@ -191,8 +187,6 @@ def families_agree(f1, f2, min_window=0):
     for key in COEFF_KEYS:
         s1, s2 = f1[key], f2[key]
         k = min(s1.order, s2.order)
-        if k < min_window:
-            raise SegrefuchsError("window too small to compare %s" % key)
         d = s1.truncate(k) - s2.truncate(k)
         if d.is_zero():
             report[key] = ("agree", k)

@@ -30,11 +30,9 @@ def _unrat(s):
 
 
 def coeff_to_json(c):
-    re, im = Fraction(c.a, c.q), Fraction(c.b, c.q)
-    if c.c == 0 and c.d == 0:
-        return [_rat(re), _rat(im)]
-    return [_rat(re), _rat(im), _rat(Fraction(c.c, c.q)),
-            _rat(Fraction(c.d, c.q))]
+    if c.is_gaussian():
+        return [_rat(c.re), _rat(c.im)]
+    return [_rat(c.re), _rat(c.im), _rat(c.re_sqrt2), _rat(c.im_sqrt2)]
 
 
 def coeff_from_json(parts):
@@ -88,13 +86,8 @@ def surface_to_json(M):
             out["scale_sq"] = _rat(M.scale_sq)
         return out
     if isinstance(M, RealDefining):
-        psi = MultiSeries.monomial(
-            GaussianRational.from_int(M.eps), (1, 1, 0), (Z, ZB, U))
-        for (k, l), s in M.h.items():
-            psi = psi + s.embed((Z, ZB, U)).monomial_mul(Z, k) \
-                .monomial_mul(ZB, l)
         return {"form": "real", "m": M.m, "sign": M.eps, "order": M.order,
-                "series": series_to_json(psi)}
+                "series": series_to_json(M.psi())}
     raise FormatError("not a surface value: %r" % (M,))
 
 

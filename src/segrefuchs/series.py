@@ -15,12 +15,14 @@ variable while the pole is positive.
 from fractions import Fraction
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce
+from .errors import SegrefuchsError
 
 EXACT = 10 ** 6
 
 
-class SeriesError(ValueError):
-    pass
+class SeriesError(SegrefuchsError, ValueError):
+    """Invalid series operation; a domain error, and a ValueError for
+    parsers that catch those."""
 
 
 def _merge_vars(v1, v2):
@@ -362,23 +364,6 @@ class MultiSeries:
             total += z
         return total
 
-    def dense_univar(self, var=None):
-        """Coefficient list (GaussianRational) for a one-variable series."""
-        if var is None:
-            if len(self.vars) != 1:
-                raise SeriesError("series is not univariate")
-            i = 0
-        else:
-            i = self.vars.index(var)
-        for e in self.terms:
-            if any(x and j != i for j, x in enumerate(e)):
-                raise SeriesError("series involves other variables")
-        n = self.var_degree(self.vars[i])
-        out = [ZERO] * (n + 1)
-        for e, c in self.terms.items():
-            out[e[i]] = c
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "<0 (order %s)>" % self.order
@@ -486,7 +471,7 @@ def solve_implicit(F, x_vars, y_vars, order):
     d = linalg.det(J)
     if d.is_zero():
         raise SingularJacobianError(d)
-    Jinv = _invert_matrix(J)
+    Jinv = linalg.inverse(J)
 
     # The constant-Jacobian iteration y <- y - Jinv F(x, y) gains one trusted
     # degree per pass; truncation is managed by hand (exact-branded
@@ -528,17 +513,6 @@ class SingularJacobianError(SeriesError):
         self.determinant = determinant
 
 
-def _invert_matrix(M):
-    from . import linalg
-
-    n = len(M)
-    aug = [row[:] + linalg.identity(n)[i] for i, row in enumerate(M)]
-    R, piv = linalg.rref(aug)
-    if piv != list(range(n)):
-        raise SeriesError("matrix not invertible")
-    return [row[n:] for row in R]
-
-
 # ---------- Laurent series in one distinguished variable ----------
 
 class LaurentInW:
@@ -562,10 +536,6 @@ class LaurentInW:
         self.pole = pole
         self.body = body
         self.wvar = wvar
-
-    @staticmethod
-    def from_series(s, wvar="w"):
-        return LaurentInW(s, 0, wvar)
 
     def is_zero(self):
         return self.body.is_zero()

@@ -18,7 +18,7 @@ from .qfield import GaussianRational, ONE, I, qi
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
                      solve_implicit)
 from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
-                     FormatError, SegrefuchsError)
+                     SegrefuchsError)
 
 Z, ZB, WB, U, W = "z", "zb", "wb", "u", "w"
 
@@ -62,15 +62,20 @@ class RealDefining:
                 bad.append((k, l))
         return bad
 
-    def defining_series(self, order=None):
-        """v = F(z, zb, u) as a series over (z, zb, u)."""
-        order = self.order if order is None else order
+    def psi(self):
+        """The factor eps*z*zb + sum h_kl(u) z^k zb^l of v = u^m psi."""
         psi = MultiSeries.monomial(GaussianRational.from_int(self.eps),
                                    (1, 1, 0), (Z, ZB, U), EXACT)
         for (k, l), s in self.h.items():
             term = s.embed((Z, ZB, U))
             psi = psi + term.monomial_mul(Z, k).monomial_mul(ZB, l)
-        return psi.truncate(order).monomial_mul(U, self.m).truncate(order)
+        return psi
+
+    def defining_series(self, order=None):
+        """v = F(z, zb, u) as a series over (z, zb, u)."""
+        order = self.order if order is None else order
+        return self.psi().truncate(order).monomial_mul(U, self.m) \
+            .truncate(order)
 
     def __repr__(self):
         return "<RealDefining m=%d eps=%+d h=%s order=%d>" % (
@@ -87,20 +92,13 @@ class ComplexDefining:
             raise SegrefuchsError("sign must be +1 or -1")
         self.m = m
         self.eps = eps
-        self.phi = phi.embed((Z, ZB, WB)) if phi.vars != (Z, ZB, WB) else phi
+        self.phi = phi.embed((Z, ZB, WB))
         self.order = order
         self.scale_sq = scale_sq  # squared z-rescale applied on construction
 
     def phi_kl(self, k, l):
         """Coefficient series of z^k zb^l in phi, as a series in wb."""
         return self.phi.coeff_of({Z: k, ZB: l})
-
-    def stored_kl(self):
-        out = set()
-        for e in self.phi.terms:
-            k, l = e[self.phi.vars.index(Z)], e[self.phi.vars.index(ZB)]
-            out.add((k, l))
-        return sorted(out)
 
     def exponent(self):
         """The full exponent  eps*i * wb^(m-1) * phi."""
@@ -192,10 +190,10 @@ def check_reality(M):
     return (lhs - psibar).truncate(order)
 
 
-def require_reality(M, tol_order=None):
+def require_reality(M):
+    """check_reality, raising RealityViolation on a nonzero residual."""
     res = check_reality(M)
-    order = M.order if tol_order is None else tol_order
-    if not res.truncate(order).is_zero():
+    if not res.is_zero():
         raise RealityViolation(res)
     return res
 
@@ -218,7 +216,7 @@ def nonminimality_order(F):
     when F vanishes identically at this truncation (order undetermined) or
     when the quotient still vanishes on u = 0 (not Levi-nonflat to order N).
     """
-    F = F.embed((Z, ZB, U)) if F.vars != (Z, ZB, U) else F
+    F = F.embed((Z, ZB, U))
     for e in F.terms:
         if e[0] == 0 or e[1] == 0:
             raise SegrefuchsError("defining series is not in normal "

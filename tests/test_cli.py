@@ -6,7 +6,7 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
-    EXIT_ORDER, EXIT_REALITY, EXIT_FORMAT
+    EXIT_ORDER, EXIT_REALITY, EXIT_FORMAT, EXIT_DOMAIN
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
 from segrefuchs.series import MultiSeries, LaurentInW
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
@@ -169,6 +169,24 @@ def test_error_exit_codes(model_file, tmp_path, capsys):
     p.write_text(serialize.dumps(serialize.surface_to_json(pert)))
     assert main(["derive-ode", str(p)]) == EXIT_REALITY
     assert main(["verify", str(p)]) == EXIT_REALITY
+    # no z*zb term: the elimination Jacobian is singular, a domain error
+    flat = ComplexDefining(1, 1, MultiSeries.monomial(ONE, (2, 2, 0),
+                                                      (Z, ZB, WB)), 8)
+    p = tmp_path / "flat.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(flat)))
+    assert main(["derive-ode", str(p)]) == EXIT_DOMAIN
+
+
+def test_usage_errors_exit_format(model_file, capsys):
+    # --format belongs to check-fuchsian only
+    assert main(["verify", model_file, "--format", "table"]) == EXIT_FORMAT
+    assert main(["no-such-command", model_file]) == EXIT_FORMAT
+    assert main(["selftest", "--seed", "x"]) == EXIT_FORMAT
+    assert main(["--help"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check-fuchsian", model_file, "--format", "table"]) == \
+        EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict: fuchsian")
 
 
 def test_determinism_byte_identical(model_file, tmp_path):
@@ -180,3 +198,4 @@ def test_determinism_byte_identical(model_file, tmp_path):
 
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
+    assert main(["selftest", "--seed", "7"]) == EXIT_OK

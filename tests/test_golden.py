@@ -1,0 +1,96 @@
+"""Payload digests pinned across commits.
+
+The digests below were recorded once from a known-good build.  A refactor
+that keeps the outputs byte-identical keeps every one of them; a change
+that means to alter a payload must update the digest and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from segrefuchs import serialize
+from segrefuchs.cli import main, EXIT_OK
+from segrefuchs.prolongation import assemble_u_system, assemble_Y_system
+from segrefuchs.qfield import qi
+from segrefuchs.segre import eliminate
+from segrefuchs.surfaces import build_complex, build_real
+
+COMMANDS = [("verify", []), ("derive-ode", []), ("check-fuchsian", []),
+            ("symmetries", ["--real-form"]), ("blowup", ["--auto", "4"])]
+
+GOLDEN = {
+    ("model", "verify"):
+        "0edbad91a9c914e7aa5a7e9eb4b429ddd8e4a4a91f6500fdb2ed71b0a6530657",
+    ("model", "derive-ode"):
+        "2f0ba47e84e559161cf458dfee414f0c72c6e2affb3560006d2e61526004c5f2",
+    ("model", "check-fuchsian"):
+        "86fc02389707c38ca257d6f75f5d9c4cd594b4387a3052b051b2614639dd57b0",
+    ("model", "symmetries"):
+        "c3c3adcb1b3bd41d8fed5b5647f11a7787f0979972777e122c3a65d18eb24673",
+    ("model", "blowup"):
+        "18de4b7932bb96186aa7544370ebbb5e71783007cf82b5192357aafefb19533e",
+    ("dense", "verify"):
+        "292abcfe00bc75df00dc805e37ee0f8f491e012c95453b48285b6768d6731f91",
+    ("dense", "derive-ode"):
+        "b996d61d7c4a586526464baa849a1d1db292d01e4c97800380a07e631094c873",
+    ("dense", "check-fuchsian"):
+        "0033c13e186aa5741a6b8cae16f221c29feae407af6f9835fc1625f2e1df0999",
+    ("dense", "symmetries"):
+        "006d69356930cb854359f3e443b3a98ee75ecca05f69bc09addc9efd609749d3",
+    ("dense", "blowup"):
+        "c86dbe9c03d0f2a8085229631167b977b25bbca31b688e41264abaab92f949de",
+}
+
+SYSTEM_GOLDEN = {
+    "u": "ce0259d75225eefa633a6fc8c3efec97accb766bc5f39aed03ff886b56f79d7d",
+    "Y": "5b0461b565f06348de8d21694ec89092d2d83aead126ebee364ef97b96c1f50a",
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def dense_surface(N=12):
+    """Real m=1 surface with every admissible h_kl coefficient nonzero.
+
+    The coefficients are small Gaussian integers fixed by (k, l, j), with
+    h_lk = conj(h_kl), so the surface is the same on every platform.
+    """
+    top = N - 1
+    h = {}
+    for k in range(2, top):
+        for l in range(k, top - k + 1):
+            terms, conj = {}, {}
+            for j in range(top - k - l + 1):
+                re = (k + 2 * l + 3 * j) % 5 - 2 or 3
+                im = 0 if k == l else (2 * k + l + j) % 5 - 2 or -1
+                terms[(j,)] = qi(re, im)
+                conj[(j,)] = qi(re, -im)
+            h[(k, l)] = terms
+            if k != l:
+                h[(l, k)] = conj
+    return build_real(1, 1, h, N)
+
+
+SURFACES = {"model": lambda: build_complex(1, 1, {}, 12),
+            "dense": dense_surface}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_cli_payload_digests(name, tmp_path):
+    path = tmp_path / (name + ".json")
+    path.write_text(serialize.dumps(serialize.surface_to_json(
+        SURFACES[name]())))
+    out = tmp_path / "out.json"
+    for command, extra in COMMANDS:
+        assert main([command, str(path), "-o", str(out)] + extra) == EXIT_OK
+        assert _sha(out.read_bytes()) == GOLDEN[(name, command)], command
+
+
+def test_model_system_digests():
+    E = eliminate(build_complex(1, 1, {}, 12), 12)
+    for key, S in (("u", assemble_u_system(E)), ("Y", assemble_Y_system(E))):
+        text = serialize.dumps(serialize.system_to_json(S))
+        assert _sha(text.encode()) == SYSTEM_GOLDEN[key], key

@@ -9,7 +9,7 @@ from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate, WV, ZETA
 from segrefuchs.prolongation import (VectorField, prolong2, tangency_residual,
                                      collect_initial_system,
-                                     structural_reduce, reconstruct_field,
+                                     reconstruct_field,
                                      assemble_u_system, assemble_Y_system,
                                      assemble_twelve_system)
 from segrefuchs.fuchs import check_fuchsian_ode
@@ -140,16 +140,16 @@ def _jet(s, i, j):
     return LaurentInW(s, 0, "w")
 
 
-# ---- structural reduce ---------------------------------------------------------
+# ---- a_tilde and reconstruction ---------------------------------------------
 
 def test_a_tilde_examples():
     E1 = eliminate(model())
-    at = structural_reduce(E1)["a_tilde"]  # a = 1/w -> z^2/(2w)
+    at = E1.a_tilde()  # a = 1/w -> z^2/(2w)
     assert at.pole == 1
     assert at.body.coefficient((2, 0)) == qi(Fraction(1, 2))
     for m in (2, 3):
         Em = eliminate(model(3 * m + 4, m))
-        atm = structural_reduce(Em)["a_tilde"]  # a = w^(m-1)/w^m = 1/w
+        atm = Em.a_tilde()  # a = w^(m-1)/w^m = 1/w
         assert atm.pole == 1
         assert atm.body.coefficient((2, 0)) == qi(Fraction(1, 2))
 
@@ -160,7 +160,7 @@ def test_reconstruction_formula():
     zer = MultiSeries.zero(("w",))
     w = MultiSeries.variable("w", ("w",))
     Pl, Ql = reconstruct_field(E, zer, zer, zer, w)
-    at = structural_reduce(E)["a_tilde"]
+    at = E.a_tilde()
     z2 = MultiSeries.monomial(ONE, (2, 0), ("z", "w"))
     expect = LaurentInW(z2, 0, "w") - at * LaurentInW(
         MultiSeries.variable("w", ("z", "w")).scale(2), 0, "w")
