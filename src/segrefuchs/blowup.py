@@ -16,11 +16,12 @@ from fractions import Fraction
 from .qfield import GaussianRational, ONE, I
 from .series import (MultiSeries, LaurentInW, exp_series, log_series,
                      solve_implicit)
-from .surfaces import (ComplexDefining, Z, ZB, WB, rescale_z,
-                       NotNormalizableError)
-from .errors import DivisibilityError, SegrefuchsError, OrderTooLowError
+from .surfaces import ComplexDefining, Z, ZB, WB, W, normalize_lead
+from .segre import XIB, ETAB
+from .errors import (DivisibilityError, SegrefuchsError, OrderTooLowError,
+                     NotNormalizableError)
 
-XI, XIB, ETA, ETAB = "xi", "xib", "eta", "etab"
+XI, ETA = "xi", "eta"
 
 
 class BlowupMap:
@@ -111,21 +112,17 @@ def pullback_surface(M, B, order=None):
                                "term vanishes at this truncation")
     mv = psi.var_valuation(ETAB)
     m_star = mv + 1
-    c0 = psi.coefficient((1, 1, mv))  # psi is over (xi, xib, etab)
+    phi_star = psi.monomial_div(ETAB, mv).rename({XI: Z, XIB: ZB, ETAB: WB})
     surface = None
-    if not c0.is_zero() and c0.is_rational():
-        eps_star = 1 if c0.re > 0 else -1
-        phi_star = psi.monomial_div(ETAB, mv).scale(
-            GaussianRational.from_int(eps_star))
-        try:
-            phin = rescale_z(phi_star.rename({XI: Z, XIB: ZB, ETAB: WB}),
-                             Fraction(1) / abs(c0.re))
-            cand = ComplexDefining(m_star, eps_star, phin, phin.order,
-                                   scale_sq=Fraction(1) / abs(c0.re))
-            if not cand.admissibility_defects():
-                surface = cand
-        except NotNormalizableError:
-            surface = None
+    try:
+        eps_star, phin, lam_sq = normalize_lead(
+            phi_star, phi_star.coefficient((1, 1, 0)))
+        cand = ComplexDefining(m_star, eps_star, phin.scale(eps_star),
+                               phin.order, scale_sq=lam_sq)
+        if not cand.admissibility_defects():
+            surface = cand
+    except NotNormalizableError:
+        pass
     return PulledBackSurface(s, l, m_star, M.eps, psi, R, surface)
 
 
@@ -179,9 +176,9 @@ def pullback_field(L, B):
     amb = (XI, ETA)
     zsub = MultiSeries.monomial(ONE, (1, s), amb)
     wsub = MultiSeries.monomial(ONE, (0, 2), amb)
-    Psub = L.P.rename({Z: "_z", "w": "_w"}).embed(("_z", "_w") + amb) \
+    Psub = L.P.rename({Z: "_z", W: "_w"}).embed(("_z", "_w") + amb) \
         .compose({"_z": zsub, "_w": wsub})
-    Qsub = L.Q.rename({Z: "_z", "w": "_w"}).embed(("_z", "_w") + amb) \
+    Qsub = L.Q.rename({Z: "_z", W: "_w"}).embed(("_z", "_w") + amb) \
         .compose({"_z": zsub, "_w": wsub})
     xi = MultiSeries.variable(XI, amb)
     half_s = GaussianRational.of(Fraction(s, 2))
@@ -232,4 +229,4 @@ def _invert_substitution(hhat, s, label):
         if r % 2:
             raise DivisibilityError(j, j * s, k)
         terms[(j, r // 2)] = c
-    return MultiSeries((Z, "w"), order, terms)
+    return MultiSeries((Z, W), order, terms)

@@ -55,8 +55,13 @@ def _read_surface(path):
 
 
 def _as_complex(M, order=None):
+    """The complex form of M, truncated to order; order can only lower."""
+    if order is not None and order > M.order:
+        raise OrderTooLowError(M.order, order, "input is trusted through "
+                               "order %d only; --order %d asks for more"
+                               % (M.order, order))
     if isinstance(M, RealDefining):
-        return real_to_complex(M, order or M.order)
+        return real_to_complex(M, order)
     if order is not None and order < M.order:
         return ComplexDefining(M.m, M.eps, M.phi.truncate(order), order,
                                M.scale_sq)
@@ -85,7 +90,7 @@ def cmd_derive_ode(args):
     M = _read_surface(args.surface)
     Mc = _as_complex(M, args.order)
     require_reality(Mc)
-    E = eliminate(Mc, args.order or Mc.order)
+    E = eliminate(Mc)
     ok, report = families_agree(E.coeffs, closed_form_coeffs(Mc))
     payload = serialize.ode_to_json(E)
     payload["oracle_agreement"] = ok
@@ -122,7 +127,7 @@ def cmd_symmetries(args):
     M = _read_surface(args.surface)
     Mc = _as_complex(M, args.order)
     try:
-        basis = formal_symmetries(Mc, args.order or Mc.order)
+        basis = formal_symmetries(Mc)
     except NonFuchsianError as exc:
         _emit({"refused": str(exc), "ledger_row": exc.ledger_row},
               args.output)
@@ -168,7 +173,7 @@ def cmd_monodromy(args):
 def cmd_selftest(args):
     """Randomized oracle equivalence at desk scale (seeded)."""
     from .series import MultiSeries
-    from .surfaces import build_complex
+    from .surfaces import build_complex, WB
     from .qfield import qi
     rng = random.Random(args.seed)
     for m in (1, 2):
@@ -180,7 +185,7 @@ def cmd_selftest(args):
                 terms[(rng.randint(0, max(order - k - l, 0)),)] = qi(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-            s = MultiSeries(("wb",), order - k - l, terms)
+            s = MultiSeries((WB,), order - k - l, terms)
             if not s.is_zero():
                 tbl[(k, l)] = s
         M = build_complex(m, rng.choice((1, -1)), tbl, order)
@@ -201,9 +206,11 @@ def build_parser():
                     "monodromy.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, order=True):
         sp.add_argument("surface", help="surface JSON file")
-        sp.add_argument("--order", type=int, default=None)
+        if order:
+            sp.add_argument("--order", type=int, default=None,
+                            help="truncate the input to this lower order")
         sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("verify", help="reality/normality validation")
@@ -215,7 +222,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_derive_ode)
 
     sp = sub.add_parser("check-fuchsian", help="Fuchsian-type classification")
-    common(sp)
+    common(sp, order=False)
     sp.add_argument("--format", choices=["json", "table"], default="json")
     sp.set_defaults(fn=cmd_check_fuchsian)
 

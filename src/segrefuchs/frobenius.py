@@ -437,27 +437,23 @@ class ConvergenceReport:
                                                      self.ratios)
 
 
-def convergence_diagnostic(y, bound=10.0, window=None):
+GROWTH_BOUND = 10.0  # largest coefficient-norm ratio counted as bounded
+
+
+def convergence_diagnostic(y):
     """Per-degree coefficient-norm ratio profile with a growth verdict.
 
-    y is a vector of w-series, a single series, or a VectorField; norms are
-    exact coefficients compared through float magnitudes (report only).
-    Fuchsian theory promises growth-bounded profiles for genuine symmetry
-    series; a factorial-type series trips the bound.
+    y is a vector of w-series or a VectorField; norms are exact
+    coefficients compared through float magnitudes (report only).  Ratios
+    are taken over degrees 5 .. order-1.  Fuchsian theory promises
+    growth-bounded profiles for genuine symmetry series; a factorial-type
+    series trips GROWTH_BOUND.
     """
-    if isinstance(y, VectorField):
-        series = [y.P, y.Q]
-        order = y.order()
-    elif isinstance(y, MultiSeries):
-        series = [y]
-        order = y.order
-    else:
-        series = list(y)
-        order = min(s.order for s in series)
+    series = [y.P, y.Q] if isinstance(y, VectorField) else list(y)
+    order = min(s.order for s in series)
     if order >= EXACT:
         order = max(max(s.max_degree() for s in series), 8)
-    if window is None:
-        window = (5, order - 1)
+    window = (5, order - 1)
     norms = {}
     for k in range(order + 1):
         m = 0.0
@@ -467,23 +463,16 @@ def convergence_diagnostic(y, bound=10.0, window=None):
                     m = max(m, c.magnitude())
         norms[k] = m
     nonzero = [k for k, v in norms.items() if v > 0.0]
-    if len(nonzero) < 2:
-        return ConvergenceReport(norms, {}, "inconclusive", bound, window)
     lo, hi = window
-    ratios = {}
-    for k in range(max(lo, 0), min(hi, order - 1) + 1):
-        if norms.get(k, 0.0) > 0.0 and norms.get(k + 1) is not None:
-            if norms[k + 1] == 0.0:
-                continue
-            ratios[k] = norms[k + 1] / norms[k]
-    if not ratios:
-        if max(nonzero) < lo:
-            return ConvergenceReport(norms, {}, "growth-bounded", bound,
-                                     window)
-        return ConvergenceReport(norms, {}, "inconclusive", bound, window)
-    verdict = ("growth-bounded" if max(ratios.values()) <= bound
-               else "growth-unbounded")
-    return ConvergenceReport(norms, ratios, verdict, bound, window)
+    ratios = {k: norms[k + 1] / norms[k] for k in range(lo, hi + 1)
+              if norms[k] > 0.0 and norms[k + 1] > 0.0}
+    if len(nonzero) < 2 or (not ratios and max(nonzero) >= lo):
+        verdict = "inconclusive"
+    elif not ratios or max(ratios.values()) <= GROWTH_BOUND:
+        verdict = "growth-bounded"
+    else:
+        verdict = "growth-unbounded"
+    return ConvergenceReport(norms, ratios, verdict, GROWTH_BOUND, window)
 
 
 def field_u_vector(L):
@@ -514,7 +503,7 @@ def _surface_parts(L, rho, order):
         s = s.rename({WV: WB}).truncate(order)
         on.append(s.rename({WB: "_w"}).embed(amb + ("_w",))
                   .compose({"_w": rho}))
-        bar.append(bar_series(s.embed(amb), swap=(Z, ZB)))
+        bar.append(bar_series(s.embed(amb)))
     A = on[1] - rho.diff(Z) * on[0]
     B = -(rho.diff(ZB) * bar[0]) - (rho.diff(WB) * bar[1])
     return A, B

@@ -14,7 +14,7 @@ window cannot even refute its bound.
 """
 
 from .series import MultiSeries
-from .surfaces import U, WB, min_order
+from .surfaces import Z, U, W, WB, min_order
 from .errors import OrderTooLowError
 
 REAL_BOUNDS = [((2, 2), "m-1"), ((2, 3), "2m-2"), ((3, 2), "2m-2"),
@@ -94,36 +94,30 @@ class FuchsReport:
 
 
 def _series_order_row(name, expr, series, var, m):
-    bound = _bound(expr, m)
-    if series.is_zero():
-        measured = None
-        available = series.order
-    else:
-        measured = series.var_valuation(var)
-        available = series.order
-    return FuchsRow(name, expr, bound, measured, available)
+    measured = None if series.is_zero() else series.var_valuation(var)
+    return FuchsRow(name, expr, _bound(expr, m), measured, series.order)
+
+
+def _table_ledger(M, prefix, kl_series, var, form):
+    """Ledger of the REAL_BOUNDS rows over a coefficient table in var."""
+    if M.order < min_order(M.m):
+        raise OrderTooLowError(M.order, min_order(M.m))
+    rows = [_series_order_row("%s%d%d" % (prefix, k, l), expr,
+                              kl_series(k, l), var, M.m)
+            for (k, l), expr in REAL_BOUNDS]
+    return FuchsReport(M.m, rows, form=form)
 
 
 def check_fuchsian_real(M):
     """Ledger over the h_kl table of a RealDefining surface."""
-    if M.order < min_order(M.m):
-        raise OrderTooLowError(M.order, min_order(M.m))
-    rows = []
-    for (k, l), expr in REAL_BOUNDS:
-        s = M.h.get((k, l), MultiSeries.zero((U,), M.order))
-        rows.append(_series_order_row("h%d%d" % (k, l), expr, s, U, M.m))
-    return FuchsReport(M.m, rows, form="real")
+    zero = MultiSeries.zero((U,), M.order)
+    return _table_ledger(M, "h", lambda k, l: M.h.get((k, l), zero), U,
+                         "real")
 
 
 def check_fuchsian_complex(M):
     """Ledger over the phi_kl table of a ComplexDefining surface."""
-    if M.order < min_order(M.m):
-        raise OrderTooLowError(M.order, min_order(M.m))
-    rows = []
-    for (k, l), expr in REAL_BOUNDS:
-        s = M.phi_kl(k, l)
-        rows.append(_series_order_row("phi%d%d" % (k, l), expr, s, WB, M.m))
-    return FuchsReport(M.m, rows, form="complex")
+    return _table_ledger(M, "phi", M.phi_kl, WB, "complex")
 
 
 def check_fuchsian_ode(E):
@@ -135,7 +129,7 @@ def check_fuchsian_ode(E):
     rows = []
     fam = E.coeffs
     for key, expr in ODE_BOUNDS:
-        rows.append(_series_order_row(key, expr, fam[key], "w", E.m))
+        rows.append(_series_order_row(key, expr, fam[key], W, E.m))
     return FuchsReport(E.m, rows, form="ode")
 
 
@@ -147,13 +141,13 @@ def mero_pole_rows(E):
         nder = 2 if which in ("a", "b") else 1
         cur = mero
         for d in range(nder + 1):
-            slice0 = cur.body.coeff_of({"z": 0})
+            slice0 = cur.body.coeff_of({Z: 0})
             if slice0.is_zero():
                 pole = None
             else:
-                pole = cur.pole - slice0.var_valuation("w")
+                pole = cur.pole - slice0.var_valuation(W)
             out.append({"name": "%s%s(0,w)" % (which, "_z" * d),
                         "pole": pole, "bound": bound,
                         "ok": pole is None or pole <= bound})
-            cur = cur.diff("z")
+            cur = cur.diff(Z)
     return out

@@ -85,9 +85,13 @@ def inverse(M):
 
 def kernel_basis(M):
     """Basis of the right kernel, as a list of column vectors."""
-    n = len(M)
-    m = len(M[0]) if n else 0
     R, pivots = rref(M)
+    return _kernel_from_rref(R, pivots, len(M[0]) if M else 0)
+
+
+def _kernel_from_rref(R, pivots, m):
+    """Kernel basis of the first m columns of a reduced row echelon form
+    whose pivots in those columns are `pivots`."""
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
@@ -123,7 +127,8 @@ def solve_with_rhs_matrix(A, B):
     for r, p in enumerate(pivots_in_A):
         for j in range(m):
             X[p][j] = R[r][cols + j]
-    return X, kernel_basis(A), constraints
+    # the A-columns of rref([A|B]) are rref(A)
+    return X, _kernel_from_rref(R, pivots_in_A, cols), constraints
 
 
 def charpoly(A):

@@ -12,6 +12,7 @@ tolerance; the last run is the result (no extrapolation).  Loops at
 import numpy as np
 
 from .errors import NonConvergenceError, SegrefuchsError
+from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
 
@@ -219,4 +220,4 @@ def infinitesimal_monodromy(basis_vectors, S, loop,
 
 
 def _wvar(series):
-    return series.vars[0] if len(series.vars) == 1 else "w"
+    return series.vars[0] if len(series.vars) == 1 else W

@@ -80,13 +80,9 @@ def prolong2(L):
 # linear forms over named unknowns
 # ---------------------------------------------------------------------------
 
-CONST_TAG = ("1",)
-
 # A tag algebra maps each variable to the derivative rule of the tags: the
 # tag of the differentiated unknown, or None for a constant tag.
 STRUCT_ALG = {Z: lambda t: None, WV: lambda t: (t[0], t[1] + 1)}
-
-CONST_ALG = {Z: lambda t: None, WV: lambda t: None}
 
 
 def _jet_dz(t):
@@ -110,15 +106,10 @@ class LinForm:
         self.alg = alg
 
     @staticmethod
-    def from_tags(pairs, alg, vars=(Z, WV, ZETA)):
-        coef = {}
-        for t, c in pairs.items():
-            if isinstance(c, MultiSeries):
-                c = LaurentInW(c.embed(vars), 0, WV)
-            elif not isinstance(c, LaurentInW):
-                c = LaurentInW(MultiSeries.const(c, vars), 0, WV)
-            coef[t] = c
-        return LinForm(coef, alg)
+    def unknown(tag, alg):
+        """The tagged unknown itself, coefficient 1 over (z, w, zeta)."""
+        one = MultiSeries.const(ONE, (Z, WV, ZETA))
+        return LinForm({tag: LaurentInW(one, 0, WV)}, alg)
 
     def __add__(self, other):
         coef = dict(self.coef)
@@ -136,7 +127,7 @@ class LinForm:
         return LinForm({t: v.scale(c) for t, v in self.coef.items()},
                        self.alg)
 
-    def lmul(self, x):
+    def __mul__(self, x):
         """Multiply every coefficient by a concrete series or Laurent value."""
         return LinForm({t: c * x for t, c in self.coef.items()}, self.alg)
 
@@ -203,18 +194,19 @@ def tangency_forms(Pf, Qf, E):
     """Tangency residual of the prolonged field, linear in the unknowns.
 
     Evaluates the prolongation of (Pf, Qf) at w1 = J = zeta * w^m and
-    w2 = Phi, so coefficients live in (z, w, zeta); works over any tag
-    algebra.  The result is polynomial: the zeta^j coefficient carries the
-    weight w^(j*m) relative to the four collected equations.
+    w2 = Phi, so coefficients live in (z, w, zeta).  Pf and Qf are LinForms
+    over any tag algebra or concrete Laurent values.  The result is
+    polynomial: the zeta^j coefficient carries the weight w^(j*m) relative
+    to the four collected equations.
     """
     J, Phi, Phz, G, H = _phi_data(E)
     J2 = J * J
     pf = ProlongedField(Pf, Qf)
     q1, q2, q2_w2 = pf.q1, pf.q2, pf.q2_w2
-    lhs = (q2[0] + q2[1].lmul(J) + q2[2].lmul(J2) + q2[3].lmul(J2 * J)
-           + q2_w2[0].lmul(Phi) + q2_w2[1].lmul(J * Phi))
-    Q1 = q1[0] + q1[1].lmul(J) + q1[2].lmul(J2)
-    rhs = Pf.lmul(Phz) + Qf.lmul(H) + Q1.lmul(G)
+    lhs = (q2[0] + q2[1] * J + q2[2] * J2 + q2[3] * (J2 * J)
+           + q2_w2[0] * Phi + q2_w2[1] * (J * Phi))
+    Q1 = q1[0] + q1[1] * J + q1[2] * J2
+    rhs = Pf * Phz + Qf * H + Q1 * G
     return lhs - rhs
 
 
@@ -250,19 +242,16 @@ def tangency_residual(L, E):
     zeta^j slice equals w^(j*m) times the j-th collected equation, so the
     residual is polynomial.
     """
-    Pf = LinForm.from_tags({CONST_TAG: L.P.embed((Z, WV, ZETA))}, CONST_ALG)
-    Qf = LinForm.from_tags({CONST_TAG: L.Q.embed((Z, WV, ZETA))}, CONST_ALG)
+    Pf, Qf = (LaurentInW(s.embed((Z, WV, ZETA)), 0, WV) for s in (L.P, L.Q))
     T = tangency_forms(Pf, Qf, E)
-    c = T.get(CONST_TAG)
-    by_zeta = {}
-    if c is not None:
-        if c.pole_order() > 0:
-            raise SegrefuchsError("tangency residual of a holomorphic field "
-                                  "acquired a pole; ODE data is inconsistent")
-        body = c.as_series()
-        for j in range(body.var_degree(ZETA) + 1):
-            by_zeta[j] = body.coeff_of({ZETA: j})
-    return TangencyResidual(by_zeta or {0: MultiSeries.zero((Z, WV))}, E.m)
+    if T.is_zero():
+        return TangencyResidual({0: MultiSeries.zero((Z, WV))}, E.m)
+    if T.pole_order() > 0:
+        raise SegrefuchsError("tangency residual of a holomorphic field "
+                              "acquired a pole; ODE data is inconsistent")
+    body = T.as_series()
+    return TangencyResidual({j: body.coeff_of({ZETA: j})
+                             for j in range(body.var_degree(ZETA) + 1)}, E.m)
 
 
 # ---------------------------------------------------------------------------
@@ -326,48 +315,42 @@ def collect_initial_system():
 # structural reduction and the 8x8 systems
 # ---------------------------------------------------------------------------
 
+def structural_field(at, z, P0, P1, Q0, Q1):
+    """The structural ansatz P = P0 + P1 z + Q1' z^2 - 2 a~ Q1, Q = Q0 + Q1 z.
+
+    The components are Laurent values or LinForms alike; z is the z
+    variable over their ambient variables and at is a~.
+    """
+    P = P0 + P1 * z + Q1.diff(WV) * z * z - Q1 * at.scale(2)
+    return P, Q0 + Q1 * z
+
+
 def reconstruct_field(E, P0, P1, Q0, Q1):
     """Build (P, Q) from structural components (series in w).
 
     P may acquire a pole through a_tilde when the surface is not Fuchsian
     enough; the caller receives Laurent values and decides.
     """
-    at = E.a_tilde()
-    zvar = MultiSeries.variable(Z, (Z, WV))
-    P0e, P1e, Q0e, Q1e = (s.embed((Z, WV)) for s in (P0, P1, Q0, Q1))
-    Q = Q0e + Q1e * zvar
-    Pser = P0e + P1e * zvar + Q1e.diff(WV) * zvar * zvar
-    Plaur = LaurentInW(Pser, 0, WV) - at * LaurentInW(Q1e.scale(2), 0, WV)
-    return Plaur, LaurentInW(Q, 0, WV)
+    return structural_field(E.a_tilde(), MultiSeries.variable(Z, (Z, WV)),
+                            *(LaurentInW(s.embed((Z, WV)), 0, WV)
+                              for s in (P0, P1, Q0, Q1)))
 
 
 class LinearODESystem:
     """n x n first-order system du/dw = C(w) u with Laurent entries."""
 
-    def __init__(self, entries, unknown, order=None):
+    def __init__(self, entries, unknown):
         self.n = len(entries)
         self.entries = entries
         self.unknown = unknown
         self.pole_order = max((e.pole_order() for row in entries
                                for e in row), default=0)
-        if order is None:
-            order = min((e.body.order for row in entries for e in row
-                         if not e.is_zero()), default=EXACT)
-        self.order = order
+        self.order = min((e.body.order for row in entries for e in row
+                          if not e.is_zero()), default=EXACT)
 
     def residual(self, u):
         """du/dw - C u for a candidate vector of w-series (Laurent ok)."""
-        out = []
-        for i in range(self.n):
-            acc = (u[i] if isinstance(u[i], LaurentInW)
-                   else LaurentInW(u[i], 0, WV)).diff(WV)
-            for j in range(self.n):
-                if not self.entries[i][j].is_zero():
-                    uj = (u[j] if isinstance(u[j], LaurentInW)
-                          else LaurentInW(u[j], 0, WV))
-                    acc = acc - self.entries[i][j] * uj
-            out.append(acc)
-        return out
+        return _residual(self.entries, u, WV)
 
     def fuchsian_A(self):
         """For pole order <= 1: the holomorphic matrix A with C = A/w."""
@@ -381,8 +364,21 @@ class LinearODESystem:
             self.n, self.pole_order, self.unknown)
 
 
-def _zero_laurent():
-    return LaurentInW(MultiSeries.zero((WV,)), 0, WV)
+def _residual(entries, y, var):
+    """d/d(var) y - M y for the Laurent matrix M = entries."""
+    y = [s if isinstance(s, LaurentInW) else LaurentInW(s, 0, WV) for s in y]
+    out = []
+    for row, yi in zip(entries, y):
+        acc = yi.diff(var)
+        for e, yj in zip(row, y):
+            if not e.is_zero():
+                acc = acc - e * yj
+        out.append(acc)
+    return out
+
+
+def _const(c, vars):
+    return LaurentInW(MultiSeries.const(c, vars), 0, WV)
 
 
 def _invert_monomial(L):
@@ -437,24 +433,14 @@ def _struct_tangency(E, with_w_factor):
     """
     V3 = (Z, WV, ZETA)
     at = E.a_tilde()
-    at3 = LaurentInW(at.body.embed(V3), at.pole, WV)
-    zs = MultiSeries.variable(Z, V3)
-    one = MultiSeries.const(ONE, V3)
-    wser = MultiSeries.variable(WV, V3)
-    if not with_w_factor:
-        Pf = LinForm.from_tags({("P0", 0): one, ("P1", 0): zs,
-                                ("Q1", 1): zs * zs}, STRUCT_ALG)
-        Pf = Pf + LinForm({("Q1", 0): at3.scale(-2)}, STRUCT_ALG)
-        Qf = LinForm.from_tags({("Q0", 0): one, ("Q1", 0): zs}, STRUCT_ALG)
-    else:
-        Pf = LinForm.from_tags({("P0", 0): one, ("P1", 0): zs,
-                                ("R1", 1): wser * zs * zs}, STRUCT_ALG)
-        Pf = Pf + LinForm(
-            {("R1", 0): (LaurentInW(zs * zs, 0, WV)
-                         - at3.scale(2) * LaurentInW(wser, 0, WV))},
-            STRUCT_ALG)
-        Qf = LinForm.from_tags({("R0", 0): wser, ("R1", 0): wser * zs},
-                               STRUCT_ALG)
+    names = ("P0", "P1", "R0", "R1") if with_w_factor else \
+        ("P0", "P1", "Q0", "Q1")
+    P0, P1, Q0, Q1 = (LinForm.unknown((n, 0), STRUCT_ALG) for n in names)
+    if with_w_factor:
+        w = MultiSeries.variable(WV, V3)
+        Q0, Q1 = Q0 * w, Q1 * w
+    Pf, Qf = structural_field(LaurentInW(at.body.embed(V3), at.pole, WV),
+                              MultiSeries.variable(Z, V3), P0, P1, Q0, Q1)
     return tangency_forms(Pf, Qf, E)
 
 
@@ -484,11 +470,8 @@ def assemble_u_system(E):
     """
     exprs = _second_derivative_exprs(E, with_w_factor=False)
     col = {t: i for i, t in enumerate(U_TAGS)}
-    C = [[_zero_laurent() for _ in range(8)] for _ in range(8)]
-    C[0][2] = _one_laurent()
-    C[1][3] = _one_laurent()
-    C[4][6] = _one_laurent()
-    C[5][7] = _one_laurent()
+    C = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
+    C[0][2] = C[1][3] = C[4][6] = C[5][7] = _const(ONE, (WV,))
     rowmap = {("P0", 2): 2, ("P1", 2): 3, ("Q0", 2): 6, ("Q1", 2): 7}
     for target, expr in exprs.items():
         i = rowmap[target]
@@ -499,10 +482,6 @@ def assemble_u_system(E):
         raise SegrefuchsError("u-system pole order %d exceeds 3m = %d"
                               % (sys.pole_order, 3 * E.m))
     return sys
-
-
-def _one_laurent():
-    return LaurentInW(MultiSeries.const(ONE, (WV,)), 0, WV)
 
 
 def assemble_Y_system(E, report=None):
@@ -595,19 +574,7 @@ class TwelveSystem:
 
     def residuals(self, y):
         """(d/dz y - A y, d/dw y - B y) for a 12-vector of (z,w)-series."""
-        yl = [LaurentInW(s, 0, WV) for s in y]
-        rz, rw = [], []
-        for i in range(12):
-            az = yl[i].diff(Z)
-            aw = yl[i].diff(WV)
-            for j in range(12):
-                if not self.A[i][j].is_zero():
-                    az = az - self.A[i][j] * yl[j]
-                if not self.B[i][j].is_zero():
-                    aw = aw - self.B[i][j] * yl[j]
-            rz.append(az)
-            rw.append(aw)
-        return rz, rw
+        return _residual(self.A, y, Z), _residual(self.B, y, WV)
 
 
 def initial_system(E):
@@ -617,11 +584,8 @@ def initial_system(E):
     its w^(j*m) weight: coefficients are Laurent in w, built from the
     meromorphic a, b, c data of E.  Line 0 is Q_zz = 0.
     """
-    Pf = LinForm.from_tags(
-        {("P", 0, 0): MultiSeries.const(ONE, (Z, WV, ZETA))}, JET_ALG)
-    Qf = LinForm.from_tags(
-        {("Q", 0, 0): MultiSeries.const(ONE, (Z, WV, ZETA))}, JET_ALG)
-    T = tangency_forms(Pf, Qf, E)
+    T = tangency_forms(LinForm.unknown(("P", 0, 0), JET_ALG),
+                       LinForm.unknown(("Q", 0, 0), JET_ALG), E)
     return [T.slice({ZETA: j}).div_w(j * E.m) for j in range(4)]
 
 
@@ -668,23 +632,20 @@ def assemble_twelve_system(E):
             raise SegrefuchsError("third-order solve left tags %s" % bad)
     comp_index = {t: i for i, t in enumerate(Y12_COMPONENTS)}
 
-    def build(direction):
-        step = _jet_dz if direction == "z" else _jet_dw
+    def build(step):
         rows = []
         for t in Y12_COMPONENTS:
             dt = step(t)
-            row = [_zero_zw() for _ in range(12)]
+            row = [_const(ZERO, (Z, WV)) for _ in range(12)]
             if dt in comp_index:
-                row[comp_index[dt]] = _one_zw()
+                row[comp_index[dt]] = _const(ONE, (Z, WV))
             else:
                 for u, c in solved[dt].coef.items():
                     row[comp_index[u]] = row[comp_index[u]] + c
             rows.append(row)
         return rows
 
-    A = build("z")
-    B = build("w")
-    sys = TwelveSystem(A, B, E.m)
+    sys = TwelveSystem(build(_jet_dz), build(_jet_dw), E.m)
     if sys.pole_order > 3 * E.m + 1:
         raise SegrefuchsError("12x12 entries reach pole order %d > 3m+1"
                               % sys.pole_order)
@@ -699,11 +660,3 @@ def _constant_of(L):
         raise SegrefuchsError("third-order coefficient is not constant: %r"
                               % (L,))
     return body.constant_term()
-
-
-def _zero_zw():
-    return LaurentInW(MultiSeries.zero((Z, WV)), 0, WV)
-
-
-def _one_zw():
-    return LaurentInW(MultiSeries.const(ONE, (Z, WV)), 0, WV)

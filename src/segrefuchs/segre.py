@@ -17,10 +17,10 @@ from fractions import Fraction
 from .qfield import GaussianRational, ONE, I
 from .series import MultiSeries, LaurentInW, EXACT, exp_series, \
     solve_implicit
-from .surfaces import Z, ZB, WB, min_order
+from .surfaces import Z, ZB, WB, W as WV, min_order
 from .errors import OrderTooLowError
 
-XIB, ETAB, WV, ZETA = "xib", "etab", "w", "zeta"
+XIB, ETAB, ZETA = "xib", "etab", "zeta"
 
 COEFF_KEYS = ("a0", "a1", "a2", "b0", "b1", "b2", "c0", "c1")
 _COEFF_SLOT = {"a0": (2, 0), "a1": (2, 1), "a2": (2, 2),

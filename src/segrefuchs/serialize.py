@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .qfield import GaussianRational
 from .series import MultiSeries, LaurentInW
-from .surfaces import RealDefining, ComplexDefining, Z, ZB, WB, U
+from .surfaces import (RealDefining, ComplexDefining, split_admissible, Z, ZB,
+                       WB, U, W)
 from .errors import FormatError
 
 
@@ -75,7 +76,7 @@ def laurent_to_json(L):
 
 def laurent_from_json(d):
     return LaurentInW(series_from_json(d["body"]), int(d["pole"]),
-                      d.get("wvar", "w"))
+                      d.get("wvar", W))
 
 
 def surface_to_json(M):
@@ -107,19 +108,12 @@ def surface_from_json(d):
                                scale_sq=(_unrat(d["scale_sq"])
                                          if "scale_sq" in d else None))
     if form == "real":
-        psi = series.embed((Z, ZB, U))
-        lead = psi.coefficient((1, 1, 0))
+        lead, h, defects = split_admissible(series.embed((Z, ZB, U)))
         if not (lead == GaussianRational.from_int(sign)):
             raise FormatError("real form needs sign*z*zb leading term")
-        h = {}
-        for e in psi.terms:
-            k, l = e[0], e[1]
-            if (k, l) == (1, 1):
-                continue
-            if k < 2 or l < 2:
-                raise FormatError("real form has non-admissible term "
-                                  "z^%d zb^%d" % (k, l))
-            h[(k, l)] = psi.coeff_of({Z: k, ZB: l})
+        if defects:
+            raise FormatError("real form is not admissible: %s"
+                              % "; ".join(defects))
         return RealDefining(m, sign, h, order)
     raise FormatError("unknown surface form %r" % (form,))
 

@@ -13,6 +13,7 @@ variable while the pole is positive.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce
 from .errors import SegrefuchsError
@@ -407,42 +408,37 @@ def exp_series(x, order=None):
     """exp of a series with zero constant term, truncated."""
     if not x.constant_term().is_zero():
         raise SeriesError("exp needs a zero constant term")
-    if order is None:
-        order = x.order
-        if order >= EXACT:
-            raise SeriesError("exp of exact polynomial needs explicit order")
-    x = x.truncate(order)
-    acc = MultiSeries.const(ONE, x.vars, order)
-    term = MultiSeries.const(ONE, x.vars, order)
-    v = max(x.valuation(), 1)
-    k = 1
-    while k * v <= order:
-        term = (term * x).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        acc = acc + term
-        k += 1
-    return acc
+    return _power_sum(x, order, ONE, lambda k: Fraction(1, factorial(k)))
 
 
 def log_series(x, order=None):
     """log of a series with constant term exactly 1, truncated."""
     if not (x.constant_term() == ONE):
         raise SeriesError("log needs constant term 1")
+    return _power_sum(x - MultiSeries.const(ONE, x.vars, EXACT), order, ZERO,
+                      lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _power_sum(x, order, c0, coeff):
+    """c0 + sum_{k>=1} coeff(k) x**k through total degree order; x(0) = 0.
+
+    order defaults to the trusted order of x, which must then be finite.
+    """
     if order is None:
         order = x.order
         if order >= EXACT:
-            raise SeriesError("log of exact polynomial needs explicit order")
-    u = (x - MultiSeries.const(ONE, x.vars, EXACT)).truncate(order)
-    acc = MultiSeries.zero(u.vars, order)
-    term = MultiSeries.const(ONE, u.vars, order)
-    v = max(u.valuation(), 1)
+            raise SeriesError("series function of an exact polynomial needs "
+                              "an explicit order")
+    x = x.truncate(order)
+    acc = MultiSeries.const(c0, x.vars, order)
+    term = MultiSeries.const(ONE, x.vars, order)
+    v = max(x.valuation(), 1)
     k = 1
     while k * v <= order:
-        term = term * u
+        term = term * x
         if term.is_zero():
             break
-        acc = acc + term.scale(Fraction((-1) ** (k + 1), k))
+        acc = acc + term.scale(coeff(k))
         k += 1
     return acc
 

@@ -13,6 +13,7 @@ result.  All data is exact.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .qfield import GaussianRational, ONE, I, qi
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
@@ -27,6 +28,41 @@ FUCHS_MARGIN = 2  # conversions demand order >= 3m+2
 
 def min_order(m):
     return 3 * m + FUCHS_MARGIN
+
+
+def admissible_series(lead, table, vars):
+    """lead*z*zb + sum_{k,l>=2} table[k,l](t) z^k zb^l over vars (z, zb, t).
+
+    The one builder of the admissible normal form, for the real psi (t = u)
+    and the complex phi (t = wb) alike.
+    """
+    z, zb, _ = vars
+    psi = MultiSeries.monomial(lead, (1, 1, 0), vars, EXACT)
+    for (k, l), s in sorted(table.items()):
+        if k < 2 or l < 2:
+            raise SegrefuchsError("table indices must satisfy k,l >= 2")
+        psi = psi + s.embed(vars).monomial_mul(z, k).monomial_mul(zb, l)
+    return psi
+
+
+def split_admissible(psi):
+    """Read psi over (z, zb, t) back as (lead, table, defects).
+
+    lead is the z*zb*t^0 coefficient and table maps each (k, l) with
+    k, l >= 2 to its series in t.  Every other term, z*zb*t^j with j >= 1
+    included, is listed in defects; none is dropped.
+    """
+    z, zb, t = psi.vars
+    table, defects = {}, []
+    for e in sorted(psi.terms):
+        k, l, j = e
+        if k >= 2 and l >= 2:
+            if (k, l) not in table:
+                table[(k, l)] = psi.coeff_of({z: k, zb: l})
+        elif e != (1, 1, 0):
+            defects.append("term %s^%d %s^%d %s^%d outside admissible shape"
+                           % (z, k, zb, l, t, j))
+    return psi.coefficient((1, 1, 0)), table, defects
 
 
 class RealDefining:
@@ -64,12 +100,7 @@ class RealDefining:
 
     def psi(self):
         """The factor eps*z*zb + sum h_kl(u) z^k zb^l of v = u^m psi."""
-        psi = MultiSeries.monomial(GaussianRational.from_int(self.eps),
-                                   (1, 1, 0), (Z, ZB, U), EXACT)
-        for (k, l), s in self.h.items():
-            term = s.embed((Z, ZB, U))
-            psi = psi + term.monomial_mul(Z, k).monomial_mul(ZB, l)
-        return psi
+        return admissible_series(self.eps, self.h, (Z, ZB, U))
 
     def defining_series(self, order=None):
         """v = F(z, zb, u) as a series over (z, zb, u)."""
@@ -117,16 +148,9 @@ class ComplexDefining:
         return ex.monomial_mul(WB, 1).truncate(order)
 
     def admissibility_defects(self):
-        defects = []
-        if not (self.phi.coefficient((1, 1, 0)) == ONE):
-            defects.append("zzb coefficient of phi is not 1")
-        for e, c in self.phi.terms.items():
-            k, l = e[0], e[1]
-            if (k, l) == (1, 1) and e[2] == 0:
-                continue
-            if k < 2 or l < 2:
-                defects.append("term z^%d zb^%d wb^%d outside admissible "
-                               "shape" % e)
+        lead, _, defects = split_admissible(self.phi)
+        if not (lead == ONE):
+            defects.insert(0, "zzb coefficient of phi is not 1")
         return defects
 
     def __repr__(self):
@@ -157,13 +181,13 @@ class ValidationReport:
         }
 
 
-def bar_series(s, swap=(Z, ZB), rename=None):
-    """Coefficient conjugate with the first two slots swapped.
+def bar_series(s, rename=None):
+    """Coefficient conjugate with the z and zb slots swapped.
 
     For f(z, zb, wb) this realizes bar(f)(zb, z, w) as a series over the
     ambient commuting variables.
     """
-    i1, i2 = s.vars.index(swap[0]), s.vars.index(swap[1])
+    i1, i2 = s.vars.index(Z), s.vars.index(ZB)
     terms = {}
     for e, c in s.terms.items():
         ne = list(e)
@@ -235,46 +259,38 @@ def nonminimality_order(F):
 
 
 def _sqrt_in_field(f):
-    """sqrt of a positive rational inside Q(sqrt2), or None."""
-    f = Fraction(f)
-    if f <= 0:
-        return None
-    r = _rat_sqrt(f)
-    if r is not None:
-        return GaussianRational.of(r)
-    r = _rat_sqrt(f / 2)
-    if r is not None:
-        return GaussianRational.of_sqrt2(r)
+    """sqrt of a positive Fraction inside Q(sqrt2), or None."""
+    for r, embed in ((f, GaussianRational.of),
+                     (f / 2, GaussianRational.of_sqrt2)):
+        n, d = isqrt(r.numerator), isqrt(r.denominator)
+        if n * n == r.numerator and d * d == r.denominator:
+            return embed(Fraction(n, d))
     return None
 
 
-def _rat_sqrt(f):
-    n, d = f.numerator, f.denominator
-    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
+def normalize_lead(series, c):
+    """Rescale z -> lambda z, zb -> lambda zb so that the leading z*zb
+    coefficient c becomes eps = +-1.
 
-
-def _isqrt_exact(n):
-    from math import isqrt
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def rescale_z(phi, lam_sq):
-    """Apply z -> lambda z, zb -> lambda zb with rational lambda**2."""
+    Returns (eps, rescaled series, lambda**2); raises NotNormalizableError
+    when c is not a nonzero rational or lambda is not in Q(sqrt2).
+    """
+    if c.is_zero() or not c.is_rational():
+        raise NotNormalizableError("leading z*zb coefficient %r is not a "
+                                   "nonzero rational" % c)
+    lam_sq = Fraction(1) / abs(c.re)
     lam = _sqrt_in_field(lam_sq)
     if lam is None:
         raise NotNormalizableError(
             "scale lambda^2 = %s has no square root in Q(sqrt2)" % lam_sq)
-    lam2 = GaussianRational.of(Fraction(lam_sq))
+    lam2 = GaussianRational.of(lam_sq)
     terms = {}
-    for e, c in phi.terms.items():
+    for e, x in series.terms.items():
         deg = e[0] + e[1]
         f = lam2 ** (deg // 2) if deg % 2 == 0 else lam * lam2 ** (deg // 2)
-        terms[e] = c * f
-    return MultiSeries(phi.vars, phi.order, terms)
+        terms[e] = x * f
+    eps = 1 if c.re > 0 else -1
+    return eps, MultiSeries(series.vars, series.order, terms), lam_sq
 
 
 def real_to_complex(Mr, order=None):
@@ -315,12 +331,10 @@ def real_to_complex(Mr, order=None):
     except SeriesError:
         raise SegrefuchsError("declared nonminimality order %d inconsistent "
                               "with the defining series" % Mr.m)
-    c = phi_raw.coefficient((1, 1, 0))
-    if c.is_zero() or not c.is_rational() or c.re <= 0:
-        raise NotNormalizableError("leading z*zb coefficient %r is not a "
-                                   "positive rational" % c)
-    lam_sq = Fraction(1) / c.re
-    phi = rescale_z(phi_raw, lam_sq)
+    eps, phi, lam_sq = normalize_lead(phi_raw, phi_raw.coefficient((1, 1, 0)))
+    if eps != 1:
+        raise NotNormalizableError("leading z*zb coefficient of phi is "
+                                   "negative")
     Mc = ComplexDefining(Mr.m, Mr.eps, phi, phi.order, scale_sq=lam_sq)
     require_reality(Mc)
     return Mc
@@ -348,29 +362,11 @@ def complex_to_real(Mc, order=None):
         raise SegrefuchsError("transfer changed the nonminimality order: "
                               "%d vs %d" % (m, Mc.m))
     psi = F.monomial_div(U, m)
-    lead = psi.coeff_of({Z: 1, ZB: 1})
-    c0 = lead.coefficient((0,) * len(lead.vars))
-    if c0.is_zero() or not c0.is_rational():
-        raise NotNormalizableError("leading |z|^2 coefficient %r is not "
-                                   "rational" % c0)
-    eps = 1 if c0.re > 0 else -1
-    lam_sq = Fraction(1) / abs(c0.re)
-    psi = rescale_z(psi, lam_sq)
-    lead = psi.coeff_of({Z: 1, ZB: 1})
-    if not lead.equal_mod(MultiSeries.const(eps, lead.vars, lead.order),
-                          max(lead.order, 0)):
-        raise NotNormalizableError("z*zb slice of the real form is not "
-                                   "constant; surface not m-admissible")
-    seen = set()
-    for e in psi.terms:
-        k, l, _ = e
-        if (k, l) == (1, 1):
-            continue
-        if k < 2 or l < 2:
-            raise SegrefuchsError("real transfer produced a non-admissible "
-                                  "term z^%d zb^%d" % (k, l))
-        seen.add((k, l))
-    table = {kl: psi.coeff_of({Z: kl[0], ZB: kl[1]}) for kl in sorted(seen)}
+    eps, psi, _ = normalize_lead(psi, psi.coefficient((1, 1, 0)))
+    _, table, defects = split_admissible(psi)
+    if defects:
+        raise NotNormalizableError("real form is not m-admissible: %s"
+                                   % "; ".join(defects))
     Mr = RealDefining(m, eps, table, min(order, psi.order + m))
     if Mr.reality_defect():
         raise RealityViolation(check_reality(Mc))
@@ -380,14 +376,10 @@ def complex_to_real(Mc, order=None):
 def build_complex(m, eps, phi_kl, order):
     """Assemble an admissible ComplexDefining from a phi_kl table.
 
-    phi_kl maps (k, l) with k, l >= 2 to series in wb (or in ("wb",)-compatible
-    data); the z*zb term is added automatically.
+    phi_kl maps (k, l) with k, l >= 2 to series in wb; the z*zb term is
+    added automatically.
     """
-    phi = MultiSeries.monomial(ONE, (1, 1, 0), (Z, ZB, WB), order)
-    for (k, l), s in sorted(phi_kl.items()):
-        if k < 2 or l < 2:
-            raise SegrefuchsError("phi indices must satisfy k,l >= 2")
-        phi = phi + s.embed((Z, ZB, WB)).monomial_mul(Z, k).monomial_mul(ZB, l)
+    phi = admissible_series(ONE, phi_kl, (Z, ZB, WB))
     return ComplexDefining(m, eps, phi.truncate(order), order)
 
 

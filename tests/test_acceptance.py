@@ -184,12 +184,12 @@ def test_criterion_6_convergence_property():
     ok = True
     for b in (basis, basis2):
         for L in b.fields:
-            d = convergence_diagnostic(L, bound=10.0)
+            d = convergence_diagnostic(L)
             ok &= d.verdict != "growth-unbounded"
             ok &= all(v <= 10.0 for v in d.ratios.values())
     fac = MultiSeries(("w",), 14,
                       {(k,): qi(math.factorial(k)) for k in range(15)})
-    trip = convergence_diagnostic([fac], bound=10.0)
+    trip = convergence_diagnostic([fac])
     ok &= trip.verdict == "growth-unbounded"
     report(6, ok,
            "symmetry ratio profiles bounded by 10 over k in [5, N-1]; "

@@ -10,7 +10,9 @@ from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
 from segrefuchs.series import MultiSeries, LaurentInW
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
-                                 ComplexDefining, Z, ZB, WB)
+                                 ComplexDefining, admissible_series,
+                                 split_admissible, Z, ZB, WB)
+from test_golden import dense_surface
 
 
 @pytest.fixture
@@ -177,11 +179,64 @@ def test_error_exit_codes(model_file, tmp_path, capsys):
     assert main(["derive-ode", str(p)]) == EXIT_DOMAIN
 
 
+def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
+    # an order-4 table below the 3m+2 = 5 floor: asking for more order
+    # than the file holds must not skip the floor
+    M = build_real(1, 1, {(2, 2): {(0,): qi(1)}}, 4)
+    p = tmp_path / "low.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(M)))
+    assert main(["derive-ode", str(p)]) == EXIT_ORDER
+    for command in ("derive-ode", "verify", "symmetries"):
+        assert main([command, str(p), "--order", "9"]) == EXIT_ORDER
+    assert main(["verify", model_file, "--order", "13"]) == EXIT_ORDER
+    # a real m=2 file at order 8 = 3m+2 has a complex form trusted through
+    # order 6 only: naming the file's own order must not skip the floor
+    M = build_real(2, 1, {}, 8)
+    p = tmp_path / "floor.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(M)))
+    for extra in ([], ["--order", "8"], ["--order", "0"]):
+        assert main(["derive-ode", str(p)] + extra) == EXIT_ORDER
+    # a lower order still truncates
+    out = tmp_path / "v.json"
+    assert main(["verify", model_file, "--order", "8", "-o", str(out)]) == \
+        EXIT_OK
+    assert json.loads(out.read_text())["surface"]["order"] == 8
+
+
+@pytest.mark.parametrize("case", ["dense", "model", "zzb-u"])
+def test_admissible_codec(case, tmp_path, capsys):
+    if case == "zzb-u":
+        # v = u (|z|^2 + 5 u |z|^2): a z*zb*u term is not admissible
+        psi = MultiSeries(("z", "zb", "u"), 8,
+                          {(1, 1, 0): ONE, (1, 1, 1): qi(5)})
+        d = {"form": "real", "m": 1, "sign": 1, "order": 8,
+             "series": serialize.series_to_json(psi)}
+        p = tmp_path / "zzbu.json"
+        p.write_text(serialize.dumps(d))
+        for command in ("verify", "check-fuchsian", "derive-ode"):
+            assert main([command, str(p)]) == EXIT_FORMAT
+        lead, table, defects = split_admissible(psi)
+        assert lead == ONE and table == {}
+        assert defects == ["term z^1 zb^1 u^1 outside admissible shape"]
+        return
+    table, vars = ((dense_surface().h, ("z", "zb", "u")) if case == "dense"
+                   else ({}, (Z, ZB, WB)))
+    lead, got_table, defects = split_admissible(
+        admissible_series(ONE, table, vars))
+    assert lead == ONE and defects == []
+    # one series carries one trust order, so compare the coefficients
+    assert {kl: s.terms for kl, s in got_table.items()} == \
+        {kl: s.terms for kl, s in table.items()}
+
+
 def test_usage_errors_exit_format(model_file, capsys):
     # --format belongs to check-fuchsian only
     assert main(["verify", model_file, "--format", "table"]) == EXIT_FORMAT
     assert main(["no-such-command", model_file]) == EXIT_FORMAT
     assert main(["selftest", "--seed", "x"]) == EXIT_FORMAT
+    # check-fuchsian reads the ledger at the input's order only
+    assert main(["check-fuchsian", model_file, "--order", "3"]) == \
+        EXIT_FORMAT
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
     assert main(["check-fuchsian", model_file, "--format", "table"]) == \
