@@ -2,21 +2,13 @@
 
 Machine consumption first: every command reads and writes the JSON formats
 of serialize.py deterministically, and failures map to a fixed exit-code
-taxonomy so drivers never parse error text.
-
-  0   success (fuchsian / oracle agreement / computation done)
-  1   non-fuchsian verdict            (check-fuchsian)
-  2   undecidable-at-order verdict    (check-fuchsian)
-  3   refusal: non-fuchsian surface   (symmetries)
-  4   oracle disagreement             (derive-ode, selftest)
-  10  parse or format error, including command-line usage errors
-  11  truncation order too low
-  12  reality violation
-  13  numeric non-convergence
-  14  other domain error
+taxonomy so drivers never parse error text.  The verdicts are the EXIT_*
+codes 0-4 below; every failure ends in the exit_code of its error class
+in errors.py, a command-line usage error in that of FormatError.
 """
 
 import argparse
+import contextlib
 import random
 import sys
 from fractions import Fraction
@@ -38,15 +30,25 @@ EXIT_NON_FUCHSIAN = 1
 EXIT_UNDECIDABLE = 2
 EXIT_REFUSED = 3
 EXIT_ORACLE_DISAGREE = 4
-EXIT_FORMAT = 10
-EXIT_ORDER = 11
-EXIT_REALITY = 12
-EXIT_NUMERIC = 13
-EXIT_DOMAIN = 14
+EXIT_FORMAT = FormatError.exit_code
+EXIT_ORDER = OrderTooLowError.exit_code
+EXIT_REALITY = RealityViolation.exit_code
+EXIT_NUMERIC = NonConvergenceError.exit_code
+EXIT_DOMAIN = SegrefuchsError.exit_code
+
+
+@contextlib.contextmanager
+def _io_edge(path):
+    """The one file edge: an unreadable or unwritable path is a FormatError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError("%s: %s" % (path, getattr(exc, "strerror", None)
+                                      or exc)) from exc
 
 
 def _load(path):
-    with open(path) as f:
+    with _io_edge(path), open(path) as f:
         return serialize.loads(f.read())
 
 
@@ -71,7 +73,7 @@ def _as_complex(M, order=None):
 def _emit(payload, out):
     text = payload if isinstance(payload, str) else serialize.dumps(payload)
     if out:
-        with open(out, "w") as f:
+        with _io_edge(out), open(out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -137,21 +139,24 @@ def cmd_symmetries(args):
     return EXIT_OK
 
 
-def _parse_blowup(spec):
-    parts = dict(p.split("=") for p in spec.split(","))
-    return BlowupMap(int(parts["s"]), int(parts.get("l", 2)))
+def _blowup_spec(spec):
+    """argparse type of --blowup: "s=K" or "s=K,l=L" as (K,) or (K, L)."""
+    pairs = [p.split("=") for p in spec.split(",")]
+    if [p[0] for p in pairs] not in (["s"], ["s", "l"]):
+        raise ValueError("expected s=K or s=K,l=L, got %r" % spec)
+    return tuple(int(v) for _, v in pairs)
 
 
 def cmd_blowup(args):
     M = _read_surface(args.surface)
     Mc = _as_complex(M, args.order)
-    if args.auto:
+    if args.auto is not None:
         s, P = find_blowup_exponent(Mc, args.auto)
         if s is None:
             _emit({"found": None, "diagnostics": P}, args.output)
             return EXIT_DOMAIN
     else:
-        P = pullback_surface(Mc, _parse_blowup(args.blowup))
+        P = pullback_surface(Mc, BlowupMap(*args.blowup))
         s = P.s
     payload = {"s": s, "l": P.l, "m_star": P.m_star,
                "defining": serialize.series_to_json(P.defining)}
@@ -235,7 +240,7 @@ def build_parser():
     sp = sub.add_parser("blowup", help="monomial blow-up of the surface")
     common(sp)
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--blowup", help="s=K,l=2")
+    g.add_argument("--blowup", type=_blowup_spec, help="s=K,l=2")
     g.add_argument("--auto", type=int, help="search s in [2, S_MAX]")
     sp.set_defaults(fn=cmd_blowup)
 
@@ -264,24 +269,9 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_FORMAT
     try:
         return args.fn(args)
-    except FormatError as exc:
-        sys.stderr.write("format error: %s\n" % exc)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        sys.stderr.write("format error: %s\n" % exc)
-        return EXIT_FORMAT
-    except OrderTooLowError as exc:
-        sys.stderr.write("order too low: %s\n" % exc)
-        return EXIT_ORDER
-    except RealityViolation as exc:
-        sys.stderr.write("reality violation: %s\n" % exc)
-        return EXIT_REALITY
-    except NonConvergenceError as exc:
-        sys.stderr.write("numeric non-convergence: %s\n" % exc)
-        return EXIT_NUMERIC
     except SegrefuchsError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_DOMAIN
+        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
+        return exc.exit_code
 
 
 if __name__ == "__main__":

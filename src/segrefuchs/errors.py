@@ -1,20 +1,23 @@
 """Exception taxonomy shared across the package.
 
-Each error class maps to a distinct CLI exit code (see the EXIT_*
-constants in cli.py), so failures stay machine-distinguishable end to end.
+Each error class carries the CLI exit code it ends in (a subclass without
+one inherits it); the verdict codes 0-4 live in cli.py.
 """
 
 
 class SegrefuchsError(Exception):
     """Base class for all package-specific failures."""
+    exit_code = 14
 
 
 class FormatError(SegrefuchsError):
-    """Malformed file or JSON payload."""
+    """Malformed, unreadable or unwritable file, JSON payload or usage."""
+    exit_code = 10
 
 
 class OrderTooLowError(SegrefuchsError):
     """Truncation order below the 3m+2 floor required downstream."""
+    exit_code = 11
 
     def __init__(self, order, required, msg=None):
         super().__init__(msg or "order %d too low, need >= %d"
@@ -25,6 +28,7 @@ class OrderTooLowError(SegrefuchsError):
 
 class RealityViolation(SegrefuchsError):
     """Reality residual of a complex defining function is nonzero."""
+    exit_code = 12
 
     def __init__(self, residual):
         super().__init__("reality condition violated; leading residual "
@@ -59,6 +63,7 @@ class DivisibilityError(SegrefuchsError):
 
 class NonConvergenceError(SegrefuchsError):
     """Numeric continuation failed to converge within the step budget."""
+    exit_code = 13
 
 
 def _leading(series):

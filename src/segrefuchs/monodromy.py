@@ -15,20 +15,23 @@ from .errors import NonConvergenceError, SegrefuchsError
 from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
+STEP_BUDGET = 1 << 17
 
 
 class LoopSpec:
     """Circle |w| = r traversed once; direction +1 is counterclockwise.
 
     The radius must stay strictly inside the trusted evaluation radius of
-    the truncated entries (configured per call, default 1/4).
+    the truncated entries (configured per call, default 1/4).  The first
+    run's steps must leave room to double within STEP_BUDGET.
     """
 
     def __init__(self, radius=0.2, steps=256, direction=1, tol=1e-10):
-        if radius <= 0:
-            raise SegrefuchsError("loop radius must be positive")
-        if steps < 64:
-            steps = 64
+        if not (0 < radius < np.inf and 0 < tol < np.inf):
+            raise SegrefuchsError("radius and tol must be finite and > 0")
+        if not 64 <= steps <= STEP_BUDGET // 2:
+            raise SegrefuchsError("steps must lie in [64, %d]"
+                                  % (STEP_BUDGET // 2))
         if direction not in (1, -1):
             raise SegrefuchsError("direction must be +1 or -1")
         self.radius = radius
@@ -134,7 +137,7 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     data is _dense_matrix_data of the system.  Runs n fixed RK4 steps, then
     2n, 4n, ... until two consecutive runs agree to loop.tol.
     """
-    if loop.radius >= trusted_radius:
+    if not loop.radius < trusted_radius:
         raise SegrefuchsError("loop radius %g is not strictly inside the "
                               "trusted evaluation radius %g"
                               % (loop.radius, trusted_radius))
@@ -163,8 +166,7 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
 
     n = loop.steps
     prev = run(n)
-    budget = 1 << 17
-    while n < budget:
+    while n < STEP_BUDGET:
         n *= 2
         cur = run(n)
         diff = float(np.max(np.abs(cur - prev)))
@@ -172,7 +174,7 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
             return cur, diff, n
         prev = cur
     raise NonConvergenceError("continuation did not converge below %g "
-                              "within %d steps" % (loop.tol, budget))
+                              "within %d steps" % (loop.tol, STEP_BUDGET))
 
 
 def continue_system(S, loop, y0, trusted_radius=TRUSTED_RADIUS):

@@ -7,6 +7,7 @@ appended when the coefficient has sqrt2 components.  Numeric (monodromy)
 payloads are the only place floats appear.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -22,12 +23,25 @@ def _rat(f):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def _reader(what):
+    """The one parse guard: a payload leaf of the wrong type or value is a
+    FormatError naming the payload."""
+    def wrap(read):
+        @functools.wraps(read)
+        def guarded(d):
+            try:
+                return read(d)
+            except (ArithmeticError, AttributeError, IndexError, KeyError,
+                    TypeError, ValueError) as exc:
+                raise FormatError("malformed %s payload: %s"
+                                  % (what, exc)) from exc
+        return guarded
+    return wrap
+
+
 def _unrat(s):
-    try:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad rational %r" % (s,)) from exc
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
 
 
 def coeff_to_json(c):
@@ -38,9 +52,7 @@ def coeff_to_json(c):
 
 def coeff_from_json(parts):
     if len(parts) == 2:
-        re, im = parts
-        r, i = _unrat(re), _unrat(im)
-        return GaussianRational.of(r, i)
+        return GaussianRational.of(*(_unrat(p) for p in parts))
     if len(parts) == 4:
         r, i, r2, i2 = (_unrat(p) for p in parts)
         return (GaussianRational.of(r, i) +
@@ -55,19 +67,18 @@ def series_to_json(s):
     return {"vars": list(s.vars), "order": s.order, "terms": terms}
 
 
+@_reader("series")
 def series_from_json(d):
-    try:
-        vars = tuple(d["vars"])
-        order = int(d["order"])
-        terms = {}
-        for entry in d["terms"]:
-            exps = tuple(int(x) for x in entry[0])
-            if len(exps) != len(vars):
-                raise FormatError("exponent length mismatch")
-            terms[exps] = coeff_from_json(entry[1:])
-        return MultiSeries(vars, order, terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("malformed series payload: %s" % exc) from exc
+    vars = tuple(d["vars"])
+    order = int(d["order"])
+    terms = {}
+    for entry in d["terms"]:
+        exps = tuple(int(x) for x in entry[0])
+        if len(exps) != len(vars) or min(exps, default=0) < 0:
+            raise FormatError("exponents %r do not match the variables %r"
+                              % (exps, vars))
+        terms[exps] = coeff_from_json(entry[1:])
+    return MultiSeries(vars, order, terms)
 
 
 def laurent_to_json(L):
@@ -92,30 +103,24 @@ def surface_to_json(M):
     raise FormatError("not a surface value: %r" % (M,))
 
 
+@_reader("surface")
 def surface_from_json(d):
-    try:
-        form = d["form"]
-        m = int(d["m"])
-        sign = int(d["sign"])
-        order = int(d["order"])
-        series = series_from_json(d["series"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("malformed surface payload: %s" % exc) from exc
-    if sign not in (1, -1):
-        raise FormatError("sign must be 1 or -1")
-    if form == "complex":
-        return ComplexDefining(m, sign, series.embed((Z, ZB, WB)), order,
-                               scale_sq=(_unrat(d["scale_sq"])
-                                         if "scale_sq" in d else None))
-    if form == "real":
-        lead, h, defects = split_admissible(series.embed((Z, ZB, U)))
-        if not (lead == GaussianRational.from_int(sign)):
-            raise FormatError("real form needs sign*z*zb leading term")
-        if defects:
-            raise FormatError("real form is not admissible: %s"
-                              % "; ".join(defects))
+    form, m, sign, order = (d["form"], int(d["m"]), int(d["sign"]),
+                            int(d["order"]))
+    if sign not in (1, -1) or form not in ("complex", "real"):
+        raise FormatError("need sign 1 or -1 and form complex or real")
+    real = form == "real"
+    series = series_from_json(d["series"]).embed((Z, ZB, U if real else WB))
+    lead, h, defects = split_admissible(series)
+    if not lead == GaussianRational.from_int(sign if real else 1):
+        defects.insert(0, "z*zb coefficient %r" % (lead,))
+    if defects:
+        raise FormatError("%s form is not admissible: %s"
+                          % (form, "; ".join(defects)))
+    if real:
         return RealDefining(m, sign, h, order)
-    raise FormatError("unknown surface form %r" % (form,))
+    scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
+    return ComplexDefining(m, sign, series, order, scale_sq)
 
 
 def ode_to_json(E):
@@ -124,14 +129,11 @@ def ode_to_json(E):
             "coeffs": {k: series_to_json(v) for k, v in E.coeffs.items()}}
 
 
+@_reader("ODE")
 def ode_from_json(d):
     from .segre import AssociatedODE
-    try:
-        return AssociatedODE.from_phi(int(d["m"]), int(d["sign"]),
-                                      series_from_json(d["Phi"]),
-                                      int(d["order"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("malformed ODE payload: %s" % exc) from exc
+    return AssociatedODE.from_phi(int(d["m"]), int(d["sign"]),
+                                  series_from_json(d["Phi"]), int(d["order"]))
 
 
 def system_to_json(S):
@@ -140,14 +142,13 @@ def system_to_json(S):
                         for row in S.entries]}
 
 
+@_reader("system")
 def system_from_json(d):
     from .prolongation import LinearODESystem
-    try:
-        entries = [[laurent_from_json(e) for e in row]
-                   for row in d["entries"]]
-        return LinearODESystem(entries, unknown=d.get("unknown", "y"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("malformed system payload: %s" % exc) from exc
+    entries = [[laurent_from_json(e) for e in row] for row in d["entries"]]
+    if not entries or any(len(row) != len(entries) for row in entries):
+        raise FormatError("system entries are not a nonempty square matrix")
+    return LinearODESystem(entries, unknown=d.get("unknown", "y"))
 
 
 def basis_to_json(basis, real_fields=None):
@@ -177,5 +178,5 @@ def dumps(payload):
 def loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError("invalid JSON: %s" % exc) from exc

@@ -1,14 +1,19 @@
+import copy
 import json
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from segrefuchs import serialize
 from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
-    EXIT_ORDER, EXIT_REALITY, EXIT_FORMAT, EXIT_DOMAIN
+    EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, EXIT_DOMAIN
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
 from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, admissible_series,
                                  split_admissible, Z, ZB, WB)
@@ -133,9 +138,10 @@ def test_blowup_commands(model_file, tmp_path):
     assert json.loads(open(out).read())["s"] == 2
     # empty search range: structured none-branch with a domain exit code
     from segrefuchs.cli import EXIT_DOMAIN
-    assert main(["blowup", model_file, "--auto", "1", "-o", out]) == \
-        EXIT_DOMAIN
-    assert json.loads(open(out).read())["found"] is None
+    for auto in ("1", "0"):
+        assert main(["blowup", model_file, "--auto", auto, "-o", out]) == \
+            EXIT_DOMAIN
+        assert json.loads(open(out).read())["found"] is None
 
 
 def test_monodromy_command_and_reverse(tmp_path, capsys):
@@ -171,12 +177,12 @@ def test_error_exit_codes(model_file, tmp_path, capsys):
     p.write_text(serialize.dumps(serialize.surface_to_json(pert)))
     assert main(["derive-ode", str(p)]) == EXIT_REALITY
     assert main(["verify", str(p)]) == EXIT_REALITY
-    # no z*zb term: the elimination Jacobian is singular, a domain error
+    # no z*zb term: not admissible, refused at load
     flat = ComplexDefining(1, 1, MultiSeries.monomial(ONE, (2, 2, 0),
                                                       (Z, ZB, WB)), 8)
     p = tmp_path / "flat.json"
     p.write_text(serialize.dumps(serialize.surface_to_json(flat)))
-    assert main(["derive-ode", str(p)]) == EXIT_DOMAIN
+    assert main(["derive-ode", str(p)]) == EXIT_FORMAT
 
 
 def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
@@ -203,21 +209,24 @@ def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
     assert json.loads(out.read_text())["surface"]["order"] == 8
 
 
-@pytest.mark.parametrize("case", ["dense", "model", "zzb-u"])
+@pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb"])
 def test_admissible_codec(case, tmp_path, capsys):
-    if case == "zzb-u":
-        # v = u (|z|^2 + 5 u |z|^2): a z*zb*u term is not admissible
-        psi = MultiSeries(("z", "zb", "u"), 8,
+    if case in ("zzb-u", "zzb-wb"):
+        # v = u (|z|^2 + 5 u |z|^2), and phi = z zb + 5 z zb wb in the
+        # complex form: a z*zb*t term is not admissible in either form
+        form, t = ("real", "u") if case == "zzb-u" else ("complex", "wb")
+        psi = MultiSeries(("z", "zb", t), 8,
                           {(1, 1, 0): ONE, (1, 1, 1): qi(5)})
-        d = {"form": "real", "m": 1, "sign": 1, "order": 8,
+        d = {"form": form, "m": 1, "sign": 1, "order": 8,
              "series": serialize.series_to_json(psi)}
-        p = tmp_path / "zzbu.json"
+        p = tmp_path / "zzbt.json"
         p.write_text(serialize.dumps(d))
-        for command in ("verify", "check-fuchsian", "derive-ode"):
+        for command in ("verify", "check-fuchsian", "derive-ode",
+                        "symmetries"):
             assert main([command, str(p)]) == EXIT_FORMAT
         lead, table, defects = split_admissible(psi)
         assert lead == ONE and table == {}
-        assert defects == ["term z^1 zb^1 u^1 outside admissible shape"]
+        assert defects == ["term z^1 zb^1 %s^1 outside admissible shape" % t]
         return
     table, vars = ((dense_surface().h, ("z", "zb", "u")) if case == "dense"
                    else ({}, (Z, ZB, WB)))
@@ -254,3 +263,208 @@ def test_determinism_byte_identical(model_file, tmp_path):
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
     assert main(["selftest", "--seed", "7"]) == EXIT_OK
+
+
+# ---- one failure path: every input ends in a documented exit code -----------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+with open(README) as f:
+    DOCUMENTED_EXITS = {int(c) for c in re.findall(r"^\| (\d+) +\|", f.read(),
+                                                   re.M)}
+
+
+def _doc(payload):
+    return serialize.dumps(payload).encode()
+
+
+COMPLEX5 = serialize.surface_to_json(build_complex(1, 1, {}, 5))
+REAL5 = serialize.surface_to_json(build_real(1, 1, {}, 5))
+SYSTEM2 = serialize.system_to_json(LinearODESystem(
+    [[LaurentInW(MultiSeries.const(qi(Fraction(i + j, 4)), ("w",), 4), 1, "w")
+      for j in range(2)] for i in range(2)], unknown="y"))
+
+
+def _with(payload, edit):
+    doc = copy.deepcopy(payload)
+    edit(doc)
+    return _doc(doc)
+
+
+def _number_coefficient(d):
+    d["series"]["terms"][0][1] = 1
+
+
+def _infinite_order(d):
+    d["order"] = float("inf")
+
+
+def _negative_exponent(d):
+    d["series"]["terms"].append([[2, 2, -1], "1/1", "0/1"])
+
+
+def _ragged(d):
+    d["entries"][1].pop()
+
+
+def _empty(d):
+    d["entries"] = []
+
+
+def _one_by_two(d):
+    d["entries"].pop()
+
+
+# a name, argv with {in} for the input file and {dir} for a directory, the
+# input file's bytes, and the code the case must end in
+PINNED = [
+    ("directory-input", ["verify", "{dir}"], _doc(COMPLEX5), EXIT_FORMAT),
+    ("binary-input", ["verify", "{in}"], b"\xff\xfe\x00\x81", EXIT_FORMAT),
+    ("directory-output", ["verify", "{in}", "-o", "{dir}"], _doc(COMPLEX5),
+     EXIT_FORMAT),
+    ("blowup-foo", ["blowup", "{in}", "--blowup", "foo"], _doc(COMPLEX5),
+     EXIT_FORMAT),
+    ("blowup-s=x", ["blowup", "{in}", "--blowup", "s=x"], _doc(COMPLEX5),
+     EXIT_FORMAT),
+    ("blowup-l=2", ["blowup", "{in}", "--blowup", "l=2"], _doc(COMPLEX5),
+     EXIT_FORMAT),
+    ("blowup-s=0", ["blowup", "{in}", "--blowup", "s=0"], _doc(COMPLEX5),
+     EXIT_DOMAIN),
+    ("auto-0", ["blowup", "{in}", "--auto", "0"], _doc(COMPLEX5),
+     EXIT_DOMAIN),
+    ("number-coefficient", ["verify", "{in}"],
+     _with(COMPLEX5, _number_coefficient), EXIT_FORMAT),
+    ("infinite-order", ["verify", "{in}"], _with(COMPLEX5, _infinite_order),
+     EXIT_FORMAT),
+    ("deep-json", ["verify", "{in}"], b"[" * 10 ** 5 + b"]" * 10 ** 5,
+     EXIT_FORMAT),
+    ("negative-exponent", ["verify", "{in}"],
+     _with(REAL5, _negative_exponent), EXIT_FORMAT),
+    ("ragged-system", ["monodromy", "{in}"], _with(SYSTEM2, _ragged),
+     EXIT_FORMAT),
+    ("empty-system", ["monodromy", "{in}"], _with(SYSTEM2, _empty),
+     EXIT_FORMAT),
+    ("1x2-system", ["monodromy", "{in}"], _with(SYSTEM2, _one_by_two),
+     EXIT_FORMAT),
+    ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
+     EXIT_OK),
+] + [
+    ("loop%s=%s" % (flag, value), ["monodromy", "{in}", flag, value],
+     _doc(SYSTEM2), EXIT_DOMAIN)
+    for flag, value in (("--radius", "nan"), ("--radius", "inf"),
+                        ("--trusted-radius", "nan"), ("--tol", "0"),
+                        ("--tol", "nan"), ("--steps", "-5"),
+                        ("--steps", "63"), ("--steps", "65537"))
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-cases")
+
+
+def _run(workdir, argv, content):
+    """main on argv with the placeholders filled in; -o goes to a file."""
+    path, out = workdir / "input.json", workdir / "out.json"
+    path.write_bytes(content)
+    argv = [a.format(**{"in": path, "dir": workdir}) for a in argv]
+    if "-o" not in argv:
+        argv += ["-o", str(out)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("argv,content,code", [p[1:] for p in PINNED],
+                         ids=[p[0] for p in PINNED])
+def test_pinned_cases_exit_with_their_code(argv, content, code, workdir,
+                                           capsys):
+    assert _run(workdir, argv, content) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_documented_exit_codes_match_the_error_classes():
+    assert DOCUMENTED_EXITS == {0, 1, 2, 3, 4, EXIT_FORMAT, EXIT_ORDER,
+                                EXIT_REALITY, EXIT_NUMERIC, EXIT_DOMAIN}
+
+
+def _paths(node, path=()):
+    yield path
+    items = (sorted(node.items()) if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+# leaves a mutation may write; the system ones cannot raise a pole or a
+# coefficient, so a mutated system that passes the reader stays cheap
+SURFACE_LEAVES = [None, "", "x", "1/0", "1/2", "-1/1", "real", "complex",
+                  [], {}, -1, 0, 1, 2, 5, 9, 1.5, True, float("inf")]
+SYSTEM_LEAVES = [None, "", "x", "1/0", "a/b", [], {}, -1, 0, float("inf")]
+
+
+@st.composite
+def mutated(draw, payload, leaves):
+    doc = copy.deepcopy(payload)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(st.sampled_from(leaves))
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "copy"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "copy" and isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[path[-1]]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from(leaves))
+    return _doc(doc)
+
+
+SURFACE_OPTIONS = {
+    "verify": [[], ["--order", "3"], ["--order", "x"]],
+    "derive-ode": [[], ["--order", "5"], ["--order", "-1"]],
+    "check-fuchsian": [[], ["--format", "table"], ["--format", "x"]],
+    "symmetries": [[], ["--real-form"], ["--order", "0"]],
+    "blowup": [["--auto", a] for a in ("-1", "0", "3", "x")] +
+              [["--blowup", b] for b in ("foo", "s=x", "l=2", "s=0", "s=2",
+                                         "s=2,l=3", "s=2,s=3", "s=", "")],
+}
+MONODROMY_OPTIONS = [[], ["--reverse"]] + [
+    [flag, v] for flag, values in (
+        ("--radius", ("nan", "inf", "-0.1", "0", "0.1", "0.3", "x")),
+        ("--trusted-radius", ("nan", "0.1", "inf", "x")),
+        ("--steps", ("-5", "0", "63", "64", "65537", "1e9")),
+        ("--tol", ("0", "-1", "nan", "inf", "1e-3", "x")))
+    for v in values]
+
+
+@st.composite
+def cli_cases(draw):
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(sorted(SURFACE_OPTIONS)))
+        argv = [command, "{in}"] + draw(
+            st.sampled_from(SURFACE_OPTIONS[command]))
+        content = draw(st.one_of(mutated(COMPLEX5, SURFACE_LEAVES),
+                                 mutated(REAL5, SURFACE_LEAVES),
+                                 st.binary(max_size=8)))
+    else:
+        argv = ["monodromy", "{in}", "--tol", "1e-6"] + draw(
+            st.sampled_from(MONODROMY_OPTIONS))
+        content = draw(mutated(SYSTEM2, SYSTEM_LEAVES))
+    return argv, content
+
+
+def _pinned_examples(test):
+    for _, argv, content, _ in PINNED:
+        test = example(case=(argv, content))(test)
+    return test
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@_pinned_examples
+@given(case=cli_cases())
+def test_fuzz_cli_exits_with_a_documented_code(case, workdir):
+    argv, content = case
+    assert _run(workdir, argv, content) in DOCUMENTED_EXITS
