@@ -17,7 +17,7 @@ from .segre import (SegreGraph, AssociatedODE, segre_graph, eliminate,
                     closed_form_coeffs, verify_ode, families_agree)
 from .fuchs import (FuchsReport, check_fuchsian_real, check_fuchsian_complex,
                     check_fuchsian_ode)
-from .prolongation import (VectorField, prolong2, tangency_residual,
+from .prolongation import (VectorField, ProlongedField, tangency_residual,
                            collect_initial_system, initial_system,
                            assemble_u_system,
                            assemble_Y_system, assemble_twelve_system,
@@ -45,7 +45,7 @@ __all__ = [
     "closed_form_coeffs", "verify_ode", "families_agree",
     "FuchsReport", "check_fuchsian_real", "check_fuchsian_complex",
     "check_fuchsian_ode",
-    "VectorField", "prolong2", "tangency_residual",
+    "VectorField", "ProlongedField", "tangency_residual",
     "collect_initial_system", "initial_system",
     "assemble_u_system", "assemble_Y_system", "assemble_twelve_system",
     "LinearODESystem", "TwelveSystem",

@@ -135,7 +135,7 @@ def levi_unit_off_locus(P):
     return P.psi.coeff_of({XI: 1, XIB: 1})
 
 
-def find_blowup_exponent(M, s_max, order=None):
+def find_blowup_exponent(M, s_max):
     """Smallest s in [2, s_max] whose pullback is Levi-nondegenerate off X.
 
     Returns (s, PulledBackSurface) or (None, diagnostics) when no exponent
@@ -143,7 +143,7 @@ def find_blowup_exponent(M, s_max, order=None):
     """
     diagnostics = []
     for s in range(2, s_max + 1):
-        P = pullback_surface(M, BlowupMap(s, 2), order)
+        P = pullback_surface(M, BlowupMap(s, 2))
         c = levi_unit_off_locus(P)
         if not c.is_zero():
             return s, P

@@ -27,13 +27,9 @@ class OrderTooLowError(SegrefuchsError):
 
 
 class RealityViolation(SegrefuchsError):
-    """Reality residual of a complex defining function is nonzero."""
+    """Surface data is not real: h_kl != conj(h_lk) in the real form, or a
+    nonzero reality residual of the complex form."""
     exit_code = 12
-
-    def __init__(self, residual):
-        super().__init__("reality condition violated; leading residual "
-                         "term %r" % _leading(residual))
-        self.residual = residual
 
 
 class NotNormalizableError(SegrefuchsError):
@@ -64,10 +60,3 @@ class DivisibilityError(SegrefuchsError):
 class NonConvergenceError(SegrefuchsError):
     """Numeric continuation failed to converge within the step budget."""
     exit_code = 13
-
-
-def _leading(series):
-    if series.is_zero():
-        return 0
-    e = min(series.terms, key=lambda t: (sum(t), t))
-    return {tuple(zip(series.vars, e)): series.terms[e]}

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from .qfield import GaussianRational, ZERO, ONE, I, _gcd4
 from .series import MultiSeries, EXACT
 from .segre import WV, eliminate
-from .surfaces import Z, ZB, WB, min_order, bar_series
+from .surfaces import Z, ZB, WB, bar_series
 from .errors import NonFuchsianError, SegrefuchsError, OrderTooLowError
 from .prolongation import (VectorField, assemble_Y_system,
                            reconstruct_field, tangency_residual)
@@ -56,11 +56,14 @@ class ResidueSpectrum:
             dict(self.rational), self.resonances)
 
 
-def _divisors(n, cap=10 ** 12):
+DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
+
+
+def _divisors(n):
     n = abs(n)
     if n == 0:
         return [], False
-    if n > cap:
+    if n > DIVISOR_CAP:
         # fall back to small divisors only; flagged as truncated
         out = [d for d in range(1, 1000) if n % d == 0]
         return out, True
@@ -188,16 +191,14 @@ def _param_recurrence(A_mats, n, order, base_shift=None):
                             rhs[i][p] = rhs[i][p] + a * row[p]
         X, kern, constraints = linalg.solve_with_rhs_matrix(L, rhs)
         if constraints:
+            # cut to the parameters K on which the constraints vanish; X is
+            # linear in rhs and the reduction only subtracted constraint
+            # rows from it, so X K solves L Y = rhs K
             K = linalg.kernel_basis(constraints)
-            newp = len(K)
-            obstructions.append((k, params - newp))
-            Ms = [_apply_params(M, K, params) for M in Ms]
-            rhs = _apply_params(rhs, K, params)
-            params = newp
-            X, kern, constraints = linalg.solve_with_rhs_matrix(L, rhs)
-            if constraints:
-                raise SegrefuchsError("parameter reduction did not resolve "
-                                      "the resonant step at k=%d" % k)
+            obstructions.append((k, params - len(K)))
+            Ms = [_apply_params(M, K) for M in Ms]
+            X = _apply_params(X, K)
+            params = len(K)
         if kern:
             X = [X[i] + [v[i] for v in kern] for i in range(n)]
             Ms = [[row + [ZERO] * len(kern) for row in M] for M in Ms]
@@ -206,7 +207,7 @@ def _param_recurrence(A_mats, n, order, base_shift=None):
     return Ms, params, obstructions
 
 
-def _apply_params(M, K, params):
+def _apply_params(M, K):
     """Right-multiply an n x params matrix by the params x r kernel basis.
 
     K lists the new-parameter directions as length-params vectors.
@@ -364,8 +365,9 @@ def lie_bracket(L1, L2):
 def formal_symmetries(M, order=None):
     """Exact basis of formal infinitesimal symmetries of a Fuchsian surface.
 
-    Pipeline: classifier gate, elimination, Fuchsian Y-system, holomorphic
-    Frobenius solutions, structural reconstruction, then the exact filters:
+    Pipeline: classifier gate, elimination (the two enforce the 3m+2 order
+    floor), Fuchsian Y-system, holomorphic Frobenius solutions, structural
+    reconstruction, then the exact filters:
     a candidate stays only if its P-component is pole-free, its full
     tangency residual vanishes, and its 12-component jet vector satisfies
     the complete first-order system.  The jet filter probes the collected
@@ -375,9 +377,6 @@ def formal_symmetries(M, order=None):
     space.
     """
     from .prolongation import assemble_twelve_system
-    order = M.order if order is None else order
-    if order < min_order(M.m):
-        raise OrderTooLowError(order, min_order(M.m))
     rep = check_fuchsian_complex(M)
     if rep.verdict != FUCHSIAN:
         w = rep.witnesses()
@@ -520,7 +519,7 @@ def real_tangency_residual(L, M, order=None):
     return (A + B).truncate(order)
 
 
-def real_form_basis(basis, M, order=None):
+def real_form_basis(basis, M):
     """Real combinations of the complex basis tangent to the surface itself.
 
     Imposes Q = rho_z P + rho_zb bar(P) + rho_wb bar(Q) on w = rho as exact
@@ -528,7 +527,7 @@ def real_form_basis(basis, M, order=None):
     coordinates; returns the real fields sum (a_j + i b_j) L_j spanning the
     kernel.
     """
-    order = min(M.order, basis.order) if order is None else order
+    order = min(M.order, basis.order)
     # below total degree m+2 the defining function cannot distinguish a
     # field from its complex rotation; constraints would be vacuous
     if order < M.m + 2:

@@ -15,6 +15,7 @@ from .errors import NonConvergenceError, SegrefuchsError
 from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
+INVERTIBLE_TOL = 1e-8  # |det| above which a monodromy matrix is invertible
 STEP_BUDGET = 1 << 17
 
 
@@ -52,8 +53,8 @@ class MonodromyResult:
         self.condition = condition
         self.steps = steps
 
-    def invertible(self, tol=1e-8):
-        return abs(np.linalg.det(self.matrix)) > tol
+    def invertible(self):
+        return abs(np.linalg.det(self.matrix)) > INVERTIBLE_TOL
 
     def as_dict(self):
         return {
@@ -177,11 +178,11 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
                               "within %d steps" % (loop.tol, STEP_BUDGET))
 
 
-def continue_system(S, loop, y0, trusted_radius=TRUSTED_RADIUS):
+def continue_system(S, loop, y0):
     """Analytic continuation of one solution vector around the loop."""
     Y0 = np.array(y0, dtype=complex).reshape(-1, 1)
     Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0,
-                               trusted_radius)
+                               TRUSTED_RADIUS)
     return Y[:, 0], diff, steps
 
 
@@ -195,8 +196,7 @@ def monodromy_matrix(S, loop, trusted_radius=TRUSTED_RADIUS):
                            steps)
 
 
-def infinitesimal_monodromy(basis_vectors, S, loop,
-                            trusted_radius=TRUSTED_RADIUS):
+def infinitesimal_monodromy(basis_vectors, S, loop):
     """Continue basis solution vectors and re-express them in the basis.
 
     basis_vectors: list of vectors of w-series (or already-numeric complex
@@ -215,7 +215,7 @@ def infinitesimal_monodromy(basis_vectors, S, loop,
             cols.append([complex(x) for x in vec])
     B = np.array(cols, dtype=complex).T          # n x d
     Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B,
-                               trusted_radius)
+                               TRUSTED_RADIUS)
     sol, res, rank, _ = np.linalg.lstsq(B, Y, rcond=None)
     offspan = float(np.max(np.abs(B @ sol - Y)))
     return sol, offspan

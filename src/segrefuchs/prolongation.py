@@ -14,7 +14,7 @@ the mechanical collection symbolically.
 """
 
 from .qfield import ZERO, ONE
-from .series import MultiSeries, LaurentInW, EXACT
+from .series import MultiSeries, LaurentInW
 from .segre import WV, ZETA
 from .surfaces import Z
 from .errors import NonFuchsianError, SegrefuchsError
@@ -69,11 +69,6 @@ class ProlongedField:
                    2: Qw.diff(WV) - Pz.diff(WV).scale(2),
                    3: -Pw.diff(WV)}
         self.q2_w2 = {0: Qw - Pz.scale(2), 1: -Pw.scale(3)}
-
-
-def prolong2(L):
-    """Exact second prolongation of a vector field."""
-    return ProlongedField(L.P, L.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -210,48 +205,21 @@ def tangency_forms(Pf, Qf, E):
     return lhs - rhs
 
 
-class TangencyResidual:
-    """Residual as a polynomial in zeta with (z, w)-series coefficients."""
-
-    def __init__(self, by_zeta, m):
-        self.by_zeta = by_zeta
-        self.m = m
-
-    def is_zero(self):
-        return all(s.is_zero() for s in self.by_zeta.values())
-
-    def leading(self):
-        for j in sorted(self.by_zeta):
-            if not self.by_zeta[j].is_zero():
-                return j, self.by_zeta[j]
-        return None
-
-    def max_degree(self):
-        return max(self.by_zeta)
-
-    def __repr__(self):
-        nz = {j: s for j, s in self.by_zeta.items() if not s.is_zero()}
-        return "<TangencyResidual %s>" % (nz if nz else "0")
-
-
 def tangency_residual(L, E):
     """Tangency residual of a concrete field against the associated ODE.
 
-    Zero modulo the shared truncation iff L is a Lie point symmetry of the
-    ODE (equivalently, lies in the complexified symmetry algebra).  The
-    zeta^j slice equals w^(j*m) times the j-th collected equation, so the
-    residual is polynomial.
+    A series over (z, w, zeta), zero modulo the shared truncation iff L is
+    a Lie point symmetry of the ODE (equivalently, lies in the complexified
+    symmetry algebra).  Its zeta^j slice, coeff_of({ZETA: j}), equals
+    w^(j*m) times the j-th collected equation, so the residual is
+    polynomial.
     """
     Pf, Qf = (LaurentInW(s.embed((Z, WV, ZETA)), 0, WV) for s in (L.P, L.Q))
     T = tangency_forms(Pf, Qf, E)
-    if T.is_zero():
-        return TangencyResidual({0: MultiSeries.zero((Z, WV))}, E.m)
     if T.pole_order() > 0:
         raise SegrefuchsError("tangency residual of a holomorphic field "
                               "acquired a pole; ODE data is inconsistent")
-    body = T.as_series()
-    return TangencyResidual({j: body.coeff_of({ZETA: j})
-                             for j in range(body.var_degree(ZETA) + 1)}, E.m)
+    return T.as_series()
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +313,6 @@ class LinearODESystem:
         self.unknown = unknown
         self.pole_order = max((e.pole_order() for row in entries
                                for e in row), default=0)
-        self.order = min((e.body.order for row in entries for e in row
-                          if not e.is_zero()), default=EXACT)
 
     def residual(self, u):
         """du/dw - C u for a candidate vector of w-series (Laurent ok)."""
@@ -421,45 +387,30 @@ def _solve_slot(eq, target, allowed):
 U_TAGS = [("P0", 0), ("P1", 0), ("P0", 1), ("P1", 1),
           ("Q0", 0), ("Q1", 0), ("Q0", 1), ("Q1", 1)]
 
-Y_TAGS = [("P0", 0), ("P1", 0), ("R0", 0), ("R1", 0),
-          ("P0", 1), ("P1", 1), ("R0", 1), ("R1", 1)]
 
+def _second_derivative_exprs(E, with_w_factor):
+    """Solve the structural tangency for the second w-derivatives.
 
-def _struct_tangency(E, with_w_factor):
-    """Tagged tangency for the structurally reduced field.
-
-    with_w_factor=False: unknowns (P0, P1, Q0, Q1) -> the u-system shape.
-    with_w_factor=True: Q = w R with unknowns (P0, P1, R0, R1).
+    The unknowns are (P0, P1, Q0, Q1), the u-system shape, or with the w
+    factor (P0, P1, R0, R1) with Q = w R.  The zeta^3 slots at z^0 and z^1
+    give the P-type, the zeta^2 slots the Q-type second derivatives.
+    Returns {(name, 2): {tag: Laurent}} over the tags (name, 0), (name, 1),
+    in the order of the unknowns.
     """
     V3 = (Z, WV, ZETA)
-    at = E.a_tilde()
     names = ("P0", "P1", "R0", "R1") if with_w_factor else \
         ("P0", "P1", "Q0", "Q1")
     P0, P1, Q0, Q1 = (LinForm.unknown((n, 0), STRUCT_ALG) for n in names)
     if with_w_factor:
         w = MultiSeries.variable(WV, V3)
         Q0, Q1 = Q0 * w, Q1 * w
+    at = E.a_tilde()
     Pf, Qf = structural_field(LaurentInW(at.body.embed(V3), at.pole, WV),
                               MultiSeries.variable(Z, V3), P0, P1, Q0, Q1)
-    return tangency_forms(Pf, Qf, E)
-
-
-_SLOT_TARGETS = [((2, 0), 0), ((2, 1), 1), ((3, 0), 2), ((3, 1), 3)]
-
-
-def _second_derivative_exprs(E, with_w_factor):
-    """Solve the four z^0/z^1 slots for the second-derivative tags."""
-    T = _struct_tangency(E, with_w_factor)
-    names = ("Q0", "Q1", "P0", "P1") if not with_w_factor else \
-            ("R0", "R1", "P0", "P1")
-    base = Y_TAGS if with_w_factor else U_TAGS
-    allowed = set(base)
-    exprs = {}
-    for (jz, kz), ni in _SLOT_TARGETS:
-        eq = T.slice({ZETA: jz, Z: kz})
-        target = (names[ni], 2)
-        exprs[target] = _solve_slot(eq, target, allowed)
-    return exprs
+    T = tangency_forms(Pf, Qf, E)
+    allowed = {(n, d) for n in names for d in (0, 1)}
+    return {(n, 2): _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2), allowed)
+            for n, (jz, kz) in zip(names, ((3, 0), (3, 1), (2, 0), (2, 1)))}
 
 
 def assemble_u_system(E):
@@ -472,9 +423,8 @@ def assemble_u_system(E):
     col = {t: i for i, t in enumerate(U_TAGS)}
     C = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
     C[0][2] = C[1][3] = C[4][6] = C[5][7] = _const(ONE, (WV,))
-    rowmap = {("P0", 2): 2, ("P1", 2): 3, ("Q0", 2): 6, ("Q1", 2): 7}
-    for target, expr in exprs.items():
-        i = rowmap[target]
+    for (n, _), expr in exprs.items():
+        i = col[(n, 1)]   # the row of n' holds n''
         for t, c in expr.items():
             C[i][col[t]] = C[i][col[t]] + c
     sys = LinearODESystem(C, unknown="(P0,P1,P0',P1',Q0,Q1,Q0',Q1')")
@@ -494,8 +444,7 @@ def assemble_Y_system(E, report=None):
     """
     from .fuchs import NON_FUCHSIAN
     exprs = _second_derivative_exprs(E, with_w_factor=True)
-    names = ["P0", "P1", "R0", "R1"]
-    pos = {n: i for i, n in enumerate(names)}
+    pos = {n: i for i, (n, _) in enumerate(exprs)}
     A = [[MultiSeries.zero((WV,)) for _ in range(8)] for _ in range(8)]
     for i in range(4):
         A[i][4 + i] = MultiSeries.const(ONE, (WV,))
@@ -510,10 +459,10 @@ def assemble_Y_system(E, report=None):
             "grouping fails" % (i, j, value.pole_order()),
             ledger_row=row, entry=(i, j), pole=value.pole_order())
 
-    for n in names:
+    for (n, _), expr in exprs.items():
         i = 4 + pos[n]
         A[i][i] = A[i][i] + MultiSeries.const(ONE, (WV,))
-        for t, c in exprs[(n, 2)].items():
+        for t, c in expr.items():
             base, d = t
             if d == 0:
                 entry = c.mul_w(2)
@@ -540,9 +489,6 @@ def assemble_Y_system(E, report=None):
 Y12_COMPONENTS = [("P", 0, 0), ("Q", 0, 0), ("P", 1, 0), ("P", 0, 1),
                   ("Q", 1, 0), ("Q", 0, 1), ("P", 2, 0), ("P", 1, 1),
                   ("P", 0, 2), ("Q", 2, 0), ("Q", 1, 1), ("Q", 0, 2)]
-
-Y12_NAMES = ["P", "Q", "Pz", "Pw", "Qz", "Qw",
-             "Pzz", "Pzw", "Pww", "Qzz", "Qzw", "Qww"]
 
 _THIRD = [("P", 3, 0), ("P", 2, 1), ("P", 1, 2), ("P", 0, 3),
           ("Q", 3, 0), ("Q", 2, 1), ("Q", 1, 2), ("Q", 0, 3)]

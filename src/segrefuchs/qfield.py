@@ -197,10 +197,6 @@ class GaussianRational:
         return (self.a == other.a and self.b == other.b and
                 self.c == other.c and self.d == other.d and self.q == other.q)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d, self.q))
 

@@ -196,13 +196,13 @@ def families_agree(f1, f2):
     return ok, report
 
 
-def verify_ode(M, E, order=None):
+def verify_ode(M, E):
     """Residual of w'' - Phi(z, w, w'/w^m) along the Segre graphs of M.
 
     Zero modulo the trusted order iff E is the associated ODE of M.  The
     residual comes back in the graph variables (z, xib, etab).
     """
-    order = min(M.order, E.order) if order is None else order
+    order = min(M.order, E.order)
     g = segre_graph(M, order)
     sub = E.Phi.compose({WV: g.w.truncate(order),
                          ZETA: g.zeta.truncate(order)})

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .qfield import GaussianRational
 from .series import MultiSeries, LaurentInW
-from .surfaces import (RealDefining, ComplexDefining, split_admissible, Z, ZB,
-                       WB, U, W)
+from .surfaces import (RealDefining, ComplexDefining, split_admissible,
+                       require_reality, Z, ZB, WB, U, W)
 from .errors import FormatError
 
 
@@ -118,7 +118,9 @@ def surface_from_json(d):
         raise FormatError("%s form is not admissible: %s"
                           % (form, "; ".join(defects)))
     if real:
-        return RealDefining(m, sign, h, order)
+        M = RealDefining(m, sign, h, order)
+        require_reality(M)
+        return M
     scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
     return ComplexDefining(m, sign, series, order, scale_sq)
 

@@ -241,10 +241,6 @@ class MultiSeries:
         a, b = self._aligned(other)
         return a.order == b.order and a.terms == b.terms
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def equal_mod(self, other, order):
         """Exact equality of all coefficients through total degree `order`."""
         a, b = self._aligned(other if isinstance(other, MultiSeries)
@@ -604,10 +600,6 @@ class LaurentInW:
             return NotImplemented
         d = self - other
         return d.body.is_zero()
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def eval_complex(self, point):
         w = point[self.wvar]

@@ -215,11 +215,23 @@ def check_reality(M):
 
 
 def require_reality(M):
-    """check_reality, raising RealityViolation on a nonzero residual."""
+    """Raise RealityViolation unless M is real.
+
+    The real form must satisfy h_kl = conj(h_lk), a table comparison; the
+    complex form must have a zero check_reality residual.
+    """
+    if isinstance(M, RealDefining):
+        bad = M.reality_defect()
+        if bad:
+            raise RealityViolation("real data violates h_kl = conj(h_lk) "
+                                   "at (k, l) = %s" % (bad[0],))
+        return
     res = check_reality(M)
     if not res.is_zero():
-        raise RealityViolation(res)
-    return res
+        e = min(res.terms, key=lambda t: (sum(t), t))
+        raise RealityViolation("reality condition violated; leading "
+                               "residual term %r"
+                               % {tuple(zip(res.vars, e)): res.terms[e]})
 
 
 def validate_complex(M):
@@ -303,10 +315,7 @@ def real_to_complex(Mr, order=None):
     order = Mr.order if order is None else order
     if order < min_order(Mr.m):
         raise OrderTooLowError(order, min_order(Mr.m))
-    bad = Mr.reality_defect()
-    if bad:
-        raise SegrefuchsError("real data violates h_kl = conj(h_lk) at %s"
-                              % (bad,))
+    require_reality(Mr)
     F = Mr.defining_series(order)
     vars5 = (Z, ZB, WB, W)
     half = MultiSeries(vars5, EXACT,
@@ -340,12 +349,12 @@ def real_to_complex(Mr, order=None):
     return Mc
 
 
-def complex_to_real(Mc, order=None):
+def complex_to_real(Mc):
     """Transfer an admissible complex form back to real m-admissible data.
 
     Inverse of real_to_complex up to the recorded z-rescaling.
     """
-    order = Mc.order if order is None else order
+    order = Mc.order
     if order < min_order(Mc.m):
         raise OrderTooLowError(order, min_order(Mc.m))
     R = Mc.defining_series(order)
@@ -368,8 +377,7 @@ def complex_to_real(Mc, order=None):
         raise NotNormalizableError("real form is not m-admissible: %s"
                                    % "; ".join(defects))
     Mr = RealDefining(m, eps, table, min(order, psi.order + m))
-    if Mr.reality_defect():
-        raise RealityViolation(check_reality(Mc))
+    require_reality(Mr)
     return Mr
 
 

@@ -133,6 +133,41 @@ def test_log_obstruction_detected():
         assert all(r.is_zero() for r in S.residual(vec))
 
 
+def stacked_dimension(A_mats, n, order):
+    """Independent oracle: the nullity of the recurrence equations of all
+    degrees 0..order stacked into one matrix over the coefficients y_k."""
+    rows = []
+    for k in range(order + 1):
+        for i in range(n):
+            row = [ZERO] * (n * (order + 1))
+            for j, Aj in enumerate(A_mats[:k + 1]):
+                for t in range(n):
+                    row[n * (k - j) + t] = row[n * (k - j) + t] - Aj[i][t]
+            row[n * k + i] = row[n * k + i] + GaussianRational.from_int(k)
+            rows.append(row)
+    return n * (order + 1) - linalg.rank(rows)
+
+
+def test_resonant_cut_keeps_parameters():
+    """Two parameters before the k=1 cut, one kept through it."""
+    # A = A0 + A1 w with A0 = diag(0, 0, 1): y0 is free in e1, e2; at k=1
+    # the third row needs A1[2] . y0 = 0, which kills the e1 direction only
+    A0 = [[qi(0), qi(0), qi(0)], [qi(0), qi(0), qi(0)],
+          [qi(0), qi(0), qi(1)]]
+    A1 = [[qi(1), qi(2), qi(0)], [qi(0), qi(1), qi(1)],
+          [qi(1), qi(0), qi(1)]]
+    ent = [[LaurentInW(MultiSeries(("w",), 10, {(0,): A0[i][j],
+                                               (1,): A1[i][j]}), 1, "w")
+            for j in range(3)] for i in range(3)]
+    S = LinearODESystem(ent, unknown="y")
+    B = holomorphic_solutions(S, 6)
+    assert brute_force_recurrence(A0, [A1], 3, 0) == 2
+    assert B.log_obstructions == [(1, 1)]
+    assert B.dimension == stacked_dimension([A0, A1], 3, 6) == 2
+    for vec in B.solutions:
+        assert all(r.is_zero() for r in S.residual(vec))
+
+
 def test_frobenius_branches_half_exponent():
     S = const_system([[qi(0), qi(0)], [qi(0), qi(Fraction(1, 2))]])
     F = frobenius_basis(S, 6)
