@@ -13,7 +13,7 @@ vanishes; the filter, not the recurrence, is the source of truth.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .qfield import GaussianRational, ZERO, ONE, I, _gcd4
+from .qfield import GaussianRational, ZERO, ONE, I
 from .series import MultiSeries, EXACT
 from .segre import WV, eliminate
 from .surfaces import Z, ZB, WB, bar_series
@@ -100,8 +100,8 @@ def residue_spectrum(S):
             den = lcm(den, c.q)
         cleared = [c * GaussianRational.from_int(den) for c in work]
         lo, hi = cleared[0], cleared[-1]
-        p_div, t1 = _divisors(_gcd4(lo.a, lo.b, lo.c, lo.d))
-        q_div, t2 = _divisors(_gcd4(hi.a, hi.b, hi.c, hi.d))
+        p_div, t1 = _divisors(gcd(lo.a, lo.b, lo.c, lo.d))
+        q_div, t2 = _divisors(gcd(hi.a, hi.b, hi.c, hi.d))
         truncated = truncated or t1 or t2
         found = None
         for q in q_div:
@@ -227,7 +227,7 @@ def _solution_vectors(Ms, n, params, order):
     """One vector of n w-series per parameter of the recurrence output."""
     return [[MultiSeries((WV,), order,
                          {(k,): Ms[k][i][p] for k in range(order + 1)
-                          if not Ms[k][i][p].is_zero()}, _clean=False)
+                          if not Ms[k][i][p].is_zero()})
              for i in range(n)] for p in range(params)]
 
 
@@ -542,19 +542,19 @@ def real_form_basis(basis, M):
         A, B = _surface_parts(L, rho, order)
         col_a = A + B                 # coefficient of a_j
         col_b = (A - B).scale(I)      # coefficient of b_j
-        cols.append((col_a, col_b))
+        cols.append((dict(col_a.terms), dict(col_b.terms)))
     nvar = 2 * len(basis.fields)
     keys = set()
     for col_a, col_b in cols:
-        keys.update(col_a.terms)
-        keys.update(col_b.terms)
+        keys.update(col_a)
+        keys.update(col_b)
     rows = []
     for key in sorted(keys):
         for part in ("a", "b", "c", "d"):
             row = []
             for col_a, col_b in cols:
                 for col in (col_a, col_b):
-                    coeff = col.terms.get(key, ZERO)
+                    coeff = col.get(key, ZERO)
                     row.append(GaussianRational.of(
                         Fraction(getattr(coeff, part), coeff.q)))
             if any(not x.is_zero() for x in row):

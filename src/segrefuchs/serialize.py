@@ -119,10 +119,11 @@ def surface_from_json(d):
                           % (form, "; ".join(defects)))
     if real:
         M = RealDefining(m, sign, h, order)
-        require_reality(M)
-        return M
-    scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
-    return ComplexDefining(m, sign, series, order, scale_sq)
+    else:
+        scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
+        M = ComplexDefining(m, sign, series, order, scale_sq)
+    require_reality(M)
+    return M
 
 
 def ode_to_json(E):

@@ -1,21 +1,34 @@
 """Truncated multivariate formal power series over exact coefficients.
 
-A MultiSeries stores a map from exponent vectors to GaussianRational
-coefficients together with a truncation order: the series is trusted modulo
+A MultiSeries is a map from exponent vectors to coefficients in Q(i, s),
+s**2 = 2, together with a truncation order: the series is trusted modulo
 total degree order+1.  Exact polynomials (monomials, finite substitution
 data) carry the sentinel order EXACT.  Arithmetic propagates trust orders
 through valuations, so e.g. multiplying a degree-shifted slice back by its
 monomial does not lose precision.
+
+The coefficients are packed: one common denominator `den` > 0 for the whole
+series and, per exponent, a tuple (a, b, c, d) of integers standing for
+(a + b*i + c*s + d*i*s) / den.  Zero tuples are never stored, and `den` is
+the least common denominator of the coefficients, so equal series have
+equal packed data.  Every ring, calculus and slicing operation works on
+these integers alone and divides out the common content at its end;
+GaussianRational values are built only where a caller reads a coefficient
+(`terms`, `coefficient`, `constant_term`).
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
 variable while the pole is positive.
 """
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd, lcm
+from operator import add
 
-from .qfield import GaussianRational, ZERO, ONE, _coerce
+from .qfield import GaussianRational, ZERO, ONE, _coerce, mul_parts
 from .errors import SegrefuchsError
 
 EXACT = 10 ** 6
@@ -45,31 +58,91 @@ def _remap(exps, src, dst):
     return tuple(out)
 
 
-class MultiSeries:
-    __slots__ = ("vars", "order", "terms")
+def _packed(vars, order, den, num):
+    """Series from packed data that is already in lowest terms."""
+    s = object.__new__(MultiSeries)
+    s.vars = vars
+    s.order = order
+    s.den = den
+    s.num = num
+    s._by_degree = None
+    return s
 
-    def __init__(self, vars, order, terms=None, _clean=True):
+
+def _reduced(vars, order, den, num):
+    """Series from packed data, dividing den and every component by their
+    common content."""
+    if not num:
+        den = 1
+    elif den != 1:
+        # one term usually settles it; otherwise one gcd over everything
+        g = gcd(den, *next(iter(num.values())))
+        if g != 1:
+            g = gcd(g, *chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {e: (a // g, b // g, c // g, d // g)
+                   for e, (a, b, c, d) in num.items()}
+    return _packed(vars, order, den, num)
+
+
+class Terms(Mapping):
+    """Read-only view of a series' coefficients as GaussianRationals,
+    keyed by exponent vector; a value is built on each read."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, e):
+        a, b, c, d = self._num[e]
+        return GaussianRational(a, b, c, d, self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __contains__(self, e):
+        return e in self._num
+
+
+class MultiSeries:
+    __slots__ = ("vars", "order", "den", "num", "_by_degree")
+
+    def __init__(self, vars, order, terms=None):
+        """Series from a map exponent vector -> coefficient; zero
+        coefficients and terms above `order` are dropped."""
         self.vars = tuple(vars)
         self.order = order
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = {e: c for e, c in terms.items()
-                          if sum(e) <= order and not c.is_zero()}
-        else:
-            self.terms = terms
+        self._by_degree = None
+        coeffs = {}
+        for e, c in (terms or {}).items():
+            c = _as_coeff(c)
+            if sum(e) <= order and not c.is_zero():
+                coeffs[tuple(e)] = c
+        den = lcm(*(c.q for c in coeffs.values()))
+        self.den = den
+        self.num = {e: (c.a * (den // c.q), c.b * (den // c.q),
+                        c.c * (den // c.q), c.d * (den // c.q))
+                    for e, c in coeffs.items()}
 
     # ---------- constructors ----------
 
     @staticmethod
     def zero(vars, order=EXACT):
-        return MultiSeries(vars, order, {}, _clean=False)
+        return _packed(tuple(vars), order, 1, {})
 
     @staticmethod
     def const(c, vars=(), order=EXACT):
         c = _as_coeff(c)
-        t = {} if c.is_zero() else {(0,) * len(vars): c}
-        return MultiSeries(vars, order, t, _clean=False)
+        if c.is_zero():
+            return MultiSeries.zero(vars, order)
+        return _packed(tuple(vars), order, c.q,
+                       {(0,) * len(vars): (c.a, c.b, c.c, c.d)})
 
     @staticmethod
     def variable(name, vars, order=EXACT):
@@ -77,50 +150,60 @@ class MultiSeries:
         e = tuple(1 if v == name else 0 for v in vars)
         if sum(e) != 1:
             raise SeriesError("variable %r not among %r" % (name, vars))
-        return MultiSeries(vars, order, {e: ONE}, _clean=False)
+        return _packed(vars, order, 1, {e: (1, 0, 0, 0)})
 
     @staticmethod
     def monomial(c, exps, vars, order=EXACT):
-        c = _as_coeff(c)
-        t = {} if c.is_zero() else {tuple(exps): c}
-        return MultiSeries(vars, order, t)
+        return MultiSeries(vars, order, {tuple(exps): c})
 
     # ---------- structure ----------
 
+    @property
+    def terms(self):
+        return Terms(self.num, self.den)
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def valuation(self):
         """Smallest total degree present; order+1 for the zero series."""
-        if not self.terms:
+        if not self.num:
             return min(self.order + 1, EXACT)
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.num))
 
     def var_valuation(self, var):
         i = self.vars.index(var)
-        if not self.terms:
+        if not self.num:
             return min(self.order + 1, EXACT)
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self.num)
 
     def max_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.num), default=0)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), ZERO)
+        return self.coefficient((0,) * len(self.vars))
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        t = self.num.get(tuple(exps))
+        return ZERO if t is None else GaussianRational(*t, self.den)
+
+    def _degree_sorted(self):
+        """(total degrees ascending, matching (exponent, packed) pairs);
+        computed once per series, since series are never mutated."""
+        if self._by_degree is None:
+            items = sorted(self.num.items(), key=lambda it: sum(it[0]))
+            self._by_degree = ([sum(e) for e, _ in items], items)
+        return self._by_degree
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return MultiSeries(self.vars, order,
-                           {e: c for e, c in self.terms.items()
-                            if sum(e) <= order}, _clean=False)
+        return _reduced(self.vars, order, self.den,
+                        {e: t for e, t in self.num.items() if sum(e) <= order})
 
     def rename(self, mapping):
-        return MultiSeries(tuple(mapping.get(v, v) for v in self.vars),
-                           self.order, self.terms, _clean=False)
+        return _packed(tuple(mapping.get(v, v) for v in self.vars),
+                       self.order, self.den, self.num)
 
     def embed(self, vars):
         """View in a larger variable set (by name)."""
@@ -130,8 +213,8 @@ class MultiSeries:
         for v in self.vars:
             if v not in vars:
                 raise SeriesError("cannot drop variable %r" % v)
-        terms = {_remap(e, self.vars, vars): c for e, c in self.terms.items()}
-        return MultiSeries(vars, self.order, terms, _clean=False)
+        num = {_remap(e, self.vars, vars): t for e, t in self.num.items()}
+        return _packed(vars, self.order, self.den, num)
 
     def map_coefficients(self, fn):
         return MultiSeries(self.vars, self.order,
@@ -142,12 +225,12 @@ class MultiSeries:
         vars = tuple(vars)
         keep = [self.vars.index(v) for v in vars]
         drop = [i for i, v in enumerate(self.vars) if v not in vars]
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, t in self.num.items():
             if any(e[i] for i in drop):
                 raise SeriesError("projection drops an occurring variable")
-            terms[tuple(e[i] for i in keep)] = c
-        return MultiSeries(vars, self.order, terms, _clean=False)
+            num[tuple(e[i] for i in keep)] = t
+        return _packed(vars, self.order, self.den, num)
 
     # ---------- ring operations ----------
 
@@ -162,24 +245,33 @@ class MultiSeries:
             other = MultiSeries.const(other, self.vars)
         a, b = self._aligned(other)
         order = min(a.order, b.order)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+        den = a.den if a.den == b.den else lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        if fa == 1:
+            num = dict(a.num)
+        else:
+            num = {e: (x * fa, y * fa, z * fa, w * fa)
+                   for e, (x, y, z, w) in a.num.items()}
+        for e, (x, y, z, w) in b.num.items():
+            if fb != 1:
+                x, y, z, w = x * fb, y * fb, z * fb, w * fb
+            s = num.get(e)
+            if s is not None:
+                x, y, z, w = s[0] + x, s[1] + y, s[2] + z, s[3] + w
+                if not (x or y or z or w):
+                    del num[e]
+                    continue
+            num[e] = (x, y, z, w)
         if order < max(a.order, b.order):
-            terms = {e: c for e, c in terms.items() if sum(e) <= order}
-        return MultiSeries(a.vars, order, terms, _clean=False)
+            num = {e: t for e, t in num.items() if sum(e) <= order}
+        return _reduced(a.vars, order, den, num)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiSeries(self.vars, self.order,
-                           {e: -c for e, c in self.terms.items()},
-                           _clean=False)
+        return _packed(self.vars, self.order, self.den,
+                       {e: (-a, -b, -c, -d)
+                        for e, (a, b, c, d) in self.num.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiSeries):
@@ -193,35 +285,50 @@ class MultiSeries:
         c = _as_coeff(c)
         if c.is_zero():
             return MultiSeries.zero(self.vars, self.order)
-        return MultiSeries(self.vars, self.order,
-                           {e: c * x for e, x in self.terms.items()},
-                           _clean=False)
+        x = (c.a, c.b, c.c, c.d)
+        return _reduced(self.vars, self.order, self.den * c.q,
+                        {e: mul_parts(t, x) for e, t in self.num.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
             return self.scale(other)
         a, b = self._aligned(other)
-        order = min(min(a.order + b.valuation(), b.order + a.valuation()),
-                    EXACT)
-        if a.is_zero() or b.is_zero():
-            return MultiSeries.zero(a.vars, order)
-        # iterate the smaller operand outside; skip degree overflow early
-        if len(a.terms) > len(b.terms):
+        if not a.num or not b.num:
+            return MultiSeries.zero(a.vars, min(a.order + b.valuation(),
+                                                b.order + a.valuation(),
+                                                EXACT))
+        adeg, aitems = a._degree_sorted()
+        bdeg, bitems = b._degree_sorted()
+        order = min(a.order + bdeg[0], b.order + adeg[0], EXACT)
+        # iterate the smaller operand outside; each inner loop stops at the
+        # last term of b that fits under the order.  The multiply-adds are
+        # mul_parts inlined, accumulated in place.
+        if len(aitems) > len(bitems):
             a, b = b, a
-        bt = sorted(((sum(e), e, c) for e, c in b.terms.items()))
+            adeg, aitems, bdeg, bitems = bdeg, bitems, adeg, aitems
+        room0 = order - bdeg[0]
         acc = {}
-        for ea, ca in a.terms.items():
-            da = sum(ea)
-            room = order - da
-            for db, eb, cb in bt:
-                if db > room:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                p = ca * cb
+        for da, (ea, (a1, b1, c1, d1)) in zip(adeg, aitems):
+            if da > room0:
+                break
+            for eb, (a2, b2, c2, d2) in bitems[:bisect_right(bdeg,
+                                                             order - da)]:
+                e = tuple(map(add, ea, eb))
+                x = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+                y = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+                z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
+                w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
                 s = acc.get(e)
-                acc[e] = p if s is None else s + p
-        acc = {e: c for e, c in acc.items() if not c.is_zero()}
-        return MultiSeries(a.vars, order, acc, _clean=False)
+                if s is None:
+                    acc[e] = [x, y, z, w]
+                else:
+                    s[0] += x
+                    s[1] += y
+                    s[2] += z
+                    s[3] += w
+        num = {e: tuple(t) for e, t in acc.items()
+               if t[0] or t[1] or t[2] or t[3]}
+        return _reduced(a.vars, order, a.den * b.den, num)
 
     __rmul__ = __mul__
 
@@ -239,7 +346,7 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.order == b.order and a.terms == b.terms
+        return a.order == b.order and a.den == b.den and a.num == b.num
 
     def equal_mod(self, other, order):
         """Exact equality of all coefficients through total degree `order`."""
@@ -248,45 +355,52 @@ class MultiSeries:
         if min(a.order, b.order) < order:
             raise SeriesError("comparison order exceeds trusted order")
         d = a - b
-        return all(sum(e) > order for e in d.terms)
+        return all(sum(e) > order for e in d.num)
 
     # ---------- calculus ----------
 
     def diff(self, var):
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = c * GaussianRational.from_int(e[i])
+        num = {}
+        for e, (a, b, c, d) in self.num.items():
+            k = e[i]
+            if k:
+                num[e[:i] + (k - 1,) + e[i + 1:]] = (a * k, b * k, c * k,
+                                                     d * k)
         order = EXACT if self.order >= EXACT else max(self.order - 1, 0)
-        return MultiSeries(self.vars, order, terms, _clean=False)
+        return _reduced(self.vars, order, self.den, num)
 
     def integrate(self, var):
         """Antiderivative in `var` with zero constant slice."""
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] += 1
-            terms[tuple(ne)] = c / GaussianRational.from_int(ne[i])
-        return MultiSeries(self.vars, min(self.order + 1, EXACT), terms,
-                           _clean=False)
+        m = lcm(*(e[i] + 1 for e in self.num))
+        num = {}
+        for e, (a, b, c, d) in self.num.items():
+            k = e[i] + 1
+            f = m // k
+            num[e[:i] + (k,) + e[i + 1:]] = (a * f, b * f, c * f, d * f)
+        return _reduced(self.vars, min(self.order + 1, EXACT), self.den * m,
+                        num)
 
     # ---------- slicing ----------
 
     def coeff_of_var_power(self, var, k):
         """Coefficient series of var**k, over the remaining variables."""
+        return self._var_slices(var, k, k)[0]
+
+    def _var_slices(self, var, lo, hi):
+        """[coeff_of_var_power(var, k) for k in lo..hi], in one pass."""
         i = self.vars.index(var)
-        rest = tuple(v for j, v in enumerate(self.vars) if j != i)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                terms[tuple(x for j, x in enumerate(e) if j != i)] = c
-        order = self.order if self.order >= EXACT else self.order - k
-        return MultiSeries(rest, order, terms, _clean=False)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        parts = [{} for _ in range(lo, hi + 1)]
+        for e, t in self.num.items():
+            k = e[i]
+            if lo <= k <= hi:
+                parts[k - lo][e[:i] + e[i + 1:]] = t
+        exact = self.order >= EXACT
+        return [_reduced(rest, self.order if exact else self.order - k,
+                         self.den, part)
+                for k, part in enumerate(parts, lo)]
 
     def coeff_of(self, powers):
         """Coefficient series for a dict var->power, remaining vars kept."""
@@ -297,30 +411,24 @@ class MultiSeries:
 
     def var_degree(self, var):
         i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.num), default=0)
 
     def monomial_mul(self, var, k):
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] += k
-            terms[tuple(ne)] = c
-        return MultiSeries(self.vars, min(self.order + k, EXACT), terms,
-                           _clean=False)
+        num = {e[:i] + (e[i] + k,) + e[i + 1:]: t
+               for e, t in self.num.items()}
+        return _packed(self.vars, min(self.order + k, EXACT), self.den, num)
 
     def monomial_div(self, var, k):
         """Exact division by var**k; raises if any term is not divisible."""
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, t in self.num.items():
             if e[i] < k:
                 raise SeriesError("series not divisible by %s**%d" % (var, k))
-            ne = list(e)
-            ne[i] -= k
-            terms[tuple(ne)] = c
+            num[e[:i] + (e[i] - k,) + e[i + 1:]] = t
         order = self.order if self.order >= EXACT else self.order - k
-        return MultiSeries(self.vars, order, terms, _clean=False)
+        return _packed(self.vars, order, self.den, num)
 
     # ---------- composition ----------
 
@@ -362,13 +470,13 @@ class MultiSeries:
         return total
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "<0 (order %s)>" % self.order
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
+        for e in sorted(self.num, key=lambda t: (sum(t), t)):
             mono = "*".join("%s^%d" % (v, k)
                             for v, k in zip(self.vars, e) if k)
-            c = repr(self.terms[e])
+            c = repr(self.coefficient(e))
             bits.append(c if not mono else "%s %s" % (c, mono))
         tail = "" if self.order >= EXACT else " + O(deg %d)" % (self.order + 1)
         return "<" + " + ".join(bits[:12]) + ("..." if len(bits) > 12 else "") + tail + ">"
@@ -390,11 +498,10 @@ def _compose_rec(f, subs, out_vars, order):
     v = sub_here[0]
     s = subs[v].embed(out_vars).truncate(order)
     rest = {u: t for u, t in subs.items() if u != v}
-    d = f.var_degree(v)
-    acc = _compose_rec(f.coeff_of_var_power(v, d), rest, out_vars, order)
-    for j in range(d - 1, -1, -1):
-        cj = _compose_rec(f.coeff_of_var_power(v, j), rest, out_vars, order)
-        acc = acc * s + cj
+    slices = f._var_slices(v, 0, f.var_degree(v))
+    acc = _compose_rec(slices.pop(), rest, out_vars, order)
+    while slices:
+        acc = acc * s + _compose_rec(slices.pop(), rest, out_vars, order)
     return acc.truncate(order)
 
 
@@ -470,9 +577,8 @@ def solve_implicit(F, x_vars, y_vars, order):
     # intermediates), since the generic trust propagation cannot see the
     # contraction.
     def cap(s, d):
-        return MultiSeries(tuple(x_vars), EXACT,
-                           {e: c for e, c in s.terms.items() if sum(e) <= d},
-                           _clean=False)
+        return _reduced(s.vars, EXACT, s.den,
+                        {e: t for e, t in s.num.items() if sum(e) <= d})
 
     xv = tuple(x_vars)
     ys = [MultiSeries.zero(xv, EXACT) for _ in range(n)]
@@ -489,8 +595,7 @@ def solve_implicit(F, x_vars, y_vars, order):
             new.append(cap(ys[i] - corr, level))
         ys = new
     order = min(order, min(f.order for f in F))
-    ys = [MultiSeries(xv, order, y.terms) for y in ys]
-    return ys
+    return [y.truncate(order) for y in ys]
 
 
 class SingularJacobianError(SeriesError):

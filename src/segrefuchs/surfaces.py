@@ -193,7 +193,7 @@ def bar_series(s, rename=None):
         ne = list(e)
         ne[i1], ne[i2] = ne[i2], ne[i1]
         terms[tuple(ne)] = c.conjugate()
-    out = MultiSeries(s.vars, s.order, terms, _clean=False)
+    out = MultiSeries(s.vars, s.order, terms)
     if rename:
         out = out.rename(rename)
     return out
@@ -320,11 +320,11 @@ def real_to_complex(Mr, order=None):
     vars5 = (Z, ZB, WB, W)
     half = MultiSeries(vars5, EXACT,
                        {(0, 0, 1, 0): qi(Fraction(1, 2)),
-                        (0, 0, 0, 1): qi(Fraction(1, 2))}, _clean=False)
+                        (0, 0, 0, 1): qi(Fraction(1, 2))})
     Fw = F.embed((Z, ZB, U, WB, W)).compose({U: half})
     lin = MultiSeries(vars5, EXACT,
                       {(0, 0, 0, 1): qi(0, Fraction(-1, 2)),
-                       (0, 0, 1, 0): qi(0, Fraction(1, 2))}, _clean=False)
+                       (0, 0, 1, 0): qi(0, Fraction(1, 2))})
     G = lin - Fw  # (w - wb)/2i  - F, with 1/2i = -i/2
     sol = solve_implicit([G.truncate(order)], (Z, ZB, WB), (W,), order)
     R = sol[0]

@@ -197,8 +197,8 @@ def test_criterion_6_convergence_property():
 
 
 def test_criterion_7_non_fuchsian_refusal(tmp_path):
-    M = build_complex(2, 1, {(2, 2): MultiSeries.const(1, ("wb",))}, 12)
-    E = eliminate(M)
+    M = build_real(2, 1, {(2, 2): {(0,): qi(1)}}, 12)
+    E = eliminate(real_to_complex(M))
     rep = check_fuchsian_ode(E)
     entry = None
     try:
@@ -212,7 +212,7 @@ def test_criterion_7_non_fuchsian_refusal(tmp_path):
     p.write_text(serialize.dumps(serialize.surface_to_json(M)))
     rc = cli_main(["symmetries", str(p)])
     report(7, ok_err and rc == EXIT_REFUSED,
-           "(m=2, phi22=1): Y-assembly fails naming entry %s with its "
+           "(real m=2, h22=1): Y-assembly fails naming entry %s with its "
            "ledger row; cmd_symmetries exits %d (refusal)" % (entry, rc))
 
 

@@ -210,20 +210,26 @@ def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb",
-                                  "non-real"])
+                                  "non-real", "non-real-complex"])
 def test_admissible_codec(case, tmp_path, capsys):
-    if case == "non-real":
-        # h23 = (1+i) u^2 with h32 = 0 is admissible but not real
-        psi = MultiSeries(("z", "zb", "u"), 8,
-                          {(1, 1, 0): ONE, (2, 3, 2): qi(1, 1)})
-        d = {"form": "real", "m": 1, "sign": 1, "order": 8,
+    if case in ("non-real", "non-real-complex"):
+        # h23 = (1+i) u^2 with h32 = 0, and phi22 = i: both admissible,
+        # neither real; every surface command refuses them at load
+        if case == "non-real":
+            form, t, term, msg = ("real", "u", {(2, 3, 2): qi(1, 1)},
+                                  "at (k, l) = (2, 3)")
+        else:
+            form, t, term, msg = ("complex", "wb", {(2, 2, 0): I},
+                                  "reality condition violated")
+        psi = MultiSeries(("z", "zb", t), 8, {(1, 1, 0): ONE, **term})
+        d = {"form": form, "m": 1, "sign": 1, "order": 8,
              "series": serialize.series_to_json(psi)}
         p = tmp_path / "nonreal.json"
         p.write_text(serialize.dumps(d))
         for argv in (["verify"], ["check-fuchsian"], ["derive-ode"],
                      ["symmetries"], ["blowup", "--blowup", "s=2"]):
             assert main([argv[0], str(p)] + argv[1:]) == EXIT_REALITY
-            assert "at (k, l) = (2, 3)" in capsys.readouterr().err
+            assert msg in capsys.readouterr().err
         return
     if case in ("zzb-u", "zzb-wb"):
         # v = u (|z|^2 + 5 u |z|^2), and phi = z zb + 5 z zb wb in the

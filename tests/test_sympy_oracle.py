@@ -1,0 +1,149 @@
+"""Differential tests of the exact kernel against sympy.
+
+sympy is an independent implementation of the same arithmetic.  Its sparse
+polynomial rings over Q carry i and s = sqrt2 as two more generators,
+reduced by i**2 = -1 and s**2 = 2 after each product; in them the tests
+check the field operations, truncated exp and log, substitution and the
+residual of an implicit solve.  Skipped when sympy is not installed.
+"""
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from segrefuchs.qfield import GaussianRational, ONE
+from segrefuchs.series import (MultiSeries, EXACT, exp_series, log_series,
+                               solve_implicit)
+
+sp = pytest.importorskip("sympy")
+from sympy.polys.rings import ring  # noqa: E402
+
+
+def field_ring(vars):
+    """Q[vars, i, s] and its generators."""
+    return ring(",".join(vars + ("i", "s")), sp.QQ)
+
+
+def reduced(p):
+    """p modulo i**2 + 1 and s**2 - 2 (i, s are the last two generators)."""
+    out = p.ring.zero
+    for e, c in p.terms():
+        ei, es = e[-2], e[-1]
+        factor = (-1) ** (ei // 2) * 2 ** (es // 2)
+        out += p.ring({e[:-2] + (ei % 2, es % 2): c * factor})
+    return out
+
+
+def to_ring(s, R):
+    """A series (or one coefficient) as an element of R = field_ring."""
+    if isinstance(s, GaussianRational):
+        s = MultiSeries.const(s, ())
+    out = {}
+    for e, c in s.terms.items():
+        pad = (0,) * (R.ngens - 2 - len(e))
+        for part, key in ((c.a, (0, 0)), (c.b, (1, 0)), (c.c, (0, 1)),
+                          (c.d, (1, 1))):
+            if part:
+                out[e + pad + key] = sp.QQ(part, c.q)
+    return R.from_dict(out) if out else R.zero
+
+
+def truncated(p, order):
+    """The terms of total degree <= order in the series variables."""
+    return p.ring.from_dict({e: c for e, c in p.terms()
+                             if sum(e[:-2]) <= order}) if p else p
+
+
+def rnd_coeff(rng):
+    q = rng.choice((1, 2, 3, 5))
+    return (GaussianRational.of(Fraction(rng.randint(-4, 4), q),
+                                Fraction(rng.randint(-4, 4), q)) +
+            GaussianRational.of_sqrt2(Fraction(rng.randint(-3, 3), q),
+                                      Fraction(rng.randint(-3, 3), q)))
+
+
+def rnd_series(rng, vars, order, nterms, zero_constant=True):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, 2) for _ in vars)
+        if 0 < sum(e) <= order or (sum(e) == 0 and not zero_constant):
+            terms[e] = rnd_coeff(rng)
+    return MultiSeries(vars, order, terms)
+
+
+def test_field_axioms_and_inverse():
+    R = field_ring(())[0]
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y, z = rnd_coeff(rng), rnd_coeff(rng), rnd_coeff(rng)
+        X, Y, Z = to_ring(x, R), to_ring(y, R), to_ring(z, R)
+        assert to_ring(x * y, R) == reduced(X * Y)
+        assert to_ring(x + y, R) == X + Y
+        assert to_ring(x - y, R) == X - Y
+        assert to_ring(x * (y + z), R) == reduced(X * Y + X * Z)
+        # complex conjugation negates the odd powers of i
+        assert to_ring(x.conjugate(), R) == X.compose(R.gens[0],
+                                                      -R.gens[0])
+        if not x.is_zero():
+            assert reduced(to_ring(x.inverse(), R) * X) == R.one
+            assert reduced(to_ring(y / x, R) * X) == Y
+
+
+def test_exp_log_against_sympy():
+    R = field_ring(("z", "w"))[0]
+    rng = random.Random(12)
+    order = 6
+    for _ in range(8):
+        x = rnd_series(rng, ("z", "w"), order, 5)
+        X = to_ring(x, R)
+        # Taylor sums in sympy's arithmetic; X has no constant term, so
+        # X**k starts at total degree k
+        ref_exp, ref_log, power = R.one, R.zero, R.one
+        for k in range(1, order + 1):
+            power = reduced(truncated(power * X, order))
+            ref_exp += power * sp.QQ(1, factorial(k))
+            ref_log += power * sp.QQ((-1) ** (k + 1), k)
+        e = exp_series(x, order)
+        assert to_ring(e, R) == ref_exp
+        one_plus = x + MultiSeries.const(ONE, x.vars)
+        assert to_ring(log_series(one_plus, order), R) == ref_log
+        # the round trips
+        assert log_series(e, order).equal_mod(x, order)
+        assert exp_series(log_series(one_plus, order), order).equal_mod(
+            one_plus, order)
+
+
+def test_compose_against_sympy():
+    R, z, w, _, _ = field_ring(("z", "w"))
+    rng = random.Random(13)
+    for order in (5, EXACT) * 4:
+        f = rnd_series(rng, ("z", "w"), order, 8, zero_constant=False)
+        g = rnd_series(rng, ("z", "w"), 5, 5)
+        got = f.compose({"w": g})
+        assert got.order == min(order, 5)
+        ref = reduced(to_ring(f, R).compose(w, to_ring(g, R)))
+        assert to_ring(got, R) == truncated(ref, got.order)
+
+
+def test_solve_implicit_residual_against_sympy():
+    vars = ("x", "y1", "y2")
+    R, x, y1, y2, _, _ = field_ring(vars)
+    order = 6
+    rng = random.Random(14)
+    # F = A y + c x + (terms of degree >= 2), A invertible: F(0, 0) = 0
+    F = []
+    for i in range(2):
+        lin = {(0, 1, 0): GaussianRational.from_int(2 if i == 0 else 1),
+               (0, 0, 1): GaussianRational.from_int(1 if i == 0 else 3),
+               (1, 0, 0): rnd_coeff(rng)}
+        expos = [tuple(rng.randint(0, 2) for _ in vars) for _ in range(5)]
+        nonlin = {e: rnd_coeff(rng) for e in expos if sum(e) >= 2}
+        F.append(MultiSeries(vars, EXACT, {**nonlin, **lin}))
+    ys = solve_implicit(F, ("x",), ("y1", "y2"), order)
+    assert [y.order for y in ys] == [order, order]
+    Y = [to_ring(y, R) for y in ys]
+    for f in F:
+        residual = to_ring(f, R).compose([(y1, Y[0]), (y2, Y[1])])
+        assert truncated(reduced(residual), order) == R.zero
