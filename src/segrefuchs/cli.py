@@ -17,7 +17,7 @@ from . import serialize
 from .errors import (FormatError, OrderTooLowError, RealityViolation,
                      NonFuchsianError, NonConvergenceError, SegrefuchsError)
 from .surfaces import (RealDefining, ComplexDefining, real_to_complex,
-                       require_reality, validate_complex)
+                       validate_complex)
 from .segre import eliminate, closed_form_coeffs, families_agree
 from .fuchs import (check_fuchsian_real, check_fuchsian_complex,
                     FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
@@ -91,7 +91,6 @@ def cmd_verify(args):
 def cmd_derive_ode(args):
     M = _read_surface(args.surface)
     Mc = _as_complex(M, args.order)
-    require_reality(Mc)
     E = eliminate(Mc)
     ok, report = families_agree(E.coeffs, closed_form_coeffs(Mc))
     payload = serialize.ode_to_json(E)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import GaussianRational, ZERO, ONE, I
-from .series import MultiSeries, EXACT
+from .series import MultiSeries, EXACT, SeriesError
 from .segre import WV, eliminate
 from .surfaces import Z, ZB, WB, bar_series
 from .errors import NonFuchsianError, SegrefuchsError, OrderTooLowError
@@ -237,7 +237,9 @@ def holomorphic_solutions(S, order=None):
     Resonant steps keep their free parameters symbolic; steps with no
     consistent choice are excluded from the holomorphic family and recorded
     as log obstructions.  The returned dimension is the number of exact
-    power-series solutions at the working order.
+    power-series solutions at the working order, which is the lowest trusted
+    order of the entries, or `order` if that is lower; an all-exact system
+    needs an explicit order.
     """
     if S.pole_order > 1:
         raise NonFuchsianError("holomorphic_solutions needs a Fuchsian "
@@ -247,7 +249,8 @@ def holomorphic_solutions(S, order=None):
                 default=EXACT)
     order = avail if order is None else min(order, avail)
     if order >= EXACT:
-        order = 16
+        raise SeriesError("the holomorphic solutions of an exact system need "
+                          "an explicit order")
     A_mats = _matrix_coeffs(A, order)
     Ms, params, obstructions = _param_recurrence(A_mats, S.n, order)
     basis = FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),

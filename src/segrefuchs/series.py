@@ -16,6 +16,18 @@ these integers alone and divides out the common content at its end;
 GaussianRational values are built only where a caller reads a coefficient
 (`terms`, `coefficient`, `constant_term`).
 
+The three series functions each do their work about once.  `compose`
+evaluates the first substituted variable by Horner and every other one
+through a list of its powers, computed once per call and shared by all
+slices of the outer variables.  `exp_series` and `log_series` compute one
+homogeneous degree at a time from the Euler-operator identities
+theta E = theta X * E and theta L * T = theta T (theta = sum x_i d/dx_i
+multiplies total degree d by d), about one truncated product in all
+(van der Hoeven, "Relax, but don't be too lazy", JSC 34 (2002)).
+`solve_implicit` lifts its solution by Newton's method, precision
+p -> q <= 2p+1, composing the Jacobian only to the precision the correction
+needs (Brent and Kung, J. ACM 25 (1978)).
+
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
 variable while the pole is positive.
@@ -24,8 +36,8 @@ variable while the pole is positive.
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
-from math import factorial, gcd, lcm
+from itertools import chain, pairwise
+from math import gcd, lcm
 from operator import add
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce, mul_parts
@@ -454,7 +466,12 @@ class MultiSeries:
         order = self.order
         for s in subs.values():
             order = min(order, s.order)
-        return _compose_rec(self, subs, out_vars, order)
+        subs = {v: s.embed(out_vars).truncate(order) for v, s in subs.items()}
+        # every substituted variable but the first keeps one list of powers
+        # [s, s**2, ...] for all slices of the outer ones
+        inner = [v for v in self.vars if v in subs][1:]
+        powers = {v: [subs[v]] for v in inner}
+        return _compose_rec(self, subs, out_vars, order, powers)
 
     # ---------- numerics / io ----------
 
@@ -491,39 +508,68 @@ def _as_coeff(c):
     return g
 
 
-def _compose_rec(f, subs, out_vars, order):
+def _compose_rec(f, subs, out_vars, order, powers):
+    """f with subs substituted.  A variable with a list in `powers` sums its
+    slices against those shared powers; the outermost one goes by Horner."""
     sub_here = [v for v in f.vars if v in subs]
     if not sub_here:
         return f.embed(out_vars).truncate(order)
     v = sub_here[0]
-    s = subs[v].embed(out_vars).truncate(order)
-    rest = {u: t for u, t in subs.items() if u != v}
-    slices = f._var_slices(v, 0, f.var_degree(v))
-    acc = _compose_rec(slices.pop(), rest, out_vars, order)
-    while slices:
-        acc = acc * s + _compose_rec(slices.pop(), rest, out_vars, order)
+    slices = [_compose_rec(c, subs, out_vars, order, powers)
+              for c in f._var_slices(v, 0, f.var_degree(v))]
+    pw = powers.get(v)
+    if pw is None:
+        acc = slices.pop()
+        while slices:
+            acc = acc * subs[v] + slices.pop()
+    else:
+        while len(pw) < len(slices) - 1:
+            pw.append((pw[-1] * subs[v]).truncate(order))
+        acc = slices[0]
+        for c, p in zip(slices[1:], pw):
+            acc = acc + c * p
     return acc.truncate(order)
+
+
+# ---------- homogeneous parts ----------
+
+def _graded(s, top):
+    """[homogeneous part of s of total degree d for d = 0..top], exact."""
+    parts = [{} for _ in range(top + 1)]
+    for e, t in s.num.items():
+        d = sum(e)
+        if d <= top:
+            parts[d][e] = t
+    return [_reduced(s.vars, EXACT, s.den, p) for p in parts]
+
+
+def _ungraded(parts, vars, order):
+    """The series of the given order whose homogeneous parts are `parts`."""
+    den = lcm(*(p.den for p in parts))
+    num = {}
+    for p in parts:
+        f = den // p.den
+        num.update(p.num if f == 1 else
+                   {e: (a * f, b * f, c * f, d * f)
+                    for e, (a, b, c, d) in p.num.items()})
+    return _reduced(vars, order, den, num)
+
+
+def _convolution(a, b, d, lo, hi):
+    """sum_{lo <= j <= hi} a[j] * b[d - j] over homogeneous parts (zero for
+    an empty range); pairs with a zero factor are skipped, as sparse series
+    have many."""
+    acc = MultiSeries.zero(a[0].vars)
+    for j in range(lo, hi + 1):
+        if a[j].num and b[d - j].num:
+            acc = acc + a[j] * b[d - j]
+    return acc
 
 
 # ---------- transcendental-free series functions ----------
 
-def exp_series(x, order=None):
-    """exp of a series with zero constant term, truncated."""
-    if not x.constant_term().is_zero():
-        raise SeriesError("exp needs a zero constant term")
-    return _power_sum(x, order, ONE, lambda k: Fraction(1, factorial(k)))
-
-
-def log_series(x, order=None):
-    """log of a series with constant term exactly 1, truncated."""
-    if not (x.constant_term() == ONE):
-        raise SeriesError("log needs constant term 1")
-    return _power_sum(x - MultiSeries.const(ONE, x.vars, EXACT), order, ZERO,
-                      lambda k: Fraction((-1) ** (k + 1), k))
-
-
-def _power_sum(x, order, c0, coeff):
-    """c0 + sum_{k>=1} coeff(k) x**k through total degree order; x(0) = 0.
+def _function_order(x, order):
+    """The order a series function of x is taken to, and x truncated to it.
 
     order defaults to the trusted order of x, which must then be finite.
     """
@@ -532,29 +578,68 @@ def _power_sum(x, order, c0, coeff):
         if order >= EXACT:
             raise SeriesError("series function of an exact polynomial needs "
                               "an explicit order")
-    x = x.truncate(order)
-    acc = MultiSeries.const(c0, x.vars, order)
-    term = MultiSeries.const(ONE, x.vars, order)
-    v = max(x.valuation(), 1)
-    k = 1
-    while k * v <= order:
-        term = term * x
-        if term.is_zero():
-            break
-        acc = acc + term.scale(coeff(k))
-        k += 1
-    return acc
+    return order, x.truncate(order)
+
+
+def exp_series(x, order=None):
+    """exp of a series with zero constant term, truncated.
+
+    The homogeneous parts come from the Euler-operator identity
+    theta E = theta X * E, theta multiplying degree d by d:
+    d E_d = sum_j j X_j E_{d-j}, one truncated product in all.
+    """
+    if not x.constant_term().is_zero():
+        raise SeriesError("exp needs a zero constant term")
+    order, x = _function_order(x, order)
+    if x.is_zero():
+        return MultiSeries.const(ONE, x.vars, order)
+    top = x.order
+    tx = [p.scale(j) for j, p in enumerate(_graded(x, top))]
+    E = [MultiSeries.const(ONE, x.vars)]
+    for d in range(1, top + 1):
+        E.append(_convolution(tx, E, d, 1, d).scale(Fraction(1, d)))
+    return _ungraded(E, x.vars, top)
+
+
+def log_series(x, order=None):
+    """log of a series with constant term exactly 1, truncated.
+
+    The homogeneous parts come from theta L * T = theta T (theta as in
+    exp_series, T_0 = 1): L_d = T_d - (1/d) sum_{0<j<d} j L_j T_{d-j}.
+    """
+    if not (x.constant_term() == ONE):
+        raise SeriesError("log needs constant term 1")
+    order, y = _function_order(x - MultiSeries.const(ONE, x.vars), order)
+    if y.is_zero():
+        return MultiSeries.zero(x.vars, order)
+    top = y.order
+    T = _graded(x, top)
+    L = [MultiSeries.zero(x.vars)]
+    tl = [L[0]]
+    for d in range(1, top + 1):
+        Ld = T[d] - _convolution(tl, T, d, 1, d - 1).scale(Fraction(1, d))
+        L.append(Ld)
+        tl.append(Ld.scale(d))
+    return _ungraded(L, x.vars, top)
 
 
 # ---------- implicit solve ----------
 
 def solve_implicit(F, x_vars, y_vars, order):
-    """Solve F(x, y(x)) = 0 for y with y(0) = 0, degree by degree.
+    """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton lifting.
 
     F is a list of series over x_vars + y_vars, one per unknown.  Requires
     F(0,0) = 0 and an invertible Jacobian dF/dy at the origin; the returned
     series satisfy the system modulo total degree order+1.  The error on a
     singular Jacobian carries the exact Jacobian determinant.
+
+    A Newton step lifts y from precision p to q <= 2p+1: it composes F at
+    precision q and the Jacobian J = dF/dy only at precision q-p-1, then
+    solves J delta = -F(x, y) for the parts of degree p+1..q of the
+    correction, one degree at a time through the constant Jacobian.  The
+    precisions halve back from the target, so F is composed once at full
+    precision.  The solution truncated to an order is unique, hence equal
+    to any other method's.
     """
     from . import linalg
 
@@ -566,35 +651,40 @@ def solve_implicit(F, x_vars, y_vars, order):
     for f in F:
         if not f.constant_term().is_zero():
             raise SeriesError("F(0,0) != 0")
-    J = [[f.diff(yv).constant_term() for yv in y_vars] for f in F]
-    d = linalg.det(J)
+    dF = [[f.diff(yv) for yv in y_vars] for f in F]
+    J0 = [[g.constant_term() for g in row] for row in dF]
+    d = linalg.det(J0)
     if d.is_zero():
         raise SingularJacobianError(d)
-    Jinv = linalg.inverse(J)
+    J0inv = linalg.inverse(J0)
 
-    # The constant-Jacobian iteration y <- y - Jinv F(x, y) gains one trusted
-    # degree per pass; truncation is managed by hand (exact-branded
-    # intermediates), since the generic trust propagation cannot see the
-    # contraction.
-    def cap(s, d):
-        return _reduced(s.vars, EXACT, s.den,
-                        {e: t for e, t in s.num.items() if sum(e) <= d})
-
-    xv = tuple(x_vars)
-    ys = [MultiSeries.zero(xv, EXACT) for _ in range(n)]
-    for level in range(1, order + 1):
-        Flev = [f.truncate(level) for f in F]
-        subs = {yv: ys[i] for i, yv in enumerate(y_vars)}
-        vals = [cap(f.compose(subs), level) for f in Flev]
-        new = []
-        for i in range(n):
-            corr = MultiSeries.zero(xv, EXACT)
-            for j in range(n):
-                if not Jinv[i][j].is_zero():
-                    corr = corr + vals[j].scale(Jinv[i][j])
-            new.append(cap(ys[i] - corr, level))
-        ys = new
     order = min(order, min(f.order for f in F))
+    steps = [order]
+    while steps[-1] > 0:
+        steps.append(steps[-1] // 2)
+    ys = [MultiSeries.zero(tuple(x_vars), EXACT)] * n
+    for p, q in pairwise(reversed(steps)):
+        subs = dict(zip(y_vars, ys))
+        r = [_graded(f.truncate(q).compose(subs), q) for f in F]
+        k = q - p - 1
+        J = [[_graded(g.truncate(k).compose(subs), k) for g in row]
+             for row in dF]
+        # delta[j][deg]: the degree-deg part of the correction to y_j
+        delta = [[None] * (p + 1) for _ in range(n)]
+        for deg in range(p + 1, q + 1):
+            rhs = [r[i][deg] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    rhs[i] = rhs[i] + _convolution(J[i][j], delta[j], deg, 1,
+                                                   deg - p - 1)
+            for i in range(n):
+                acc = MultiSeries.zero(rhs[0].vars)
+                for j in range(n):
+                    if not J0inv[i][j].is_zero():
+                        acc = acc - rhs[j].scale(J0inv[i][j])
+                delta[i].append(acc)
+        ys = [y + _ungraded(dl[p + 1:], dl[p + 1].vars, EXACT)
+              for y, dl in zip(ys, delta)]
     return [y.truncate(order) for y in ys]
 
 

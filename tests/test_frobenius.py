@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import GaussianRational, ZERO, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, VectorField,
@@ -102,6 +102,16 @@ def test_holomorphic_diag_examples():
     B2 = holomorphic_solutions(S2, 8)
     assert B2.dimension == 1
     assert B2.solutions[0][1].is_zero()
+
+
+def test_exact_system_needs_an_explicit_order():
+    """No trust order bounds an all-exact system: the window is the
+    caller's to give, and None is refused rather than replaced."""
+    S = const_system([[qi(0), qi(0)], [qi(0), qi(1)]], order=EXACT)
+    with pytest.raises(SeriesError, match="explicit order"):
+        holomorphic_solutions(S)
+    B = holomorphic_solutions(S, 8)
+    assert B.dimension == 2 and B.order == 8
 
 
 def test_holomorphic_resonant_consistent():

@@ -1,19 +1,25 @@
-"""The packed series kernel against a per-term GaussianRational reference.
+"""The packed series kernel against a per-term GaussianRational reference,
+and the series functions against the algorithms they replaced.
 
 RefSeries keeps the straightforward representation the kernel replaced: a
 dict from exponent vectors to GaussianRational coefficients, with the same
 trust-order rules.  Every packed operation must agree with it exactly, in
-coefficients and in order, on seeded random series.
+coefficients and in order, on seeded random series.  The same holds for
+exp, log, compose and the implicit solve against their earlier algorithms
+(see the references further down).
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ZERO
-from segrefuchs.series import MultiSeries, EXACT
+from segrefuchs import linalg
+from segrefuchs.qfield import GaussianRational, ZERO, ONE
+from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
+                               SingularJacobianError, exp_series, log_series,
+                               solve_implicit)
 
 VARS = ("z", "w", "t")
 
@@ -195,3 +201,200 @@ def test_cancelling_results_are_zero_in_lowest_terms():
     assert (h + h).den == 1 and (h + h) == z
     zero = (z.scale(Fraction(1, 3)) - z.scale(Fraction(1, 3)))
     assert zero.is_zero() and zero.den == 1
+
+
+# ---------- the series functions against the algorithms they replaced ----
+#
+# The references below are the earlier implementations, kept here only as
+# oracles: exp and log as power sums of x**k, compose by Horner in every
+# substituted variable, and solve_implicit as the constant-Jacobian fixed
+# point that composes F once per degree.  The rewrites must agree with them
+# in every coefficient and in the trusted order.
+
+def ref_power_sum(x, order, c0, coeff):
+    if order is None:
+        order = x.order
+        if order >= EXACT:
+            raise SeriesError("exact input needs an explicit order")
+    x = x.truncate(order)
+    acc = MultiSeries.const(c0, x.vars, order)
+    term = MultiSeries.const(ONE, x.vars, order)
+    v = max(x.valuation(), 1)
+    k = 1
+    while k * v <= order:
+        term = term * x
+        if term.is_zero():
+            break
+        acc = acc + term.scale(coeff(k))
+        k += 1
+    return acc
+
+
+def ref_exp(x, order=None):
+    return ref_power_sum(x, order, ONE, lambda k: Fraction(1, factorial(k)))
+
+
+def ref_log(x, order=None):
+    return ref_power_sum(x - MultiSeries.const(ONE, x.vars), order, ZERO,
+                         lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def ref_compose(f, subs):
+    out_vars = tuple(v for v in f.vars if v not in subs)
+    for s in subs.values():
+        out_vars += tuple(v for v in s.vars if v not in out_vars)
+    order = min([f.order] + [s.order for s in subs.values()])
+    return _ref_horner(f, subs, out_vars, order)
+
+
+def _ref_horner(f, subs, out_vars, order):
+    here = [v for v in f.vars if v in subs]
+    if not here:
+        return f.embed(out_vars).truncate(order)
+    v = here[0]
+    s = subs[v].embed(out_vars).truncate(order)
+    rest = {u: t for u, t in subs.items() if u != v}
+    d = f.var_degree(v)
+    acc = _ref_horner(f.coeff_of_var_power(v, d), rest, out_vars, order)
+    for j in range(d - 1, -1, -1):
+        acc = acc * s + _ref_horner(f.coeff_of_var_power(v, j), rest,
+                                    out_vars, order)
+    return acc.truncate(order)
+
+
+def ref_solve_implicit(F, x_vars, y_vars, order):
+    n = len(y_vars)
+    all_vars = tuple(x_vars) + tuple(y_vars)
+    F = [f.embed(tuple(f.vars) + tuple(v for v in all_vars
+                                       if v not in f.vars)) for f in F]
+    J = [[f.diff(yv).constant_term() for yv in y_vars] for f in F]
+    d = linalg.det(J)
+    if d.is_zero():
+        raise SingularJacobianError(d)
+    Jinv = linalg.inverse(J)
+
+    def cap(s, deg):
+        return MultiSeries(s.vars, EXACT, {e: c for e, c in s.terms.items()
+                                           if sum(e) <= deg})
+
+    ys = [MultiSeries.zero(tuple(x_vars)) for _ in range(n)]
+    for level in range(1, order + 1):
+        subs = dict(zip(y_vars, ys))
+        vals = [cap(f.truncate(level).compose(subs), level) for f in F]
+        ys = [cap(ys[i] - sum((vals[j].scale(Jinv[i][j])
+                               for j in range(n)),
+                              MultiSeries.zero(tuple(x_vars))), level)
+              for i in range(n)]
+    order = min(order, min(f.order for f in F))
+    return [y.truncate(order) for y in ys]
+
+
+def identical(got, ref):
+    assert got.vars == ref.vars
+    assert got.order == ref.order
+    assert got.den == ref.den and got.num == ref.num
+
+
+EXP_CASES = [(nvars, kind, shape)
+             for nvars in (1, 2, 3)
+             for kind in ("gauss", "sqrt2", "mixed")
+             for shape in ("plain", "low-order", "valuation-2", "exact")]
+
+
+@pytest.mark.parametrize("nvars,kind,shape", EXP_CASES)
+def test_exp_log_match_power_sums(nvars, kind, shape):
+    rng = random.Random(repr(("exp", nvars, kind, shape)))
+    order = 6
+    for _ in range(2):
+        x, _ = rnd_pair(rng, nvars, {"low-order": 4, "exact": EXACT}.get(
+            shape, order), True, kind, zero_constant=True)
+        if shape == "valuation-2":
+            x = MultiSeries(x.vars, x.order, {e: c for e, c in x.terms.items()
+                                              if sum(e) >= 2})
+        one = MultiSeries.const(ONE, x.vars)
+        for o in ((order,) if shape == "exact" else (None, order, 3)):
+            identical(exp_series(x, o), ref_exp(x, o))
+            identical(log_series(one + x, o), ref_log(one + x, o))
+
+
+def test_exp_log_of_zero_match_power_sums():
+    for vars, order in ((("z",), 5), (("z", "w"), 3), (("z", "w"), EXACT)):
+        zero = MultiSeries.zero(vars, order)
+        one = MultiSeries.const(ONE, vars, order)
+        for o in (2, 5, 8) if order >= EXACT else (None, 2, order, 8):
+            identical(exp_series(zero, o), ref_exp(zero, o))
+            identical(log_series(one, o), ref_log(one, o))
+    with pytest.raises(SeriesError):
+        exp_series(MultiSeries.variable("z", ("z",)))
+    with pytest.raises(SeriesError):
+        log_series(MultiSeries.const(ONE, ("z",)))
+
+
+@pytest.mark.parametrize("nsubs,kind",
+                         [(n, k) for n in (1, 2, 3)
+                          for k in ("gauss", "sqrt2", "mixed")])
+def test_compose_matches_horner(nsubs, kind):
+    rng = random.Random(repr(("compose", nsubs, kind)))
+    for _ in range(3):
+        f, _ = rnd_pair(rng, 3, rng.choice((6, EXACT)), True, kind)
+        subs = {}
+        for v in rng.sample(VARS, nsubs):
+            # a dense exact substitution into an exact f has no truncation
+            dense = rng.random() < 0.5
+            g, _ = rnd_pair(rng, 3, rng.choice((5, 6) if dense else
+                                               (5, 6, EXACT)),
+                            dense, kind, zero_constant=True)
+            subs[v] = g.rename(dict(zip(VARS, ("a", "b", "z"))))
+        identical(f.compose(subs), ref_compose(f, subs))
+        # substitutions with a constant term, declared polynomial: the
+        # order then follows the slices' own orders
+        shifted = {v: g + rnd_coeff(rng, kind) for v, g in subs.items()}
+        identical(f.compose(shifted, polynomial_vars=tuple(subs)),
+                  ref_compose(f, shifted))
+
+
+def rnd_system(rng, x_vars, y_vars, order, kind):
+    """n equations F(x, y) = 0 with F(0, 0) = 0, every linear term present
+    and about half of the terms of degree 2 and 3."""
+    vars = tuple(x_vars) + tuple(y_vars)
+    F = []
+    for _ in y_vars:
+        terms = {}
+        for e in _exponents(len(vars), 3):
+            if sum(e) == 1 or (sum(e) and rng.random() < 0.5):
+                terms[e] = rnd_coeff(rng, kind)
+        F.append(MultiSeries(vars, order, terms))
+    return F
+
+
+SOLVE_CASES = [(n, kind) for n in (1, 2, 3)
+               for kind in ("gauss", "sqrt2", "mixed")]
+
+
+@pytest.mark.parametrize("n,kind", SOLVE_CASES)
+def test_solve_implicit_matches_fixed_point(n, kind):
+    rng = random.Random(repr(("solve", n, kind)))
+    y_vars = ("y1", "y2", "y3")[:n]
+    x_vars = ("x1", "x2")
+    for F_order, order in ((EXACT, 6), (8, 6), (4, 6), (5, 0)):
+        F = rnd_system(rng, x_vars, y_vars, F_order, kind)
+        try:
+            ref = ref_solve_implicit(F, x_vars, y_vars, order)
+        except SingularJacobianError as err:
+            with pytest.raises(SingularJacobianError) as got:
+                solve_implicit(F, x_vars, y_vars, order)
+            assert got.value.determinant == err.determinant
+            continue
+        for got, r in zip(solve_implicit(F, x_vars, y_vars, order), ref):
+            identical(got, r)
+
+
+def test_singular_jacobian_carries_the_determinant():
+    x, y1, y2 = (MultiSeries.variable(v, ("x", "y1", "y2"))
+                 for v in ("x", "y1", "y2"))
+    # Jacobian [[1, 2], [2, 4]] at the origin: determinant 0
+    F = [y1 + y2.scale(2) - x, y1.scale(2) + y2.scale(4) + x * x]
+    for solve in (solve_implicit, ref_solve_implicit):
+        with pytest.raises(SingularJacobianError) as err:
+            solve(F, ("x",), ("y1", "y2"), 4)
+        assert err.value.determinant == ZERO

@@ -4,7 +4,9 @@ sympy is an independent implementation of the same arithmetic.  Its sparse
 polynomial rings over Q carry i and s = sqrt2 as two more generators,
 reduced by i**2 = -1 and s**2 = 2 after each product; in them the tests
 check the field operations, truncated exp and log, substitution and the
-residual of an implicit solve.  Skipped when sympy is not installed.
+residual of an implicit solve.  The exact linear algebra is checked in
+sympy's algebraic field Q<sqrt2 + i>, whose arithmetic goes through a
+primitive element instead.  Skipped when sympy is not installed.
 """
 
 import random
@@ -13,11 +15,13 @@ from math import factorial
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ONE
+from segrefuchs import linalg
+from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, exp_series, log_series,
                                solve_implicit)
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
 
@@ -147,3 +151,72 @@ def test_solve_implicit_residual_against_sympy():
     for f in F:
         residual = to_ring(f, R).compose([(y1, Y[0]), (y2, Y[1])])
         assert truncated(reduced(residual), order) == R.zero
+
+
+# ---------- exact linear algebra in Q<sqrt2 + i> ----------
+
+K = sp.QQ.algebraic_field(sp.I, sp.sqrt(2))
+K_I, K_S = K.from_sympy(sp.I), K.from_sympy(sp.sqrt(2))
+
+
+def to_field(x):
+    """A coefficient a + b i + (c + d i) sqrt2, all over q, as an element
+    of K."""
+    a, b, c, d = (K.convert_from(sp.QQ(t, x.q), sp.QQ)
+                  for t in (x.a, x.b, x.c, x.d))
+    return a + b * K_I + (c + d * K_I) * K_S
+
+
+def to_domain_matrix(M, cols):
+    return DomainMatrix([[to_field(x) for x in row] for row in M],
+                        (len(M), cols), K)
+
+
+def rnd_matrix(rng, n, m, rank):
+    """An n x m matrix of rank at most `rank`: a product n x rank by
+    rank x m of random coefficients, some of them zero."""
+    if rank == 0:
+        return linalg.zeros(n, m)
+
+    def factor(r, c):
+        return [[rnd_coeff(rng) if rng.random() < 0.8 else ZERO
+                 for _ in range(c)] for _ in range(r)]
+    return linalg.mat_mul(factor(n, rank), factor(rank, m))
+
+
+MATRIX_SHAPES = [(n, m, r) for n, m in ((1, 1), (2, 2), (3, 3), (4, 4),
+                                        (3, 5), (5, 3), (4, 6))
+                 for r in sorted({min(n, m), min(n, m) - 1, 1, 0})]
+
+
+@pytest.mark.parametrize("n,m,rank", MATRIX_SHAPES)
+def test_rref_and_kernel_against_sympy(n, m, rank):
+    rng = random.Random(repr(("rref", n, m, rank)))
+    for _ in range(3):
+        M = rnd_matrix(rng, n, m, rank)
+        D = to_domain_matrix(M, m)
+        ref, ref_pivots = D.rref()
+        R, pivots = linalg.rref(M)
+        # the reduced row echelon form is unique
+        assert pivots == list(ref_pivots)
+        assert to_domain_matrix(R, m) == ref
+        kernel = linalg.kernel_basis(M)
+        assert len(kernel) == m - D.rank()
+        if kernel:
+            Kmat = to_domain_matrix(kernel, m)
+            assert Kmat.rank() == len(kernel)
+            assert (D * Kmat.transpose()).is_zero_matrix
+
+
+@pytest.mark.parametrize("n,rank", [(n, r) for n in (1, 2, 3, 4, 5)
+                                    for r in sorted({n, n - 1, 1, 0})])
+def test_charpoly_and_det_against_sympy(n, rank):
+    rng = random.Random(repr(("charpoly", n, rank)))
+    for _ in range(3):
+        A = rnd_matrix(rng, n, n, rank)
+        D = to_domain_matrix(A, n)
+        # sympy lists the coefficients highest degree first
+        assert [to_field(c) for c in reversed(linalg.charpoly(A))] == \
+            D.charpoly()
+        assert to_field(linalg.det(A)) == D.det()
+        assert linalg.det(A).is_zero() == (D.rank() < n)
