@@ -60,7 +60,7 @@ class PulledBackSurface:
             self.s, self.l, self.m_star, self.eps)
 
 
-def pullback_surface(M, B, order=None):
+def pullback_surface(M, B):
     """Pull back a surface along the blow-down map.
 
     Substitutes z -> xi eta^s, w -> eta^l into the complex defining
@@ -69,7 +69,7 @@ def pullback_surface(M, B, order=None):
     keep normal coordinates and is renormalized to the admissible form when
     possible.
     """
-    order = M.order if order is None else order
+    order = M.order
     if order < 2:
         raise OrderTooLowError(order, 2, "pullback needs at least the "
                                "leading defining terms; order %d given"
@@ -118,7 +118,7 @@ def pullback_surface(M, B, order=None):
         eps_star, phin, lam_sq = normalize_lead(
             phi_star, phi_star.coefficient((1, 1, 0)))
         cand = ComplexDefining(m_star, eps_star, phin.scale(eps_star),
-                               phin.order, scale_sq=lam_sq)
+                               scale_sq=lam_sq)
         if not cand.admissibility_defects():
             surface = cand
     except NotNormalizableError:

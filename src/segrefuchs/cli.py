@@ -16,8 +16,7 @@ from fractions import Fraction
 from . import serialize
 from .errors import (FormatError, OrderTooLowError, RealityViolation,
                      NonFuchsianError, NonConvergenceError, SegrefuchsError)
-from .surfaces import (RealDefining, ComplexDefining, real_to_complex,
-                       validate_complex)
+from .surfaces import RealDefining, real_to_complex, validate_complex
 from .segre import eliminate, closed_form_coeffs, families_agree
 from .fuchs import (check_fuchsian_real, check_fuchsian_complex,
                     FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
@@ -56,18 +55,15 @@ def _read_surface(path):
     return serialize.surface_from_json(_load(path))
 
 
-def _as_complex(M, order=None):
+def _as_complex(M, order):
     """The complex form of M, truncated to order; order can only lower."""
-    if order is not None and order > M.order:
-        raise OrderTooLowError(M.order, order, "input is trusted through "
-                               "order %d only; --order %d asks for more"
-                               % (M.order, order))
-    if isinstance(M, RealDefining):
-        return real_to_complex(M, order)
-    if order is not None and order < M.order:
-        return ComplexDefining(M.m, M.eps, M.phi.truncate(order), order,
-                               M.scale_sq)
-    return M
+    if order is not None:
+        if order > M.order:
+            raise OrderTooLowError(M.order, order, "input is trusted through "
+                                   "order %d only; --order %d asks for more"
+                                   % (M.order, order))
+        M = M.truncate(order)
+    return real_to_complex(M) if isinstance(M, RealDefining) else M
 
 
 def _emit(payload, out):

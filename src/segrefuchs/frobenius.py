@@ -365,7 +365,7 @@ def lie_bracket(L1, L2):
     return VectorField(P, Q)
 
 
-def formal_symmetries(M, order=None):
+def formal_symmetries(M):
     """Exact basis of formal infinitesimal symmetries of a Fuchsian surface.
 
     Pipeline: classifier gate, elimination (the two enforce the 3m+2 order
@@ -387,7 +387,7 @@ def formal_symmetries(M, order=None):
             "surface is %s; symmetry solving needs the Fuchsian bounds"
             % rep.verdict,
             ledger_row=w[0].as_dict() if w else None)
-    E = eliminate(M, order)
+    E = eliminate(M)
     ode_rep = check_fuchsian_ode(E)
     Y = assemble_Y_system(E, ode_rep)
     basis = holomorphic_solutions(Y)
@@ -511,14 +511,15 @@ def _surface_parts(L, rho, order):
     return A, B
 
 
-def real_tangency_residual(L, M, order=None):
+def real_tangency_residual(L, M):
     """Residual of Q = rho_z P + rho_zb bar(P) + rho_wb bar(Q) on w = rho.
 
     Zero iff the real flow of L preserves the surface (L lies in the real
-    automorphism algebra, not merely its complexification).
+    automorphism algebra, not merely its complexification).  It is taken
+    at the lower of the two trusted orders.
     """
-    order = min(M.order, L.order()) if order is None else order
-    A, B = _surface_parts(L, M.defining_series(order), order)
+    order = min(M.order, L.order())
+    A, B = _surface_parts(L, M.truncate(order).defining_series(), order)
     return (A + B).truncate(order)
 
 
@@ -539,7 +540,7 @@ def real_form_basis(basis, M):
                                "trusted through degree m+2 = %d, have %d; "
                                "raise the input truncation order"
                                % (M.m + 2, order))
-    rho = M.defining_series(order)
+    rho = M.truncate(order).defining_series()
     cols = []
     for L in basis.fields:
         A, B = _surface_parts(L, rho, order)

@@ -10,6 +10,10 @@ The jet variable zeta stays a first-class series variable; the substitution
 zeta = w'/w^m is never performed symbolically.  Closed-form expressions for
 the low-order coefficient family double as an independent oracle for the
 elimination route; both are exposed and cross-checked in the test suite.
+
+Every construction works at the order its surface carries, which is the
+order of phi, and an ODE's order is the order of its Phi.  The surface's
+`truncate` is the one way to work at a lower order.
 """
 
 from fractions import Fraction
@@ -52,17 +56,20 @@ class AssociatedODE:
     w with bodies over (z, w).
     """
 
-    def __init__(self, m, eps, Phi, order):
+    def __init__(self, m, eps, Phi):
         self.m = m
         self.eps = eps
         self.Phi = Phi
-        self.order = order
         self._family = None
 
+    @property
+    def order(self):
+        """The trusted order: that of Phi."""
+        return self.Phi.order
+
     @staticmethod
-    def from_phi(m, eps, Phi, order=None):
-        order = Phi.order if order is None else order
-        E = AssociatedODE(m, eps, Phi, order)
+    def from_phi(m, eps, Phi):
+        E = AssociatedODE(m, eps, Phi)
         E.check_shape()
         return E
 
@@ -96,22 +103,16 @@ class AssociatedODE:
             self.m, self.eps, self.order)
 
 
-def _graph_exponent(M, order):
-    phig = M.phi.rename({ZB: XIB, WB: ETAB}).truncate(order)
-    return phig, phig.monomial_mul(ETAB, M.m - 1).scale(
-        I if M.eps == 1 else -I)
-
-
-def segre_graph(M, order=None):
+def segre_graph(M):
     """Segre-variety graphs of M as a series in (z, xib, etab)."""
-    order = M.order if order is None else order
-    phig, X = _graph_exponent(M, order)
-    E1 = exp_series(X, order + M.m)
+    phig = M.phi.rename({ZB: XIB, WB: ETAB})
+    X = phig.monomial_mul(ETAB, M.m - 1).scale(I if M.eps == 1 else -I)
+    E1 = exp_series(X, M.order + M.m)
     w = E1.monomial_mul(ETAB, 1)
     wz = X.diff(Z) * w
     # w'/w^m = eps*i * phi_z * exp((1-m) X): exact, no series division
     zeta = phig.diff(Z).scale(I if M.eps == 1 else -I) * \
-        exp_series(X.scale(Fraction(1 - M.m)), order + M.m)
+        exp_series(X.scale(Fraction(1 - M.m)), M.order + M.m)
     return SegreGraph(M.m, M.eps, w, wz, zeta)
 
 
@@ -121,20 +122,19 @@ def eliminate(M, order=None):
     Solves w_p = w, w_p'/w_p^m = zeta for (xib, etab) as series in
     (z, w, zeta) and substitutes into w_p''.  The Jacobian of the solve is
     the Levi unit of an admissible surface, so the implicit step cannot
-    degenerate for valid input.
+    degenerate for valid input.  An `order` works on M.truncate(order).
     """
-    order = M.order if order is None else order
-    if order < min_order(M.m):
-        raise OrderTooLowError(order, min_order(M.m))
-    g = segre_graph(M, order)
+    if order is not None:
+        M = M.truncate(order)
+    if M.order < min_order(M.m):
+        raise OrderTooLowError(M.order, min_order(M.m))
+    g = segre_graph(M)
     vars5 = (Z, WV, ZETA, XIB, ETAB)
     F1 = g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5)
     F2 = g.w.embed(vars5) - MultiSeries.variable(WV, vars5)
-    lam, om = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB), order)
-    Phi = g.wzz.compose({XIB: lam, ETAB: om})
-    E = AssociatedODE(M.m, M.eps, Phi, Phi.order)
-    E.check_shape()
-    return E
+    lam, om = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB), M.order)
+    return AssociatedODE.from_phi(M.m, M.eps,
+                                  g.wzz.compose({XIB: lam, ETAB: om}))
 
 
 def closed_form_coeffs(M):
@@ -203,7 +203,7 @@ def verify_ode(M, E):
     residual comes back in the graph variables (z, xib, etab).
     """
     order = min(M.order, E.order)
-    g = segre_graph(M, order)
+    g = segre_graph(M.truncate(order))
     sub = E.Phi.compose({WV: g.w.truncate(order),
                          ZETA: g.zeta.truncate(order)})
     return (g.wzz - sub).truncate(min(order, sub.order, g.wzz.order))

@@ -77,6 +77,9 @@ def series_from_json(d):
         if len(exps) != len(vars) or min(exps, default=0) < 0:
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
+        if exps in terms or sum(exps) > order:
+            raise FormatError("term %r is repeated or above the order %d"
+                              % (exps, order))
         terms[exps] = coeff_from_json(entry[1:])
     return MultiSeries(vars, order, terms)
 
@@ -111,6 +114,11 @@ def surface_from_json(d):
         raise FormatError("need sign 1 or -1 and form complex or real")
     real = form == "real"
     series = series_from_json(d["series"]).embed((Z, ZB, U if real else WB))
+    # v = u^m psi is trusted m orders past psi
+    held = series.order + m if real else series.order
+    if order > held:
+        raise FormatError("declared order %d is above the order %d the %s "
+                          "series holds" % (order, held, form))
     lead, h, defects = split_admissible(series)
     if not lead == GaussianRational.from_int(sign if real else 1):
         defects.insert(0, "z*zb coefficient %r" % (lead,))
@@ -121,7 +129,7 @@ def surface_from_json(d):
         M = RealDefining(m, sign, h, order)
     else:
         scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
-        M = ComplexDefining(m, sign, series, order, scale_sq)
+        M = ComplexDefining(m, sign, series.truncate(order), scale_sq)
     require_reality(M)
     return M
 
@@ -135,8 +143,12 @@ def ode_to_json(E):
 @_reader("ODE")
 def ode_from_json(d):
     from .segre import AssociatedODE
+    Phi, order = series_from_json(d["Phi"]), int(d["order"])
+    if order > Phi.order:
+        raise FormatError("declared order %d is above Phi's order %d"
+                          % (order, Phi.order))
     return AssociatedODE.from_phi(int(d["m"]), int(d["sign"]),
-                                  series_from_json(d["Phi"]), int(d["order"]))
+                                  Phi.truncate(order))
 
 
 def system_to_json(S):

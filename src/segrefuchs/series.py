@@ -568,17 +568,17 @@ def _convolution(a, b, d, lo, hi):
 
 # ---------- transcendental-free series functions ----------
 
-def _function_order(x, order):
-    """The order a series function of x is taken to, and x truncated to it.
+def _function_argument(x, order):
+    """x truncated to the order a series function of it is taken to.
 
-    order defaults to the trusted order of x, which must then be finite.
+    order defaults to the trusted order of x, which must then be finite;
+    the result is never trusted past x, so its order is that of the
+    returned argument.
     """
-    if order is None:
-        order = x.order
-        if order >= EXACT:
-            raise SeriesError("series function of an exact polynomial needs "
-                              "an explicit order")
-    return order, x.truncate(order)
+    if order is None and x.order >= EXACT:
+        raise SeriesError("series function of an exact polynomial needs "
+                          "an explicit order")
+    return x if order is None else x.truncate(order)
 
 
 def exp_series(x, order=None):
@@ -590,9 +590,9 @@ def exp_series(x, order=None):
     """
     if not x.constant_term().is_zero():
         raise SeriesError("exp needs a zero constant term")
-    order, x = _function_order(x, order)
+    x = _function_argument(x, order)
     if x.is_zero():
-        return MultiSeries.const(ONE, x.vars, order)
+        return MultiSeries.const(ONE, x.vars, x.order)
     top = x.order
     tx = [p.scale(j) for j, p in enumerate(_graded(x, top))]
     E = [MultiSeries.const(ONE, x.vars)]
@@ -609,9 +609,9 @@ def log_series(x, order=None):
     """
     if not (x.constant_term() == ONE):
         raise SeriesError("log needs constant term 1")
-    order, y = _function_order(x - MultiSeries.const(ONE, x.vars), order)
+    y = _function_argument(x - MultiSeries.const(ONE, x.vars), order)
     if y.is_zero():
-        return MultiSeries.zero(x.vars, order)
+        return MultiSeries.zero(x.vars, y.order)
     top = y.order
     T = _graded(x, top)
     L = [MultiSeries.zero(x.vars)]

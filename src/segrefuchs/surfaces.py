@@ -10,6 +10,11 @@ Transfers between the two solve the defining relation with the series-level
 implicit solver and renormalize the leading coefficient by a real rescaling
 z -> lambda*z with rational lambda**2; the rescale factor is recorded on the
 result.  All data is exact.
+
+A complex surface's order is the order of its phi series; a real surface's
+order is the order its defining series v = u**m psi is trusted through.
+`truncate` is the one way to lower either: every transfer and construction
+downstream works at the order the surface carries.
 """
 
 from fractions import Fraction
@@ -102,11 +107,21 @@ class RealDefining:
         """The factor eps*z*zb + sum h_kl(u) z^k zb^l of v = u^m psi."""
         return admissible_series(self.eps, self.h, (Z, ZB, U))
 
-    def defining_series(self, order=None):
+    def truncate(self, order):
+        """The surface trusted through `order`; itself at its order or more.
+
+        Each h_kl(u) keeps its u-terms through `order`, as in build_real.
+        """
+        if order >= self.order:
+            return self
+        return RealDefining(self.m, self.eps, {kl: s.truncate(order)
+                                               for kl, s in self.h.items()},
+                            order)
+
+    def defining_series(self):
         """v = F(z, zb, u) as a series over (z, zb, u)."""
-        order = self.order if order is None else order
-        return self.psi().truncate(order).monomial_mul(U, self.m) \
-            .truncate(order)
+        return self.psi().truncate(self.order).monomial_mul(U, self.m) \
+            .truncate(self.order)
 
     def __repr__(self):
         return "<RealDefining m=%d eps=%+d h=%s order=%d>" % (
@@ -116,16 +131,29 @@ class RealDefining:
 class ComplexDefining:
     """Complex exponential form: m, sign and phi(z, zb, wb)."""
 
-    def __init__(self, m, eps, phi, order, scale_sq=None):
+    def __init__(self, m, eps, phi, scale_sq=None):
         if m < 1:
             raise SegrefuchsError("nonminimality order m must be >= 1")
         if eps not in (1, -1):
             raise SegrefuchsError("sign must be +1 or -1")
+        if phi.order >= EXACT:
+            raise SegrefuchsError("phi needs a finite working order")
         self.m = m
         self.eps = eps
         self.phi = phi.embed((Z, ZB, WB))
-        self.order = order
         self.scale_sq = scale_sq  # squared z-rescale applied on construction
+
+    @property
+    def order(self):
+        """The trusted order: that of phi."""
+        return self.phi.order
+
+    def truncate(self, order):
+        """The surface trusted through `order`; itself at its order or more."""
+        if order >= self.order:
+            return self
+        return ComplexDefining(self.m, self.eps, self.phi.truncate(order),
+                               self.scale_sq)
 
     def phi_kl(self, k, l):
         """Coefficient series of z^k zb^l in phi, as a series in wb."""
@@ -141,9 +169,9 @@ class ComplexDefining:
         return self.phi.monomial_mul(WB, self.m - 1).scale(
             GaussianRational.from_int(self.eps))
 
-    def defining_series(self, order=None):
+    def defining_series(self):
         """R(z, zb, wb) with the surface given by w = R."""
-        order = self.order if order is None else order
+        order = self.order
         ex = exp_series(self.exponent().truncate(order), order)
         return ex.monomial_mul(WB, 1).truncate(order)
 
@@ -305,18 +333,18 @@ def normalize_lead(series, c):
     return eps, MultiSeries(series.vars, series.order, terms), lam_sq
 
 
-def real_to_complex(Mr, order=None):
+def real_to_complex(Mr):
     """Transfer real m-admissible data to the complex exponential form.
 
     Solves (w - wb)/2i = F(z, zb, (w+wb)/2) for w, factors the exponential
     shape and rescales z so the z*zb coefficient of phi is exactly 1.  The
     squared rescale is recorded on the result.
     """
-    order = Mr.order if order is None else order
+    order = Mr.order
     if order < min_order(Mr.m):
         raise OrderTooLowError(order, min_order(Mr.m))
     require_reality(Mr)
-    F = Mr.defining_series(order)
+    F = Mr.defining_series()
     vars5 = (Z, ZB, WB, W)
     half = MultiSeries(vars5, EXACT,
                        {(0, 0, 1, 0): qi(Fraction(1, 2)),
@@ -344,7 +372,7 @@ def real_to_complex(Mr, order=None):
     if eps != 1:
         raise NotNormalizableError("leading z*zb coefficient of phi is "
                                    "negative")
-    Mc = ComplexDefining(Mr.m, Mr.eps, phi, phi.order, scale_sq=lam_sq)
+    Mc = ComplexDefining(Mr.m, Mr.eps, phi, scale_sq=lam_sq)
     require_reality(Mc)
     return Mc
 
@@ -357,7 +385,7 @@ def complex_to_real(Mc):
     order = Mc.order
     if order < min_order(Mc.m):
         raise OrderTooLowError(order, min_order(Mc.m))
-    R = Mc.defining_series(order)
+    R = Mc.defining_series()
     # solve (R(z,zb,wb) + wb)/2 = u for wb(z, zb, u)
     vars4 = (Z, ZB, U, WB)
     G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
@@ -388,7 +416,7 @@ def build_complex(m, eps, phi_kl, order):
     added automatically.
     """
     phi = admissible_series(ONE, phi_kl, (Z, ZB, WB))
-    return ComplexDefining(m, eps, phi.truncate(order), order)
+    return ComplexDefining(m, eps, phi.truncate(order))
 
 
 def build_real(m, eps, h_kl, order):

@@ -99,7 +99,7 @@ def test_pullback_degenerates_below_truncation():
     from segrefuchs.errors import OrderTooLowError
     M = build_complex(1, 1, {}, 10)
     with pytest.raises(OrderTooLowError):
-        pullback_surface(M, BlowupMap(2, 2), order=1)
+        pullback_surface(M.truncate(1), BlowupMap(2, 2))
 
 
 def test_find_blowup_exponent_scan():

@@ -14,6 +14,8 @@ from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
 from segrefuchs.series import MultiSeries, LaurentInW
 from segrefuchs.prolongation import LinearODESystem
+from segrefuchs.segre import eliminate
+from segrefuchs.errors import FormatError
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, admissible_series,
                                  split_admissible, Z, ZB, WB)
@@ -172,14 +174,14 @@ def test_error_exit_codes(model_file, tmp_path, capsys):
     # perturbed non-real surface: distinct reality-violation code
     M = build_complex(2, 1, {}, 12)
     pert = ComplexDefining(
-        2, 1, M.phi + MultiSeries.monomial(I, (2, 2, 1), (Z, ZB, WB)), 12)
+        2, 1, M.phi + MultiSeries.monomial(I, (2, 2, 1), (Z, ZB, WB)))
     p = tmp_path / "pert.json"
     p.write_text(serialize.dumps(serialize.surface_to_json(pert)))
     assert main(["derive-ode", str(p)]) == EXIT_REALITY
     assert main(["verify", str(p)]) == EXIT_REALITY
     # no z*zb term: not admissible, refused at load
     flat = ComplexDefining(1, 1, MultiSeries.monomial(ONE, (2, 2, 0),
-                                                      (Z, ZB, WB)), 8)
+                                                      (Z, ZB, WB), 8))
     p = tmp_path / "flat.json"
     p.write_text(serialize.dumps(serialize.surface_to_json(flat)))
     assert main(["derive-ode", str(p)]) == EXIT_FORMAT
@@ -207,6 +209,52 @@ def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
     assert main(["verify", model_file, "--order", "8", "-o", str(out)]) == \
         EXIT_OK
     assert json.loads(out.read_text())["surface"]["order"] == 8
+
+
+def test_declared_order_is_the_series_order(tmp_path, capsys):
+    # the order-4 model declared 12: refused by every surface command
+    p = tmp_path / "low.json"
+    p.write_bytes(_with(COMPLEX4, _declared_12))
+    for argv in (["verify"], ["check-fuchsian"], ["derive-ode"],
+                 ["symmetries"], ["blowup", "--blowup", "s=2"]):
+        assert main([argv[0], str(p)] + argv[1:]) == EXIT_FORMAT
+        assert "above the order 4" in capsys.readouterr().err
+    # the same file declaring its own order is below the 3m+2 floor
+    p.write_bytes(_doc(COMPLEX4))
+    assert main(["derive-ode", str(p)]) == EXIT_ORDER
+    # a real m=2 psi trusted through 7 holds v through 9, not 12
+    p.write_bytes(_with(REAL_PSI7, _declared_12))
+    assert main(["check-fuchsian", str(p)]) == EXIT_FORMAT
+    p.write_bytes(_doc(REAL_PSI7))
+    assert main(["check-fuchsian", str(p)]) == EXIT_OK
+    # a declared order below the series' order truncates the series
+    d = serialize.surface_to_json(build_complex(1, 1, {}, 12))
+    d["order"] = 8
+    p.write_text(serialize.dumps(d))
+    out = tmp_path / "v.json"
+    assert main(["verify", str(p), "-o", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text())["surface"]
+    assert got["order"] == got["series"]["order"] == 8
+    M = serialize.surface_from_json(d)
+    assert M.order == M.phi.order == 8
+
+
+def test_series_reader_refuses_what_it_would_drop():
+    s = serialize.series_to_json(MultiSeries(("z",), 3, {(1,): ONE}))
+    assert serialize.series_from_json(s).order == 3
+    for extra in ([[5], "1/1", "0/1"], [[1], "2/1", "0/1"]):
+        with pytest.raises(FormatError):
+            serialize.series_from_json(dict(s, terms=s["terms"] + [extra]))
+
+
+def test_ode_reader_holds_the_declared_order_to_phi():
+    d = serialize.ode_to_json(eliminate(build_complex(1, 1, {}, 12)))
+    E = serialize.ode_from_json(d)
+    assert E.order == E.Phi.order == d["Phi"]["order"]
+    with pytest.raises(FormatError):
+        serialize.ode_from_json(dict(d, order=d["Phi"]["order"] + 1))
+    low = serialize.ode_from_json(dict(d, order=5))
+    assert low.order == low.Phi.order == 5
 
 
 @pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb",
@@ -300,6 +348,13 @@ def _doc(payload):
 
 COMPLEX5 = serialize.surface_to_json(build_complex(1, 1, {}, 5))
 REAL5 = serialize.surface_to_json(build_real(1, 1, {}, 5))
+DENSE6 = serialize.surface_to_json(dense_surface(6))
+COMPLEX4 = serialize.surface_to_json(build_complex(1, 1, {}, 4))
+# a real m=2 file whose psi is trusted through order 7, so v = u^2 psi
+# through order 9 only
+REAL_PSI7 = {"form": "real", "m": 2, "sign": 1, "order": 9,
+             "series": serialize.series_to_json(MultiSeries(
+                 ("z", "zb", "u"), 7, {(1, 1, 0): ONE}))}
 SYSTEM2 = serialize.system_to_json(LinearODESystem(
     [[LaurentInW(MultiSeries.const(qi(Fraction(i + j, 4)), ("w",), 4), 1, "w")
       for j in range(2)] for i in range(2)], unknown="y"))
@@ -321,6 +376,21 @@ def _infinite_order(d):
 
 def _negative_exponent(d):
     d["series"]["terms"].append([[2, 2, -1], "1/1", "0/1"])
+
+
+def _declared_12(d):
+    d["order"] = 12
+
+
+def _repeated_exponent(d):
+    # an order-8 phi with phi22 given as 1 and then as -1
+    d["order"] = d["series"]["order"] = 8
+    d["series"]["terms"] += [[[2, 2, 0], "1/1", "0/1"],
+                             [[2, 2, 0], "-1/1", "0/1"]]
+
+
+def _term_above_order(d):
+    d["series"]["terms"].append([[3, 3, 0], "1/1", "0/1"])
 
 
 def _ragged(d):
@@ -366,6 +436,14 @@ PINNED = [
      EXIT_FORMAT),
     ("1x2-system", ["monodromy", "{in}"], _with(SYSTEM2, _one_by_two),
      EXIT_FORMAT),
+    ("declared-above-phi", ["derive-ode", "{in}"],
+     _with(COMPLEX4, _declared_12), EXIT_FORMAT),
+    ("declared-above-psi", ["check-fuchsian", "{in}"],
+     _with(REAL_PSI7, _declared_12), EXIT_FORMAT),
+    ("repeated-exponent", ["verify", "{in}"],
+     _with(COMPLEX5, _repeated_exponent), EXIT_FORMAT),
+    ("term-above-order", ["verify", "{in}"],
+     _with(COMPLEX5, _term_above_order), EXIT_FORMAT),
     ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
      EXIT_OK),
 ] + [
@@ -468,6 +546,7 @@ def cli_cases(draw):
             st.sampled_from(SURFACE_OPTIONS[command]))
         content = draw(st.one_of(mutated(COMPLEX5, SURFACE_LEAVES),
                                  mutated(REAL5, SURFACE_LEAVES),
+                                 mutated(DENSE6, SURFACE_LEAVES),
                                  st.binary(max_size=8)))
     else:
         argv = ["monodromy", "{in}", "--tol", "1e-6"] + draw(

@@ -174,3 +174,22 @@ def test_transferred_surface_oracle():
     ok, rep = families_agree(E.coeffs, closed_form_coeffs(Mc))
     assert ok, rep
     assert verify_ode(Mc, E).is_zero()
+
+
+def test_ode_order_is_phi_order():
+    E = eliminate(build_complex(1, 1, {}, 12))
+    assert E.order == E.Phi.order
+    low = AssociatedODE.from_phi(E.m, E.eps, E.Phi.truncate(6))
+    assert low.order == 6
+    with pytest.raises(AttributeError):
+        E.order = 12
+
+
+def test_eliminate_order_reads_the_surface_order():
+    # an order argument above the surface's order cannot skip the 3m+2
+    # floor: it truncates, and truncation never raises the order
+    M = build_complex(1, 1, {}, 4)
+    with pytest.raises(OrderTooLowError):
+        eliminate(M, 12)
+    assert eliminate(build_complex(1, 1, {}, 12), 8).order == \
+        eliminate(build_complex(1, 1, {}, 8)).order

@@ -217,7 +217,8 @@ def ref_power_sum(x, order, c0, coeff):
         if order >= EXACT:
             raise SeriesError("exact input needs an explicit order")
     x = x.truncate(order)
-    acc = MultiSeries.const(c0, x.vars, order)
+    # never trusted past x, a zero x included
+    acc = MultiSeries.const(c0, x.vars, x.order)
     term = MultiSeries.const(ONE, x.vars, order)
     v = max(x.valuation(), 1)
     k = 1

@@ -122,7 +122,7 @@ def test_check_reality_examples():
     assert check_reality(M1).is_zero()
     # phi = i z zb is not real: residual 2i z zb + higher
     phi = MultiSeries.monomial(I, (1, 1, 0), (Z, ZB, WB), 8)
-    M2 = ComplexDefining(1, 1, phi, 8)
+    M2 = ComplexDefining(1, 1, phi)
     res = check_reality(M2)
     assert res.coefficient((1, 1, 0)) == qi(0, 2)
     # real coefficients independent of wb: real surface
@@ -137,8 +137,7 @@ def test_reality_detects_single_perturbation():
     # phi22 -> phi22 + i wb^k: asymmetric, must be caught
     bad = ComplexDefining(M.m, M.eps,
                           M.phi + MultiSeries.monomial(I, (2, 2, 2),
-                                                       (Z, ZB, WB)),
-                          M.order)
+                                                       (Z, ZB, WB)))
     res = check_reality(bad)
     assert not res.is_zero()
     with pytest.raises(RealityViolation):
@@ -191,3 +190,37 @@ def test_conversion_order_guard():
     Mr = build_real(2, 1, {}, 5)
     with pytest.raises(OrderTooLowError):
         real_to_complex(Mr)  # needs >= 3m+2 = 8
+
+
+# ---- one trusted order per surface ------------------------------------------
+
+def test_truncate_is_the_one_way_to_lower_a_surface():
+    u = u_series({1: qi(1)})
+    Mr = build_real(2, 1, {(2, 2): u}, 12)
+    Mc = real_to_complex(Mr)
+    for M in (Mr, Mc):
+        # at or above its own order a surface is returned unchanged
+        assert M.truncate(M.order) is M and M.truncate(M.order + 5) is M
+        low = M.truncate(M.order - 2)
+        assert low.order == M.order - 2 and (low.m, low.eps) == (M.m, M.eps)
+    # the complex order is phi's, lowered together with it
+    low = Mc.truncate(8)
+    assert low.phi == Mc.phi.truncate(8) and low.phi.order == 8
+    assert low.scale_sq == Mc.scale_sq
+    # the real form lowers its defining series, and transfers the same way
+    # as the old order argument did
+    assert Mr.truncate(10).defining_series() == \
+        Mr.defining_series().truncate(10)
+    assert real_to_complex(Mr.truncate(10)).phi == \
+        real_to_complex(build_real(2, 1, {(2, 2): u}, 10)).phi
+
+
+def test_complex_order_is_phi_order():
+    M = build_complex(1, 1, {(2, 2): wb_series({1: qi(1)}, 3)}, 12)
+    # a table entry trusted through wb^3 caps phi at total degree 7
+    assert M.phi.order == 7 and M.order == 7
+    with pytest.raises(AttributeError):
+        M.order = 12
+    with pytest.raises(SegrefuchsError):
+        ComplexDefining(1, 1, MultiSeries.monomial(ONE, (1, 1, 0),
+                                                   (Z, ZB, WB)))
