@@ -84,9 +84,7 @@ def pullback_surface(M, B):
     zsub = MultiSeries.monomial(ONE, (1, 0, 0, s), amb)
     zbsub = MultiSeries.monomial(ONE, (0, 1, s, 0), amb)
     wbsub = MultiSeries.monomial(ONE, (0, 0, l, 0), amb)
-    phi = M.phi.rename({Z: "_z", ZB: "_zb", WB: "_wb"}) \
-        .embed(("_z", "_zb", "_wb") + amb)
-    phisub = phi.compose({"_z": zsub, "_zb": zbsub, "_wb": wbsub})
+    phisub = M.phi.compose({Z: zsub, ZB: zbsub, WB: wbsub})
     sgn = I if M.eps == 1 else -I
     expo = phisub.monomial_mul(ETAB, l * (M.m - 1)) \
         .scale(sgn * GaussianRational.of(Fraction(1, l)))
@@ -176,10 +174,8 @@ def pullback_field(L, B):
     amb = (XI, ETA)
     zsub = MultiSeries.monomial(ONE, (1, s), amb)
     wsub = MultiSeries.monomial(ONE, (0, 2), amb)
-    Psub = L.P.rename({Z: "_z", W: "_w"}).embed(("_z", "_w") + amb) \
-        .compose({"_z": zsub, "_w": wsub})
-    Qsub = L.Q.rename({Z: "_z", W: "_w"}).embed(("_z", "_w") + amb) \
-        .compose({"_z": zsub, "_w": wsub})
+    Psub = L.P.compose({Z: zsub, W: wsub})
+    Qsub = L.Q.compose({Z: zsub, W: wsub})
     xi = MultiSeries.variable(XI, amb)
     half_s = GaussianRational.of(Fraction(s, 2))
     Pstar = LaurentInW(Psub, s, ETA) - \

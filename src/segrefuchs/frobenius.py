@@ -503,8 +503,7 @@ def _surface_parts(L, rho, order):
     on, bar = [], []
     for s in (L.P, L.Q):
         s = s.rename({WV: WB}).truncate(order)
-        on.append(s.rename({WB: "_w"}).embed(amb + ("_w",))
-                  .compose({"_w": rho}))
+        on.append(s.compose({WB: rho}))
         bar.append(bar_series(s.embed(amb)))
     A = on[1] - rho.diff(Z) * on[0]
     B = -(rho.diff(ZB) * bar[0]) - (rho.diff(WB) * bar[1])

@@ -6,14 +6,16 @@ the associated-ODE family a0..c1.  Each check produces a ledger of rows;
 the verdict is non-fuchsian as soon as one row is violated, fuchsian when
 every row is satisfied at the working order.
 
-A coefficient that vanishes identically to its available order satisfies
-any bound and is marked vacuous: the order of a truncated series is only a
-lower bound, so fuchsian verdicts are order-N-sound while non-fuchsian
-verdicts are sound outright.  A row is undecidable only when the available
-window cannot even refute its bound.
+Each row states the order its series is trusted through.  h_kl and phi_kl
+are read off the surface's one series, psi or phi, so both forms of a
+surface of order N taken from the real form report N-m-k-l.  A coefficient
+that vanishes identically to its available order satisfies any bound and
+is marked vacuous: the order of a truncated series is only a lower bound,
+so fuchsian verdicts are order-N-sound while non-fuchsian verdicts are
+sound outright.  No row is ever marked undecidable; the
+undecidable-at-order verdict (exit 2) is reserved.
 """
 
-from .series import MultiSeries
 from .surfaces import Z, U, W, WB, min_order
 from .errors import OrderTooLowError
 
@@ -110,9 +112,7 @@ def _table_ledger(M, prefix, kl_series, var, form):
 
 def check_fuchsian_real(M):
     """Ledger over the h_kl table of a RealDefining surface."""
-    zero = MultiSeries.zero((U,), M.order)
-    return _table_ledger(M, "h", lambda k, l: M.h.get((k, l), zero), U,
-                         "real")
+    return _table_ledger(M, "h", M.h_kl, U, "real")
 
 
 def check_fuchsian_complex(M):

@@ -102,7 +102,7 @@ def surface_to_json(M):
         return out
     if isinstance(M, RealDefining):
         return {"form": "real", "m": M.m, "sign": M.eps, "order": M.order,
-                "series": series_to_json(M.psi())}
+                "series": series_to_json(M.psi)}
     raise FormatError("not a surface value: %r" % (M,))
 
 
@@ -115,21 +115,22 @@ def surface_from_json(d):
     real = form == "real"
     series = series_from_json(d["series"]).embed((Z, ZB, U if real else WB))
     # v = u^m psi is trusted m orders past psi
-    held = series.order + m if real else series.order
-    if order > held:
+    shift = m if real else 0
+    if order > series.order + shift:
         raise FormatError("declared order %d is above the order %d the %s "
-                          "series holds" % (order, held, form))
-    lead, h, defects = split_admissible(series)
+                          "series holds" % (order, series.order + shift, form))
+    lead, _, defects = split_admissible(series)
     if not lead == GaussianRational.from_int(sign if real else 1):
         defects.insert(0, "z*zb coefficient %r" % (lead,))
     if defects:
         raise FormatError("%s form is not admissible: %s"
                           % (form, "; ".join(defects)))
+    series = series.truncate(order - shift)
     if real:
-        M = RealDefining(m, sign, h, order)
+        M = RealDefining(m, sign, series)
     else:
         scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
-        M = ComplexDefining(m, sign, series.truncate(order), scale_sq)
+        M = ComplexDefining(m, sign, series, scale_sq)
     require_reality(M)
     return M
 

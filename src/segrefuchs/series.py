@@ -228,10 +228,6 @@ class MultiSeries:
         num = {_remap(e, self.vars, vars): t for e, t in self.num.items()}
         return _packed(vars, self.order, self.den, num)
 
-    def map_coefficients(self, fn):
-        return MultiSeries(self.vars, self.order,
-                           {e: fn(c) for e, c in self.terms.items()})
-
     def project(self, vars):
         """Restrict to a sub-variable set; dropped vars must not occur."""
         vars = tuple(vars)

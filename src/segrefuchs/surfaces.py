@@ -12,7 +12,9 @@ z -> lambda*z with rational lambda**2; the rescale factor is recorded on the
 result.  All data is exact.
 
 A complex surface's order is the order of its phi series; a real surface's
-order is the order its defining series v = u**m psi is trusted through.
+order is that of its psi series plus m, the order its defining series
+v = u**m psi is trusted through.  Either way a table entry, h_kl(u) or
+phi_kl(wb), is trusted through the surface's series order minus k+l.
 `truncate` is the one way to lower either: every transfer and construction
 downstream works at the order the surface carries.
 """
@@ -71,61 +73,51 @@ def split_admissible(psi):
 
 
 class RealDefining:
-    """Real m-admissible data: m, sign and the coefficient table h_kl(u)."""
+    """Real m-admissible data: m, sign and psi(z, zb, u) of v = u^m psi.
 
-    def __init__(self, m, eps, h, order):
+    psi = eps*z*zb + sum_{k,l>=2} h_kl(u) z^k zb^l.  Its order is psi's
+    order plus m, since v = u^m psi is trusted m orders past psi.
+    """
+
+    def __init__(self, m, eps, psi):
         if m < 1:
             raise SegrefuchsError("nonminimality order m must be >= 1")
         if eps not in (1, -1):
             raise SegrefuchsError("sign must be +1 or -1")
+        if psi.order >= EXACT:
+            raise SegrefuchsError("psi needs a finite working order")
         self.m = m
         self.eps = eps
-        self.h = {kl: s for kl, s in sorted(h.items()) if not s.is_zero()}
-        self.order = order
-        for (k, l), s in self.h.items():
-            if k < 2 or l < 2:
-                raise SegrefuchsError("h indices must satisfy k,l >= 2")
-            if s.vars != (U,):
-                raise SegrefuchsError("h_kl must be series in u")
+        self.psi = psi.embed((Z, ZB, U))
 
-    def reality_defect(self):
-        """Pairs (k,l) where h_kl != conj(h_lk); empty iff the data is real."""
-        bad = []
-        seen = set()
-        for (k, l) in self.h:
-            if (k, l) in seen:
-                continue
-            seen.add((k, l))
-            seen.add((l, k))
-            a = self.h.get((k, l), MultiSeries.zero((U,), self.order))
-            b = self.h.get((l, k), MultiSeries.zero((U,), self.order))
-            if a != b.map_coefficients(lambda c: c.conjugate()):
-                bad.append((k, l))
-        return bad
-
-    def psi(self):
-        """The factor eps*z*zb + sum h_kl(u) z^k zb^l of v = u^m psi."""
-        return admissible_series(self.eps, self.h, (Z, ZB, U))
+    @property
+    def order(self):
+        """The trusted order of v = u^m psi: that of psi plus m."""
+        return self.psi.order + self.m
 
     def truncate(self, order):
-        """The surface trusted through `order`; itself at its order or more.
-
-        Each h_kl(u) keeps its u-terms through `order`, as in build_real.
-        """
+        """The surface trusted through `order`; itself at its order or more."""
         if order >= self.order:
             return self
-        return RealDefining(self.m, self.eps, {kl: s.truncate(order)
-                                               for kl, s in self.h.items()},
-                            order)
+        return RealDefining(self.m, self.eps,
+                            self.psi.truncate(order - self.m))
+
+    def h_kl(self, k, l):
+        """Coefficient series of z^k zb^l in psi, as a series in u."""
+        return self.psi.coeff_of({Z: k, ZB: l})
+
+    def reality_defect(self):
+        """The first (k, l) with h_kl != conj(h_lk), or None if psi is real."""
+        bad = self.psi - bar_series(self.psi)
+        return min((e[:2] for e in bad.terms), default=None)
 
     def defining_series(self):
         """v = F(z, zb, u) as a series over (z, zb, u)."""
-        return self.psi().truncate(self.order).monomial_mul(U, self.m) \
-            .truncate(self.order)
+        return self.psi.monomial_mul(U, self.m)
 
     def __repr__(self):
-        return "<RealDefining m=%d eps=%+d h=%s order=%d>" % (
-            self.m, self.eps, sorted(self.h), self.order)
+        return "<RealDefining m=%d eps=%+d order=%d>" % (
+            self.m, self.eps, self.order)
 
 
 class ComplexDefining:
@@ -245,14 +237,14 @@ def check_reality(M):
 def require_reality(M):
     """Raise RealityViolation unless M is real.
 
-    The real form must satisfy h_kl = conj(h_lk), a table comparison; the
+    The real form must satisfy h_kl = conj(h_lk), i.e. psi = bar(psi); the
     complex form must have a zero check_reality residual.
     """
     if isinstance(M, RealDefining):
         bad = M.reality_defect()
         if bad:
             raise RealityViolation("real data violates h_kl = conj(h_lk) "
-                                   "at (k, l) = %s" % (bad[0],))
+                                   "at (k, l) = %s" % (bad,))
         return
     res = check_reality(M)
     if not res.is_zero():
@@ -400,11 +392,11 @@ def complex_to_real(Mc):
                               "%d vs %d" % (m, Mc.m))
     psi = F.monomial_div(U, m)
     eps, psi, _ = normalize_lead(psi, psi.coefficient((1, 1, 0)))
-    _, table, defects = split_admissible(psi)
+    _, _, defects = split_admissible(psi)
     if defects:
         raise NotNormalizableError("real form is not m-admissible: %s"
                                    % "; ".join(defects))
-    Mr = RealDefining(m, eps, table, min(order, psi.order + m))
+    Mr = RealDefining(m, eps, psi.truncate(order - m))
     require_reality(Mr)
     return Mr
 
@@ -420,8 +412,12 @@ def build_complex(m, eps, phi_kl, order):
 
 
 def build_real(m, eps, h_kl, order):
-    table = {}
-    for (k, l), s in h_kl.items():
-        table[(k, l)] = s if isinstance(s, MultiSeries) else \
-            MultiSeries((U,), order, s)
-    return RealDefining(m, eps, table, order)
+    """Assemble an admissible RealDefining trusted through order.
+
+    h_kl maps (k, l) with k, l >= 2 to series in u, or to their term
+    dicts; the eps*z*zb term is added automatically.
+    """
+    table = {kl: s if isinstance(s, MultiSeries) else
+             MultiSeries((U,), EXACT, s) for kl, s in h_kl.items()}
+    psi = admissible_series(eps, table, (Z, ZB, U))
+    return RealDefining(m, eps, psi.truncate(order - m))

@@ -58,15 +58,20 @@ def test_series_roundtrip_bit_exact():
 
 def test_surface_roundtrip_both_forms():
     u = MultiSeries.variable("u", ("u",))
-    Mr = build_real(2, -1, {(2, 2): u}, 12)
-    d = serialize.surface_to_json(Mr)
-    Mr2 = serialize.surface_from_json(d)
-    assert Mr2.m == 2 and Mr2.eps == -1
-    assert Mr2.h[(2, 2)] == Mr.h[(2, 2)].embed(("u",))
-    Mc = real_to_complex(Mr)
-    d2 = serialize.surface_to_json(Mc)
-    Mc2 = serialize.surface_from_json(d2)
-    assert Mc2.phi == Mc.phi and Mc2.scale_sq == Mc.scale_sq
+    for Mr in (build_real(2, -1, {(2, 2): u}, 12), build_real(1, 1, {}, 12),
+               dense_surface()):
+        d = serialize.surface_to_json(Mr)
+        # psi is written at the order it holds: the surface's order less m
+        assert d["order"] == 12 and d["series"]["order"] == 12 - Mr.m
+        Mr2 = serialize.surface_from_json(d)
+        assert (Mr2.m, Mr2.eps, Mr2.order) == (Mr.m, Mr.eps, 12)
+        assert Mr2.psi == Mr.psi and Mr2.h_kl(2, 2) == Mr.h_kl(2, 2)
+        assert serialize.dumps(serialize.surface_to_json(Mr2)) == \
+            serialize.dumps(d)
+        Mc = real_to_complex(Mr)
+        d2 = serialize.surface_to_json(Mc)
+        Mc2 = serialize.surface_from_json(d2)
+        assert Mc2.phi == Mc.phi and Mc2.scale_sq == Mc.scale_sq
 
 
 def test_system_roundtrip(tmp_path):
@@ -296,7 +301,8 @@ def test_admissible_codec(case, tmp_path, capsys):
         assert lead == ONE and table == {}
         assert defects == ["term z^1 zb^1 %s^1 outside admissible shape" % t]
         return
-    table, vars = ((dense_surface().h, ("z", "zb", "u")) if case == "dense"
+    table, vars = ((split_admissible(dense_surface().psi)[1],
+                    ("z", "zb", "u")) if case == "dense"
                    else ({}, (Z, ZB, WB)))
     lead, got_table, defects = split_admissible(
         admissible_series(ONE, table, vars))

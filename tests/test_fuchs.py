@@ -12,6 +12,8 @@ from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
                               check_fuchsian_ode, mero_pole_rows,
                               FUCHSIAN, NON_FUCHSIAN)
 from segrefuchs.errors import OrderTooLowError
+from segrefuchs import serialize
+from test_golden import dense_surface
 
 
 def u_series(terms):
@@ -55,6 +57,20 @@ def test_m2_bound_examples():
     rep = check_fuchsian_real(B)
     assert rep.verdict == NON_FUCHSIAN
     assert rep.witnesses()[0].name == "h22"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["model", "dense"])
+def test_one_surface_one_ledger(kind, m):
+    """Both forms of one surface, built or loaded, trust h_kl and phi_kl
+    through the same order N - m - k - l."""
+    N = 3 * m + 8
+    M = build_real(m, 1, {}, N) if kind == "model" else dense_surface(N, m)
+    loaded = serialize.surface_from_json(serialize.surface_to_json(M))
+    for rep in (check_fuchsian_real(M), check_fuchsian_real(loaded),
+                check_fuchsian_complex(real_to_complex(M))):
+        assert [r.available for r in rep.rows] == \
+            [N - m - int(r.name[-2]) - int(r.name[-1]) for r in rep.rows]
 
 
 def test_complex_bounds():

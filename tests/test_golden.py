@@ -35,7 +35,7 @@ GOLDEN = {
     ("dense", "derive-ode"):
         "b996d61d7c4a586526464baa849a1d1db292d01e4c97800380a07e631094c873",
     ("dense", "check-fuchsian"):
-        "0033c13e186aa5741a6b8cae16f221c29feae407af6f9835fc1625f2e1df0999",
+        "98499aca12d4dc235861987b790c4bfd5b46ed9100fcfdef162091f6e676f83a",
     ("dense", "symmetries"):
         "006d69356930cb854359f3e443b3a98ee75ecca05f69bc09addc9efd609749d3",
     ("dense", "blowup"):
@@ -52,13 +52,13 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def dense_surface(N=12):
-    """Real m=1 surface with every admissible h_kl coefficient nonzero.
+def dense_surface(N=12, m=1):
+    """Real surface with every admissible h_kl coefficient nonzero.
 
     The coefficients are small Gaussian integers fixed by (k, l, j), with
     h_lk = conj(h_kl), so the surface is the same on every platform.
     """
-    top = N - 1
+    top = N - m
     h = {}
     for k in range(2, top):
         for l in range(k, top - k + 1):
@@ -71,7 +71,7 @@ def dense_surface(N=12):
             h[(k, l)] = terms
             if k != l:
                 h[(l, k)] = conj
-    return build_real(1, 1, h, N)
+    return build_real(m, 1, h, N)
 
 
 SURFACES = {"model": lambda: build_complex(1, 1, {}, 12),

@@ -10,7 +10,7 @@ from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
                                  complex_to_real, check_reality,
                                  require_reality, validate_complex,
                                  nonminimality_order, bar_series,
-                                 Z, ZB, WB, U)
+                                 split_admissible, Z, ZB, WB, U)
 from segrefuchs.errors import (RealityViolation, SegrefuchsError,
                                OrderTooLowError)
 
@@ -73,10 +73,10 @@ def test_round_trip_real_complex_real():
     assert check_reality(Mc).is_zero()
     Mr2 = complex_to_real(Mc)
     assert Mr2.m == Mr.m and Mr2.eps == Mr.eps
-    for kl, s in Mr.h.items():
-        got = Mr2.h[kl]
+    for kl in h:
+        got = Mr2.h_kl(*kl)
         k = min(got.order, 13 - sum(kl))
-        assert got.truncate(k) == s.truncate(k)
+        assert got.truncate(k) == Mr.h_kl(*kl).truncate(k)
     assert not Mr2.reality_defect()
 
 
@@ -87,8 +87,8 @@ def test_round_trip_negative_sign():
     assert check_reality(Mc).is_zero()
     Mr2 = complex_to_real(Mc)
     assert Mr2.eps == -1
-    k = min(Mr2.h[(2, 2)].order, 8)
-    assert Mr2.h[(2, 2)].truncate(k) == u_series({1: qi(2)}).truncate(k)
+    k = min(Mr2.h_kl(2, 2).order, 8)
+    assert Mr2.h_kl(2, 2).truncate(k) == u_series({1: qi(2)}).truncate(k)
 
 
 def test_complex_to_real_pure_model():
@@ -97,9 +97,12 @@ def test_complex_to_real_pure_model():
     Mr = complex_to_real(Mc)
     assert Mr.m == 1 and Mr.eps == 1
     assert not Mr.reality_defect()
-    for (k, l), s in Mr.h.items():
+    _, table, defects = split_admissible(Mr.psi)
+    assert not defects
+    for (k, l), s in table.items():
         assert k >= 2 and l >= 2
-        conj = Mr.h[(l, k)].map_coefficients(lambda c: c.conjugate())
+        conj = MultiSeries(s.vars, s.order, {e: c.conjugate() for e, c
+                                             in table[(l, k)].terms.items()})
         assert s == conj
 
 
@@ -112,7 +115,7 @@ def test_complex_to_real_order_relation():
     assert phi22.var_valuation("wb") == 1
     # a w-dependent phi22 with a real coefficient is NOT a real surface
     Mr2 = complex_to_real(Mc)
-    assert Mr2.h[(2, 2)].var_valuation("u") == 1
+    assert Mr2.h_kl(2, 2).var_valuation("u") == 1
 
 
 # ---- reality ---------------------------------------------------------------
@@ -224,3 +227,15 @@ def test_complex_order_is_phi_order():
     with pytest.raises(SegrefuchsError):
         ComplexDefining(1, 1, MultiSeries.monomial(ONE, (1, 1, 0),
                                                    (Z, ZB, WB)))
+
+
+def test_real_order_is_psi_order_plus_m():
+    M = build_real(2, 1, {(2, 2): u_series({1: qi(1)}, 3)}, 12)
+    # a table entry trusted through u^3 caps psi at total degree 7, and
+    # v = u^2 psi is trusted two orders past it
+    assert M.psi.order == 7 and M.order == 9
+    assert M.h_kl(2, 2).order == 3 and M.defining_series().order == 9
+    with pytest.raises(AttributeError):
+        M.order = 12
+    with pytest.raises(SegrefuchsError):
+        RealDefining(1, 1, MultiSeries.monomial(ONE, (1, 1, 0), (Z, ZB, U)))
