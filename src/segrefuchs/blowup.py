@@ -88,11 +88,8 @@ def pullback_surface(M, B):
     sgn = I if M.eps == 1 else -I
     expo = phisub.monomial_mul(ETAB, l * (M.m - 1)) \
         .scale(sgn * GaussianRational.of(Fraction(1, l)))
-    inner = order + l * (M.m - 1) + 2 * s
-    G = MultiSeries.variable(ETA, amb) - \
-        exp_series(expo.truncate(inner), inner).monomial_mul(ETAB, 1)
-    sol = solve_implicit([G], (XI, XIB, ETAB), (ETA,), inner)
-    R = sol[0]
+    G = MultiSeries.variable(ETA, amb) - exp_series(expo).monomial_mul(ETAB, 1)
+    R = solve_implicit([G], (XI, XIB, ETAB), (ETA,))[0]
     if R.is_zero():
         raise SegrefuchsError("pullback degenerated: defining series is "
                               "zero at this truncation")

@@ -11,7 +11,7 @@ vanishes; the filter, not the recurrence, is the source of truth.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .qfield import GaussianRational, ZERO, ONE, I
 from .series import MultiSeries, EXACT, SeriesError
@@ -60,21 +60,37 @@ DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
 
 
 def _divisors(n):
+    """(the divisors of |n|, or past DIVISOR_CAP those below 1000 only,
+    whether the list was cut short)."""
     n = abs(n)
-    if n == 0:
-        return [], False
     if n > DIVISOR_CAP:
-        # fall back to small divisors only; flagged as truncated
-        out = [d for d in range(1, 1000) if n % d == 0]
-        return out, True
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out)), False
+        return [d for d in range(1, 1000) if n % d == 0], True
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low + [n // d for d in low])), False
+
+
+def _rational_root(work):
+    """(a rational root of the polynomial `work` or None, whether the
+    divisor search was cut short); a linear factor's is read off exactly."""
+    if len(work) == 2:
+        r = -work[0] / work[1]
+        return (r.re if r.is_rational() else None), False
+    den = 1
+    for c in work:
+        den = lcm(den, c.q)
+    cleared = [c * GaussianRational.from_int(den) for c in work]
+    lo, hi = cleared[0], cleared[-1]
+    p_div, t1 = _divisors(gcd(lo.a, lo.b, lo.c, lo.d))
+    q_div, t2 = _divisors(gcd(hi.a, hi.b, hi.c, hi.d))
+    for q in q_div:
+        for p in p_div:
+            if gcd(p, q) != 1:
+                continue
+            for sign in (1, -1):
+                r = Fraction(sign * p, q)
+                if linalg.poly_eval(work, GaussianRational.of(r)).is_zero():
+                    return r, t1 or t2
+    return None, t1 or t2
 
 
 def residue_spectrum(S):
@@ -92,40 +108,19 @@ def residue_spectrum(S):
         rational[Fraction(0)] = rational.get(Fraction(0), 0) + 1
         work = work[1:]
     truncated = False
-    progress = True
-    while progress and len(work) > 1:
-        progress = False
-        den = 1
-        for c in work:
-            den = lcm(den, c.q)
-        cleared = [c * GaussianRational.from_int(den) for c in work]
-        lo, hi = cleared[0], cleared[-1]
-        p_div, t1 = _divisors(gcd(lo.a, lo.b, lo.c, lo.d))
-        q_div, t2 = _divisors(gcd(hi.a, hi.b, hi.c, hi.d))
-        truncated = truncated or t1 or t2
-        found = None
-        for q in q_div:
-            for p in p_div:
-                if gcd(p, q) != 1:
-                    continue
-                for sign in (1, -1):
-                    r = GaussianRational.of(Fraction(sign * p, q))
-                    if linalg.poly_eval(work, r).is_zero():
-                        found = Fraction(sign * p, q)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is not None:
-            rational[found] = rational.get(found, 0) + 1
-            work, rem = linalg.poly_divmod_linear(
-                work, GaussianRational.of(found))
-            if not rem.is_zero():
-                raise SegrefuchsError("deflation left a remainder")
-            progress = True
+    while len(work) > 1:
+        found, cut = _rational_root(work)
+        truncated = truncated or cut
+        if found is None:
+            break
+        rational[found] = rational.get(found, 0) + 1
+        work, rem = linalg.poly_divmod_linear(work, GaussianRational.of(found))
+        if not rem.is_zero():
+            raise SegrefuchsError("deflation left a remainder")
     residual = work if len(work) > 1 else None
-    return ResidueSpectrum(cp, rational, residual, truncated)
+    # a search cut short can only have missed a root of what is left
+    return ResidueSpectrum(cp, rational, residual,
+                           truncated and residual is not None)
 
 
 class FrobeniusBasis:

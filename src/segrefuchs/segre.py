@@ -99,7 +99,7 @@ class AssociatedODE:
         return LaurentInW(a.body.integrate(Z).integrate(Z), a.pole, wvar=WV)
 
     def __repr__(self):
-        return "<AssociatedODE m=%d eps=%+d order=%d>" % (
+        return "<AssociatedODE m=%d eps=%+d order=%s>" % (
             self.m, self.eps, self.order)
 
 
@@ -107,12 +107,12 @@ def segre_graph(M):
     """Segre-variety graphs of M as a series in (z, xib, etab)."""
     phig = M.phi.rename({ZB: XIB, WB: ETAB})
     X = phig.monomial_mul(ETAB, M.m - 1).scale(I if M.eps == 1 else -I)
-    E1 = exp_series(X, M.order + M.m)
+    E1 = exp_series(X)
     w = E1.monomial_mul(ETAB, 1)
     wz = X.diff(Z) * w
     # w'/w^m = eps*i * phi_z * exp((1-m) X): exact, no series division
     zeta = phig.diff(Z).scale(I if M.eps == 1 else -I) * \
-        exp_series(X.scale(Fraction(1 - M.m)), M.order + M.m)
+        exp_series(X.scale(Fraction(1 - M.m)))
     return SegreGraph(M.m, M.eps, w, wz, zeta)
 
 
@@ -132,7 +132,7 @@ def eliminate(M, order=None):
     vars5 = (Z, WV, ZETA, XIB, ETAB)
     F1 = g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5)
     F2 = g.w.embed(vars5) - MultiSeries.variable(WV, vars5)
-    lam, om = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB), M.order)
+    lam, om = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB))
     return AssociatedODE.from_phi(M.m, M.eps,
                                   g.wzz.compose({XIB: lam, ETAB: om}))
 
@@ -206,4 +206,4 @@ def verify_ode(M, E):
     g = segre_graph(M.truncate(order))
     sub = E.Phi.compose({WV: g.w.truncate(order),
                          ZETA: g.zeta.truncate(order)})
-    return (g.wzz - sub).truncate(min(order, sub.order, g.wzz.order))
+    return (g.wzz - sub).truncate(order)

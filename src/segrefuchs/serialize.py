@@ -5,6 +5,9 @@ floats, so symbolic payloads are byte-reproducible and round-trip to equal
 in-memory values.  A term is [[e1,...,ek], re, im] with two extra strings
 appended when the coefficient has sqrt2 components.  Numeric (monodromy)
 payloads are the only place floats appear.
+
+An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
+and any order of EXACT_IN_FILE or more is read back as exact.
 """
 
 import functools
@@ -12,10 +15,12 @@ import json
 from fractions import Fraction
 
 from .qfield import GaussianRational
-from .series import MultiSeries, LaurentInW
+from .series import MultiSeries, LaurentInW, EXACT
 from .surfaces import (RealDefining, ComplexDefining, split_admissible,
                        require_reality, Z, ZB, WB, U, W)
 from .errors import FormatError
+
+EXACT_IN_FILE = 10 ** 6  # the file encoding of an exact order
 
 
 def _rat(f):
@@ -44,6 +49,11 @@ def _unrat(s):
     return Fraction(int(num), int(den))
 
 
+def _order_from_json(x):
+    order = int(x)
+    return EXACT if order >= EXACT_IN_FILE else order
+
+
 def coeff_to_json(c):
     if c.is_gaussian():
         return [_rat(c.re), _rat(c.im)]
@@ -64,13 +74,14 @@ def series_to_json(s):
     terms = []
     for e in sorted(s.terms):
         terms.append([list(e)] + coeff_to_json(s.terms[e]))
-    return {"vars": list(s.vars), "order": s.order, "terms": terms}
+    order = EXACT_IN_FILE if s.order == EXACT else s.order
+    return {"vars": list(s.vars), "order": order, "terms": terms}
 
 
 @_reader("series")
 def series_from_json(d):
     vars = tuple(d["vars"])
-    order = int(d["order"])
+    order = _order_from_json(d["order"])
     terms = {}
     for entry in d["terms"]:
         exps = tuple(int(x) for x in entry[0])
@@ -78,7 +89,7 @@ def series_from_json(d):
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
         if exps in terms or sum(exps) > order:
-            raise FormatError("term %r is repeated or above the order %d"
+            raise FormatError("term %r is repeated or above the order %s"
                               % (exps, order))
         terms[exps] = coeff_from_json(entry[1:])
     return MultiSeries(vars, order, terms)
@@ -109,9 +120,12 @@ def surface_to_json(M):
 @_reader("surface")
 def surface_from_json(d):
     form, m, sign, order = (d["form"], int(d["m"]), int(d["sign"]),
-                            int(d["order"]))
+                            _order_from_json(d["order"]))
     if sign not in (1, -1) or form not in ("complex", "real"):
         raise FormatError("need sign 1 or -1 and form complex or real")
+    if order == EXACT:
+        raise FormatError("declared order %s means exact; a surface needs a "
+                          "finite working order" % d["order"])
     real = form == "real"
     series = series_from_json(d["series"]).embed((Z, ZB, U if real else WB))
     # v = u^m psi is trusted m orders past psi
@@ -144,9 +158,9 @@ def ode_to_json(E):
 @_reader("ODE")
 def ode_from_json(d):
     from .segre import AssociatedODE
-    Phi, order = series_from_json(d["Phi"]), int(d["order"])
+    Phi, order = series_from_json(d["Phi"]), _order_from_json(d["order"])
     if order > Phi.order:
-        raise FormatError("declared order %d is above Phi's order %d"
+        raise FormatError("declared order %s is above Phi's order %s"
                           % (order, Phi.order))
     return AssociatedODE.from_phi(int(d["m"]), int(d["sign"]),
                                   Phi.truncate(order))

@@ -3,9 +3,18 @@
 A MultiSeries is a map from exponent vectors to coefficients in Q(i, s),
 s**2 = 2, together with a truncation order: the series is trusted modulo
 total degree order+1.  Exact polynomials (monomials, finite substitution
-data) carry the sentinel order EXACT.  Arithmetic propagates trust orders
-through valuations, so e.g. multiplying a degree-shifted slice back by its
-monomial does not lose precision.
+data) carry the order EXACT = math.inf, trusted in every degree; orders are
+plain arithmetic on it, so exactness survives every ring, calculus and
+slicing operation.  Arithmetic propagates trust orders through valuations,
+so e.g. multiplying a degree-shifted slice back by its monomial does not
+lose precision.
+
+A series function takes the order of its arguments: `exp_series`,
+`log_series` and `solve_implicit` are trusted exactly as far as their
+arguments are and refuse an exact argument, whose result would be an
+infinite series.  `truncate` is the one way to lower an order.  `compose`
+allows a substitution with a constant term only into an exact series: in a
+truncated one the unknown tail would feed every lower degree.
 
 The coefficients are packed: one common denominator `den` > 0 for the whole
 series and, per exponent, a tuple (a, b, c, d) of integers standing for
@@ -37,13 +46,13 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, pairwise
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce, mul_parts
 from .errors import SegrefuchsError
 
-EXACT = 10 ** 6
+EXACT = inf
 
 
 class SeriesError(SegrefuchsError, ValueError):
@@ -180,13 +189,13 @@ class MultiSeries:
     def valuation(self):
         """Smallest total degree present; order+1 for the zero series."""
         if not self.num:
-            return min(self.order + 1, EXACT)
+            return self.order + 1
         return min(map(sum, self.num))
 
     def var_valuation(self, var):
         i = self.vars.index(var)
         if not self.num:
-            return min(self.order + 1, EXACT)
+            return self.order + 1
         return min(e[i] for e in self.num)
 
     def max_degree(self):
@@ -303,11 +312,10 @@ class MultiSeries:
         a, b = self._aligned(other)
         if not a.num or not b.num:
             return MultiSeries.zero(a.vars, min(a.order + b.valuation(),
-                                                b.order + a.valuation(),
-                                                EXACT))
+                                                b.order + a.valuation()))
         adeg, aitems = a._degree_sorted()
         bdeg, bitems = b._degree_sorted()
-        order = min(a.order + bdeg[0], b.order + adeg[0], EXACT)
+        order = min(a.order + bdeg[0], b.order + adeg[0])
         # iterate the smaller operand outside; each inner loop stops at the
         # last term of b that fits under the order.  The multiply-adds are
         # mul_parts inlined, accumulated in place.
@@ -375,8 +383,7 @@ class MultiSeries:
             if k:
                 num[e[:i] + (k - 1,) + e[i + 1:]] = (a * k, b * k, c * k,
                                                      d * k)
-        order = EXACT if self.order >= EXACT else max(self.order - 1, 0)
-        return _reduced(self.vars, order, self.den, num)
+        return _reduced(self.vars, max(self.order - 1, 0), self.den, num)
 
     def integrate(self, var):
         """Antiderivative in `var` with zero constant slice."""
@@ -387,8 +394,7 @@ class MultiSeries:
             k = e[i] + 1
             f = m // k
             num[e[:i] + (k,) + e[i + 1:]] = (a * f, b * f, c * f, d * f)
-        return _reduced(self.vars, min(self.order + 1, EXACT), self.den * m,
-                        num)
+        return _reduced(self.vars, self.order + 1, self.den * m, num)
 
     # ---------- slicing ----------
 
@@ -405,9 +411,7 @@ class MultiSeries:
             k = e[i]
             if lo <= k <= hi:
                 parts[k - lo][e[:i] + e[i + 1:]] = t
-        exact = self.order >= EXACT
-        return [_reduced(rest, self.order if exact else self.order - k,
-                         self.den, part)
+        return [_reduced(rest, self.order - k, self.den, part)
                 for k, part in enumerate(parts, lo)]
 
     def coeff_of(self, powers):
@@ -425,7 +429,7 @@ class MultiSeries:
         i = self.vars.index(var)
         num = {e[:i] + (e[i] + k,) + e[i + 1:]: t
                for e, t in self.num.items()}
-        return _packed(self.vars, min(self.order + k, EXACT), self.den, num)
+        return _packed(self.vars, self.order + k, self.den, num)
 
     def monomial_div(self, var, k):
         """Exact division by var**k; raises if any term is not divisible."""
@@ -435,23 +439,23 @@ class MultiSeries:
             if e[i] < k:
                 raise SeriesError("series not divisible by %s**%d" % (var, k))
             num[e[:i] + (e[i] - k,) + e[i + 1:]] = t
-        order = self.order if self.order >= EXACT else self.order - k
-        return _packed(self.vars, order, self.den, num)
+        return _packed(self.vars, self.order - k, self.den, num)
 
     # ---------- composition ----------
 
-    def compose(self, subs, polynomial_vars=()):
-        """Substitute series for variables.
+    def compose(self, subs):
+        """Substitute series for variables, trusted through the lowest order
+        among self and the substituted series.
 
-        Every substituted series must have zero constant term unless the
-        variable is listed in polynomial_vars (caller asserts the dependence
-        on that variable is genuinely polynomial, not a truncated tail).
+        A substituted series with a constant term is allowed only when self
+        is exact: the unknown tail of a truncated series would feed every
+        lower degree.
         """
         subs = {v: s for v, s in subs.items() if v in self.vars}
         if not subs:
             return self
         for v, s in subs.items():
-            if not s.constant_term().is_zero() and v not in polynomial_vars:
+            if not s.constant_term().is_zero() and self.order != EXACT:
                 raise SeriesError(
                     "substitution for %r has a constant term; composing it "
                     "into a truncated series is unsound" % v)
@@ -491,7 +495,7 @@ class MultiSeries:
                             for v, k in zip(self.vars, e) if k)
             c = repr(self.coefficient(e))
             bits.append(c if not mono else "%s %s" % (c, mono))
-        tail = "" if self.order >= EXACT else " + O(deg %d)" % (self.order + 1)
+        tail = "" if self.order == EXACT else " + O(deg %d)" % (self.order + 1)
         return "<" + " + ".join(bits[:12]) + ("..." if len(bits) > 12 else "") + tail + ">"
 
 
@@ -564,21 +568,17 @@ def _convolution(a, b, d, lo, hi):
 
 # ---------- transcendental-free series functions ----------
 
-def _function_argument(x, order):
-    """x truncated to the order a series function of it is taken to.
-
-    order defaults to the trusted order of x, which must then be finite;
-    the result is never trusted past x, so its order is that of the
-    returned argument.
-    """
-    if order is None and x.order >= EXACT:
-        raise SeriesError("series function of an exact polynomial needs "
-                          "an explicit order")
-    return x if order is None else x.truncate(order)
+def _finite_order(x, what):
+    """The trusted order of x, which a series function of x inherits; an
+    exact x is refused, since its function is an infinite series."""
+    if x.order == EXACT:
+        raise SeriesError("%s of an exact series has no finite order; "
+                          "truncate the argument" % what)
+    return x.order
 
 
-def exp_series(x, order=None):
-    """exp of a series with zero constant term, truncated.
+def exp_series(x):
+    """exp of a series with zero constant term, trusted as far as x.
 
     The homogeneous parts come from the Euler-operator identity
     theta E = theta X * E, theta multiplying degree d by d:
@@ -586,10 +586,7 @@ def exp_series(x, order=None):
     """
     if not x.constant_term().is_zero():
         raise SeriesError("exp needs a zero constant term")
-    x = _function_argument(x, order)
-    if x.is_zero():
-        return MultiSeries.const(ONE, x.vars, x.order)
-    top = x.order
+    top = _finite_order(x, "exp")
     tx = [p.scale(j) for j, p in enumerate(_graded(x, top))]
     E = [MultiSeries.const(ONE, x.vars)]
     for d in range(1, top + 1):
@@ -597,18 +594,15 @@ def exp_series(x, order=None):
     return _ungraded(E, x.vars, top)
 
 
-def log_series(x, order=None):
-    """log of a series with constant term exactly 1, truncated.
+def log_series(x):
+    """log of a series with constant term exactly 1, trusted as far as x.
 
     The homogeneous parts come from theta L * T = theta T (theta as in
     exp_series, T_0 = 1): L_d = T_d - (1/d) sum_{0<j<d} j L_j T_{d-j}.
     """
     if not (x.constant_term() == ONE):
         raise SeriesError("log needs constant term 1")
-    y = _function_argument(x - MultiSeries.const(ONE, x.vars), order)
-    if y.is_zero():
-        return MultiSeries.zero(x.vars, y.order)
-    top = y.order
+    top = _finite_order(x, "log")
     T = _graded(x, top)
     L = [MultiSeries.zero(x.vars)]
     tl = [L[0]]
@@ -621,13 +615,14 @@ def log_series(x, order=None):
 
 # ---------- implicit solve ----------
 
-def solve_implicit(F, x_vars, y_vars, order):
+def solve_implicit(F, x_vars, y_vars):
     """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton lifting.
 
     F is a list of series over x_vars + y_vars, one per unknown.  Requires
     F(0,0) = 0 and an invertible Jacobian dF/dy at the origin; the returned
-    series satisfy the system modulo total degree order+1.  The error on a
-    singular Jacobian carries the exact Jacobian determinant.
+    series satisfy the system modulo total degree order+1, order the lowest
+    trusted order among F, which must be finite.  The error on a singular
+    Jacobian carries the exact Jacobian determinant.
 
     A Newton step lifts y from precision p to q <= 2p+1: it composes F at
     precision q and the Jacobian J = dF/dy only at precision q-p-1, then
@@ -654,7 +649,7 @@ def solve_implicit(F, x_vars, y_vars, order):
         raise SingularJacobianError(d)
     J0inv = linalg.inverse(J0)
 
-    order = min(order, min(f.order for f in F))
+    order = _finite_order(min(F, key=lambda f: f.order), "solve_implicit")
     steps = [order]
     while steps[-1] > 0:
         steps.append(steps[-1] // 2)

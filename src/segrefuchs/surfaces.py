@@ -163,9 +163,8 @@ class ComplexDefining:
 
     def defining_series(self):
         """R(z, zb, wb) with the surface given by w = R."""
-        order = self.order
-        ex = exp_series(self.exponent().truncate(order), order)
-        return ex.monomial_mul(WB, 1).truncate(order)
+        ex = exp_series(self.exponent().truncate(self.order))
+        return ex.monomial_mul(WB, 1).truncate(self.order)
 
     def admissibility_defects(self):
         lead, _, defects = split_admissible(self.phi)
@@ -201,7 +200,7 @@ class ValidationReport:
         }
 
 
-def bar_series(s, rename=None):
+def bar_series(s):
     """Coefficient conjugate with the z and zb slots swapped.
 
     For f(z, zb, wb) this realizes bar(f)(zb, z, w) as a series over the
@@ -213,10 +212,7 @@ def bar_series(s, rename=None):
         ne = list(e)
         ne[i1], ne[i2] = ne[i2], ne[i1]
         terms[tuple(ne)] = c.conjugate()
-    out = MultiSeries(s.vars, s.order, terms)
-    if rename:
-        out = out.rename(rename)
-    return out
+    return MultiSeries(s.vars, s.order, terms)
 
 
 def check_reality(M):
@@ -226,12 +222,10 @@ def check_reality(M):
     hypersurface.  The residual  Psi(z, zb, w e^{-i bar(Psi)}) - bar(Psi)
     is returned over (z, zb, w).
     """
-    order = M.order
-    psi = M.reality_exponent().truncate(order)
-    psibar = bar_series(psi, rename={WB: W})
-    arg = exp_series(psibar.scale(-I), order).monomial_mul(W, 1)
-    lhs = psi.compose({WB: arg.truncate(order)})
-    return (lhs - psibar).truncate(order)
+    psi = M.reality_exponent().truncate(M.order)
+    psibar = bar_series(psi).rename({WB: W})
+    arg = exp_series(psibar.scale(-I)).monomial_mul(W, 1)
+    return psi.compose({WB: arg}) - psibar
 
 
 def require_reality(M):
@@ -332,9 +326,8 @@ def real_to_complex(Mr):
     shape and rescales z so the z*zb coefficient of phi is exactly 1.  The
     squared rescale is recorded on the result.
     """
-    order = Mr.order
-    if order < min_order(Mr.m):
-        raise OrderTooLowError(order, min_order(Mr.m))
+    if Mr.order < min_order(Mr.m):
+        raise OrderTooLowError(Mr.order, min_order(Mr.m))
     require_reality(Mr)
     F = Mr.defining_series()
     vars5 = (Z, ZB, WB, W)
@@ -346,13 +339,12 @@ def real_to_complex(Mr):
                       {(0, 0, 0, 1): qi(0, Fraction(-1, 2)),
                        (0, 0, 1, 0): qi(0, Fraction(1, 2))})
     G = lin - Fw  # (w - wb)/2i  - F, with 1/2i = -i/2
-    sol = solve_implicit([G.truncate(order)], (Z, ZB, WB), (W,), order)
-    R = sol[0]
+    R = solve_implicit([G], (Z, ZB, WB), (W,))[0]
     theta = R.monomial_div(WB, 1)
     if not (theta.constant_term() == ONE):
         raise NotNormalizableError("defining series lacks the w = wb + ... "
                                    "normal shape")
-    lg = log_series(theta, order)
+    lg = log_series(theta)
     sgn = I if Mr.eps == 1 else -I
     phi_raw = lg.scale(sgn.inverse())
     try:
@@ -374,19 +366,17 @@ def complex_to_real(Mc):
 
     Inverse of real_to_complex up to the recorded z-rescaling.
     """
-    order = Mc.order
-    if order < min_order(Mc.m):
-        raise OrderTooLowError(order, min_order(Mc.m))
+    if Mc.order < min_order(Mc.m):
+        raise OrderTooLowError(Mc.order, min_order(Mc.m))
     R = Mc.defining_series()
     # solve (R(z,zb,wb) + wb)/2 = u for wb(z, zb, u)
     vars4 = (Z, ZB, U, WB)
     G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
         Fraction(1, 2)) - MultiSeries.variable(U, vars4)
-    sol = solve_implicit([G.truncate(order)], (Z, ZB, U), (WB,), order)
-    wb = sol[0]
+    wb = solve_implicit([G], (Z, ZB, U), (WB,))[0]
     Rsub = R.compose({WB: wb})
     F = (Rsub - wb).scale(qi(0, Fraction(-1, 2)))  # (R - wb)/2i
-    m = nonminimality_order(F.truncate(order))
+    m = nonminimality_order(F)
     if m != Mc.m:
         raise SegrefuchsError("transfer changed the nonminimality order: "
                               "%d vs %d" % (m, Mc.m))
@@ -396,7 +386,7 @@ def complex_to_real(Mc):
     if defects:
         raise NotNormalizableError("real form is not m-admissible: %s"
                                    % "; ".join(defects))
-    Mr = RealDefining(m, eps, psi.truncate(order - m))
+    Mr = RealDefining(m, eps, psi)
     require_reality(Mr)
     return Mr
 

@@ -14,7 +14,7 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  complex_to_real, check_reality,
                                  ComplexDefining, Z, ZB, WB)
@@ -227,8 +227,8 @@ def test_criterion_8_blowup_roundtrip():
                 rng.randint(-3, 3), rng.randint(-3, 3))
             t2[(rng.randint(0, 2), rng.randint(1, 2))] = qi(
                 rng.randint(-3, 3), rng.randint(-3, 3))
-        L = VectorField(MultiSeries(("z", "w"), 10 ** 6, t1),
-                        MultiSeries(("z", "w"), 10 ** 6, t2))
+        L = VectorField(MultiSeries(("z", "w"), EXACT, t1),
+                        MultiSeries(("z", "w"), EXACT, t2))
         bf = pullback_field(L, B)
         L2 = pushforward_field(bf.P, bf.Q, B)
         ok &= (L2.P - L.P).is_zero() and (L2.Q - L.Q).is_zero()
@@ -302,11 +302,11 @@ def test_criterion_10_reality_validation():
         tbl = {}
         for kl in ((2, 2), (3, 3)):
             deg = rng.randint(0, 2)
-            tbl[kl] = MultiSeries(("u",), 10 ** 6,
+            tbl[kl] = MultiSeries(("u",), EXACT,
                                   {(deg,): qi(rng.randint(1, 3))})
         c = qi(rng.randint(1, 2), rng.randint(1, 2))
-        tbl[(2, 3)] = MultiSeries(("u",), 10 ** 6, {(1,): c})
-        tbl[(3, 2)] = MultiSeries(("u",), 10 ** 6, {(1,): c.conjugate()})
+        tbl[(2, 3)] = MultiSeries(("u",), EXACT, {(1,): c})
+        tbl[(3, 2)] = MultiSeries(("u",), EXACT, {(1,): c.conjugate()})
         Mr = build_real(m, 1, tbl, 3 * m + 6)
         Mc = real_to_complex(Mr)
         ok &= check_reality(Mc).is_zero()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW, exp_series
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT, exp_series
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import segre_graph
 from segrefuchs.prolongation import VectorField
@@ -31,8 +31,8 @@ def rnd_pullback_field(rng, B, order=9):
             rng.randint(-3, 3), rng.randint(-3, 3))
         t2[(rng.randint(0, 2), rng.randint(1, 2))] = qi(
             rng.randint(-3, 3), rng.randint(-3, 3))
-    L = VectorField(MultiSeries(("z", "w"), 10 ** 6, t1),
-                    MultiSeries(("z", "w"), 10 ** 6, t2))
+    L = VectorField(MultiSeries(("z", "w"), EXACT, t1),
+                    MultiSeries(("z", "w"), EXACT, t2))
     return L
 
 
@@ -126,7 +126,7 @@ def test_segre_functoriality_perturbed_sample():
     wb = MultiSeries.variable("wb", ("wb",))
     Mc = build_complex(2, 1, {(2, 2): wb,
                               (3, 3): MultiSeries(
-                                  ("wb",), 10 ** 6,
+                                  ("wb",), EXACT,
                                   {(0,): qi(Fraction(1, 2), 1)})}, 12)
     B = BlowupMap(3, 2)
     P = pullback_surface(Mc, B)

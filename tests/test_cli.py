@@ -4,6 +4,7 @@ import os
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from segrefuchs import serialize
 from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
     EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, EXIT_DOMAIN
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
-from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.segre import eliminate
 from segrefuchs.errors import FormatError
@@ -56,6 +57,19 @@ def test_series_roundtrip_bit_exact():
     assert serialize.dumps(j) == serialize.dumps(serialize.series_to_json(s2))
 
 
+def test_exact_series_roundtrip_as_order_1000000():
+    s = MultiSeries.monomial(qi(1, 2), (1, 1), ("z", "w"))
+    j = serialize.series_to_json(s)
+    assert j["order"] == 1000000
+    text = serialize.dumps(j)
+    s2 = serialize.series_from_json(json.loads(text))
+    assert s2.order == EXACT and s2 == s
+    assert serialize.dumps(serialize.series_to_json(s2)) == text
+    # any order of 1000000 or more in a file is exact, and only those
+    assert serialize.series_from_json(dict(j, order=10 ** 7)).order == EXACT
+    assert serialize.series_from_json(dict(j, order=999999)).order == 999999
+
+
 def test_surface_roundtrip_both_forms():
     u = MultiSeries.variable("u", ("u",))
     for Mr in (build_real(2, -1, {(2, 2): u}, 12), build_real(1, 1, {}, 12),
@@ -91,7 +105,7 @@ def test_derive_ode_model(model_file, tmp_path, capsys):
     out = str(tmp_path / "ode.json")
     rc = main(["derive-ode", model_file, "-o", out])
     assert rc == EXIT_OK
-    d = json.loads(open(out).read())
+    d = json.loads(Path(out).read_text())
     assert d["oracle_agreement"] is True
     assert d["Phi"]["terms"] == [[[0, 1, 2], "1/1", "0/1"]]
     # emitted ODE re-parses to an equal value
@@ -127,7 +141,7 @@ def test_symmetries_refusal_and_success(model_file, nonfuchs_file, tmp_path,
     out = str(tmp_path / "sym.json")
     assert main(["symmetries", model_file, "--real-form", "-o", out]) == \
         EXIT_OK
-    d = json.loads(open(out).read())
+    d = json.loads(Path(out).read_text())
     assert d["dimension"] >= 2
     assert all(f["residual_zero"] for f in d["fields"])
     assert all(f["diagnostic"]["verdict"] != "growth-unbounded"
@@ -139,16 +153,16 @@ def test_blowup_commands(model_file, tmp_path):
     out = str(tmp_path / "star.json")
     assert main(["blowup", model_file, "--blowup", "s=2,l=2", "-o", out]) == \
         EXIT_OK
-    d = json.loads(open(out).read())
+    d = json.loads(Path(out).read_text())
     assert d["m_star"] == 5
     assert main(["blowup", model_file, "--auto", "5", "-o", out]) == EXIT_OK
-    assert json.loads(open(out).read())["s"] == 2
+    assert json.loads(Path(out).read_text())["s"] == 2
     # empty search range: structured none-branch with a domain exit code
     from segrefuchs.cli import EXIT_DOMAIN
     for auto in ("1", "0"):
         assert main(["blowup", model_file, "--auto", auto, "-o", out]) == \
             EXIT_DOMAIN
-        assert json.loads(open(out).read())["found"] is None
+        assert json.loads(Path(out).read_text())["found"] is None
 
 
 def test_monodromy_command_and_reverse(tmp_path, capsys):
@@ -331,7 +345,7 @@ def test_determinism_byte_identical(model_file, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["symmetries", model_file, "-o", a]) == EXIT_OK
     assert main(["symmetries", model_file, "-o", b]) == EXIT_OK
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_selftest(capsys):
@@ -386,6 +400,10 @@ def _negative_exponent(d):
 
 def _declared_12(d):
     d["order"] = 12
+
+
+def _exact_order(d):
+    d["order"] = d["series"]["order"] = 1000000
 
 
 def _repeated_exponent(d):
@@ -452,6 +470,14 @@ PINNED = [
      _with(COMPLEX5, _term_above_order), EXIT_FORMAT),
     ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
      EXIT_OK),
+] + [
+    # an order of 1000000 in a file means exact: no finite working order
+    ("exact-order-%s-%s" % (form, argv[0]), argv,
+     _with(surface, _exact_order), EXIT_FORMAT)
+    for form, surface in (("real", REAL5), ("complex", COMPLEX5))
+    for argv in (["verify", "{in}"], ["derive-ode", "{in}"],
+                 ["check-fuchsian", "{in}"], ["symmetries", "{in}"],
+                 ["blowup", "{in}", "--blowup", "s=2"])
 ] + [
     ("loop%s=%s" % (flag, value), ["monodromy", "{in}", flag, value],
      _doc(SYSTEM2), EXIT_DOMAIN)

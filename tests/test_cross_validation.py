@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from segrefuchs.qfield import qi, I
-from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.surfaces import build_real, build_complex, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,
@@ -32,8 +32,8 @@ def sqrt2_surface():
     c = qi(1, 2)
     return real_to_complex(build_real(
         2, 1, {(2, 2): u,
-               (2, 3): MultiSeries(("u",), 10 ** 6, {(2,): c}),
-               (3, 2): MultiSeries(("u",), 10 ** 6,
+               (2, 3): MultiSeries(("u",), EXACT, {(2,): c}),
+               (3, 2): MultiSeries(("u",), EXACT,
                                    {(2,): c.conjugate()})}, 14))
 
 
@@ -78,8 +78,8 @@ def test_spurious_shallow_candidates_are_rejected():
         c = qi(1, 2)
         M = real_to_complex(build_real(
             2, 1, {(2, 2): u,
-                   (2, 3): MultiSeries(("u",), 10 ** 6, {(2,): c}),
-                   (3, 2): MultiSeries(("u",), 10 ** 6,
+                   (2, 3): MultiSeries(("u",), EXACT, {(2,): c}),
+                   (3, 2): MultiSeries(("u",), EXACT,
                                        {(2,): c.conjugate()})}, order))
         basis = formal_symmetries(M)
         assert basis.dimension == 0

@@ -62,6 +62,21 @@ def test_spectrum_nilpotent_block():
     assert spec.rational == {Fraction(0): 2}
 
 
+def test_spectrum_past_the_divisor_cap():
+    # 2 * big is past DIVISOR_CAP, so the divisor search is cut short; the
+    # linear factor left once 2 is found is read off exactly
+    big = 10 ** 13 + 37
+    spec = residue_spectrum(const_system([[qi(2), qi(0)], [qi(0), qi(big)]]))
+    assert spec.rational == {Fraction(2): 1, Fraction(big): 1}
+    assert spec.as_dict()["non_rational_factor_degree"] == 0
+    assert spec.as_dict()["root_search_truncated"] is False
+    # x**2 + big has no rational root, and the cut search says so
+    spec = residue_spectrum(const_system([[qi(0), qi(-big)], [qi(1), qi(0)]]))
+    assert spec.rational == {}
+    assert spec.as_dict()["non_rational_factor_degree"] == 2
+    assert spec.as_dict()["root_search_truncated"] is True
+
+
 # ---- holomorphic solutions ------------------------------------------------------
 
 def brute_force_recurrence(A0, A_rest, n, order):

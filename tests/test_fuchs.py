@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import ONE, I, qi
-from segrefuchs.series import MultiSeries
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  complex_to_real)
 from segrefuchs.segre import eliminate
@@ -17,11 +17,11 @@ from test_golden import dense_surface
 
 
 def u_series(terms):
-    return MultiSeries(("u",), 10 ** 6, {(k,): c for k, c in terms.items()})
+    return MultiSeries(("u",), EXACT, {(k,): c for k, c in terms.items()})
 
 
 def wb_series(terms):
-    return MultiSeries(("wb",), 10 ** 6, {(k,): c for k, c in terms.items()})
+    return MultiSeries(("wb",), EXACT, {(k,): c for k, c in terms.items()})
 
 
 def random_real_table(rng, order, fuchsian, m):

@@ -7,7 +7,7 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  check_reality)
 from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
@@ -88,8 +88,8 @@ def test_sqrt2_surface_serialization_roundtrip():
     u = MultiSeries.variable("u", ("u",))
     c = qi(1, 1)
     Mr = build_real(2, 1, {(2, 2): u,
-                           (2, 3): MultiSeries(("u",), 10 ** 6, {(2,): c}),
-                           (3, 2): MultiSeries(("u",), 10 ** 6,
+                           (2, 3): MultiSeries(("u",), EXACT, {(2,): c}),
+                           (3, 2): MultiSeries(("u",), EXACT,
                                                {(2,): c.conjugate()})}, 13)
     Mc = real_to_complex(Mr)
     has_sqrt2 = any(not co.is_gaussian() for co in Mc.phi.terms.values())
@@ -116,11 +116,11 @@ def test_reality_forces_mirrored_orders():
         d23 = rng.randint(2 * m - 2, 2 * m)
         c24 = qi(rng.randint(1, 3), rng.randint(-2, 2))
         d24 = rng.randint(3 * m - 3, 3 * m - 1) if m > 1 else 0
-        tbl = {(2, 3): MultiSeries(("u",), 10 ** 6, {(d23,): c23}),
-               (3, 2): MultiSeries(("u",), 10 ** 6,
+        tbl = {(2, 3): MultiSeries(("u",), EXACT, {(d23,): c23}),
+               (3, 2): MultiSeries(("u",), EXACT,
                                    {(d23,): c23.conjugate()}),
-               (2, 4): MultiSeries(("u",), 10 ** 6, {(d24,): c24}),
-               (4, 2): MultiSeries(("u",), 10 ** 6,
+               (2, 4): MultiSeries(("u",), EXACT, {(d24,): c24}),
+               (4, 2): MultiSeries(("u",), EXACT,
                                    {(d24,): c24.conjugate()})}
         Mc = real_to_complex(build_real(m, 1, tbl, order))
         assert check_reality(Mc).is_zero()

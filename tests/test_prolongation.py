@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate, WV, ZETA
 from segrefuchs.prolongation import (VectorField, ProlongedField,
@@ -26,7 +26,7 @@ def zero_zw():
 
 
 def wser(terms):
-    return MultiSeries(("w",), 10 ** 6, {(k,): c for k, c in terms.items()})
+    return MultiSeries(("w",), EXACT, {(k,): c for k, c in terms.items()})
 
 
 def model(order=12, m=1):
@@ -279,7 +279,7 @@ def test_twelve_pole_bound_random():
         tbl = {}
         for (k, l) in ((2, 2), (3, 2), (2, 3)):
             tbl[(k, l)] = MultiSeries(
-                ("wb",), 10 ** 6,
+                ("wb",), EXACT,
                 {(rng.randint(0, 2),): qi(rng.randint(1, 3),
                                           rng.randint(-2, 2))})
         M = build_complex(m, 1, tbl, 3 * m + 6)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import (segre_graph, eliminate, closed_form_coeffs,
                               families_agree, verify_ode, AssociatedODE,
@@ -12,7 +12,7 @@ from segrefuchs.segre import (segre_graph, eliminate, closed_form_coeffs,
 from segrefuchs.errors import OrderTooLowError
 
 
-def wb_series(terms, order=10 ** 6):
+def wb_series(terms, order=EXACT):
     return MultiSeries(("wb",), order, {(k,): c for k, c in terms.items()})
 
 
