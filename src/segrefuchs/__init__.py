@@ -18,8 +18,7 @@ from .segre import (SegreGraph, AssociatedODE, segre_graph, eliminate,
 from .fuchs import (FuchsReport, check_fuchsian_real, check_fuchsian_complex,
                     check_fuchsian_ode)
 from .prolongation import (VectorField, ProlongedField, tangency_residual,
-                           collect_initial_system, initial_system,
-                           assemble_u_system,
+                           initial_system, assemble_u_system,
                            assemble_Y_system, assemble_twelve_system,
                            LinearODESystem, TwelveSystem)
 from .frobenius import (ResidueSpectrum, FrobeniusBasis, SymmetryBasis,
@@ -46,7 +45,7 @@ __all__ = [
     "FuchsReport", "check_fuchsian_real", "check_fuchsian_complex",
     "check_fuchsian_ode",
     "VectorField", "ProlongedField", "tangency_residual",
-    "collect_initial_system", "initial_system",
+    "initial_system",
     "assemble_u_system", "assemble_Y_system", "assemble_twelve_system",
     "LinearODESystem", "TwelveSystem",
     "ResidueSpectrum", "FrobeniusBasis", "SymmetryBasis",

@@ -33,9 +33,6 @@ class BlowupMap:
         self.s = s
         self.l = l
 
-    def __repr__(self):
-        return "<BlowupMap z=xi*eta^%d w=eta^%d>" % (self.s, self.l)
-
 
 class PulledBackSurface:
     """Defining data of M* containing {eta = 0}.
@@ -54,10 +51,6 @@ class PulledBackSurface:
         self.psi = psi
         self.defining = defining
         self.surface = surface
-
-    def __repr__(self):
-        return "<PulledBackSurface s=%d l=%d m*=%d eps=%+d>" % (
-            self.s, self.l, self.m_star, self.eps)
 
 
 def pullback_surface(M, B):
@@ -151,18 +144,18 @@ class BlownField:
     """Vector field in (xi, eta) with Laurent-in-eta components."""
 
     def __init__(self, Pstar, Qstar, s):
+        """Off the CLI path: the result of pullback_field."""
         self.P = Pstar
         self.Q = Qstar
         self.s = s
-
-    def __repr__(self):
-        return "<BlownField P=%r Q=%r>" % (self.P, self.Q)
 
 
 def pullback_field(L, B):
     """Transport a field through the blow-down (l = 2 only).
 
     Components may acquire finite eta-poles; they are tracked exactly.
+
+    Off the CLI path: paper content, field transport into a blow-up.
     """
     if B.l != 2:
         raise SegrefuchsError("field transport is implemented for l = 2 "
@@ -188,6 +181,8 @@ def pushforward_field(f, g, B):
     values allowed).  Checks the eta^(j s) divisibility with even-power
     quotients and inverts the substitution; inverse of pullback_field on
     its image.
+
+    Off the CLI path: paper content, transport out of a blow-up.
     """
     if B.l != 2:
         raise SegrefuchsError("field transport is implemented for l = 2 "
@@ -207,7 +202,10 @@ def pushforward_field(f, g, B):
 
 
 def _invert_substitution(hhat, s, label):
-    """Solve H(xi eta^s, eta^2) = hhat for H(z, w)."""
+    """Solve H(xi eta^s, eta^2) = hhat for H(z, w).
+
+    Off the CLI path: pushforward_field's inverse substitution.
+    """
     if hhat.pole_order() > 0:
         raise DivisibilityError(0, hhat.pole, -hhat.pole_order())
     h = hhat.as_series()

@@ -28,6 +28,7 @@ class ResidueSpectrum:
     """Exact spectral data of the residue matrix A(0)."""
 
     def __init__(self, charpoly, rational, residual_factor, truncated_search):
+        """Off the CLI path: the result of residue_spectrum."""
         self.charpoly = charpoly            # coefficients, low degree first
         self.rational = rational            # dict Fraction -> multiplicity
         self.residual_factor = residual_factor  # unfactored part or None
@@ -41,6 +42,7 @@ class ResidueSpectrum:
                     self.resonances.append((x, y))
 
     def as_dict(self):
+        """Off the CLI path: the result of residue_spectrum."""
         return {
             "rational_eigenvalues": {str(k): v
                                      for k, v in sorted(self.rational.items())},
@@ -51,17 +53,16 @@ class ResidueSpectrum:
             "root_search_truncated": self.truncated_search,
         }
 
-    def __repr__(self):
-        return "<ResidueSpectrum eig=%s resonances=%s>" % (
-            dict(self.rational), self.resonances)
-
 
 DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
 
 
 def _divisors(n):
     """(the divisors of |n|, or past DIVISOR_CAP those below 1000 only,
-    whether the list was cut short)."""
+    whether the list was cut short).
+
+    Off the CLI path: residue_spectrum's rational root search.
+    """
     n = abs(n)
     if n > DIVISOR_CAP:
         return [d for d in range(1, 1000) if n % d == 0], True
@@ -71,7 +72,10 @@ def _divisors(n):
 
 def _rational_root(work):
     """(a rational root of the polynomial `work` or None, whether the
-    divisor search was cut short); a linear factor's is read off exactly."""
+    divisor search was cut short); a linear factor's is read off exactly.
+
+    Off the CLI path: residue_spectrum's rational root search.
+    """
     if len(work) == 2:
         r = -work[0] / work[1]
         return (r.re if r.is_rational() else None), False
@@ -94,7 +98,10 @@ def _rational_root(work):
 
 
 def residue_spectrum(S):
-    """Characteristic polynomial of A(0) with exact rational-root data."""
+    """Characteristic polynomial of A(0) with exact rational-root data.
+
+    Off the CLI path: paper content, the exact spectrum of A(0).
+    """
     if S.pole_order > 1:
         raise NonFuchsianError("residue spectrum needs pole order <= 1, "
                                "got %d" % S.pole_order)
@@ -133,10 +140,6 @@ class FrobeniusBasis:
         self.log_obstructions = log_obstructions
         self.order = order
         self.branches = list(branches)      # (lambda0, solutions) pairs
-
-    def __repr__(self):
-        return "<FrobeniusBasis dim=%d order=%d log_obstructions=%s>" % (
-            self.dimension, self.order, self.log_obstructions)
 
 
 def _matrix_coeffs(A, order):
@@ -206,11 +209,14 @@ def _apply_params(M, K):
     """Right-multiply an n x params matrix by the params x r kernel basis.
 
     K lists the new-parameter directions as length-params vectors.
+
+    Off the CLI path: the resonant branch of _param_recurrence.
     """
     return [[_dot(row, k) for k in K] for row in M]
 
 
 def _dot(xs, ys):
+    """Off the CLI path: the resonant branch of _param_recurrence."""
     s = ZERO
     for x, y in zip(xs, ys):
         if not x.is_zero() and not y.is_zero():
@@ -261,6 +267,8 @@ def frobenius_basis(S, order=None):
     the integers, the recurrence is run from the smallest class member
     lambda0, producing formal solutions H(w) w^lambda0 per the Fuchsian
     fundamental-system shape.
+
+    Off the CLI path: paper content, the non-integer branches.
     """
     hol = holomorphic_solutions(S, order)
     spec = residue_spectrum(S)
@@ -334,10 +342,6 @@ class SymmetryBasis:
                 rows = span + [_field_row(br, order)]
                 worst = max(worst, linalg.rank(rows) - base_rank)
         return worst
-
-    def __repr__(self):
-        return "<SymmetryBasis dim=%d order=%d>" % (self.dimension,
-                                                    self.order)
 
 
 def _field_row(L, order):
@@ -429,10 +433,6 @@ class ConvergenceReport:
                 "window": list(self.window),
                 "ratios": {k: v for k, v in self.ratios.items()}}
 
-    def __repr__(self):
-        return "<ConvergenceReport %s ratios=%s>" % (self.verdict,
-                                                     self.ratios)
-
 
 GROWTH_BOUND = 10.0  # largest coefficient-norm ratio counted as bounded
 
@@ -473,7 +473,10 @@ def convergence_diagnostic(y):
 
 
 def field_u_vector(L):
-    """(P0, P1, P0', P1', Q0, Q1, Q0', Q1') of a field, as w-series."""
+    """(P0, P1, P0', P1', Q0, Q1, Q0', Q1') of a field, as w-series.
+
+    Off the CLI path: oracle of the u-system.
+    """
     P, Q = L.P, L.Q
     P0 = P.coeff_of({Z: 0})
     P1 = P.coeff_of({Z: 1})
@@ -511,6 +514,8 @@ def real_tangency_residual(L, M):
     Zero iff the real flow of L preserves the surface (L lies in the real
     automorphism algebra, not merely its complexification).  It is taken
     at the lower of the two trusted orders.
+
+    Off the CLI path: oracle of real_form_basis.
     """
     order = min(M.order, L.order())
     A, B = _surface_parts(L, M.truncate(order).defining_series(), order)

@@ -62,12 +62,6 @@ class FuchsRow:
                 "measured_order": self.measured,
                 "available_order": self.available, "status": self.status}
 
-    def __repr__(self):
-        meas = self.measured if self.measured is not None else \
-            ">=%d" % (self.available + 1)
-        return "%-4s ord %s vs >=%d: %s" % (self.name, meas, self.bound,
-                                            self.status)
-
 
 class FuchsReport:
     def __init__(self, m, rows, form):
@@ -87,12 +81,6 @@ class FuchsReport:
     def as_dict(self):
         return {"form": self.form, "m": self.m, "verdict": self.verdict,
                 "rows": [r.as_dict() for r in self.rows]}
-
-    def __repr__(self):
-        lines = ["FuchsReport(%s, m=%d): %s" % (self.form, self.m,
-                                                self.verdict)]
-        lines += ["  " + repr(r) for r in self.rows]
-        return "\n".join(lines)
 
 
 def _series_order_row(name, expr, series, var, m):
@@ -134,7 +122,10 @@ def check_fuchsian_ode(E):
 
 
 def mero_pole_rows(E):
-    """Pole-order view: ord a(0,w) >= -1, b >= -2, c >= -3 with z-rows."""
+    """Pole-order view: ord a(0,w) >= -1, b >= -2, c >= -3 with z-rows.
+
+    Off the CLI path: oracle of the ODE ledger.
+    """
     out = []
     for which, bound in (("a", 1), ("b", 2), ("c", 3)):
         mero = E.mero(which)

@@ -165,7 +165,10 @@ def det(A):
 
 
 def poly_eval(coeffs, x):
-    """Evaluate a coefficient list (lowest degree first) at x."""
+    """Evaluate a coefficient list (lowest degree first) at x.
+
+    Off the CLI path: residue_spectrum's rational root search.
+    """
     acc = ZERO
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -173,7 +176,10 @@ def poly_eval(coeffs, x):
 
 
 def poly_divmod_linear(coeffs, r):
-    """Divide polynomial by (t - r); returns (quotient, remainder)."""
+    """Divide polynomial by (t - r); returns (quotient, remainder).
+
+    Off the CLI path: residue_spectrum's rational root search.
+    """
     n = len(coeffs) - 1
     out = [ZERO] * n
     acc = ZERO

@@ -40,10 +40,6 @@ class LoopSpec:
         self.direction = direction
         self.tol = tol
 
-    def __repr__(self):
-        return "<LoopSpec r=%g steps=%d dir=%+d tol=%g>" % (
-            self.radius, self.steps, self.direction, self.tol)
-
 
 class MonodromyResult:
     def __init__(self, matrix, residual, tail_estimate, condition, steps):
@@ -54,6 +50,7 @@ class MonodromyResult:
         self.steps = steps
 
     def invertible(self):
+        """Off the CLI path: the tests' invertibility check."""
         return abs(np.linalg.det(self.matrix)) > INVERTIBLE_TOL
 
     def as_dict(self):
@@ -65,10 +62,6 @@ class MonodromyResult:
             "condition": self.condition,
             "steps": self.steps,
         }
-
-    def __repr__(self):
-        return "<MonodromyResult n=%d residual=%.3g tail<=%.3g>" % (
-            len(self.matrix), self.residual, self.tail_estimate)
 
 
 def _dense_matrix_data(S):
@@ -120,6 +113,8 @@ def tail_estimate(S, radius):
     Uses the magnitude of the last retained degree with a geometric factor;
     the artifact cannot know true convergence radii, so this is reported,
     not enforced.
+
+    Off the CLI path: the tests' view of the tail bound.
     """
     return _tail_bound(_dense_matrix_data(S), radius)
 
@@ -179,7 +174,10 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
 
 
 def continue_system(S, loop, y0):
-    """Analytic continuation of one solution vector around the loop."""
+    """Analytic continuation of one solution vector around the loop.
+
+    Off the CLI path: oracle of the RK4 loop.
+    """
     Y0 = np.array(y0, dtype=complex).reshape(-1, 1)
     Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0,
                                TRUSTED_RADIUS)
@@ -204,6 +202,8 @@ def infinitesimal_monodromy(basis_vectors, S, loop):
     change-of-basis matrix of the loop action, offspan the largest
     least-squares residual (a large value signals the basis does not span
     its continuation at this truncation; reported, not fatal).
+
+    Off the CLI path: paper content, the loop action on a basis.
     """
     r = loop.radius
     cols = []
@@ -222,4 +222,5 @@ def infinitesimal_monodromy(basis_vectors, S, loop):
 
 
 def _wvar(series):
+    """Off the CLI path: infinitesimal_monodromy's evaluation variable."""
     return series.vars[0] if len(series.vars) == 1 else W

@@ -6,11 +6,22 @@ formal sum  sum_tag  coefficient(z, w, zeta) * tag  where the tags name the
 unknown functions (structural components P0, P1, Q0, Q1 and their
 w-derivatives, or full jet derivatives of P and Q), and the coefficients
 are Laurent-in-w series.  The tangency residual is computed once,
-generically, and the 8x8 u-system, the Fuchsian 8x8 Y-system and the 12x12
-complete system are all read off mechanically from its slices; none of the
-four-equation reductions is hard-coded.  The classical four-line form of
-the collected system is kept as a regression fixture and compared against
-the mechanical collection symbolically.
+generically, and every linear system is read off mechanically from its
+slices; none of the four-equation reductions is hard-coded.
+
+There is one structural solve: the zeta^3 and zeta^2 slots give P0'', P1'',
+Q0'', Q1'', and with them the 8x8 u-system du/dw = C(w) u for
+u = (P0, P1, P0', P1', Q0, Q1, Q0', Q1').  The Fuchsian Y-system
+dY/dw = A(w) Y / w, Y = (P0, P1, R0, R1, wP0', wP1', wR0', wR1') with
+Q = w R, is its exact gauge Y = G(w) u for one fixed Laurent matrix G
+(Balser, Formal Power Series and Linear Systems of Meromorphic Ordinary
+Differential Equations, 2000).  G writes each u-tag in Y:
+
+    P0 -> Y0    P0' -> Y4 / w    Q0 -> w Y2    Q0' -> Y6 + Y2
+
+and likewise for P1, Q1 with Y1, Y5, Y3, Y7.  So A[i][4+i] = 1 for i < 4,
+rows 4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.  The 12x12
+complete system differentiates the four collected equations once.
 """
 
 from .qfield import ZERO, ONE
@@ -31,25 +42,19 @@ class VectorField:
         self.Q = Q.embed((Z, WV))
 
     def order(self):
+        """Off the CLI path: the order real_tangency_residual reads."""
         return min(self.P.order, self.Q.order)
 
-    def truncate(self, order):
-        return VectorField(self.P.truncate(order), self.Q.truncate(order))
-
     def scale(self, c):
+        """Off the CLI path: field arithmetic of the tests."""
         return VectorField(self.P.scale(c), self.Q.scale(c))
 
     def __add__(self, other):
+        """Off the CLI path: field arithmetic of the tests."""
         return VectorField(self.P + other.P, self.Q + other.Q)
-
-    def __sub__(self, other):
-        return VectorField(self.P - other.P, self.Q - other.Q)
 
     def is_zero(self):
         return self.P.is_zero() and self.Q.is_zero()
-
-    def __repr__(self):
-        return "<VectorField P=%r Q=%r>" % (self.P, self.Q)
 
 
 class ProlongedField:
@@ -149,17 +154,11 @@ class LinForm:
                        self.alg)
 
     def tags(self):
+        """Off the CLI path: the tests' view of a linear form."""
         return sorted(self.coef)
 
     def get(self, t):
         return self.coef.get(t)
-
-    def is_zero(self):
-        return not self.coef
-
-    def __repr__(self):
-        return "LinForm{" + ", ".join(
-            "%s: %r" % (t, c) for t, c in sorted(self.coef.items())) + "}"
 
 
 def _acc(coef, t, c):
@@ -223,63 +222,6 @@ def tangency_residual(L, E):
 
 
 # ---------------------------------------------------------------------------
-# symbolic collection of the four-equation system (regression fixture)
-# ---------------------------------------------------------------------------
-
-GEN_VARS = ("P", "Q", "Pz", "Pw", "Qz", "Qw", "Pzz", "Pzw", "Pww",
-            "Qzz", "Qzw", "Qww", "a", "az", "aw", "b", "bz", "bw",
-            "c", "cz", "cw", "w1")
-
-
-def _gen(name):
-    return MultiSeries.variable(name, GEN_VARS)
-
-
-def collect_initial_system():
-    """Mechanical w1^0..w1^3 collection of the tangency condition.
-
-    Uses opaque symbols for the meromorphic coefficients a, b, c and their
-    composite derivatives.  Returns (computed, fixture, diffs): computed[j]
-    is the collected equation at w1^j in the canonical orientation
-    lhs - rhs = 0; fixture holds the classical four-line form; diffs
-    lists the per-line difference (all zero: the fixture is reproduced).
-    """
-    P, Q = _gen("P"), _gen("Q")
-    Pz, Pw, Qz, Qw = _gen("Pz"), _gen("Pw"), _gen("Qz"), _gen("Qw")
-    Pzz, Pzw, Pww = _gen("Pzz"), _gen("Pzw"), _gen("Pww")
-    Qzz, Qzw, Qww = _gen("Qzz"), _gen("Qzw"), _gen("Qww")
-    a, az, aw = _gen("a"), _gen("az"), _gen("aw")
-    b, bz, bw = _gen("b"), _gen("bz"), _gen("bw")
-    c, cz, cw = _gen("c"), _gen("cz"), _gen("cw")
-    w1 = _gen("w1")
-
-    Phi = a * w1 ** 2 + b * w1 ** 3 + c * w1 ** 4
-    Phiz = az * w1 ** 2 + bz * w1 ** 3 + cz * w1 ** 4
-    Phiw = aw * w1 ** 2 + bw * w1 ** 3 + cw * w1 ** 4
-    Phiw1 = a.scale(2) * w1 + b.scale(3) * w1 ** 2 + c.scale(4) * w1 ** 3
-    Q1 = Qz + (Qw - Pz) * w1 - Pw * w1 ** 2
-    Q2 = (Qzz + (Qzw.scale(2) - Pzz) * w1 + (Qww - Pzw.scale(2)) * w1 ** 2
-          - Pww * w1 ** 3 + (Qw - Pz.scale(2)) * Phi - Pw.scale(3) * w1 * Phi)
-    T = Q2 - P * Phiz - Q * Phiw - Q1 * Phiw1
-
-    computed = [T.coeff_of({"w1": j}) for j in range(4)]
-    # fixture lines, lhs - rhs; the third keeps its split a-terms
-    fixture = [
-        Qzz,
-        Qzw.scale(2) - Pzz - a.scale(2) * Qz,
-        (Qww - Pzw.scale(2))
-        - (a * (-Qw + Pz.scale(2)) + az * P + aw * Q + b.scale(3) * Qz
-           + a.scale(2) * (Qw - Pz)),
-        Pww - (b * (Qw - Pz.scale(2)) - a * Pw - bz * P - bw * Q
-               - c.scale(4) * Qz + b.scale(3) * (Pz - Qw)),
-    ]
-    # orientation of the mechanical collection: w1^3 slice is -(line 4)
-    oriented = [computed[0], computed[1], computed[2], -computed[3]]
-    diffs = [o - f for o, f in zip(oriented, fixture)]
-    return oriented, fixture, diffs
-
-
-# ---------------------------------------------------------------------------
 # structural reduction and the 8x8 systems
 # ---------------------------------------------------------------------------
 
@@ -315,7 +257,10 @@ class LinearODESystem:
                                for e in row), default=0)
 
     def residual(self, u):
-        """du/dw - C u for a candidate vector of w-series (Laurent ok)."""
+        """du/dw - C u for a candidate vector of w-series (Laurent ok).
+
+        Off the CLI path: oracle of the Frobenius solutions.
+        """
         return _residual(self.entries, u, WV)
 
     def fuchsian_A(self):
@@ -324,10 +269,6 @@ class LinearODESystem:
             raise NonFuchsianError("system has pole order %d > 1"
                                    % self.pole_order)
         return [[e.mul_w(1).as_series() for e in row] for row in self.entries]
-
-    def __repr__(self):
-        return "<LinearODESystem n=%d pole<=%d unknown=%s>" % (
-            self.n, self.pole_order, self.unknown)
 
 
 def _residual(entries, y, var):
@@ -384,33 +325,27 @@ def _solve_slot(eq, target, allowed):
     return out
 
 
+U_NAMES = ("P0", "P1", "Q0", "Q1")
 U_TAGS = [("P0", 0), ("P1", 0), ("P0", 1), ("P1", 1),
           ("Q0", 0), ("Q1", 0), ("Q0", 1), ("Q1", 1)]
 
 
-def _second_derivative_exprs(E, with_w_factor):
-    """Solve the structural tangency for the second w-derivatives.
+def _second_derivative_exprs(E):
+    """Solve the structural tangency for P0'', P1'', Q0'', Q1''.
 
-    The unknowns are (P0, P1, Q0, Q1), the u-system shape, or with the w
-    factor (P0, P1, R0, R1) with Q = w R.  The zeta^3 slots at z^0 and z^1
-    give the P-type, the zeta^2 slots the Q-type second derivatives.
-    Returns {(name, 2): {tag: Laurent}} over the tags (name, 0), (name, 1),
-    in the order of the unknowns.
+    The zeta^3 slots at z^0 and z^1 give the P-type, the zeta^2 slots the
+    Q-type second derivatives.  Returns {(name, 2): {tag: Laurent}} over the
+    u-tags (name, 0), (name, 1), in the order of U_NAMES.
     """
     V3 = (Z, WV, ZETA)
-    names = ("P0", "P1", "R0", "R1") if with_w_factor else \
-        ("P0", "P1", "Q0", "Q1")
-    P0, P1, Q0, Q1 = (LinForm.unknown((n, 0), STRUCT_ALG) for n in names)
-    if with_w_factor:
-        w = MultiSeries.variable(WV, V3)
-        Q0, Q1 = Q0 * w, Q1 * w
+    P0, P1, Q0, Q1 = (LinForm.unknown((n, 0), STRUCT_ALG) for n in U_NAMES)
     at = E.a_tilde()
     Pf, Qf = structural_field(LaurentInW(at.body.embed(V3), at.pole, WV),
                               MultiSeries.variable(Z, V3), P0, P1, Q0, Q1)
     T = tangency_forms(Pf, Qf, E)
-    allowed = {(n, d) for n in names for d in (0, 1)}
-    return {(n, 2): _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2), allowed)
-            for n, (jz, kz) in zip(names, ((3, 0), (3, 1), (2, 0), (2, 1)))}
+    return {(n, 2): _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2),
+                                set(U_TAGS))
+            for n, (jz, kz) in zip(U_NAMES, ((3, 0), (3, 1), (2, 0), (2, 1)))}
 
 
 def assemble_u_system(E):
@@ -419,7 +354,7 @@ def assemble_u_system(E):
     Mechanically derived: rows 3-4 of the collected system at z-degrees 0
     and 1 under the structural substitution.  Pole order is at most 3m.
     """
-    exprs = _second_derivative_exprs(E, with_w_factor=False)
+    exprs = _second_derivative_exprs(E)
     col = {t: i for i, t in enumerate(U_TAGS)}
     C = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
     C[0][2] = C[1][3] = C[4][6] = C[5][7] = _const(ONE, (WV,))
@@ -434,52 +369,50 @@ def assemble_u_system(E):
     return sys
 
 
+# Y = G(w) u: each u-tag as its (w-power, Y-column) terms, with Q = w R.
+Y_OF_U = {("P0", 0): ((0, 0),), ("P1", 0): ((0, 1),),
+          ("P0", 1): ((-1, 4),), ("P1", 1): ((-1, 5),),
+          ("Q0", 0): ((1, 2),), ("Q1", 0): ((1, 3),),
+          ("Q0", 1): ((0, 6), (0, 2)), ("Q1", 1): ((0, 7), (0, 3))}
+# the row of A that holds each second derivative: (row, w-power, diagonal)
+Y_ROW = {"P0": (4, 2, ONE), "P1": (5, 2, ONE),
+         "Q0": (6, 1, -ONE), "Q1": (7, 1, -ONE)}
+
+
 def assemble_Y_system(E, report=None):
     """The Fuchsian 8x8 system dY/dw = (1/w) A(w) Y, A holomorphic.
 
-    Y = (P0, P1, R0, R1, wP0', wP1', wR0', wR1') with Q = w R.  On a
-    non-Fuchsian surface some entry of A acquires a pole; the structured
-    error then names that entry and, when a classifier report is supplied,
-    its first violated ledger row.
+    Y = (P0, P1, R0, R1, wP0', wP1', wR0', wR1') with Q = w R is the gauge
+    Y = G(w) u of the u-system, and A is read off its solved second
+    derivatives through Y_OF_U: rows 0-3 are the unit A[i][4+i] = 1, rows
+    4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.  On a non-Fuchsian
+    surface some entry of A acquires a pole; the structured error then
+    names that entry and, when a classifier report is supplied, its first
+    violated ledger row.
     """
     from .fuchs import NON_FUCHSIAN
-    exprs = _second_derivative_exprs(E, with_w_factor=True)
-    pos = {n: i for i, (n, _) in enumerate(exprs)}
-    A = [[MultiSeries.zero((WV,)) for _ in range(8)] for _ in range(8)]
+    C = assemble_u_system(E).entries
+    A = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
     for i in range(4):
-        A[i][4 + i] = MultiSeries.const(ONE, (WV,))
-
-    def note_violation(i, j, value):
-        row = None
-        if report is not None and report.verdict == NON_FUCHSIAN:
-            w = report.witnesses()
-            row = w[0].as_dict() if w else None
-        raise NonFuchsianError(
-            "Y-system entry A[%d][%d] has pole order %d; the Fuchsian "
-            "grouping fails" % (i, j, value.pole_order()),
-            ledger_row=row, entry=(i, j), pole=value.pole_order())
-
-    for (n, _), expr in exprs.items():
-        i = 4 + pos[n]
-        A[i][i] = A[i][i] + MultiSeries.const(ONE, (WV,))
-        for t, c in expr.items():
-            base, d = t
-            if d == 0:
-                entry = c.mul_w(2)
-                j = pos[base]
-            else:
-                entry = c.mul_w(1)
-                j = 4 + pos[base]
-            if entry.pole_order() > 0:
-                note_violation(i, j, entry)
-            A[i][j] = A[i][j] + entry.as_series().project((WV,))
-    entries = [[LaurentInW(A[i][j], 1, WV) for j in range(8)]
-               for i in range(8)]
-    sys = LinearODESystem(entries, unknown="(P0,P1,R0,R1,wP0',wP1',wR0',wR1')")
-    if sys.pole_order > 1:
-        raise NonFuchsianError("assembled Y-system is not Fuchsian",
-                               entry=None, pole=sys.pole_order)
-    return sys
+        A[i][4 + i] = _const(ONE, (WV,))
+    for n, (i, k, diag) in Y_ROW.items():
+        A[i][i] = _const(diag, (WV,))
+        # the row of n' in C holds n''
+        for t, c in zip(U_TAGS, C[U_TAGS.index((n, 1))]):
+            for p, j in Y_OF_U[t]:
+                A[i][j] = A[i][j] + c.mul_w(k + p)
+        for j, e in enumerate(A[i]):
+            if e.pole_order() > 0:
+                w = report.witnesses() if report is not None and \
+                    report.verdict == NON_FUCHSIAN else None
+                raise NonFuchsianError(
+                    "Y-system entry A[%d][%d] has pole order %d; the "
+                    "Fuchsian grouping fails" % (i, j, e.pole_order()),
+                    ledger_row=w[0].as_dict() if w else None, entry=(i, j),
+                    pole=e.pole_order())
+    return LinearODESystem([[LaurentInW(e.as_series(), 1, WV) for e in row]
+                            for row in A],
+                           unknown="(P0,P1,R0,R1,wP0',wP1',wR0',wR1')")
 
 
 # ---------------------------------------------------------------------------

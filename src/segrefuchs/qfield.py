@@ -60,6 +60,7 @@ class GaussianRational:
 
     @staticmethod
     def from_fraction(f):
+        """Off the CLI path: the benchmark's constructor."""
         f = Fraction(f)
         return GaussianRational(f.numerator, 0, 0, 0, f.denominator)
 
@@ -133,12 +134,6 @@ class GaussianRational:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -172,12 +167,6 @@ class GaussianRational:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
@@ -203,9 +192,6 @@ class GaussianRational:
         return (self.a == other.a and self.b == other.b and
                 self.c == other.c and self.d == other.d and self.q == other.q)
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.q))
-
     def to_complex(self):
         s = 2 ** 0.5
         return complex((self.a + self.c * s) / self.q,
@@ -215,6 +201,7 @@ class GaussianRational:
         return abs(self.to_complex())
 
     def __repr__(self):
+        """Off the CLI path: coefficients in error messages."""
         parts = []
         if self.a:
             parts.append(str(Fraction(self.a, self.q)))

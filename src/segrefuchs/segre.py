@@ -43,10 +43,6 @@ class SegreGraph:
         self.zeta = zeta    # w'/w^m, computed without division
         self.wzz = wz.diff(Z)
 
-    def __repr__(self):
-        return "<SegreGraph m=%d eps=%+d order=%d>" % (
-            self.m, self.eps, self.w.order)
-
 
 class AssociatedODE:
     """w'' = Phi(z, w, w'/w^m) together with its coefficient family.
@@ -97,10 +93,6 @@ class AssociatedODE:
         """Double z-antiderivative of a with vanishing z^0, z^1 slices."""
         a = self.mero("a")
         return LaurentInW(a.body.integrate(Z).integrate(Z), a.pole, wvar=WV)
-
-    def __repr__(self):
-        return "<AssociatedODE m=%d eps=%+d order=%s>" % (
-            self.m, self.eps, self.order)
 
 
 def segre_graph(M):
@@ -201,6 +193,8 @@ def verify_ode(M, E):
 
     Zero modulo the trusted order iff E is the associated ODE of M.  The
     residual comes back in the graph variables (z, xib, etab).
+
+    Off the CLI path: oracle of eliminate.
     """
     order = min(M.order, E.order)
     g = segre_graph(M.truncate(order))

@@ -7,7 +7,9 @@ appended when the coefficient has sqrt2 components.  Numeric (monodromy)
 payloads are the only place floats appear.
 
 An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
-and any order of EXACT_IN_FILE or more is read back as exact.
+and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
+refuses a finite order of EXACT_IN_FILE or more with FormatError rather
+than write a file its reader would take for exact.
 """
 
 import functools
@@ -54,6 +56,16 @@ def _order_from_json(x):
     return EXACT if order >= EXACT_IN_FILE else order
 
 
+def _order_to_json(order):
+    if order == EXACT:
+        return EXACT_IN_FILE
+    if order >= EXACT_IN_FILE:
+        raise FormatError("finite order %d has no file encoding: an order "
+                          "of %d or more reads back as exact"
+                          % (order, EXACT_IN_FILE))
+    return order
+
+
 def coeff_to_json(c):
     if c.is_gaussian():
         return [_rat(c.re), _rat(c.im)]
@@ -74,8 +86,8 @@ def series_to_json(s):
     terms = []
     for e in sorted(s.terms):
         terms.append([list(e)] + coeff_to_json(s.terms[e]))
-    order = EXACT_IN_FILE if s.order == EXACT else s.order
-    return {"vars": list(s.vars), "order": order, "terms": terms}
+    return {"vars": list(s.vars), "order": _order_to_json(s.order),
+            "terms": terms}
 
 
 @_reader("series")
@@ -96,6 +108,7 @@ def series_from_json(d):
 
 
 def laurent_to_json(L):
+    """Off the CLI path: the entries of system_to_json."""
     return {"pole": L.pole, "wvar": L.wvar, "body": series_to_json(L.body)}
 
 
@@ -107,12 +120,14 @@ def laurent_from_json(d):
 def surface_to_json(M):
     if isinstance(M, ComplexDefining):
         out = {"form": "complex", "m": M.m, "sign": M.eps,
-               "order": M.order, "series": series_to_json(M.phi)}
+               "order": _order_to_json(M.order),
+               "series": series_to_json(M.phi)}
         if M.scale_sq is not None:
             out["scale_sq"] = _rat(M.scale_sq)
         return out
     if isinstance(M, RealDefining):
-        return {"form": "real", "m": M.m, "sign": M.eps, "order": M.order,
+        return {"form": "real", "m": M.m, "sign": M.eps,
+                "order": _order_to_json(M.order),
                 "series": series_to_json(M.psi)}
     raise FormatError("not a surface value: %r" % (M,))
 
@@ -157,6 +172,7 @@ def ode_to_json(E):
 
 @_reader("ODE")
 def ode_from_json(d):
+    """Off the CLI path: the benchmark oracle's ODE reader."""
     from .segre import AssociatedODE
     Phi, order = series_from_json(d["Phi"]), _order_from_json(d["order"])
     if order > Phi.order:
@@ -167,6 +183,7 @@ def ode_from_json(d):
 
 
 def system_to_json(S):
+    """Off the CLI path: writes the benchmark's monodromy inputs."""
     return {"n": S.n, "pole_order": S.pole_order, "unknown": S.unknown,
             "entries": [[laurent_to_json(e) for e in row]
                         for row in S.entries]}

@@ -127,9 +127,6 @@ class Terms(Mapping):
     def __len__(self):
         return len(self._num)
 
-    def __contains__(self, e):
-        return e in self._num
-
 
 class MultiSeries:
     __slots__ = ("vars", "order", "den", "num", "_by_degree")
@@ -237,18 +234,6 @@ class MultiSeries:
         num = {_remap(e, self.vars, vars): t for e, t in self.num.items()}
         return _packed(vars, self.order, self.den, num)
 
-    def project(self, vars):
-        """Restrict to a sub-variable set; dropped vars must not occur."""
-        vars = tuple(vars)
-        keep = [self.vars.index(v) for v in vars]
-        drop = [i for i, v in enumerate(self.vars) if v not in vars]
-        num = {}
-        for e, t in self.num.items():
-            if any(e[i] for i in drop):
-                raise SeriesError("projection drops an occurring variable")
-            num[tuple(e[i] for i in keep)] = t
-        return _packed(vars, self.order, self.den, num)
-
     # ---------- ring operations ----------
 
     def _aligned(self, other):
@@ -296,6 +281,7 @@ class MultiSeries:
         return self + (-other)
 
     def __rsub__(self, other):
+        """Off the CLI path: ring protocol, c - s."""
         return MultiSeries.const(other, self.vars) + (-self)
 
     def scale(self, c):
@@ -349,6 +335,7 @@ class MultiSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Off the CLI path: the tests' symbolic collection fixture."""
         if not isinstance(n, int) or n < 0:
             raise SeriesError("powers must be nonnegative integers")
         if n == 0:
@@ -359,13 +346,17 @@ class MultiSeries:
         return acc
 
     def __eq__(self, other):
+        """Off the CLI path: exact comparison in the tests."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
         a, b = self._aligned(other)
         return a.order == b.order and a.den == b.den and a.num == b.num
 
     def equal_mod(self, other, order):
-        """Exact equality of all coefficients through total degree `order`."""
+        """Exact equality of all coefficients through total degree `order`.
+
+        Off the CLI path: oracle comparison through an order.
+        """
         a, b = self._aligned(other if isinstance(other, MultiSeries)
                              else MultiSeries.const(other, self.vars))
         if min(a.order, b.order) < order:
@@ -476,6 +467,7 @@ class MultiSeries:
     # ---------- numerics / io ----------
 
     def eval_complex(self, point):
+        """Off the CLI path: infinitesimal_monodromy's evaluation."""
         idx = [point[v] for v in self.vars]
         total = 0j
         for e, c in self.terms.items():
@@ -487,6 +479,7 @@ class MultiSeries:
         return total
 
     def __repr__(self):
+        """Off the CLI path: series in error messages."""
         if not self.num:
             return "<0 (order %s)>" % self.order
         bits = []
@@ -687,6 +680,7 @@ class SingularJacobianError(SeriesError):
     """
 
     def __init__(self, determinant):
+        """Off the CLI path: raised by solve_implicit."""
         super().__init__("singular Jacobian (determinant %r)" % determinant)
         self.determinant = determinant
 
@@ -781,17 +775,8 @@ class LaurentInW:
             raise SeriesError("Laurent value has a genuine pole")
         return self.body.monomial_div(self.wvar, self.pole)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentInW):
-            return NotImplemented
-        d = self - other
-        return d.body.is_zero()
-
-    def eval_complex(self, point):
-        w = point[self.wvar]
-        return self.body.eval_complex(point) / w ** self.pole
-
     def __repr__(self):
+        """Off the CLI path: Laurent values in error messages."""
         if self.pole:
             return "<w^-%d * %r>" % (self.pole, self.body)
         return repr(self.body)

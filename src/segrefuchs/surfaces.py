@@ -115,10 +115,6 @@ class RealDefining:
         """v = F(z, zb, u) as a series over (z, zb, u)."""
         return self.psi.monomial_mul(U, self.m)
 
-    def __repr__(self):
-        return "<RealDefining m=%d eps=%+d order=%d>" % (
-            self.m, self.eps, self.order)
-
 
 class ComplexDefining:
     """Complex exponential form: m, sign and phi(z, zb, wb)."""
@@ -172,10 +168,6 @@ class ComplexDefining:
             defects.insert(0, "zzb coefficient of phi is not 1")
         return defects
 
-    def __repr__(self):
-        return "<ComplexDefining m=%d eps=%+d order=%d>" % (
-            self.m, self.eps, self.order)
-
 
 class ValidationReport:
     """Structural flags plus the residual series backing each verdict."""
@@ -188,6 +180,7 @@ class ValidationReport:
         self.residual = residual
 
     def ok(self):
+        """Off the CLI path: the tests' one-flag summary."""
         return (self.normal and self.admissible and self.reality_ok
                 and self.levi_ok)
 
@@ -265,6 +258,8 @@ def nonminimality_order(F):
     F must be in normal coordinates (no pure-z or pure-zb slices).  Raises
     when F vanishes identically at this truncation (order undetermined) or
     when the quotient still vanishes on u = 0 (not Levi-nonflat to order N).
+
+    Off the CLI path: paper content, m of a defining series.
     """
     F = F.embed((Z, ZB, U))
     for e in F.terms:
@@ -365,6 +360,8 @@ def complex_to_real(Mc):
     """Transfer an admissible complex form back to real m-admissible data.
 
     Inverse of real_to_complex up to the recorded z-rescaling.
+
+    Off the CLI path: paper content, the inverse transfer.
     """
     if Mc.order < min_order(Mc.m):
         raise OrderTooLowError(Mc.order, min_order(Mc.m))
@@ -406,6 +403,8 @@ def build_real(m, eps, h_kl, order):
 
     h_kl maps (k, l) with k, l >= 2 to series in u, or to their term
     dicts; the eps*z*zb term is added automatically.
+
+    Off the CLI path: the constructor of real inputs.
     """
     table = {kl: s if isinstance(s, MultiSeries) else
              MultiSeries((U,), EXACT, s) for kl, s in h_kl.items()}

@@ -22,9 +22,8 @@ from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
                               verify_ode)
 from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
                               check_fuchsian_ode, FUCHSIAN, NON_FUCHSIAN)
-from segrefuchs.prolongation import (VectorField, collect_initial_system,
-                                     assemble_u_system, assemble_Y_system,
-                                     tangency_residual)
+from segrefuchs.prolongation import (VectorField, assemble_u_system,
+                                     assemble_Y_system, tangency_residual)
 from segrefuchs.frobenius import (formal_symmetries, field_u_vector,
                                   convergence_diagnostic, _field_row)
 from segrefuchs.blowup import BlowupMap, pullback_field, pushforward_field
@@ -33,6 +32,8 @@ from segrefuchs.monodromy import (LoopSpec, monodromy_matrix,
 from segrefuchs.errors import NonFuchsianError
 from segrefuchs import linalg
 from segrefuchs.cli import main as cli_main, EXIT_REFUSED
+
+from test_prolongation import collect_initial_system
 
 
 def report(num, ok, text):

@@ -18,7 +18,8 @@ from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.segre import eliminate
 from segrefuchs.errors import FormatError
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
-                                 ComplexDefining, admissible_series,
+                                 ComplexDefining, RealDefining,
+                                 admissible_series,
                                  split_admissible, Z, ZB, WB)
 from test_golden import dense_surface
 
@@ -68,6 +69,19 @@ def test_exact_series_roundtrip_as_order_1000000():
     # any order of 1000000 or more in a file is exact, and only those
     assert serialize.series_from_json(dict(j, order=10 ** 7)).order == EXACT
     assert serialize.series_from_json(dict(j, order=999999)).order == 999999
+
+
+def test_writers_refuse_an_order_their_reader_takes_for_exact():
+    """psi = z*zb trusted through 999999 gives a real m=1 surface of order
+    1000000, which a file can only spell as exact."""
+    psi = MultiSeries.monomial(ONE, (1, 1, 0), ("z", "zb", "u"), 999999)
+    assert serialize.series_to_json(psi)["order"] == 999999
+    M = RealDefining(1, 1, psi)
+    assert M.order == 1000000
+    with pytest.raises(FormatError):
+        serialize.surface_to_json(M)
+    with pytest.raises(FormatError):
+        serialize.series_to_json(psi.monomial_mul("z", 1))
 
 
 def test_surface_roundtrip_both_forms():

@@ -39,7 +39,10 @@ def sqrt2_surface():
 
 @pytest.mark.parametrize("make", [rich_fuchsian_m2, sqrt2_surface])
 def test_Y_solutions_solve_u_system(make):
-    """Both 8x8 systems are assembled independently; solutions transfer."""
+    """Y-solutions mapped back through Y = G(w) u solve the u-system.
+
+    The Y-system is the gauge of the u-system, so this checks the gauge
+    table; the independent two-shape solve is in test_y_system.py."""
     M = make()
     E = eliminate(M)
     U = assemble_u_system(E)

@@ -14,8 +14,10 @@ from segrefuchs.frobenius import (residue_spectrum, holomorphic_solutions,
                                   lie_bracket, convergence_diagnostic,
                                   real_form_basis, field_u_vector,
                                   _field_row)
-from segrefuchs.errors import NonFuchsianError
+from segrefuchs.errors import NonFuchsianError, OrderTooLowError
 from segrefuchs import linalg
+
+from test_golden import dense_surface
 
 
 def const_system(rows, order=14):
@@ -324,6 +326,19 @@ def test_real_form_guards_thin_windows():
     basis = formal_symmetries(Mc)
     with pytest.raises(OrderTooLowError):
         real_form_basis(basis, Mc)
+
+
+@pytest.mark.xfail(strict=True, raises=OrderTooLowError,
+                   reason="real_form_basis refuses an empty basis below its "
+                   "m+2 window; the benchmark's dense-real workload still "
+                   "expects that refusal, see ROADMAP item 1")
+def test_empty_basis_has_an_empty_real_form_below_the_window():
+    """Dense m=3 at N = 16: the jet filter drops both candidates at window
+    1 < m + 2, so there is nothing to make real."""
+    Mc = real_to_complex(dense_surface(16, 3, fuchsian=True))
+    basis = formal_symmetries(Mc)
+    assert (basis.dimension, basis.order, len(basis.dropped)) == (0, 1, 2)
+    assert real_form_basis(basis, Mc) == []
 
 
 def test_real_form_of_model():

@@ -11,6 +11,7 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.cli import main, EXIT_OK
+from segrefuchs.fuchs import REAL_BOUNDS, _bound
 from segrefuchs.prolongation import assemble_u_system, assemble_Y_system
 from segrefuchs.qfield import qi
 from segrefuchs.segre import eliminate
@@ -44,7 +45,7 @@ GOLDEN = {
 
 SYSTEM_GOLDEN = {
     "u": "ce0259d75225eefa633a6fc8c3efec97accb766bc5f39aed03ff886b56f79d7d",
-    "Y": "5b0461b565f06348de8d21694ec89092d2d83aead126ebee364ef97b96c1f50a",
+    "Y": "bb64d2c114a903aa4ce67269bd180e75528a8953bf6d3e73c4a1b6d1a91d07f2",
 }
 
 
@@ -52,25 +53,30 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def dense_surface(N=12, m=1):
+def dense_surface(N=12, m=1, fuchsian=False):
     """Real surface with every admissible h_kl coefficient nonzero.
 
     The coefficients are small Gaussian integers fixed by (k, l, j), with
-    h_lk = conj(h_kl), so the surface is the same on every platform.
+    h_lk = conj(h_kl), so the surface is the same on every platform.  With
+    `fuchsian`, each h_kl starts at its REAL_BOUNDS valuation, so the
+    surface is Fuchsian at every m (without it, only at m = 1).
     """
+    floor = {kl: _bound(expr, m) for kl, expr in REAL_BOUNDS} \
+        if fuchsian else {}
     top = N - m
     h = {}
     for k in range(2, top):
         for l in range(k, top - k + 1):
             terms, conj = {}, {}
-            for j in range(top - k - l + 1):
+            for j in range(floor.get((k, l), 0), top - k - l + 1):
                 re = (k + 2 * l + 3 * j) % 5 - 2 or 3
                 im = 0 if k == l else (2 * k + l + j) % 5 - 2 or -1
                 terms[(j,)] = qi(re, im)
                 conj[(j,)] = qi(re, -im)
-            h[(k, l)] = terms
-            if k != l:
-                h[(l, k)] = conj
+            if terms:
+                h[(k, l)] = terms
+                if k != l:
+                    h[(l, k)] = conj
     return build_real(m, 1, h, N)
 
 
