@@ -103,8 +103,7 @@ def pullback_surface(M, B):
     phi_star = psi.monomial_div(ETAB, mv).rename({XI: Z, XIB: ZB, ETAB: WB})
     surface = None
     try:
-        eps_star, phin, lam_sq = normalize_lead(
-            phi_star, phi_star.coefficient((1, 1, 0)))
+        eps_star, phin, lam_sq = normalize_lead(phi_star)
         cand = ComplexDefining(m_star, eps_star, phin.scale(eps_star),
                                scale_sq=lam_sq)
         if not cand.admissibility_defects():

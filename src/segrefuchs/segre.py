@@ -97,13 +97,13 @@ class AssociatedODE:
 
 def segre_graph(M):
     """Segre-variety graphs of M as a series in (z, xib, etab)."""
-    phig = M.phi.rename({ZB: XIB, WB: ETAB})
-    X = phig.monomial_mul(ETAB, M.m - 1).scale(I if M.eps == 1 else -I)
+    X = M.exponent().rename({ZB: XIB, WB: ETAB})
     E1 = exp_series(X)
     w = E1.monomial_mul(ETAB, 1)
-    wz = X.diff(Z) * w
+    Xz = X.diff(Z)
+    wz = Xz * w
     # w'/w^m = eps*i * phi_z * exp((1-m) X): exact, no series division
-    zeta = phig.diff(Z).scale(I if M.eps == 1 else -I) * \
+    zeta = Xz.monomial_div(ETAB, M.m - 1) * \
         exp_series(X.scale(Fraction(1 - M.m)))
     return SegreGraph(M.m, M.eps, w, wz, zeta)
 

@@ -6,10 +6,11 @@ or as the complex exponential form
   w = wb * exp( eps*i * wb**(m-1) * phi(z, zb, wb) ),
   phi = z*zb + sum_{k,l>=2} phi_kl(wb) z^k zb^l.
 
-Transfers between the two solve the defining relation with the series-level
-implicit solver and renormalize the leading coefficient by a real rescaling
-z -> lambda*z with rational lambda**2; the rescale factor is recorded on the
-result.  All data is exact.
+Each transfer makes one implicit solve of the relation between u and wb
+(w = u + iv, so wb = u - i*v), reads the other side off linearly, and
+renormalizes the leading coefficient by a real rescaling z -> lambda*z
+with rational lambda**2; the rescale factor is recorded on the result.
+All data is exact.
 
 A complex surface's order is the order of its phi series; a real surface's
 order is that of its psi series plus m, the order its defining series
@@ -22,7 +23,7 @@ downstream works at the order the surface carries.
 from fractions import Fraction
 from math import isqrt
 
-from .qfield import GaussianRational, ONE, I, qi
+from .qfield import GaussianRational, ONE, I
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
                      solve_implicit)
 from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
@@ -152,11 +153,6 @@ class ComplexDefining:
         return self.phi.monomial_mul(WB, self.m - 1).scale(
             I if self.eps == 1 else -I)
 
-    def reality_exponent(self):
-        """eps * wb^(m-1) * phi: the Psi of w = wb e^{i Psi}."""
-        return self.phi.monomial_mul(WB, self.m - 1).scale(
-            GaussianRational.from_int(self.eps))
-
     def defining_series(self):
         """R(z, zb, wb) with the surface given by w = R."""
         ex = exp_series(self.exponent().truncate(self.order))
@@ -212,10 +208,11 @@ def check_reality(M):
     """Residual of the reality condition for a ComplexDefining surface.
 
     Zero modulo the working order iff the exponential form defines a real
-    hypersurface.  The residual  Psi(z, zb, w e^{-i bar(Psi)}) - bar(Psi)
-    is returned over (z, zb, w).
+    hypersurface.  With Psi = eps * wb^(m-1) * phi, the exponent over i,
+    the residual  Psi(z, zb, w e^{-i bar(Psi)}) - bar(Psi)  is returned
+    over (z, zb, w).
     """
-    psi = M.reality_exponent().truncate(M.order)
+    psi = M.exponent().scale(-I).truncate(M.order)
     psibar = bar_series(psi).rename({WB: W})
     arg = exp_series(psibar.scale(-I)).monomial_mul(W, 1)
     return psi.compose({WB: arg}) - psibar
@@ -289,13 +286,14 @@ def _sqrt_in_field(f):
     return None
 
 
-def normalize_lead(series, c):
+def normalize_lead(series):
     """Rescale z -> lambda z, zb -> lambda zb so that the leading z*zb
-    coefficient c becomes eps = +-1.
+    coefficient c of series becomes eps = +-1.
 
     Returns (eps, rescaled series, lambda**2); raises NotNormalizableError
     when c is not a nonzero rational or lambda is not in Q(sqrt2).
     """
+    c = series.coefficient((1, 1, 0))
     if c.is_zero() or not c.is_rational():
         raise NotNormalizableError("leading z*zb coefficient %r is not a "
                                    "nonzero rational" % c)
@@ -317,24 +315,21 @@ def normalize_lead(series, c):
 def real_to_complex(Mr):
     """Transfer real m-admissible data to the complex exponential form.
 
-    Solves (w - wb)/2i = F(z, zb, (w+wb)/2) for w, factors the exponential
-    shape and rescales z so the z*zb coefficient of phi is exactly 1.  The
-    squared rescale is recorded on the result.
+    On v = F(z, zb, u), wb = u - i*F is explicit in wb: one implicit solve
+    (Jacobian -1) inverts it for u = U(z, zb, wb), and w = u + i*F = 2U - wb.
+    The exponential shape is then factored out and z rescaled so the z*zb
+    coefficient of phi is exactly 1; the squared rescale is recorded on the
+    result.
     """
     if Mr.order < min_order(Mr.m):
         raise OrderTooLowError(Mr.order, min_order(Mr.m))
     require_reality(Mr)
-    F = Mr.defining_series()
-    vars5 = (Z, ZB, WB, W)
-    half = MultiSeries(vars5, EXACT,
-                       {(0, 0, 1, 0): qi(Fraction(1, 2)),
-                        (0, 0, 0, 1): qi(Fraction(1, 2))})
-    Fw = F.embed((Z, ZB, U, WB, W)).compose({U: half})
-    lin = MultiSeries(vars5, EXACT,
-                      {(0, 0, 0, 1): qi(0, Fraction(-1, 2)),
-                       (0, 0, 1, 0): qi(0, Fraction(1, 2))})
-    G = lin - Fw  # (w - wb)/2i  - F, with 1/2i = -i/2
-    R = solve_implicit([G], (Z, ZB, WB), (W,))[0]
+    vars4 = (Z, ZB, U, WB)
+    F = Mr.defining_series().embed(vars4)
+    G = (MultiSeries.variable(WB, vars4) - MultiSeries.variable(U, vars4)
+         + F.scale(I))
+    u = solve_implicit([G], (Z, ZB, WB), (U,))[0]
+    R = u.scale(2) - MultiSeries.variable(WB, u.vars)
     theta = R.monomial_div(WB, 1)
     if not (theta.constant_term() == ONE):
         raise NotNormalizableError("defining series lacks the w = wb + ... "
@@ -347,7 +342,7 @@ def real_to_complex(Mr):
     except SeriesError:
         raise SegrefuchsError("declared nonminimality order %d inconsistent "
                               "with the defining series" % Mr.m)
-    eps, phi, lam_sq = normalize_lead(phi_raw, phi_raw.coefficient((1, 1, 0)))
+    eps, phi, lam_sq = normalize_lead(phi_raw)
     if eps != 1:
         raise NotNormalizableError("leading z*zb coefficient of phi is "
                                    "negative")
@@ -359,7 +354,9 @@ def real_to_complex(Mr):
 def complex_to_real(Mc):
     """Transfer an admissible complex form back to real m-admissible data.
 
-    Inverse of real_to_complex up to the recorded z-rescaling.
+    Inverse of real_to_complex up to the recorded z-rescaling.  The surface
+    w = R(z, zb, wb) has u = (R + wb)/2, solved for wb = B(z, zb, u); on it
+    R(B) = 2u - B, so v = (R(B) - B)/2i = -i*(u - B).
 
     Off the CLI path: paper content, the inverse transfer.
     """
@@ -371,14 +368,13 @@ def complex_to_real(Mc):
     G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
         Fraction(1, 2)) - MultiSeries.variable(U, vars4)
     wb = solve_implicit([G], (Z, ZB, U), (WB,))[0]
-    Rsub = R.compose({WB: wb})
-    F = (Rsub - wb).scale(qi(0, Fraction(-1, 2)))  # (R - wb)/2i
+    F = (MultiSeries.variable(U, wb.vars) - wb).scale(-I)
     m = nonminimality_order(F)
     if m != Mc.m:
         raise SegrefuchsError("transfer changed the nonminimality order: "
                               "%d vs %d" % (m, Mc.m))
     psi = F.monomial_div(U, m)
-    eps, psi, _ = normalize_lead(psi, psi.coefficient((1, 1, 0)))
+    eps, psi, _ = normalize_lead(psi)
     _, _, defects = split_admissible(psi)
     if defects:
         raise NotNormalizableError("real form is not m-admissible: %s"

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from segrefuchs import serialize
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, EXACT, exp_series
+from segrefuchs.series import MultiSeries, EXACT, log_series, solve_implicit
 from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
                                  build_complex, real_to_complex,
                                  complex_to_real, check_reality,
                                  require_reality, validate_complex,
-                                 nonminimality_order, bar_series,
-                                 split_admissible, Z, ZB, WB, U)
+                                 nonminimality_order, normalize_lead,
+                                 bar_series, split_admissible, Z, ZB, WB, U,
+                                 W)
 from segrefuchs.errors import (RealityViolation, SegrefuchsError,
                                OrderTooLowError)
+
+from test_golden import dense_surface
 
 
 def u_series(terms, order=EXACT):
@@ -116,6 +120,68 @@ def test_complex_to_real_order_relation():
     # a w-dependent phi22 with a real coefficient is NOT a real surface
     Mr2 = complex_to_real(Mc)
     assert Mr2.h_kl(2, 2).var_valuation("u") == 1
+
+
+# ---- the transfers against the substitution routes --------------------------
+
+def reference_real_to_complex(Mr):
+    """The substitution route: solve (w - wb)/2i = F(z, zb, (w+wb)/2) for w.
+
+    F is embedded over (z, zb, u, wb, w) and u = (w+wb)/2 composed into it;
+    the exponential shape is then factored out as in real_to_complex.
+    """
+    F = Mr.defining_series()
+    vars5 = (Z, ZB, WB, W)
+    half = MultiSeries(vars5, EXACT, {(0, 0, 1, 0): qi(Fraction(1, 2)),
+                                      (0, 0, 0, 1): qi(Fraction(1, 2))})
+    Fw = F.embed((Z, ZB, U, WB, W)).compose({U: half})
+    lin = MultiSeries(vars5, EXACT, {(0, 0, 0, 1): qi(0, Fraction(-1, 2)),
+                                     (0, 0, 1, 0): qi(0, Fraction(1, 2))})
+    R = solve_implicit([lin - Fw], (Z, ZB, WB), (W,))[0]
+    lg = log_series(R.monomial_div(WB, 1))
+    phi = lg.scale((I if Mr.eps == 1 else -I).inverse()) \
+        .monomial_div(WB, Mr.m - 1)
+    _, phi, lam_sq = normalize_lead(phi)
+    return ComplexDefining(Mr.m, Mr.eps, phi, scale_sq=lam_sq)
+
+
+def reference_complex_to_real(Mc):
+    """The recomposing route: v = (R(z, zb, B) - B)/2i with wb = B(z, zb, u)
+    solved from (R + wb)/2 = u."""
+    R = Mc.defining_series()
+    vars4 = (Z, ZB, U, WB)
+    G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
+        Fraction(1, 2)) - MultiSeries.variable(U, vars4)
+    wb = solve_implicit([G], (Z, ZB, U), (WB,))[0]
+    F = (R.compose({WB: wb}) - wb).scale(qi(0, Fraction(-1, 2)))
+    eps, psi, _ = normalize_lead(F.monomial_div(U, Mc.m))
+    return RealDefining(Mc.m, eps, psi)
+
+
+def _real_surfaces(m, eps, N):
+    dense = dense_surface(N, m)
+    return {"model": build_real(m, eps, {}, N),
+            "dense": RealDefining(m, eps, dense.psi.scale(eps))}
+
+
+def _json(M):
+    return serialize.dumps(serialize.surface_to_json(M))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("extra", [2, 5])
+def test_transfers_match_the_substitution_routes(m, eps, extra):
+    """Both transfers give byte-for-byte the surface of the routes that
+    substitute u = (w+wb)/2 into F and recompose R with wb(z, zb, u), and
+    phi is trusted through the order of psi, N - m."""
+    N = 4 * m + extra
+    for name, Mr in _real_surfaces(m, eps, N).items():
+        Mc = real_to_complex(Mr)
+        assert _json(Mc) == _json(reference_real_to_complex(Mr)), name
+        assert Mc.phi.order == Mr.psi.order == N - m, name
+        assert _json(complex_to_real(Mc)) == \
+            _json(reference_complex_to_real(Mc)), name
 
 
 # ---- reality ---------------------------------------------------------------
