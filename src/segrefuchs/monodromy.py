@@ -7,6 +7,13 @@ fourth-order steps of fixed size over the whole loop, then reruns it from
 the start with twice as many steps until two consecutive runs agree to
 tolerance; the last run is the result (no extrapolation).  Loops at
 |w| = r never meet the singularity, so no stiff machinery is needed.
+
+The system is linear, so one RK4 step is multiplication by its transfer
+matrix P_k, the step applied to the identity (a matrix polynomial in h*F).
+A run forms the P_k of CHUNK steps at a time as stacked arrays, from one
+batched evaluation of the coefficients at the chunk's nodes, multiplies
+them in step order (later steps on the left) by pairwise products, and
+applies the chunk's product to the solution once.
 """
 
 import numpy as np
@@ -15,8 +22,12 @@ from .errors import NonConvergenceError, SegrefuchsError
 from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
-INVERTIBLE_TOL = 1e-8  # |det| above which a monodromy matrix is invertible
+# |det| over the Hadamard bound above which a monodromy matrix is invertible
+INVERTIBLE_TOL = 1e-8
 STEP_BUDGET = 1 << 17
+# RK4 steps whose transfer matrices are stacked at once; bounds the memory
+# of a chunk (a few (2*CHUNK+1) x n x n complex arrays)
+CHUNK = 128
 
 
 class LoopSpec:
@@ -50,18 +61,28 @@ class MonodromyResult:
         self.steps = steps
 
     def invertible(self):
-        """Off the CLI path: the tests' invertibility check."""
-        return abs(np.linalg.det(self.matrix)) > INVERTIBLE_TOL
+        """|det M| relative to the Hadamard bound, the product of the row
+        norms, exceeds INVERTIBLE_TOL.
+
+        Off the CLI path: the tests' invertibility check.
+        """
+        bound = float(np.prod(np.linalg.norm(self.matrix, axis=1)))
+        return abs(np.linalg.det(self.matrix)) > INVERTIBLE_TOL * bound
 
     def as_dict(self):
+        """JSON payload; a non-finite diagnostic (no finite bound) is None."""
         return {
             "matrix": [[[v.real, v.imag] for v in row]
                        for row in self.matrix.tolist()],
-            "residual": self.residual,
-            "tail_estimate": self.tail_estimate,
-            "condition": self.condition,
+            "residual": _finite_or_none(self.residual),
+            "tail_estimate": _finite_or_none(self.tail_estimate),
+            "condition": _finite_or_none(self.condition),
             "steps": self.steps,
         }
+
+
+def _finite_or_none(x):
+    return x if np.isfinite(x) else None
 
 
 def _dense_matrix_data(S):
@@ -100,7 +121,10 @@ def _dense_matrix_data(S):
 
 
 def _eval_poly_matrix(C, w):
-    M = C[-1].copy()
+    """C(w) at each node of the 1-d array w by one batched Horner scheme;
+    returns the stack of shape (len(w), n, n)."""
+    w = w[:, None, None]
+    M = np.broadcast_to(C[-1], w.shape[:1] + C.shape[1:]).copy()
     for d in range(len(C) - 2, -1, -1):
         M *= w
         M += C[d]
@@ -132,6 +156,14 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
 
     data is _dense_matrix_data of the system.  Runs n fixed RK4 steps, then
     2n, 4n, ... until two consecutive runs agree to loop.tol.
+
+    With F(t) = 2 pi i dir w C(w) / w^pole at w = r exp(2 pi i dir t), the
+    step from t_k is Y -> P_k Y with P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
+    K1 = F(t_k), K2 = F(t_k + h/2) (I + h/2 K1),
+    K3 = F(t_k + h/2) (I + h/2 K2), K4 = F(t_k + h) (I + h K3): the
+    classical RK4 step applied to the identity.  Each chunk of at most
+    CHUNK steps evaluates F at its 2B + 1 nodes at once, forms its P_k as
+    stacked arrays and applies their ordered product P_{B-1} ... P_0.
     """
     if not loop.radius < trusted_radius:
         raise SegrefuchsError("loop radius %g is not strictly inside the "
@@ -140,24 +172,22 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     C, pole, _, _ = data
     r = loop.radius
     two_pi_i = 2j * np.pi * loop.direction
-
-    def rhs(t, Y):
-        w = r * np.exp(two_pi_i * t)
-        dw = two_pi_i * w
-        M = _eval_poly_matrix(C, w) / w ** pole
-        return dw * (M @ Y)
+    eye = np.eye(C.shape[1], dtype=complex)
 
     def run(nsteps):
         h = 1.0 / nsteps
-        Y = Y0.astype(complex).copy()
-        t = 0.0
-        for _ in range(nsteps):
-            k1 = rhs(t, Y)
-            k2 = rhs(t + h / 2, Y + h / 2 * k1)
-            k3 = rhs(t + h / 2, Y + h / 2 * k2)
-            k4 = rhs(t + h, Y + h * k3)
-            Y = Y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+        Y = Y0.astype(complex)
+        for start in range(0, nsteps, CHUNK):
+            B = min(CHUNK, nsteps - start)
+            w = r * np.exp(two_pi_i * h * (start + np.arange(2 * B + 1) / 2))
+            dw = two_pi_i * w / w ** pole
+            F = _eval_poly_matrix(C, w) * dw[:, None, None]
+            F0, Fh, F1 = F[0:-1:2], F[1::2], F[2::2]
+            K2 = Fh @ (eye + h / 2 * F0)
+            K3 = Fh @ (eye + h / 2 * K2)
+            K4 = F1 @ (eye + h * K3)
+            P = eye + (h / 6) * (F0 + 2 * K2 + 2 * K3 + K4)
+            Y = _ordered_product(P) @ Y
         return Y
 
     n = loop.steps
@@ -171,6 +201,14 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
         prev = cur
     raise NonConvergenceError("continuation did not converge below %g "
                               "within %d steps" % (loop.tol, STEP_BUDGET))
+
+
+def _ordered_product(P):
+    """P[-1] @ ... @ P[1] @ P[0] by rounds of stacked pairwise products."""
+    while len(P) > 1:
+        k = len(P) // 2 * 2
+        P = np.concatenate((P[1:k:2] @ P[0:k:2], P[k:]))
+    return P[0]
 
 
 def continue_system(S, loop, y0):

@@ -198,6 +198,24 @@ def test_monodromy_command_and_reverse(tmp_path, capsys):
     assert abs(mf + 1.0) < 1e-7
 
 
+def _refuse_constant(name):
+    raise ValueError("not RFC 8259 JSON: %s" % name)
+
+
+def test_monodromy_payload_is_strict_json(tmp_path, capsys):
+    """A loop radius >= 1 has no finite tail bound: null, not Infinity."""
+    ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
+                       1, "w")]]
+    p = tmp_path / "sys.json"
+    p.write_text(serialize.dumps(serialize.system_to_json(
+        LinearODESystem(ent, unknown="y"))))
+    assert main(["monodromy", str(p), "--radius", "1.5",
+                 "--trusted-radius", "2"]) == EXIT_OK
+    d = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert d["tail_estimate"] is None
+    assert abs(complex(*d["matrix"][0][0]) + 1.0) < 1e-7
+
+
 def test_error_exit_codes(model_file, tmp_path, capsys):
     assert main(["derive-ode", model_file, "--order", "3"]) == EXIT_ORDER
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_FORMAT

@@ -9,11 +9,13 @@ from segrefuchs.series import MultiSeries, LaurentInW
 from segrefuchs.surfaces import build_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, assemble_u_system,
-                                     VectorField)
+                                     assemble_Y_system, VectorField)
 from segrefuchs.frobenius import formal_symmetries, field_u_vector
-from segrefuchs.monodromy import (LoopSpec, continue_system,
+from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
+                                  TRUSTED_RADIUS, continue_system,
                                   monodromy_matrix, infinitesimal_monodromy,
-                                  tail_estimate)
+                                  tail_estimate, _dense_matrix_data,
+                                  _rk4_loop)
 from segrefuchs.errors import SegrefuchsError
 
 
@@ -167,3 +169,118 @@ def test_tail_estimate_reported():
     body2 = MultiSeries(("w",), 6, {(1,): ONE})
     S2 = LinearODESystem([[LaurentInW(body2, 1, "w")]], unknown="y")
     assert tail_estimate(S2, 0.25) == 0.0
+
+
+def reference_rk4_loop(S, loop, Y0):
+    """The per-step RK4 loop: four right-hand sides per step, each from a
+    scalar Horner evaluation of C(w), under the same doubling schedule."""
+    C, pole, _, _ = _dense_matrix_data(S)
+    r = loop.radius
+    two_pi_i = 2j * np.pi * loop.direction
+
+    def rhs(t, Y):
+        w = r * np.exp(two_pi_i * t)
+        M = C[-1].copy()
+        for d in range(len(C) - 2, -1, -1):
+            M = M * w + C[d]
+        return two_pi_i * w * (M / w ** pole) @ Y
+
+    def run(nsteps):
+        h = 1.0 / nsteps
+        Y = np.array(Y0, dtype=complex)
+        t = 0.0
+        for _ in range(nsteps):
+            k1 = rhs(t, Y)
+            k2 = rhs(t + h / 2, Y + h / 2 * k1)
+            k3 = rhs(t + h / 2, Y + h / 2 * k2)
+            k4 = rhs(t + h, Y + h * k3)
+            Y = Y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        return Y
+
+    n = loop.steps
+    prev = run(n)
+    while n < STEP_BUDGET:
+        n *= 2
+        cur = run(n)
+        if float(np.max(np.abs(cur - prev))) < loop.tol:
+            return cur, n
+        prev = cur
+    raise AssertionError("reference loop did not converge")
+
+
+def assert_matches_reference(Y, Y_ref):
+    scale = max(1.0, float(np.max(np.abs(Y_ref))))
+    assert np.max(np.abs(np.asarray(Y) - Y_ref)) <= 1e-10 * scale
+
+
+@pytest.fixture(scope="module")
+def model_m1():
+    M = build_complex(1, 1, {}, 12)
+    basis = formal_symmetries(M.truncate(12))
+    E = eliminate(M, 12)
+    return {"basis": basis, "usys": assemble_u_system(E),
+            "ysys": assemble_Y_system(E)}
+
+
+@pytest.mark.parametrize("direction", (1, -1))
+def test_transfer_loop_matches_per_step_loop_on_a_constant_system(direction):
+    S = const_system(random_bounded_matrix(random.Random(7), 4))
+    loop = LoopSpec(steps=100, direction=direction, tol=1e-9)
+    res = monodromy_matrix(S, loop)
+    Y_ref, steps = reference_rk4_loop(S, loop, np.eye(4))
+    assert res.steps == steps
+    assert_matches_reference(res.matrix, Y_ref)
+
+
+@pytest.mark.parametrize("system", ("usys", "ysys"))
+@pytest.mark.parametrize("steps", (64, 100, 333))
+def test_transfer_loop_matches_per_step_loop_on_the_model(model_m1, system,
+                                                          steps):
+    """A w-dependent system: its step matrices do not commute, so the
+    order of the chunk products shows."""
+    S = model_m1[system]
+    loop = LoopSpec(steps=steps, tol=1e-9)
+    res = monodromy_matrix(S, loop)
+    Y_ref, ref_steps = reference_rk4_loop(S, loop, np.eye(S.n))
+    assert res.steps == ref_steps
+    assert_matches_reference(res.matrix, Y_ref)
+
+
+def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
+    U = model_m1["usys"]
+    loop = LoopSpec(steps=100, tol=1e-9)
+    y0 = np.arange(1, U.n + 1) / U.n
+    y, _, steps = continue_system(U, loop, y0)
+    y_ref, ref_steps = reference_rk4_loop(U, loop, y0.reshape(-1, 1))
+    assert steps == ref_steps
+    assert_matches_reference(y, y_ref[:, 0])
+    uvecs = [field_u_vector(L) for L in model_m1["basis"].fields]
+    B = np.array([[c.eval_complex({"w": loop.radius}) for c in v]
+                  for v in uvecs]).T
+    psi, _ = infinitesimal_monodromy(uvecs, U, loop)
+    Y_ref, ref_steps = reference_rk4_loop(U, loop, B)
+    Y, _, steps = _rk4_loop(_dense_matrix_data(U), loop, B, TRUSTED_RADIUS)
+    assert steps == ref_steps
+    assert_matches_reference(Y, Y_ref)
+    psi_ref = np.linalg.lstsq(B, Y_ref, rcond=None)[0]
+    assert_matches_reference(psi, psi_ref)
+
+
+def test_invertible_is_relative_to_the_hadamard_bound():
+    small = MonodromyResult(1e-3 * np.eye(8), 0.0, 0.0, 1.0, 64)
+    assert small.invertible()  # det 1e-24, yet well conditioned
+    # rank 7 with entries ~1e6: rounding leaves |det| ~ 1e32, far above
+    # any absolute threshold but ~1e-18 of the Hadamard bound
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 7)) @ rng.standard_normal((7, 8)) * 4e5
+    assert abs(np.linalg.det(A)) > 1.0
+    big = MonodromyResult(A, 0.0, 0.0, 1.0, 64)
+    assert not big.invertible()
+
+
+def test_as_dict_writes_null_for_non_finite_diagnostics():
+    res = MonodromyResult(np.eye(2), 1e-12, float("inf"), float("inf"), 64)
+    d = res.as_dict()
+    assert d["tail_estimate"] is None and d["condition"] is None
+    assert d["residual"] == 1e-12
