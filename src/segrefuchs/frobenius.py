@@ -13,7 +13,7 @@ vanishes; the filter, not the recurrence, is the source of truth.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .qfield import GaussianRational, ZERO, ONE, I
+from .qfield import GaussianRational, ZERO, I
 from .series import MultiSeries, EXACT, SeriesError
 from .segre import WV, eliminate
 from .surfaces import Z, ZB, WB, bar_series
@@ -194,8 +194,10 @@ def _param_recurrence(A_mats, n, order, base_shift=None):
             # rows from it, so X K solves L Y = rhs K
             K = linalg.kernel_basis(constraints)
             obstructions.append((k, params - len(K)))
-            Ms = [_apply_params(M, K) for M in Ms]
-            X = _apply_params(X, K)
+            # the params x r matrix whose columns are K's vectors
+            Kt = [[v[p] for v in K] for p in range(params)]
+            Ms = [linalg.mat_mul(M, Kt) for M in Ms]
+            X = linalg.mat_mul(X, Kt)
             params = len(K)
         if kern:
             X = [X[i] + [v[i] for v in kern] for i in range(n)]
@@ -203,25 +205,6 @@ def _param_recurrence(A_mats, n, order, base_shift=None):
             params += len(kern)
         Ms.append(X)
     return Ms, params, obstructions
-
-
-def _apply_params(M, K):
-    """Right-multiply an n x params matrix by the params x r kernel basis.
-
-    K lists the new-parameter directions as length-params vectors.
-
-    Off the CLI path: the resonant branch of _param_recurrence.
-    """
-    return [[_dot(row, k) for k in K] for row in M]
-
-
-def _dot(xs, ys):
-    """Off the CLI path: the resonant branch of _param_recurrence."""
-    s = ZERO
-    for x, y in zip(xs, ys):
-        if not x.is_zero() and not y.is_zero():
-            s = s + x * y
-    return s
 
 
 def _solution_vectors(Ms, n, params, order):
@@ -563,8 +546,7 @@ def real_form_basis(basis, M):
             if any(not x.is_zero() for x in row):
                 rows.append(row)
     if not rows:
-        kern = [[ONE if i == j else ZERO for i in range(nvar)]
-                for j in range(nvar)]
+        kern = linalg.identity(nvar)
     else:
         kern = linalg.kernel_basis(rows)
     fields = []

@@ -235,8 +235,8 @@ def monodromy_matrix(S, loop, trusted_radius=TRUSTED_RADIUS):
 def infinitesimal_monodromy(basis_vectors, S, loop):
     """Continue basis solution vectors and re-express them in the basis.
 
-    basis_vectors: list of vectors of w-series (or already-numeric complex
-    vectors) that solve S at |w| = r.  Returns (psi, offspan): psi is the
+    basis_vectors: list of vectors of w-series (field_u_vector's output)
+    that solve S at |w| = r.  Returns (psi, offspan): psi is the
     change-of-basis matrix of the loop action, offspan the largest
     least-squares residual (a large value signals the basis does not span
     its continuation at this truncation; reported, not fatal).
@@ -244,21 +244,11 @@ def infinitesimal_monodromy(basis_vectors, S, loop):
     Off the CLI path: paper content, the loop action on a basis.
     """
     r = loop.radius
-    cols = []
-    for vec in basis_vectors:
-        if hasattr(vec[0], "eval_complex"):
-            cols.append([comp.eval_complex({_wvar(comp): r})
-                         for comp in vec])
-        else:
-            cols.append([complex(x) for x in vec])
+    cols = [[comp.eval_complex({W: r}) for comp in vec]
+            for vec in basis_vectors]
     B = np.array(cols, dtype=complex).T          # n x d
     Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B,
                                TRUSTED_RADIUS)
     sol, res, rank, _ = np.linalg.lstsq(B, Y, rcond=None)
     offspan = float(np.max(np.abs(B @ sol - Y)))
     return sol, offspan
-
-
-def _wvar(series):
-    """Off the CLI path: infinitesimal_monodromy's evaluation variable."""
-    return series.vars[0] if len(series.vars) == 1 else W

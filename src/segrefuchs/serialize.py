@@ -6,6 +6,10 @@ in-memory values.  A term is [[e1,...,ek], re, im] with two extra strings
 appended when the coefficient has sqrt2 components.  Numeric (monodromy)
 payloads are the only place floats appear.
 
+Every integer field (an m, sign, order, exponent or pole) is read by one
+reader that takes a JSON integer only: a float, a bool or a numeric string
+is refused with FormatError, never truncated.  A surface's m must be >= 1.
+
 An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
 and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
 refuses a finite order of EXACT_IN_FILE or more with FormatError rather
@@ -51,8 +55,15 @@ def _unrat(s):
     return Fraction(int(num), int(den))
 
 
+def _int(x):
+    """A JSON integer; a float, bool or string is refused, not truncated."""
+    if type(x) is not int:
+        raise FormatError("expected an integer, got %r" % (x,))
+    return x
+
+
 def _order_from_json(x):
-    order = int(x)
+    order = _int(x)
     return EXACT if order >= EXACT_IN_FILE else order
 
 
@@ -96,7 +107,7 @@ def series_from_json(d):
     order = _order_from_json(d["order"])
     terms = {}
     for entry in d["terms"]:
-        exps = tuple(int(x) for x in entry[0])
+        exps = tuple(_int(x) for x in entry[0])
         if len(exps) != len(vars) or min(exps, default=0) < 0:
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
@@ -113,7 +124,7 @@ def laurent_to_json(L):
 
 
 def laurent_from_json(d):
-    return LaurentInW(series_from_json(d["body"]), int(d["pole"]),
+    return LaurentInW(series_from_json(d["body"]), _int(d["pole"]),
                       d.get("wvar", W))
 
 
@@ -134,10 +145,11 @@ def surface_to_json(M):
 
 @_reader("surface")
 def surface_from_json(d):
-    form, m, sign, order = (d["form"], int(d["m"]), int(d["sign"]),
+    form, m, sign, order = (d["form"], _int(d["m"]), _int(d["sign"]),
                             _order_from_json(d["order"]))
-    if sign not in (1, -1) or form not in ("complex", "real"):
-        raise FormatError("need sign 1 or -1 and form complex or real")
+    if m < 1 or sign not in (1, -1) or form not in ("complex", "real"):
+        raise FormatError("need m >= 1, sign 1 or -1 and form complex or "
+                          "real")
     if order == EXACT:
         raise FormatError("declared order %s means exact; a surface needs a "
                           "finite working order" % d["order"])
@@ -148,7 +160,7 @@ def surface_from_json(d):
     if order > series.order + shift:
         raise FormatError("declared order %d is above the order %d the %s "
                           "series holds" % (order, series.order + shift, form))
-    lead, _, defects = split_admissible(series)
+    lead, defects = split_admissible(series)
     if not lead == GaussianRational.from_int(sign if real else 1):
         defects.insert(0, "z*zb coefficient %r" % (lead,))
     if defects:
@@ -178,7 +190,7 @@ def ode_from_json(d):
     if order > Phi.order:
         raise FormatError("declared order %s is above Phi's order %s"
                           % (order, Phi.order))
-    return AssociatedODE.from_phi(int(d["m"]), int(d["sign"]),
+    return AssociatedODE.from_phi(_int(d["m"]), _int(d["sign"]),
                                   Phi.truncate(order))
 
 

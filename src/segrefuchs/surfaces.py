@@ -54,23 +54,18 @@ def admissible_series(lead, table, vars):
 
 
 def split_admissible(psi):
-    """Read psi over (z, zb, t) back as (lead, table, defects).
+    """Judge psi over (z, zb, t) against the admissible normal form.
 
-    lead is the z*zb*t^0 coefficient and table maps each (k, l) with
-    k, l >= 2 to its series in t.  Every other term, z*zb*t^j with j >= 1
-    included, is listed in defects; none is dropped.
+    Returns (lead, defects): lead is the z*zb*t^0 coefficient, and defects
+    names every other term with k < 2 or l < 2, z*zb*t^j with j >= 1
+    included, in exponent order; none is dropped.  The terms with k, l >= 2
+    are the table entries, read through coeff_of (h_kl, phi_kl).
     """
     z, zb, t = psi.vars
-    table, defects = {}, []
-    for e in sorted(psi.terms):
-        k, l, j = e
-        if k >= 2 and l >= 2:
-            if (k, l) not in table:
-                table[(k, l)] = psi.coeff_of({z: k, zb: l})
-        elif e != (1, 1, 0):
-            defects.append("term %s^%d %s^%d %s^%d outside admissible shape"
-                           % (z, k, zb, l, t, j))
-    return psi.coefficient((1, 1, 0)), table, defects
+    defects = ["term %s^%d %s^%d %s^%d outside admissible shape"
+               % (z, k, zb, l, t, j) for k, l, j in sorted(psi.terms)
+               if (k < 2 or l < 2) and (k, l, j) != (1, 1, 0)]
+    return psi.coefficient((1, 1, 0)), defects
 
 
 class RealDefining:
@@ -131,6 +126,7 @@ class ComplexDefining:
         self.eps = eps
         self.phi = phi.embed((Z, ZB, WB))
         self.scale_sq = scale_sq  # squared z-rescale applied on construction
+        self._reality = None
 
     @property
     def order(self):
@@ -158,22 +154,28 @@ class ComplexDefining:
         ex = exp_series(self.exponent().truncate(self.order))
         return ex.monomial_mul(WB, 1).truncate(self.order)
 
+    @property
+    def reality_residual(self):
+        """check_reality(self), computed once and shared by its readers."""
+        if self._reality is None:
+            self._reality = check_reality(self)
+        return self._reality
+
     def admissibility_defects(self):
-        lead, _, defects = split_admissible(self.phi)
+        lead, defects = split_admissible(self.phi)
         if not (lead == ONE):
             defects.insert(0, "zzb coefficient of phi is not 1")
         return defects
 
 
 class ValidationReport:
-    """Structural flags plus the residual series backing each verdict."""
+    """The structural flags of a complex surface."""
 
-    def __init__(self, normal, admissible, reality_ok, levi_ok, residual):
+    def __init__(self, normal, admissible, reality_ok, levi_ok):
         self.normal = normal
         self.admissible = admissible
         self.reality_ok = reality_ok
         self.levi_ok = levi_ok
-        self.residual = residual
 
     def ok(self):
         """Off the CLI path: the tests' one-flag summary."""
@@ -230,7 +232,7 @@ def require_reality(M):
             raise RealityViolation("real data violates h_kl = conj(h_lk) "
                                    "at (k, l) = %s" % (bad,))
         return
-    res = check_reality(M)
+    res = M.reality_residual
     if not res.is_zero():
         e = min(res.terms, key=lambda t: (sum(t), t))
         raise RealityViolation("reality condition violated; leading "
@@ -242,11 +244,10 @@ def validate_complex(M):
     defects = M.admissibility_defects()
     pure = [e for e in M.phi.terms
             if (e[0] == 0 and (e[1] or e[2])) or (e[1] == 0 and (e[0] or e[2]))]
-    res = check_reality(M)
     levi = not M.phi.coeff_of({Z: 1, ZB: 1}).is_zero()
     return ValidationReport(normal=not pure, admissible=not defects,
-                            reality_ok=res.is_zero(), levi_ok=levi,
-                            residual=res)
+                            reality_ok=M.reality_residual.is_zero(),
+                            levi_ok=levi)
 
 
 def nonminimality_order(F):
@@ -375,7 +376,7 @@ def complex_to_real(Mc):
                               "%d vs %d" % (m, Mc.m))
     psi = F.monomial_div(U, m)
     eps, psi, _ = normalize_lead(psi)
-    _, _, defects = split_admissible(psi)
+    _, defects = split_admissible(psi)
     if defects:
         raise NotNormalizableError("real form is not m-admissible: %s"
                                    % "; ".join(defects))

@@ -17,11 +17,13 @@ from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.segre import eliminate
 from segrefuchs.errors import FormatError
+from segrefuchs import surfaces
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, RealDefining,
-                                 admissible_series,
+                                 admissible_series, check_reality,
                                  split_admissible, Z, ZB, WB)
 from test_golden import dense_surface
+from test_surfaces import kl_table
 
 
 @pytest.fixture
@@ -308,6 +310,32 @@ def test_ode_reader_holds_the_declared_order_to_phi():
     assert low.order == low.Phi.order == 5
 
 
+def test_ode_reader_takes_integer_fields_as_json_integers():
+    d = serialize.ode_to_json(eliminate(build_complex(1, 1, {}, 12)))
+    for field in ("m", "sign", "order"):
+        for value in (d[field] + 0.5, True, str(d[field])):
+            with pytest.raises(FormatError):
+                serialize.ode_from_json(dict(d, **{field: value}))
+
+
+def test_verify_computes_the_reality_residual_once(tmp_path, monkeypatch):
+    """real_to_complex checks the reality of its result, and validate_complex
+    reads the same residual."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return check_reality(M)
+
+    monkeypatch.setattr(surfaces, "check_reality", counted)
+    p = tmp_path / "real.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(
+        build_real(1, 1, {}, 8))))
+    assert main(["verify", str(p), "-o", str(tmp_path / "out.json")]) == \
+        EXIT_OK
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb",
                                   "non-real", "non-real-complex"])
 def test_admissible_codec(case, tmp_path, capsys):
@@ -343,15 +371,15 @@ def test_admissible_codec(case, tmp_path, capsys):
         for command in ("verify", "check-fuchsian", "derive-ode",
                         "symmetries"):
             assert main([command, str(p)]) == EXIT_FORMAT
-        lead, table, defects = split_admissible(psi)
-        assert lead == ONE and table == {}
+        lead, defects = split_admissible(psi)
+        assert lead == ONE and kl_table(psi) == {}
         assert defects == ["term z^1 zb^1 %s^1 outside admissible shape" % t]
         return
-    table, vars = ((split_admissible(dense_surface().psi)[1],
-                    ("z", "zb", "u")) if case == "dense"
-                   else ({}, (Z, ZB, WB)))
-    lead, got_table, defects = split_admissible(
-        admissible_series(ONE, table, vars))
+    table, vars = ((kl_table(dense_surface().psi), ("z", "zb", "u"))
+                   if case == "dense" else ({}, (Z, ZB, WB)))
+    psi = admissible_series(ONE, table, vars)
+    lead, defects = split_admissible(psi)
+    got_table = kl_table(psi)
     assert lead == ONE and defects == []
     # one series carries one trust order, so compare the coefficients
     assert {kl: s.terms for kl, s in got_table.items()} == \
@@ -449,6 +477,28 @@ def _term_above_order(d):
     d["series"]["terms"].append([[3, 3, 0], "1/1", "0/1"])
 
 
+def _retyped(path, kind):
+    """An edit that rewrites the integer at path, a tuple of keys and
+    indices, as a float, a bool or a numeric string: each of them int()
+    would read as an integer."""
+    def edit(d):
+        *parents, last = path
+        for key in parents:
+            d = d[key]
+        d[last] = {"float": d[last] + 0.5, "bool": True,
+                   "string": str(d[last])}[kind]
+    return edit
+
+
+def _m(value):
+    """An edit that sets m, keeping a real file's order at psi's plus m."""
+    def edit(d):
+        if d["form"] == "real":
+            d["order"] += value - d["m"]
+        d["m"] = value
+    return edit
+
+
 def _ragged(d):
     d["entries"][1].pop()
 
@@ -510,6 +560,23 @@ PINNED = [
     for argv in (["verify", "{in}"], ["derive-ode", "{in}"],
                  ["check-fuchsian", "{in}"], ["symmetries", "{in}"],
                  ["blowup", "{in}", "--blowup", "s=2"])
+] + [
+    # an integer field is a JSON integer; nothing else is truncated to one
+    ("%s-%s-%s" % (kind, form, "-".join(map(str, path))), ["verify", "{in}"],
+     _with(surface, _retyped(path, kind)), EXIT_FORMAT)
+    for form, surface in (("real", REAL5), ("complex", COMPLEX5))
+    for path in (("m",), ("sign",), ("order",), ("series", "order"),
+                 ("series", "terms", 0, 0, 0))
+    for kind in ("float", "bool", "string")
+] + [
+    ("%s-pole" % kind, ["monodromy", "{in}"],
+     _with(SYSTEM2, _retyped(("entries", 0, 0, "pole"), kind)), EXIT_FORMAT)
+    for kind in ("float", "bool", "string")
+] + [
+    ("m=%d-%s" % (m, form), ["verify", "{in}"], _with(surface, _m(m)),
+     EXIT_FORMAT)
+    for form, surface, m in (("real", REAL5, 0), ("complex", COMPLEX5, 0),
+                             ("complex", COMPLEX5, -2))
 ] + [
     ("loop%s=%s" % (flag, value), ["monodromy", "{in}", flag, value],
      _doc(SYSTEM2), EXIT_DOMAIN)

@@ -27,6 +27,14 @@ def wb_series(terms, order=EXACT):
     return MultiSeries(("wb",), order, {(k,): c for k, c in terms.items()})
 
 
+def kl_table(psi):
+    """{(k, l): coefficient series of z^k zb^l} of psi over (z, zb, t), for
+    each k, l >= 2 that carries a term, read through coeff_of."""
+    z, zb, _ = psi.vars
+    return {(k, l): psi.coeff_of({z: k, zb: l})
+            for k, l, _ in psi.terms if k >= 2 and l >= 2}
+
+
 # ---- real_to_complex --------------------------------------------------------
 
 def test_model_m1_closed_form():
@@ -101,7 +109,8 @@ def test_complex_to_real_pure_model():
     Mr = complex_to_real(Mc)
     assert Mr.m == 1 and Mr.eps == 1
     assert not Mr.reality_defect()
-    _, table, defects = split_admissible(Mr.psi)
+    _, defects = split_admissible(Mr.psi)
+    table = kl_table(Mr.psi)
     assert not defects
     for (k, l), s in table.items():
         assert k >= 2 and l >= 2
@@ -253,6 +262,30 @@ def test_validation_report():
     rep = validate_complex(M)
     assert rep.ok()
     assert rep.as_dict()["m_admissible"]
+
+
+FLAGS = ("normal_coordinates", "m_admissible", "reality_ok",
+         "levi_nondegenerate_off_X")
+
+
+ZZB = {(1, 1, 0): ONE}
+
+
+@pytest.mark.parametrize("terms,false_flags", [
+    (ZZB, ()),
+    ({**ZZB, (2, 0, 1): ONE},
+     ("normal_coordinates", "m_admissible", "reality_ok")),
+    ({**ZZB, (1, 1, 1): ONE}, ("m_admissible", "reality_ok")),
+    ({**ZZB, (2, 2, 0): I}, ("reality_ok",)),
+    ({(2, 2, 0): ONE}, ("m_admissible", "levi_nondegenerate_off_X")),
+], ids=["model", "z2-wb", "zzb-wb", "phi22-i", "no-zzb"])
+def test_validation_flags(terms, false_flags):
+    """m = 1, order 8: the model phi = z zb, the model plus a z^2 wb term,
+    the model plus a z zb wb term, the model with phi22 = i, and
+    phi = z^2 zb^2 with no z zb term."""
+    M = ComplexDefining(1, 1, MultiSeries((Z, ZB, WB), 8, terms))
+    assert validate_complex(M).as_dict() == {f: f not in false_flags
+                                             for f in FLAGS}
 
 
 def test_conversion_order_guard():
