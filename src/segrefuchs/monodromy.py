@@ -7,6 +7,11 @@ fourth-order steps of fixed size over the whole loop, then reruns it from
 the start with twice as many steps until two consecutive runs agree to
 tolerance; the last run is the result (no extrapolation).  Loops at
 |w| = r never meet the singularity, so no stiff machinery is needed.
+The doubling fails (NonConvergenceError) when the step budget runs out,
+or earlier, when a doubling shows that the runs' difference has reached
+the rounding floor eps * steps * max|M| above tolerance.  A loop whose
+coefficients are not finite at the first run's nodes is refused before
+any run.
 
 The system is linear, so one RK4 step is multiplication by its transfer
 matrix P_k, the step applied to the identity (a matrix polynomial in h*F).
@@ -164,6 +169,15 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     classical RK4 step applied to the identity.  Each chunk of at most
     CHUNK steps evaluates F at its 2B + 1 nodes at once, forms its P_k as
     stacked arrays and applies their ordered product P_{B-1} ... P_0.
+
+    F must be finite at the first run's nodes, or the loop is refused
+    before it runs.  A run of n steps carries a rounding error of about
+    eps n max|Y|, which grows with n while the truncation error falls.  So
+    once a doubling fails to shrink the difference of two runs, and that
+    difference is within this rounding floor, more steps cannot reach
+    loop.tol: the schedule stops there with NonConvergenceError, as it
+    does when the step budget runs out.  Both tests come after the tol
+    test, so a run that converges is untouched by them.
     """
     if not loop.radius < trusted_radius:
         raise SegrefuchsError("loop radius %g is not strictly inside the "
@@ -174,14 +188,19 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     two_pi_i = 2j * np.pi * loop.direction
     eye = np.eye(C.shape[1], dtype=complex)
 
-    def run(nsteps):
+    def chunks(nsteps):
+        """F at the 2B + 1 nodes of each chunk of B steps of a run."""
         h = 1.0 / nsteps
-        Y = Y0.astype(complex)
         for start in range(0, nsteps, CHUNK):
             B = min(CHUNK, nsteps - start)
             w = r * np.exp(two_pi_i * h * (start + np.arange(2 * B + 1) / 2))
             dw = two_pi_i * w / w ** pole
-            F = _eval_poly_matrix(C, w) * dw[:, None, None]
+            yield _eval_poly_matrix(C, w) * dw[:, None, None]
+
+    def run(nsteps):
+        h = 1.0 / nsteps
+        Y = Y0.astype(complex)
+        for F in chunks(nsteps):
             F0, Fh, F1 = F[0:-1:2], F[1::2], F[2::2]
             K2 = Fh @ (eye + h / 2 * F0)
             K3 = Fh @ (eye + h / 2 * K2)
@@ -191,14 +210,26 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
         return Y
 
     n = loop.steps
+    with np.errstate(all="ignore"):
+        finite = all(np.isfinite(F).all() for F in chunks(n))
+    if not finite:
+        raise SegrefuchsError("the system's coefficients are not finite "
+                              "on the loop |w| = %g" % r)
+    eps = np.finfo(float).eps
     prev = run(n)
+    prev_diff = np.inf
     while n < STEP_BUDGET:
         n *= 2
         cur = run(n)
         diff = float(np.max(np.abs(cur - prev)))
         if diff < loop.tol:
             return cur, diff, n
-        prev = cur
+        if prev_diff <= diff <= eps * n * float(np.max(np.abs(cur))):
+            raise NonConvergenceError(
+                "continuation stalled at its rounding floor: runs of %d and "
+                "%d steps differ by %.3g after %.3g, not below %g"
+                % (n // 2, n, diff, prev_diff, loop.tol))
+        prev, prev_diff = cur, diff
     raise NonConvergenceError("continuation did not converge below %g "
                               "within %d steps" % (loop.tol, STEP_BUDGET))
 

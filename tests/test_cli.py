@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,26 @@ def test_monodromy_command_and_reverse(tmp_path, capsys):
     mr = complex(*rev["matrix"][0][0])
     assert abs(mf * mr - 1.0) < 1e-7
     assert abs(mf + 1.0) < 1e-7
+
+
+def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
+        tmp_path, capsys):
+    """At |w| = 1e-200, w**2 underflows to 0, so C(w) / w^2 is not finite:
+    refused before the first run, with no numpy warning."""
+    ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
+                       2, "w")]]
+    p, out = tmp_path / "sys.json", tmp_path / "out.json"
+    p.write_text(serialize.dumps(serialize.system_to_json(
+        LinearODESystem(ent, unknown="y"))))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["monodromy", str(p), "--radius", "1e-200",
+                     "-o", str(out)]) == EXIT_DOMAIN
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "not finite" in cap.err and "RuntimeWarning" not in cap.err
 
 
 def _refuse_constant(name):

@@ -13,7 +13,7 @@ from segrefuchs.frobenius import (residue_spectrum, holomorphic_solutions,
                                   frobenius_basis, formal_symmetries,
                                   lie_bracket, convergence_diagnostic,
                                   real_form_basis, field_u_vector,
-                                  _field_row)
+                                  FrobeniusBasis, _field_row)
 from segrefuchs.errors import NonFuchsianError, OrderTooLowError
 from segrefuchs import linalg
 
@@ -290,6 +290,27 @@ def test_symmetry_outputs_never_unbounded():
     basis = formal_symmetries(M.truncate(12))
     for d in basis.diagnostics:
         assert d.verdict != "growth-unbounded"
+
+
+def test_filters_drop_a_pole_and_a_tangency_residual(monkeypatch):
+    """formal_symmetries of dense m=2 at N = 17 on two hand-made candidates
+    in place of the Frobenius basis: R1 = 1 alone gives P a pole through
+    a~, and P0 = 1 alone is pole-free but leaves a tangency residual."""
+    from segrefuchs import frobenius
+    real = frobenius.holomorphic_solutions
+
+    def candidates(Y, order=None):
+        unit = [[MultiSeries.const(ONE if k == i else ZERO, ("w",), EXACT)
+                 for k in range(Y.n)] for i in (3, 0)]
+        return FrobeniusBasis(unit, 2, [], real(Y, order).order)
+    monkeypatch.setattr(frobenius, "holomorphic_solutions", candidates)
+    basis = formal_symmetries(real_to_complex(dense_surface(17, 2,
+                                                            fuchsian=True)))
+    assert basis.dimension == 0
+    (pole, Pl), (residual, res) = basis.dropped
+    assert (pole, residual) == ("pole", "residual")
+    assert Pl.pole_order() > 0
+    assert not res.is_zero()
 
 
 # ---- real form -------------------------------------------------------------------

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from segrefuchs import monodromy
 from segrefuchs.qfield import GaussianRational, ONE, qi
 from segrefuchs.series import MultiSeries, LaurentInW
-from segrefuchs.surfaces import build_complex
+from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, assemble_u_system,
                                      assemble_Y_system, VectorField)
@@ -16,7 +17,7 @@ from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
                                   monodromy_matrix, infinitesimal_monodromy,
                                   tail_estimate, _dense_matrix_data,
                                   _rk4_loop)
-from segrefuchs.errors import SegrefuchsError
+from segrefuchs.errors import NonConvergenceError, SegrefuchsError
 
 
 def const_system(rows, order=14):
@@ -284,3 +285,74 @@ def test_as_dict_writes_null_for_non_finite_diagnostics():
     d = res.as_dict()
     assert d["tail_estimate"] is None and d["condition"] is None
     assert d["residual"] == 1e-12
+
+
+def _steps_evaluated(monkeypatch):
+    """Count the RK4 steps whose nodes _eval_poly_matrix is asked for."""
+    seen = []
+    real = monodromy._eval_poly_matrix
+
+    def counted(C, w):
+        seen.append((len(w) - 1) // 2)
+        return real(C, w)
+    monkeypatch.setattr(monodromy, "_eval_poly_matrix", counted)
+    return seen
+
+
+def test_a_loop_at_its_rounding_floor_stops_after_the_stalled_doubling(
+        monkeypatch):
+    """The real m=2 model Y-system has entries ~8.5e5, so runs of 2^14 and
+    2^15 steps differ by more (3.1e-6) than runs of 2^13 and 2^14 (1.1e-6),
+    within eps * 2^15 * max|M| ~ 6.2e-6: the 2^16 and 2^17 runs cannot
+    reach the absolute tol."""
+    S = assemble_Y_system(eliminate(real_to_complex(build_real(2, 1, {}, 12)),
+                                    12))
+    seen = _steps_evaluated(monkeypatch)
+    with pytest.raises(NonConvergenceError,
+                       match="runs of 16384 and 32768 steps differ by "
+                             ".* not below 1e-10"):
+        monodromy_matrix(S, LoopSpec())
+    # the finiteness check at the first run's 256 steps, then runs of
+    # 256, 512, ..., 2^15 steps
+    assert sum(seen) == 256 + sum(256 << k for k in range(8))
+
+
+def test_a_loop_whose_differences_still_shrink_exhausts_the_budget(
+        monkeypatch):
+    monkeypatch.setattr(monodromy, "STEP_BUDGET", 256)
+    S = const_system([[qi(Fraction(1, 2))]])
+    seen = _steps_evaluated(monkeypatch)
+    with pytest.raises(NonConvergenceError,
+                       match="not converge below 1e-12 within 256 steps"):
+        continue_system(S, LoopSpec(steps=64, tol=1e-12), [1.0])
+    # the finiteness check at the first run's 64 steps, then three runs
+    assert sum(seen) == 64 + 64 + 128 + 256
+
+
+CONVERGING_LOOPS = [
+    # name, system rows, LoopSpec keywords, trusted radius, steps
+    ("half", [[Fraction(1, 2)]], {}, TRUSTED_RADIUS, 512),
+    ("integer-1", [[1]], {}, TRUSTED_RADIUS, 2048),
+    ("integer-3", [[3]], {}, TRUSTED_RADIUS, 8192),
+    ("diag-half", [[Fraction(1, 2), 0], [0, 0]], {}, TRUSTED_RADIUS, 512),
+    ("radius-0.35", [[Fraction(1, 3), 1], [0, Fraction(1, 2)]],
+     {"radius": 0.35}, 0.5, 1024),
+    ("reverse", [[Fraction(1, 2), 1], [0, Fraction(1, 4)]],
+     {"direction": -1}, TRUSTED_RADIUS, 1024),
+]
+
+
+@pytest.mark.parametrize("rows,spec,trusted,steps",
+                         [c[1:] for c in CONVERGING_LOOPS],
+                         ids=[c[0] for c in CONVERGING_LOOPS])
+def test_converging_loops_keep_their_step_counts(rows, spec, trusted, steps):
+    S = const_system([[qi(x) for x in row] for row in rows])
+    res = monodromy_matrix(S, LoopSpec(tol=1e-9, **spec), trusted)
+    assert res.steps == steps
+
+
+@pytest.mark.parametrize("system,steps", (("usys", 4096), ("ysys", 512)))
+def test_converging_model_loops_keep_their_step_counts(model_m1, system,
+                                                       steps):
+    assert monodromy_matrix(model_m1[system], LoopSpec(tol=1e-9)).steps == \
+        steps
