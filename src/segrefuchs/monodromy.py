@@ -171,7 +171,8 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     stacked arrays and applies their ordered product P_{B-1} ... P_0.
 
     F must be finite at the first run's nodes, or the loop is refused
-    before it runs.  A run of n steps carries a rounding error of about
+    before it runs, and a run whose result is not finite is refused at
+    once.  A run of n steps carries a rounding error of about
     eps n max|Y|, which grows with n while the truncation error falls.  So
     once a doubling fails to shrink the difference of two runs, and that
     difference is within this rounding floor, more steps cannot reach
@@ -200,13 +201,17 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     def run(nsteps):
         h = 1.0 / nsteps
         Y = Y0.astype(complex)
-        for F in chunks(nsteps):
-            F0, Fh, F1 = F[0:-1:2], F[1::2], F[2::2]
-            K2 = Fh @ (eye + h / 2 * F0)
-            K3 = Fh @ (eye + h / 2 * K2)
-            K4 = F1 @ (eye + h * K3)
-            P = eye + (h / 6) * (F0 + 2 * K2 + 2 * K3 + K4)
-            Y = _ordered_product(P) @ Y
+        with np.errstate(all="ignore"):
+            for F in chunks(nsteps):
+                F0, Fh, F1 = F[0:-1:2], F[1::2], F[2::2]
+                K2 = Fh @ (eye + h / 2 * F0)
+                K3 = Fh @ (eye + h / 2 * K2)
+                K4 = F1 @ (eye + h * K3)
+                P = eye + (h / 6) * (F0 + 2 * K2 + 2 * K3 + K4)
+                Y = _ordered_product(P) @ Y
+        if not np.isfinite(Y).all():
+            raise SegrefuchsError("a run of %d steps around |w| = %g is not "
+                                  "finite" % (nsteps, r))
         return Y
 
     n = loop.steps

@@ -171,7 +171,7 @@ def _acc(coef, t, c):
 # the generic tangency residual
 # ---------------------------------------------------------------------------
 
-def _phi_data(E):
+def _phi_data(E, top):
     m = E.m
     Phi = E.Phi
     J = MultiSeries.monomial(ONE, (0, m, 1), (Z, WV, ZETA))
@@ -181,10 +181,12 @@ def _phi_data(E):
     G = Phzeta.monomial_div(WV, m)
     # d/dw of Phi(z, w, w1/w^m) at fixed w1, i.e. the composite derivative
     H = Phw - Phzeta.monomial_div(WV, 1).monomial_mul(ZETA, 1).scale(m)
+    if top:
+        Phi, Phz, G, H = (s.within(top) for s in (Phi, Phz, G, H))
     return J, Phi, Phz, G, H
 
 
-def tangency_forms(Pf, Qf, E):
+def tangency_forms(Pf, Qf, E, top=None):
     """Tangency residual of the prolonged field, linear in the unknowns.
 
     Evaluates the prolongation of (Pf, Qf) at w1 = J = zeta * w^m and
@@ -192,8 +194,15 @@ def tangency_forms(Pf, Qf, E):
     over any tag algebra or concrete Laurent values.  The result is
     polynomial: the zeta^j coefficient carries the weight w^(j*m) relative
     to the four collected equations.
+
+    With top (var -> highest power read, over zeta and z), the result is
+    exact only in the slots within those powers.  Every factor is a power
+    series in zeta and z, so such a slot reads only the factors' terms
+    within them, and the Phi-derived factors drop the rest.  Each keeps
+    its valuation, so every coefficient's order is that of the full
+    residual.
     """
-    J, Phi, Phz, G, H = _phi_data(E)
+    J, Phi, Phz, G, H = _phi_data(E, top)
     J2 = J * J
     pf = ProlongedField(Pf, Qf)
     q1, q2, q2_w2 = pf.q1, pf.q2, pf.q2_w2
@@ -342,7 +351,7 @@ def _second_derivative_exprs(E):
     at = E.a_tilde()
     Pf, Qf = structural_field(LaurentInW(at.body.embed(V3), at.pole, WV),
                               MultiSeries.variable(Z, V3), P0, P1, Q0, Q1)
-    T = tangency_forms(Pf, Qf, E)
+    T = tangency_forms(Pf, Qf, E, {ZETA: 3, Z: 1})
     return {(n, 2): _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2),
                                 set(U_TAGS))
             for n, (jz, kz) in zip(U_NAMES, ((3, 0), (3, 1), (2, 0), (2, 1)))}
@@ -464,7 +473,7 @@ def initial_system(E):
     meromorphic a, b, c data of E.  Line 0 is Q_zz = 0.
     """
     T = tangency_forms(LinForm.unknown(("P", 0, 0), JET_ALG),
-                       LinForm.unknown(("Q", 0, 0), JET_ALG), E)
+                       LinForm.unknown(("Q", 0, 0), JET_ALG), E, {ZETA: 3})
     return [T.slice({ZETA: j}).div_w(j * E.m) for j in range(4)]
 
 

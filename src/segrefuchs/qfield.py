@@ -13,8 +13,10 @@ case, not an exception.
 A value is stored as (a + b*i + c*s + d*i*s) / q with integer components,
 q > 0 and gcd(a, b, c, d, q) = 1.  Equality is exact.  Series keep their
 coefficients packed as integer tuples (a, b, c, d) over one common
-denominator (series.py) and multiply them with `mul_parts`; a
-GaussianRational is the form a single coefficient is read and computed in.
+denominator (series.py) and multiply them with `mul_parts`; the file edge
+(serialize.py), the conjugation and the z-rescale (surfaces.py) work on
+those tuples too.  A GaussianRational is the form a single coefficient is
+read and computed in: a pivot, a determinant, a leading coefficient.
 """
 
 from fractions import Fraction
@@ -73,40 +75,16 @@ class GaussianRational:
         return GaussianRational(re.numerator * im.denominator,
                                 im.numerator * re.denominator, 0, 0, q)
 
-    @staticmethod
-    def of_sqrt2(re2, im2=0):
-        """Build re2*sqrt2 + im2*i*sqrt2 from rational parts."""
-        re2 = Fraction(re2)
-        im2 = Fraction(im2)
-        q = re2.denominator * im2.denominator
-        return GaussianRational(0, 0, re2.numerator * im2.denominator,
-                                im2.numerator * re2.denominator, q)
-
     def is_zero(self):
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     def is_rational(self):
         return self.b == 0 and self.c == 0 and self.d == 0
 
-    def is_gaussian(self):
-        return self.c == 0 and self.d == 0
-
     @property
     def re(self):
         """Rational real part (sqrt2 component excluded)."""
         return Fraction(self.a, self.q)
-
-    @property
-    def im(self):
-        return Fraction(self.b, self.q)
-
-    @property
-    def re_sqrt2(self):
-        return Fraction(self.c, self.q)
-
-    @property
-    def im_sqrt2(self):
-        return Fraction(self.d, self.q)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -166,24 +144,6 @@ class GaussianRational:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = ONE
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
-
-    def conjugate(self):
-        """Complex conjugate (sqrt2 stays real)."""
-        return GaussianRational(self.a, -self.b, self.c, -self.d, self.q)
 
     def __eq__(self, other):
         other = _coerce(other)

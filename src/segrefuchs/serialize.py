@@ -6,6 +6,11 @@ in-memory values.  A term is [[e1,...,ek], re, im] with two extra strings
 appended when the coefficient has sqrt2 components.  Numeric (monodromy)
 payloads are the only place floats appear.
 
+A series is read and written in its packed form (series.py): the reader
+parses every string into integers over one common denominator, and the
+writer reduces each packed component over the series' denominator by one
+gcd, so no coefficient object is built at the file edge.
+
 Every integer field (an m, sign, order, exponent or pole) is read by one
 reader that takes a JSON integer only: a float, a bool or a numeric string
 is refused with FormatError, never truncated.  A surface's m must be >= 1.
@@ -19,9 +24,10 @@ than write a file its reader would take for exact.
 import functools
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from .qfield import GaussianRational
-from .series import MultiSeries, LaurentInW, EXACT
+from .series import LaurentInW, EXACT, _reduced
 from .surfaces import (RealDefining, ComplexDefining, split_admissible,
                        require_reality, Z, ZB, WB, U, W)
 from .errors import FormatError
@@ -29,9 +35,10 @@ from .errors import FormatError
 EXACT_IN_FILE = 10 ** 6  # the file encoding of an exact order
 
 
-def _rat(f):
-    f = Fraction(f)
-    return "%d/%d" % (f.numerator, f.denominator)
+def _rat(num, den):
+    """num/den in lowest terms as a "num/den" string, den > 0."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
 
 
 def _reader(what):
@@ -51,8 +58,12 @@ def _reader(what):
 
 
 def _unrat(s):
+    """A "num/den" string as its integer pair; a zero den is refused."""
     num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ZeroDivisionError("zero denominator in %r" % s)
+    return num, den
 
 
 def _int(x):
@@ -77,45 +88,43 @@ def _order_to_json(order):
     return order
 
 
-def coeff_to_json(c):
-    if c.is_gaussian():
-        return [_rat(c.re), _rat(c.im)]
-    return [_rat(c.re), _rat(c.im), _rat(c.re_sqrt2), _rat(c.im_sqrt2)]
-
-
-def coeff_from_json(parts):
-    if len(parts) == 2:
-        return GaussianRational.of(*(_unrat(p) for p in parts))
-    if len(parts) == 4:
-        r, i, r2, i2 = (_unrat(p) for p in parts)
-        return (GaussianRational.of(r, i) +
-                GaussianRational.of_sqrt2(r2, i2))
-    raise FormatError("coefficient needs 2 or 4 rational strings")
-
-
 def series_to_json(s):
+    """Each coefficient as its re, im (and, when nonzero, re and im sqrt2)
+    parts, each written from its packed integer over the series' den."""
     terms = []
-    for e in sorted(s.terms):
-        terms.append([list(e)] + coeff_to_json(s.terms[e]))
+    for e in sorted(s.num):
+        t = s.num[e]
+        terms.append([list(e)] + [_rat(x, s.den)
+                                  for x in (t if t[2] or t[3] else t[:2])])
     return {"vars": list(s.vars), "order": _order_to_json(s.order),
             "terms": terms}
 
 
 @_reader("series")
 def series_from_json(d):
+    """Parsed straight into packed integers over one common denominator."""
     vars = tuple(d["vars"])
     order = _order_from_json(d["order"])
-    terms = {}
+    parts = {}
     for entry in d["terms"]:
         exps = tuple(_int(x) for x in entry[0])
         if len(exps) != len(vars) or min(exps, default=0) < 0:
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
-        if exps in terms or sum(exps) > order:
+        if exps in parts or sum(exps) > order:
             raise FormatError("term %r is repeated or above the order %s"
                               % (exps, order))
-        terms[exps] = coeff_from_json(entry[1:])
-    return MultiSeries(vars, order, terms)
+        if len(entry) not in (3, 5):
+            raise FormatError("coefficient needs 2 or 4 rational strings")
+        ps = [_unrat(p) for p in entry[1:]]
+        parts[exps] = ps + [(0, 1)] * (4 - len(ps))
+    den = lcm(*(q for ps in parts.values() for _, q in ps))
+    num = {}
+    for e, ps in parts.items():
+        t = tuple(n * (den // q) for n, q in ps)
+        if any(t):
+            num[e] = t
+    return _reduced(vars, order, den, num)
 
 
 def laurent_to_json(L):
@@ -134,7 +143,7 @@ def surface_to_json(M):
                "order": _order_to_json(M.order),
                "series": series_to_json(M.phi)}
         if M.scale_sq is not None:
-            out["scale_sq"] = _rat(M.scale_sq)
+            out["scale_sq"] = _rat(*M.scale_sq.as_integer_ratio())
         return out
     if isinstance(M, RealDefining):
         return {"form": "real", "m": M.m, "sign": M.eps,
@@ -170,7 +179,8 @@ def surface_from_json(d):
     if real:
         M = RealDefining(m, sign, series)
     else:
-        scale_sq = _unrat(d["scale_sq"]) if "scale_sq" in d else None
+        scale_sq = Fraction(*_unrat(d["scale_sq"])) \
+            if "scale_sq" in d else None
         M = ComplexDefining(m, sign, series, scale_sq)
     require_reality(M)
     return M

@@ -28,14 +28,17 @@ GaussianRational values are built only where a caller reads a coefficient
 The three series functions each do their work about once.  `compose`
 evaluates the first substituted variable by Horner and every other one
 through a list of its powers, computed once per call and shared by all
-slices of the outer variables.  `exp_series` and `log_series` compute one
-homogeneous degree at a time from the Euler-operator identities
-theta E = theta X * E and theta L * T = theta T (theta = sum x_i d/dx_i
-multiplies total degree d by d), about one truncated product in all
-(van der Hoeven, "Relax, but don't be too lazy", JSC 34 (2002)).
+slices of the outer variables.  Before the r-th-from-last Horner product
+the accumulator is cut to degree order - r*val(s), since its terms past
+that land above the order (truncated composition, Brent and Kung, J. ACM
+25 (1978)).  `exp_series` and `log_series` compute one homogeneous degree
+at a time from the Euler-operator identities theta E = theta X * E and
+theta L * T = theta T (theta = sum x_i d/dx_i multiplies total degree d by
+d), about one truncated product in all (van der Hoeven, "Relax, but don't
+be too lazy", JSC 34 (2002)).
 `solve_implicit` lifts its solution by Newton's method, precision
 p -> q <= 2p+1, composing the Jacobian only to the precision the correction
-needs (Brent and Kung, J. ACM 25 (1978)).
+needs (Brent and Kung, again).
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -218,6 +221,18 @@ class MultiSeries:
             return self
         return _reduced(self.vars, order, self.den,
                         {e: t for e, t in self.num.items() if sum(e) <= order})
+
+    def within(self, top):
+        """The terms within the powers in top (var -> highest power), and
+        one lowest-degree term, so that the valuation, and with it the
+        order of every product with the result, stays that of self."""
+        box = [(self.vars.index(v), k) for v, k in top.items()]
+        num = {e: t for e, t in self.num.items()
+               if all(e[i] <= k for i, k in box)}
+        if self.num:
+            low = min(self.num, key=sum)
+            num[low] = self.num[low]
+        return _reduced(self.vars, self.order, self.den, num)
 
     def rename(self, mapping):
         return _packed(tuple(mapping.get(v, v) for v in self.vars),
@@ -512,9 +527,15 @@ def _compose_rec(f, subs, out_vars, order, powers):
               for c in f._var_slices(v, 0, f.var_degree(v))]
     pw = powers.get(v)
     if pw is None:
+        s = subs[v]
+        val = s.valuation()
         acc = slices.pop()
         while slices:
-            acc = acc * subs[v] + slices.pop()
+            # acc meets s len(slices) more times, so its terms past this
+            # degree land above the order; an exact order cuts nothing
+            if order != EXACT:
+                acc = acc.truncate(order - len(slices) * val)
+            acc = acc * s + slices.pop()
     else:
         while len(pw) < len(slices) - 1:
             pw.append((pw[-1] * subs[v]).truncate(order))

@@ -21,11 +21,11 @@ downstream works at the order the surface carries.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .qfield import GaussianRational, ONE, I
+from .qfield import ONE, I
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
-                     solve_implicit)
+                     solve_implicit, _packed, _reduced)
 from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
                      SegrefuchsError)
 
@@ -198,12 +198,12 @@ def bar_series(s):
     ambient commuting variables.
     """
     i1, i2 = s.vars.index(Z), s.vars.index(ZB)
-    terms = {}
-    for e, c in s.terms.items():
+    num = {}
+    for e, (a, b, c, d) in s.num.items():
         ne = list(e)
         ne[i1], ne[i2] = ne[i2], ne[i1]
-        terms[tuple(ne)] = c.conjugate()
-    return MultiSeries(s.vars, s.order, terms)
+        num[tuple(ne)] = (a, -b, c, -d)
+    return _packed(s.vars, s.order, s.den, num)
 
 
 def check_reality(M):
@@ -278,12 +278,12 @@ def nonminimality_order(F):
 
 
 def _sqrt_in_field(f):
-    """sqrt of a positive Fraction inside Q(sqrt2), or None."""
-    for r, embed in ((f, GaussianRational.of),
-                     (f / 2, GaussianRational.of_sqrt2)):
-        n, d = isqrt(r.numerator), isqrt(r.denominator)
-        if n * n == r.numerator and d * d == r.denominator:
-            return embed(Fraction(n, d))
+    """sqrt of a positive Fraction inside Q(sqrt2) as (r, k), the root being
+    r * sqrt2**k with r rational and k 0 or 1; None if there is none."""
+    for k, x in enumerate((f, f / 2)):
+        n, d = isqrt(x.numerator), isqrt(x.denominator)
+        if n * n == x.numerator and d * d == x.denominator:
+            return Fraction(n, d), k
     return None
 
 
@@ -303,14 +303,21 @@ def normalize_lead(series):
     if lam is None:
         raise NotNormalizableError(
             "scale lambda^2 = %s has no square root in Q(sqrt2)" % lam_sq)
-    lam2 = GaussianRational.of(lam_sq)
-    terms = {}
-    for e, x in series.terms.items():
+    # lambda**deg = f[deg] * sqrt2**(k * (deg % 2)), f[deg] rational
+    r, k = lam
+    f = {deg: lam_sq ** (deg // 2) * r ** (deg % 2)
+         for deg in {e[0] + e[1] for e in series.num}}
+    den = lcm(*(x.denominator for x in f.values()))
+    num = {}
+    for e, t in series.num.items():
         deg = e[0] + e[1]
-        f = lam2 ** (deg // 2) if deg % 2 == 0 else lam * lam2 ** (deg // 2)
-        terms[e] = x * f
+        if k and deg % 2:
+            t = (2 * t[2], 2 * t[3], t[0], t[1])
+        g = f[deg].numerator * (den // f[deg].denominator)
+        num[e] = tuple(y * g for y in t)
     eps = 1 if c.re > 0 else -1
-    return eps, MultiSeries(series.vars, series.order, terms), lam_sq
+    return eps, _reduced(series.vars, series.order, series.den * den,
+                         num), lam_sq
 
 
 def real_to_complex(Mr):

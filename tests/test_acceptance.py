@@ -32,6 +32,7 @@ from segrefuchs.monodromy import (LoopSpec, monodromy_matrix,
 from segrefuchs.errors import NonFuchsianError
 from segrefuchs import linalg
 from segrefuchs.cli import main as cli_main, EXIT_REFUSED
+from reference import conj
 
 from test_prolongation import collect_initial_system
 
@@ -307,7 +308,7 @@ def test_criterion_10_reality_validation():
                                   {(deg,): qi(rng.randint(1, 3))})
         c = qi(rng.randint(1, 2), rng.randint(1, 2))
         tbl[(2, 3)] = MultiSeries(("u",), EXACT, {(1,): c})
-        tbl[(3, 2)] = MultiSeries(("u",), EXACT, {(1,): c.conjugate()})
+        tbl[(3, 2)] = MultiSeries(("u",), EXACT, {(1,): conj(c)})
         Mr = build_real(m, 1, tbl, 3 * m + 6)
         Mc = real_to_complex(Mr)
         ok &= check_reality(Mc).is_zero()

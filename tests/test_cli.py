@@ -221,6 +221,27 @@ def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
     assert "not finite" in cap.err and "RuntimeWarning" not in cap.err
 
 
+def test_monodromy_refuses_a_run_whose_result_is_not_finite(tmp_path,
+                                                            capsys):
+    """C = 10^200 / w is finite on the loop, but the RK4 products of its
+    first run overflow: refused at once, not run to the step budget, with
+    no numpy warning."""
+    ent = [[LaurentInW(MultiSeries.const(qi(10 ** 200), ("w",), 10), 1,
+                       "w")]]
+    p, out = tmp_path / "sys.json", tmp_path / "out.json"
+    p.write_text(serialize.dumps(serialize.system_to_json(
+        LinearODESystem(ent, unknown="y"))))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["monodromy", str(p), "-o", str(out)]) == EXIT_DOMAIN
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "run of 256 steps" in cap.err and "not finite" in cap.err
+    assert "RuntimeWarning" not in cap.err
+
+
 def _refuse_constant(name):
     raise ValueError("not RFC 8259 JSON: %s" % name)
 

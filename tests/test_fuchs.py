@@ -13,6 +13,7 @@ from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
                               FUCHSIAN, NON_FUCHSIAN)
 from segrefuchs.errors import OrderTooLowError
 from segrefuchs import serialize
+from reference import conj
 from test_golden import dense_surface
 
 
@@ -37,7 +38,7 @@ def random_real_table(rng, order, fuchsian, m):
                rng.randint(-2, 2))
         tbl[(k, l)] = u_series({deg: c})
         if k != l:
-            tbl[(l, k)] = u_series({deg: c.conjugate()})
+            tbl[(l, k)] = u_series({deg: conj(c)})
     return tbl
 
 

@@ -41,6 +41,20 @@ GOLDEN = {
         "006d69356930cb854359f3e443b3a98ee75ecca05f69bc09addc9efd609749d3",
     ("dense", "blowup"):
         "c86dbe9c03d0f2a8085229631167b977b25bbca31b688e41264abaab92f949de",
+    ("dense-m2", "verify"):
+        "24e33aee97a9b3dc9b96758bebdcf22b98e1b8f01ec93eb7d0b3734a90d98e86",
+    ("dense-m2", "derive-ode"):
+        "0015bb73157ee42bd6fcd2b79a5b7b63640f8fe8f649c041437addd9521f30b1",
+    ("dense-m2", "check-fuchsian"):
+        "4a377440b073beba59d3f13fbbbebf58ca9596902fdc390acd8afecbafcb5ce8",
+    ("dense-m2", "symmetries"):
+        "1562ff76a8a3fca16b78acdbb53975f4812e1999d7b788d89756b1e5a44aaf94",
+    ("dense-m2", "blowup"):
+        "298b4adf148bedc8a37af5d54ca7e5c1d23870c3669f9d3287c3c78cc81c3cbd",
+    ("dense-m3", "derive-ode"):
+        "0884f56499bd27d432870b9b9f544d51a7acf4e44f5d0d7d6b8c6d4df9372891",
+    ("dense-m3", "symmetries"):
+        "4a9f8130c32ec756616ace2a9b72f464954aaff23eda84c2b06a6c103386a36a",
 }
 
 SYSTEM_GOLDEN = {
@@ -80,17 +94,24 @@ def dense_surface(N=12, m=1, fuchsian=False):
     return build_real(m, 1, h, N)
 
 
-SURFACES = {"model": lambda: build_complex(1, 1, {}, 12),
-            "dense": dense_surface}
+# At m = 3 and N = 19 the Frobenius window is too short for a real form
+# (`symmetries --real-form` exits 11), so that surface pins the ODE and the
+# complex basis only.
+SURFACES = {"model": (lambda: build_complex(1, 1, {}, 12), COMMANDS),
+            "dense": (dense_surface, COMMANDS),
+            "dense-m2": (lambda: dense_surface(17, 2, fuchsian=True),
+                         COMMANDS),
+            "dense-m3": (lambda: dense_surface(19, 3, fuchsian=True),
+                         [("derive-ode", []), ("symmetries", [])])}
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_cli_payload_digests(name, tmp_path):
+    build, commands = SURFACES[name]
     path = tmp_path / (name + ".json")
-    path.write_text(serialize.dumps(serialize.surface_to_json(
-        SURFACES[name]())))
+    path.write_text(serialize.dumps(serialize.surface_to_json(build())))
     out = tmp_path / "out.json"
-    for command, extra in COMMANDS:
+    for command, extra in commands:
         assert main([command, str(path), "-o", str(out)] + extra) == EXIT_OK
         assert _sha(out.read_bytes()) == GOLDEN[(name, command)], command
 

@@ -6,14 +6,18 @@ import pytest
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
-from segrefuchs.segre import eliminate, WV, ZETA
+from segrefuchs.segre import AssociatedODE, eliminate, WV, ZETA
 from segrefuchs.prolongation import (VectorField, ProlongedField,
+                                     LinForm, STRUCT_ALG, JET_ALG,
+                                     structural_field, tangency_forms,
                                      tangency_residual,
                                      reconstruct_field,
                                      assemble_u_system, assemble_Y_system,
                                      assemble_twelve_system)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError
+
+from test_golden import dense_surface
 
 
 def zw(name):
@@ -93,6 +97,76 @@ def test_tangency_negative_examples():
     assert not r1.coeff_of({ZETA: r1.var_valuation(ZETA)}).is_zero()
     r2 = tangency_residual(VectorField(w, zero_zw()), E)
     assert not r2.is_zero()
+
+
+# ---- restricted tangency (only the slots the systems read) -------------------
+
+SQRT2_TABLE = {(2, 2): {(1,): qi(1)}, (2, 3): {(2,): qi(1, 2)},
+               (3, 2): {(2,): qi(1, -2)}}
+
+
+def _restriction_surface(kind, m):
+    N = 3 * m + 8
+    if kind == "model":
+        return build_complex(m, 1, {}, N)
+    if kind == "dense":
+        return real_to_complex(dense_surface(N, m, fuchsian=True))
+    return real_to_complex(build_real(m, 1, SQRT2_TABLE, N))
+
+
+def _same_slot(full, restricted):
+    assert sorted(full.coef) == sorted(restricted.coef)
+    for t, c in full.coef.items():
+        r = restricted.coef[t]
+        assert c.pole == r.pole and c.body.order == r.body.order, t
+        assert c.body == r.body, t
+
+
+def _reads_agree(Pf, Qf, E, top):
+    """The slots within top of the full and the restricted residual agree
+    tag for tag, in coefficients and in orders."""
+    full = tangency_forms(Pf, Qf, E)
+    part = tangency_forms(Pf, Qf, E, top)
+    for j in range(top[ZETA] + 1):
+        for k in range(top.get("z", 0) + 1):
+            slot = {ZETA: j, "z": k} if "z" in top else {ZETA: j}
+            _same_slot(full.slice(slot), part.slice(slot))
+
+
+@pytest.mark.parametrize("kind", ("model", "dense", "sqrt2"))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_restricted_tangency_matches_the_full_one_where_read(kind, m):
+    """Both restrictions the systems use: the structural form of the
+    u-system in the slots zeta <= 3, z <= 1, and the jet form of the
+    initial system in the slices zeta <= 3."""
+    E = eliminate(_restriction_surface(kind, m))
+    V3 = ("z", WV, ZETA)
+    at = E.a_tilde()
+    Pf, Qf = structural_field(
+        LaurentInW(at.body.embed(V3), at.pole, WV),
+        MultiSeries.variable("z", V3),
+        *(LinForm.unknown((n, 0), STRUCT_ALG)
+          for n in ("P0", "P1", "Q0", "Q1")))
+    _reads_agree(Pf, Qf, E, {ZETA: 3, "z": 1})
+    P, Q = (LinForm.unknown((n, 0, 0), JET_ALG) for n in ("P", "Q"))
+    _reads_agree(P, Q, E, {ZETA: 3})
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_restricted_tangency_keeps_the_valuation_of_each_factor(m):
+    """Phi = w^m z zeta^4 + (2 + i) w^(m+3) z zeta^2: the lowest-degree
+    term of Phi and of Phi_z lies outside the slots zeta <= 3, z <= 1.  The
+    coefficient of P is c(w) of order 5 with no z, so for m >= 2 the lowest
+    order among the contributions to P's coefficient is that of c * Phi_z,
+    set by the valuation of Phi_z; dropping its one lowest term outright
+    would raise that order."""
+    V3 = ("z", WV, ZETA)
+    Phi = MultiSeries(V3, m + 12, {(1, m, 4): ONE, (1, m + 3, 2): qi(2, 1)})
+    E = AssociatedODE.from_phi(m, 1, Phi)
+    c = MultiSeries(V3, 5, {(0, 2, 0): ONE, (0, 3, 0): qi(3)})
+    P = LinForm({("P", 0, 0): LaurentInW(c, 0, WV)}, JET_ALG)
+    Q = LinForm.unknown(("Q", 0, 0), JET_ALG)
+    _reads_agree(P, Q, E, {ZETA: 3, "z": 1})
 
 
 # ---- symbolic collection (four-equation regression fixture) --------------------

@@ -20,6 +20,7 @@ from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
                                SingularJacobianError, exp_series, log_series,
                                solve_implicit)
+from reference import of_sqrt2
 
 VARS = ("z", "w", "t")
 
@@ -111,8 +112,8 @@ def rnd_coeff(rng, kind):
     re, im = (Fraction(rng.randint(-6, 6), q) for _ in range(2))
     if kind == "gauss":
         return GaussianRational.of(re, im)
-    s2 = GaussianRational.of_sqrt2(Fraction(rng.randint(-5, 5), q),
-                                   Fraction(rng.randint(-5, 5), q))
+    s2 = of_sqrt2(Fraction(rng.randint(-5, 5), q),
+                  Fraction(rng.randint(-5, 5), q))
     return s2 if kind == "sqrt2" else GaussianRational.of(re, im) + s2
 
 
@@ -188,7 +189,7 @@ def test_compose_matches_reference(nvars, dense, kind):
 def test_cancelling_results_are_zero_in_lowest_terms():
     z = MultiSeries.variable("z", ("z", "w"))
     w = MultiSeries.variable("w", ("z", "w"))
-    s2 = GaussianRational.of_sqrt2(1)
+    s2 = of_sqrt2(1)
     # (z + w)(z - w): the cross terms cancel
     same((z + w) * (z - w),
          RefSeries(("z", "w"), EXACT, {(2, 0): GaussianRational.from_int(1),
@@ -375,6 +376,18 @@ def test_compose_matches_horner(nsubs, kind):
                             dense, kind, zero_constant=True)
             subs[v] = g.rename(dict(zip(VARS, ("a", "b", "z"))))
         identical(f.compose(subs), ref_compose(f, subs))
+        # higher valuations cut each Horner step further below the order;
+        # a zero substitution has valuation order + 1, infinite if exact
+        for val in (2, 3):
+            high = {v: MultiSeries(g.vars, g.order,
+                                   {e: c for e, c in g.terms.items()
+                                    if sum(e) >= val})
+                    for v, g in subs.items()}
+            identical(f.compose(high), ref_compose(f, high))
+        for order in (5, EXACT):
+            zero = {v: MultiSeries.zero(g.vars, order)
+                    for v, g in subs.items()}
+            identical(f.compose(zero), ref_compose(f, zero))
         # substitutions with a constant term go only into an exact f; the
         # order then follows the slices' own orders
         shifted = {v: g + rnd_coeff(rng, kind) for v, g in subs.items()}
@@ -382,6 +395,10 @@ def test_compose_matches_horner(nsubs, kind):
         identical(exact.compose(shifted), ref_compose(exact, shifted))
         with pytest.raises(SeriesError):
             f.truncate(5).compose(shifted)
+        for order in (5, EXACT):
+            const = {v: MultiSeries.const(rnd_coeff(rng, kind), g.vars, order)
+                     for v, g in subs.items()}
+            identical(exact.compose(const), ref_compose(exact, const))
 
 
 def rnd_system(rng, x_vars, y_vars, order, kind):
