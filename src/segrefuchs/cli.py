@@ -164,8 +164,9 @@ def cmd_blowup(args):
 def cmd_monodromy(args):
     S = serialize.system_from_json(_load(args.system))
     loop = LoopSpec(radius=args.radius, steps=args.steps,
-                    direction=-1 if args.reverse else 1, tol=args.tol)
-    res = monodromy_matrix(S, loop, trusted_radius=args.trusted_radius)
+                    direction=-1 if args.reverse else 1, tol=args.tol,
+                    trusted_radius=args.trusted_radius)
+    res = monodromy_matrix(S, loop)
     _emit(res.as_dict(), args.output)
     return EXIT_OK
 
@@ -241,10 +242,12 @@ def build_parser():
 
     sp = sub.add_parser("monodromy", help="numeric monodromy of a system")
     sp.add_argument("system", help="linear system JSON file")
-    sp.add_argument("--radius", type=float, default=0.2)
-    sp.add_argument("--trusted-radius", type=float, default=0.25)
-    sp.add_argument("--steps", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    loop = LoopSpec()
+    sp.add_argument("--radius", type=float, default=loop.radius)
+    sp.add_argument("--trusted-radius", type=float,
+                    default=loop.trusted_radius)
+    sp.add_argument("--steps", type=int, default=loop.steps)
+    sp.add_argument("--tol", type=float, default=loop.tol)
     sp.add_argument("--reverse", action="store_true")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_monodromy)

@@ -102,9 +102,6 @@ def residue_spectrum(S):
 
     Off the CLI path: paper content, the exact spectrum of A(0).
     """
-    if S.pole_order > 1:
-        raise NonFuchsianError("residue spectrum needs pole order <= 1, "
-                               "got %d" % S.pole_order)
     A = S.fuchsian_A()
     A0 = [[s.coefficient((0,) * len(s.vars)) for s in row] for row in A]
     cp = linalg.charpoly(A0)
@@ -143,20 +140,12 @@ class FrobeniusBasis:
 
 
 def _matrix_coeffs(A, order):
-    """w-coefficient matrices A_0..A_order of a holomorphic matrix."""
-    for row in A:
-        for s in row:
-            for v in s.vars:
-                if v != WV and s.var_degree(v) > 0:
-                    raise SegrefuchsError("matrix entry depends on %r; the "
-                                          "recurrence needs w-only data" % v)
-    out = []
-    for k in range(order + 1):
-        out.append([[s.coefficient((k,) if s.vars == (WV,) else
-                                   tuple(k if v == WV else 0
-                                         for v in s.vars))
-                     for s in row] for row in A])
-    return out
+    """w-coefficient matrices A_0..A_order of a holomorphic matrix; its
+    entries depend on w alone, so a term's total degree is its w-power."""
+    by_degree = [[{sum(e): c for e, c in s.terms.items()} for s in row]
+                 for row in A]
+    return [[[d.get(k, ZERO) for d in row] for row in by_degree]
+            for k in range(order + 1)]
 
 
 def _param_recurrence(A_mats, n, order, base_shift=None):
@@ -225,9 +214,6 @@ def holomorphic_solutions(S, order=None):
     order of the entries, or `order` if that is lower; an all-exact system
     needs an explicit order.
     """
-    if S.pole_order > 1:
-        raise NonFuchsianError("holomorphic_solutions needs a Fuchsian "
-                               "system, pole order %d given" % S.pole_order)
     A = S.fuchsian_A()
     avail = min((s.order for row in A for s in row if not s.is_zero()),
                 default=EXACT)

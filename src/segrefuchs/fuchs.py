@@ -16,8 +16,7 @@ sound outright.  No row is ever marked undecidable; the
 undecidable-at-order verdict (exit 2) is reserved.
 """
 
-from .surfaces import Z, U, W, WB, min_order
-from .errors import OrderTooLowError
+from .surfaces import Z, U, W, WB, require_min_order
 
 REAL_BOUNDS = [((2, 2), "m-1"), ((2, 3), "2m-2"), ((3, 2), "2m-2"),
                ((3, 3), "2m-2"), ((2, 4), "3m-3"), ((4, 2), "3m-3"),
@@ -90,8 +89,7 @@ def _series_order_row(name, expr, series, var, m):
 
 def _table_ledger(M, prefix, kl_series, var, form):
     """Ledger of the REAL_BOUNDS rows over a coefficient table in var."""
-    if M.order < min_order(M.m):
-        raise OrderTooLowError(M.order, min_order(M.m))
+    require_min_order(M)
     rows = [_series_order_row("%s%d%d" % (prefix, k, l), expr,
                               kl_series(k, l), var, M.m)
             for (k, l), expr in REAL_BOUNDS]

@@ -1,17 +1,18 @@
 """Floating-point analytic continuation of the derived linear systems.
 
-Truncated series entries are evaluated as polynomials inside a configured
-trusted radius; every numeric result reports the ignored-tail magnitude
-estimated from the last retained degree.  Continuation runs classical
-fourth-order steps of fixed size over the whole loop, then reruns it from
-the start with twice as many steps until two consecutive runs agree to
-tolerance; the last run is the result (no extrapolation).  Loops at
-|w| = r never meet the singularity, so no stiff machinery is needed.
-The doubling fails (NonConvergenceError) when the step budget runs out,
-or earlier, when a doubling shows that the runs' difference has reached
-the rounding floor eps * steps * max|M| above tolerance.  A loop whose
-coefficients are not finite at the first run's nodes is refused before
-any run.
+Truncated series entries are evaluated as polynomials inside the loop's
+trusted radius, a LoopSpec field; every numeric result reports the
+ignored-tail magnitude estimated from the last retained degree.
+Continuation runs classical fourth-order steps of fixed size over the
+whole loop, then reruns it from the start with twice as many steps until
+two consecutive runs agree to tolerance; the last run is the result (no
+extrapolation).  Loops at |w| = r never meet the singularity, so no stiff
+machinery is needed.  The doubling fails (NonConvergenceError) when the
+step budget runs out, or earlier, when a doubling shows that the runs'
+difference has reached the rounding floor eps * steps * max|M| above
+tolerance.  A run whose result is not finite is refused at once: that
+covers a loop whose coefficients are not finite, since inf and NaN
+survive every product.
 
 The system is linear, so one RK4 step is multiplication by its transfer
 matrix P_k, the step applied to the identity (a matrix polynomial in h*F).
@@ -39,13 +40,18 @@ class LoopSpec:
     """Circle |w| = r traversed once; direction +1 is counterclockwise.
 
     The radius must stay strictly inside the trusted evaluation radius of
-    the truncated entries (configured per call, default 1/4).  The first
-    run's steps must leave room to double within STEP_BUDGET.
+    the truncated entries (default 1/4; a NaN one admits no radius).  The
+    first run's steps must leave room to double within STEP_BUDGET.
     """
 
-    def __init__(self, radius=0.2, steps=256, direction=1, tol=1e-10):
+    def __init__(self, radius=0.2, steps=256, direction=1, tol=1e-10,
+                 trusted_radius=TRUSTED_RADIUS):
         if not (0 < radius < np.inf and 0 < tol < np.inf):
             raise SegrefuchsError("radius and tol must be finite and > 0")
+        if not radius < trusted_radius:
+            raise SegrefuchsError("loop radius %g is not strictly inside the "
+                                  "trusted evaluation radius %g"
+                                  % (radius, trusted_radius))
         if not 64 <= steps <= STEP_BUDGET // 2:
             raise SegrefuchsError("steps must lie in [64, %d]"
                                   % (STEP_BUDGET // 2))
@@ -55,6 +61,7 @@ class LoopSpec:
         self.steps = steps
         self.direction = direction
         self.tol = tol
+        self.trusted_radius = trusted_radius
 
 
 class MonodromyResult:
@@ -114,9 +121,6 @@ def _dense_matrix_data(S):
             body = e.body
             iw = body.vars.index(e.wvar)
             for exp, c in body.terms.items():
-                if any(x and k != iw for k, x in enumerate(exp)):
-                    raise SegrefuchsError("matrix entry depends on more "
-                                          "than w; cannot evaluate")
                 d = exp[iw] + shift
                 C[d, i, j] += c.to_complex()
                 if exp[iw] >= body.order - 1:
@@ -156,11 +160,12 @@ def _tail_bound(data, radius):
     return tail_max * geo
 
 
-def _rk4_loop(data, loop, Y0, trusted_radius):
+def _rk4_loop(data, loop, Y0):
     """Continue the columns of Y0 once around the loop.
 
-    data is _dense_matrix_data of the system.  Runs n fixed RK4 steps, then
-    2n, 4n, ... until two consecutive runs agree to loop.tol.
+    data is _dense_matrix_data of the system; LoopSpec has already held
+    the loop inside its trusted radius.  Runs n fixed RK4 steps, then 2n,
+    4n, ... until two consecutive runs agree to loop.tol.
 
     With F(t) = 2 pi i dir w C(w) / w^pole at w = r exp(2 pi i dir t), the
     step from t_k is Y -> P_k Y with P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
@@ -170,9 +175,9 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     CHUNK steps evaluates F at its 2B + 1 nodes at once, forms its P_k as
     stacked arrays and applies their ordered product P_{B-1} ... P_0.
 
-    F must be finite at the first run's nodes, or the loop is refused
-    before it runs, and a run whose result is not finite is refused at
-    once.  A run of n steps carries a rounding error of about
+    A run whose result is not finite is refused at once.  That covers a
+    loop on which F is not finite: inf and NaN survive every product, even
+    one by 0.  A run of n steps carries a rounding error of about
     eps n max|Y|, which grows with n while the truncation error falls.  So
     once a doubling fails to shrink the difference of two runs, and that
     difference is within this rounding floor, more steps cannot reach
@@ -180,10 +185,6 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
     does when the step budget runs out.  Both tests come after the tol
     test, so a run that converges is untouched by them.
     """
-    if not loop.radius < trusted_radius:
-        raise SegrefuchsError("loop radius %g is not strictly inside the "
-                              "trusted evaluation radius %g"
-                              % (loop.radius, trusted_radius))
     C, pole, _, _ = data
     r = loop.radius
     two_pi_i = 2j * np.pi * loop.direction
@@ -211,15 +212,12 @@ def _rk4_loop(data, loop, Y0, trusted_radius):
                 Y = _ordered_product(P) @ Y
         if not np.isfinite(Y).all():
             raise SegrefuchsError("a run of %d steps around |w| = %g is not "
-                                  "finite" % (nsteps, r))
+                                  "finite: the system's coefficients are not "
+                                  "finite on the loop, or its RK4 products "
+                                  "overflow" % (nsteps, r))
         return Y
 
     n = loop.steps
-    with np.errstate(all="ignore"):
-        finite = all(np.isfinite(F).all() for F in chunks(n))
-    if not finite:
-        raise SegrefuchsError("the system's coefficients are not finite "
-                              "on the loop |w| = %g" % r)
     eps = np.finfo(float).eps
     prev = run(n)
     prev_diff = np.inf
@@ -253,16 +251,14 @@ def continue_system(S, loop, y0):
     Off the CLI path: oracle of the RK4 loop.
     """
     Y0 = np.array(y0, dtype=complex).reshape(-1, 1)
-    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0,
-                               TRUSTED_RADIUS)
+    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0)
     return Y[:, 0], diff, steps
 
 
-def monodromy_matrix(S, loop, trusted_radius=TRUSTED_RADIUS):
+def monodromy_matrix(S, loop):
     """Monodromy of the identity frame at the base point w = r."""
     data = _dense_matrix_data(S)
-    Y, diff, steps = _rk4_loop(data, loop, np.eye(S.n, dtype=complex),
-                               trusted_radius)
+    Y, diff, steps = _rk4_loop(data, loop, np.eye(S.n, dtype=complex))
     cond = float(np.linalg.cond(Y))
     return MonodromyResult(Y, diff, _tail_bound(data, loop.radius), cond,
                            steps)
@@ -283,8 +279,7 @@ def infinitesimal_monodromy(basis_vectors, S, loop):
     cols = [[comp.eval_complex({W: r}) for comp in vec]
             for vec in basis_vectors]
     B = np.array(cols, dtype=complex).T          # n x d
-    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B,
-                               TRUSTED_RADIUS)
+    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B)
     sol, res, rank, _ = np.linalg.lstsq(B, Y, rcond=None)
     offspan = float(np.max(np.abs(B @ sol - Y)))
     return sol, offspan

@@ -256,9 +256,14 @@ def reconstruct_field(E, P0, P1, Q0, Q1):
 
 
 class LinearODESystem:
-    """n x n first-order system du/dw = C(w) u with Laurent entries."""
+    """n x n system du/dw = C(w) u; each entry is Laurent in its wvar alone."""
 
     def __init__(self, entries, unknown):
+        for e in (e for row in entries for e in row):
+            for v in e.body.vars:
+                if v != e.wvar and e.body.var_degree(v) > 0:
+                    raise SegrefuchsError("matrix entry depends on %r; a "
+                                          "system needs w-only data" % v)
         self.n = len(entries)
         self.entries = entries
         self.unknown = unknown

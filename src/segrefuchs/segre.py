@@ -21,8 +21,7 @@ from fractions import Fraction
 from .qfield import GaussianRational, ONE, I
 from .series import MultiSeries, LaurentInW, EXACT, exp_series, \
     solve_implicit
-from .surfaces import Z, ZB, WB, W as WV, min_order
-from .errors import OrderTooLowError
+from .surfaces import Z, ZB, WB, W as WV, require_min_order
 
 XIB, ETAB, ZETA = "xib", "etab", "zeta"
 
@@ -118,8 +117,7 @@ def eliminate(M, order=None):
     """
     if order is not None:
         M = M.truncate(order)
-    if M.order < min_order(M.m):
-        raise OrderTooLowError(M.order, min_order(M.m))
+    require_min_order(M)
     g = segre_graph(M)
     vars5 = (Z, WV, ZETA, XIB, ETAB)
     F1 = g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5)

@@ -18,7 +18,9 @@ is refused with FormatError, never truncated.  A surface's m must be >= 1.
 An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
 and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
 refuses a finite order of EXACT_IN_FILE or more with FormatError rather
-than write a file its reader would take for exact.
+than write a file its reader would take for exact.  A surface file may
+declare no order above MAX_ORDER, an exact one included: the work of
+every command grows with the order.
 """
 
 import functools
@@ -33,6 +35,7 @@ from .surfaces import (RealDefining, ComplexDefining, split_admissible,
 from .errors import FormatError
 
 EXACT_IN_FILE = 10 ** 6  # the file encoding of an exact order
+MAX_ORDER = 1000  # the highest order a surface file may declare
 
 
 def _rat(num, den):
@@ -159,9 +162,9 @@ def surface_from_json(d):
     if m < 1 or sign not in (1, -1) or form not in ("complex", "real"):
         raise FormatError("need m >= 1, sign 1 or -1 and form complex or "
                           "real")
-    if order == EXACT:
-        raise FormatError("declared order %s means exact; a surface needs a "
-                          "finite working order" % d["order"])
+    if order > MAX_ORDER:
+        raise FormatError("declared order %s is above the cap %d on a "
+                          "surface's working order" % (d["order"], MAX_ORDER))
     real = form == "real"
     series = series_from_json(d["series"]).embed((Z, ZB, U if real else WB))
     # v = u^m psi is trusted m orders past psi

@@ -31,11 +31,13 @@ from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
 
 Z, ZB, WB, U, W = "z", "zb", "wb", "u", "w"
 
-FUCHS_MARGIN = 2  # conversions demand order >= 3m+2
 
-
-def min_order(m):
-    return 3 * m + FUCHS_MARGIN
+def require_min_order(M):
+    """Refuse a surface below the 3m+2 order that the transfers, the
+    elimination and the Fuchsian ledger demand."""
+    need = 3 * M.m + 2
+    if M.order < need:
+        raise OrderTooLowError(M.order, need)
 
 
 def admissible_series(lead, table, vars):
@@ -329,8 +331,7 @@ def real_to_complex(Mr):
     coefficient of phi is exactly 1; the squared rescale is recorded on the
     result.
     """
-    if Mr.order < min_order(Mr.m):
-        raise OrderTooLowError(Mr.order, min_order(Mr.m))
+    require_min_order(Mr)
     require_reality(Mr)
     vars4 = (Z, ZB, U, WB)
     F = Mr.defining_series().embed(vars4)
@@ -368,8 +369,7 @@ def complex_to_real(Mc):
 
     Off the CLI path: paper content, the inverse transfer.
     """
-    if Mc.order < min_order(Mc.m):
-        raise OrderTooLowError(Mc.order, min_order(Mc.m))
+    require_min_order(Mc)
     R = Mc.defining_series()
     # solve (R(z,zb,wb) + wb)/2 = u for wb(z, zb, u)
     vars4 = (Z, ZB, U, WB)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from segrefuchs import serialize
-from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED, \
-    EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, EXIT_DOMAIN
+from segrefuchs.cli import main, build_parser, EXIT_OK, EXIT_NON_FUCHSIAN, \
+    EXIT_REFUSED, EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, \
+    EXIT_DOMAIN
+from segrefuchs.monodromy import LoopSpec
 from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.prolongation import LinearODESystem
@@ -85,6 +87,20 @@ def test_writers_refuse_an_order_their_reader_takes_for_exact():
         serialize.surface_to_json(M)
     with pytest.raises(FormatError):
         serialize.series_to_json(psi.monomial_mul("z", 1))
+
+
+def test_a_surface_file_declares_at_most_max_order():
+    """A declared order above MAX_ORDER is refused at load, before the
+    series is read; MAX_ORDER itself loads."""
+    for form, v, shift in (("complex", "wb", 0), ("real", "u", 1)):
+        d = {"form": form, "m": 1, "sign": 1, "order": serialize.MAX_ORDER,
+             "series": serialize.series_to_json(MultiSeries.monomial(
+                 ONE, (1, 1, 0), ("z", "zb", v), serialize.MAX_ORDER - shift))}
+        assert serialize.surface_from_json(d).order == serialize.MAX_ORDER
+        d["order"] += 1
+        d["series"] = None
+        with pytest.raises(FormatError, match="above the cap 1000"):
+            serialize.surface_from_json(d)
 
 
 def test_surface_roundtrip_both_forms():
@@ -204,7 +220,9 @@ def test_monodromy_command_and_reverse(tmp_path, capsys):
 def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
         tmp_path, capsys):
     """At |w| = 1e-200, w**2 underflows to 0, so C(w) / w^2 is not finite:
-    refused before the first run, with no numpy warning."""
+    inf and NaN survive every product, so the first run's result is not
+    finite either, and that run's check refuses the loop, with no numpy
+    warning."""
     ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
                        2, "w")]]
     p, out = tmp_path / "sys.json", tmp_path / "out.json"
@@ -218,7 +236,8 @@ def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
     assert not out.exists()
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert "not finite" in cap.err and "RuntimeWarning" not in cap.err
+    assert "run of 256 steps" in cap.err and "not finite" in cap.err
+    assert "RuntimeWarning" not in cap.err
 
 
 def test_monodromy_refuses_a_run_whose_result_is_not_finite(tmp_path,
@@ -240,6 +259,14 @@ def test_monodromy_refuses_a_run_whose_result_is_not_finite(tmp_path,
     assert cap.out == ""
     assert "run of 256 steps" in cap.err and "not finite" in cap.err
     assert "RuntimeWarning" not in cap.err
+
+
+def test_monodromy_option_defaults_are_those_of_loop_spec():
+    args = build_parser().parse_args(["monodromy", "system.json"])
+    loop = LoopSpec()
+    assert (args.radius, args.trusted_radius, args.steps, args.tol) == \
+        (loop.radius, loop.trusted_radius, loop.steps, loop.tol)
+    assert (-1 if args.reverse else 1) == loop.direction
 
 
 def _refuse_constant(name):
@@ -477,6 +504,14 @@ COMPLEX4 = serialize.surface_to_json(build_complex(1, 1, {}, 4))
 REAL_PSI7 = {"form": "real", "m": 2, "sign": 1, "order": 9,
              "series": serialize.series_to_json(MultiSeries(
                  ("z", "zb", "u"), 7, {(1, 1, 0): ONE}))}
+# psi = z*zb and phi = z*zb, each declaring the order 999999 of its m=1
+# surface: far above MAX_ORDER, yet below the exact order 1000000
+REAL_999999 = {"form": "real", "m": 1, "sign": 1, "order": 999999,
+               "series": serialize.series_to_json(MultiSeries.monomial(
+                   ONE, (1, 1, 0), ("z", "zb", "u"), 999998))}
+COMPLEX_999999 = {"form": "complex", "m": 1, "sign": 1, "order": 999999,
+                  "series": serialize.series_to_json(MultiSeries.monomial(
+                      ONE, (1, 1, 0), ("z", "zb", "wb"), 999999))}
 SYSTEM2 = serialize.system_to_json(LinearODESystem(
     [[LaurentInW(MultiSeries.const(qi(Fraction(i + j, 4)), ("w",), 4), 1, "w")
       for j in range(2)] for i in range(2)], unknown="y"))
@@ -553,6 +588,11 @@ def _one_by_two(d):
     d["entries"].pop()
 
 
+def _z_term(d):
+    d["entries"][0][0]["body"] = serialize.series_to_json(
+        MultiSeries.variable("z", ("z", "w"), 4))
+
+
 # a name, argv with {in} for the input file and {dir} for a directory, the
 # input file's bytes, and the code the case must end in
 PINNED = [
@@ -584,6 +624,8 @@ PINNED = [
      EXIT_FORMAT),
     ("1x2-system", ["monodromy", "{in}"], _with(SYSTEM2, _one_by_two),
      EXIT_FORMAT),
+    ("z-term-system", ["monodromy", "{in}"], _with(SYSTEM2, _z_term),
+     EXIT_DOMAIN),
     ("declared-above-phi", ["derive-ode", "{in}"],
      _with(COMPLEX4, _declared_12), EXIT_FORMAT),
     ("declared-above-psi", ["check-fuchsian", "{in}"],
@@ -595,10 +637,14 @@ PINNED = [
     ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
      EXIT_OK),
 ] + [
-    # an order of 1000000 in a file means exact: no finite working order
-    ("exact-order-%s-%s" % (form, argv[0]), argv,
-     _with(surface, _exact_order), EXIT_FORMAT)
-    for form, surface in (("real", REAL5), ("complex", COMPLEX5))
+    # a declared order above MAX_ORDER, an order of 1000000 (which in a
+    # file means exact) included: refused at load, not worked at
+    ("%s-%s-%s" % (name, form, argv[0]), argv, content, EXIT_FORMAT)
+    for name, form, content in (
+        ("exact-order", "real", _with(REAL5, _exact_order)),
+        ("exact-order", "complex", _with(COMPLEX5, _exact_order)),
+        ("order-999999", "real", _doc(REAL_999999)),
+        ("order-999999", "complex", _doc(COMPLEX_999999)))
     for argv in (["verify", "{in}"], ["derive-ode", "{in}"],
                  ["check-fuchsian", "{in}"], ["symmetries", "{in}"],
                  ["blowup", "{in}", "--blowup", "s=2"])

@@ -121,6 +121,14 @@ def test_holomorphic_diag_examples():
     assert B2.solutions[0][1].is_zero()
 
 
+def test_pole_two_systems_are_refused_by_fuchsian_A():
+    ent = [[LaurentInW(MultiSeries.const(qi(1), ("w",), 8), 2, "w")]]
+    S = LinearODESystem(ent, unknown="y")
+    for solve in (holomorphic_solutions, residue_spectrum):
+        with pytest.raises(NonFuchsianError, match="pole order 2 > 1"):
+            solve(S)
+
+
 def test_exact_system_needs_an_explicit_order():
     """No trust order bounds an all-exact system: the window is the
     caller's to give, and None is refused rather than replaced."""

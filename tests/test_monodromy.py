@@ -100,8 +100,8 @@ def test_monodromy_matches_expm_randomized():
 def test_loop_radius_independence():
     S = const_system([[qi(Fraction(1, 3)), qi(1)], [qi(0), qi(Fraction(1, 2))]])
     r1 = monodromy_matrix(S, LoopSpec(radius=0.2, tol=1e-9))
-    r2 = monodromy_matrix(S, LoopSpec(radius=0.35, tol=1e-9),
-                          trusted_radius=0.5)
+    r2 = monodromy_matrix(S, LoopSpec(radius=0.35, tol=1e-9,
+                                      trusted_radius=0.5))
     assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
 
 
@@ -113,9 +113,17 @@ def test_orientation_inverse():
 
 
 def test_radius_guard():
-    S = const_system([[qi(1)]])
-    with pytest.raises(SegrefuchsError):
-        continue_system(S, LoopSpec(radius=0.3), [1.0])  # 0.3 >= 0.25
+    """LoopSpec refuses, when built, a radius at or past its trusted radius
+    (default TRUSTED_RADIUS) and a NaN trusted radius; an infinite one
+    admits any finite radius."""
+    for kw in ({"radius": 0.25}, {"radius": 0.3},
+               {"radius": 0.5, "trusted_radius": 0.5},
+               {"trusted_radius": float("nan")}):
+        with pytest.raises(SegrefuchsError, match="trusted evaluation"):
+            LoopSpec(**kw)
+    loop = LoopSpec(radius=1e6, trusted_radius=float("inf"))
+    assert (loop.radius, loop.trusted_radius) == (1e6, float("inf"))
+    assert LoopSpec().trusted_radius == TRUSTED_RADIUS
 
 
 def test_model_u_system_monodromy_fixes_symmetries():
@@ -261,7 +269,7 @@ def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
                   for v in uvecs]).T
     psi, _ = infinitesimal_monodromy(uvecs, U, loop)
     Y_ref, ref_steps = reference_rk4_loop(U, loop, B)
-    Y, _, steps = _rk4_loop(_dense_matrix_data(U), loop, B, TRUSTED_RADIUS)
+    Y, _, steps = _rk4_loop(_dense_matrix_data(U), loop, B)
     assert steps == ref_steps
     assert_matches_reference(Y, Y_ref)
     psi_ref = np.linalg.lstsq(B, Y_ref, rcond=None)[0]
@@ -312,9 +320,8 @@ def test_a_loop_at_its_rounding_floor_stops_after_the_stalled_doubling(
                        match="runs of 16384 and 32768 steps differ by "
                              ".* not below 1e-10"):
         monodromy_matrix(S, LoopSpec())
-    # the finiteness check at the first run's 256 steps, then runs of
-    # 256, 512, ..., 2^15 steps
-    assert sum(seen) == 256 + sum(256 << k for k in range(8))
+    # runs of 256, 512, ..., 2^15 steps
+    assert sum(seen) == sum(256 << k for k in range(8))
 
 
 def test_a_loop_whose_differences_still_shrink_exhausts_the_budget(
@@ -325,8 +332,8 @@ def test_a_loop_whose_differences_still_shrink_exhausts_the_budget(
     with pytest.raises(NonConvergenceError,
                        match="not converge below 1e-12 within 256 steps"):
         continue_system(S, LoopSpec(steps=64, tol=1e-12), [1.0])
-    # the finiteness check at the first run's 64 steps, then three runs
-    assert sum(seen) == 64 + 64 + 128 + 256
+    # three runs
+    assert sum(seen) == 64 + 128 + 256
 
 
 CONVERGING_LOOPS = [
@@ -347,7 +354,8 @@ CONVERGING_LOOPS = [
                          ids=[c[0] for c in CONVERGING_LOOPS])
 def test_converging_loops_keep_their_step_counts(rows, spec, trusted, steps):
     S = const_system([[qi(x) for x in row] for row in rows])
-    res = monodromy_matrix(S, LoopSpec(tol=1e-9, **spec), trusted)
+    res = monodromy_matrix(S, LoopSpec(tol=1e-9, trusted_radius=trusted,
+                                       **spec))
     assert res.steps == steps
 
 

@@ -13,9 +13,10 @@ from segrefuchs.prolongation import (VectorField, ProlongedField,
                                      tangency_residual,
                                      reconstruct_field,
                                      assemble_u_system, assemble_Y_system,
-                                     assemble_twelve_system)
+                                     assemble_twelve_system,
+                                     LinearODESystem)
 from segrefuchs.fuchs import check_fuchsian_ode
-from segrefuchs.errors import NonFuchsianError
+from segrefuchs.errors import NonFuchsianError, SegrefuchsError
 
 from test_golden import dense_surface
 
@@ -313,6 +314,16 @@ def test_u_system_model_and_known_solutions():
     for L in (VectorField(zero_zw(), w), VectorField(z.scale(I), zero_zw())):
         res = U.residual(u_vector_of(L))
         assert all(r.is_zero() for r in res)
+
+
+def test_system_entries_depend_on_w_alone():
+    """A z-term is refused when the system is built; a z variable that no
+    term uses is not a dependence."""
+    z_term = MultiSeries.variable("z", ("z", "w"), 4)
+    with pytest.raises(SegrefuchsError, match="depends on 'z'"):
+        LinearODESystem([[LaurentInW(z_term, 1, "w")]], unknown="y")
+    one = MultiSeries.const(ONE, ("z", "w"), 4)
+    assert LinearODESystem([[LaurentInW(one, 1, "w")]], unknown="y").n == 1
 
 
 def test_collection_soundness():
