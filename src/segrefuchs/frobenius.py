@@ -163,19 +163,15 @@ def _param_recurrence(A_mats, n, order, base_shift=None):
         lam = GaussianRational.of(Fraction(k) + (base_shift or 0))
         L = [[(lam if i == j else ZERO) - A0[i][j] for j in range(n)]
              for i in range(n)]
-        rhs = [[ZERO] * params for _ in range(n)]
-        for j in range(1, min(k, len(A_mats) - 1) + 1):
-            Aj = A_mats[j]
-            Mk = Ms[k - j]
-            for i in range(n):
-                for t in range(n):
-                    a = Aj[i][t]
-                    if a.is_zero():
-                        continue
-                    row = Mk[t]
-                    for p in range(params):
-                        if not row[p].is_zero():
-                            rhs[i][p] = rhs[i][p] + a * row[p]
+        # sum_{j=1..J} A_j M_{k-j}: the row-stacked [A_1 ... A_J] times the
+        # column-stacked [M_{k-1}; ...; M_{k-J}]
+        J = range(1, min(k, len(A_mats) - 1) + 1)
+        if J:
+            rhs = linalg.mat_mul([[a for j in J for a in A_mats[j][i]]
+                                  for i in range(n)],
+                                 [row for j in J for row in Ms[k - j]])
+        else:
+            rhs = linalg.zeros(n, params)
         X, kern, constraints = linalg.solve_with_rhs_matrix(L, rhs)
         if constraints:
             # cut to the parameters K on which the constraints vanish; X is
@@ -225,7 +221,7 @@ def holomorphic_solutions(S, order=None):
     Ms, params, obstructions = _param_recurrence(A_mats, S.n, order)
     basis = FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),
                            params, obstructions, order)
-    _assert_independent(basis, S.n)
+    _assert_independent(basis)
     return basis
 
 
@@ -261,9 +257,7 @@ def frobenius_basis(S, order=None):
                           hol.log_obstructions, hol.order, branches)
 
 
-def _assert_independent(basis, n):
-    if basis.dimension == 0:
-        return
+def _assert_independent(basis):
     rows = []
     for vec in basis.solutions:
         row = []
@@ -298,19 +292,21 @@ class SymmetryBasis:
         return len(self.fields)
 
     def bracket_closure_defect(self):
-        """Max off-span rank increase over all basis pairs (0 = closed)."""
-        if not self.fields:
-            return 0
-        order = max(self.order - 1, 1)
-        span = [_field_row(f, order) for f in self.fields]
-        base_rank = linalg.rank(span)
-        worst = 0
-        for i in range(len(self.fields)):
-            for j in range(i + 1, len(self.fields)):
-                br = lie_bracket(self.fields[i], self.fields[j])
-                rows = span + [_field_row(br, order)]
-                worst = max(worst, linalg.rank(rows) - base_rank)
-        return worst
+        """1 if the bracket of some pair of basis fields leaves their span
+        through order - 1 (at least 1), else 0."""
+        brackets = [lie_bracket(L1, L2)
+                    for i, L1 in enumerate(self.fields)
+                    for L2 in self.fields[i + 1:]]
+        return int(not in_span(self.fields, brackets,
+                               max(self.order - 1, 1)))
+
+
+def in_span(fields, others, order):
+    """Every field of `others` lies in the span of `fields`, coefficient
+    for coefficient through total degree `order`."""
+    rows = [_field_row(L, order) for L in fields]
+    return linalg.rank(rows + [_field_row(L, order) for L in others]) == \
+        linalg.rank(rows)
 
 
 def _field_row(L, order):

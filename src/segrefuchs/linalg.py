@@ -67,8 +67,6 @@ def rref(M):
 
 
 def rank(M):
-    if not M:
-        return 0
     _, pivots = rref(M)
     return len(pivots)
 

@@ -20,7 +20,9 @@ and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
 refuses a finite order of EXACT_IN_FILE or more with FormatError rather
 than write a file its reader would take for exact.  A surface file may
 declare no order above MAX_ORDER, an exact one included: the work of
-every command grows with the order.
+every command grows with the order.  Nor may a system entry have a pole
+or a term degree above MAX_ORDER in absolute value: the coefficient
+tensor of `monodromy` grows with both.
 """
 
 import functools
@@ -35,7 +37,7 @@ from .surfaces import (RealDefining, ComplexDefining, split_admissible,
 from .errors import FormatError
 
 EXACT_IN_FILE = 10 ** 6  # the file encoding of an exact order
-MAX_ORDER = 1000  # the highest order a surface file may declare
+MAX_ORDER = 1000  # the highest surface order, |pole| or entry degree
 
 
 def _rat(num, den):
@@ -136,8 +138,11 @@ def laurent_to_json(L):
 
 
 def laurent_from_json(d):
-    return LaurentInW(series_from_json(d["body"]), _int(d["pole"]),
-                      d.get("wvar", W))
+    body, pole = series_from_json(d["body"]), _int(d["pole"])
+    if max(abs(pole), body.max_degree()) > MAX_ORDER:
+        raise FormatError("a system entry's pole or term degree is above "
+                          "%d in absolute value" % MAX_ORDER)
+    return LaurentInW(body, pole, d.get("wvar", W))
 
 
 def surface_to_json(M):

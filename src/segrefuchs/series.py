@@ -458,8 +458,6 @@ class MultiSeries:
         lower degree.
         """
         subs = {v: s for v, s in subs.items() if v in self.vars}
-        if not subs:
-            return self
         for v, s in subs.items():
             if not s.constant_term().is_zero() and self.order != EXACT:
                 raise SeriesError(
@@ -789,12 +787,12 @@ class LaurentInW:
         return LaurentInW(t, self.pole + 1, self.wvar)
 
     def as_series(self):
-        """Convert to a plain series; requires nonnegative w-valuation."""
-        if self.pole == 0:
-            return self.body
-        if self.body.var_valuation(self.wvar) < self.pole:
+        """Convert to a plain series.  The constructor strips w while the
+        pole is positive, so a positive pole is a genuine one."""
+        if self.pole > 0:
             raise SeriesError("Laurent value has a genuine pole")
-        return self.body.monomial_div(self.wvar, self.pole)
+        return self.body.monomial_mul(self.wvar, -self.pole) if self.pole \
+            else self.body
 
     def __repr__(self):
         """Off the CLI path: Laurent values in error messages."""

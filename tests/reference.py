@@ -1,5 +1,7 @@
-"""Per-coefficient reference versions of the packed edges of the package.
+"""The one home of the helpers that several test modules share.
 
+Besides the shared builders and oracles (the first section), it holds
+per-coefficient reference versions of the packed edges of the package.
 The package reads and writes series files, conjugates a series and
 rescales z on the packed integer tuples of a series (one common
 denominator, a tuple (a, b, c, d) per term).  The versions here build one
@@ -11,10 +13,153 @@ references and the tests use live here too.
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from segrefuchs.errors import FormatError, NotNormalizableError
-from segrefuchs.qfield import GaussianRational, ONE
-from segrefuchs.series import MultiSeries
-from segrefuchs.surfaces import Z, ZB
+from segrefuchs.fuchs import REAL_BOUNDS, _bound
+from segrefuchs.prolongation import LinearODESystem, VectorField
+from segrefuchs.qfield import GaussianRational, ONE, qi
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT
+from segrefuchs.surfaces import Z, ZB, build_real
+
+
+# ---------- shared builders and oracles ----------
+
+def zw(name):
+    return MultiSeries.variable(name, ("z", "w"))
+
+
+def zero_zw():
+    return MultiSeries.zero(("z", "w"))
+
+
+def u_series(terms, order=EXACT):
+    return MultiSeries(("u",), order, {(k,): c for k, c in terms.items()})
+
+
+def wb_series(terms, order=EXACT):
+    return MultiSeries(("wb",), order, {(k,): c for k, c in terms.items()})
+
+
+def identical(got, ref):
+    """The same series, down to its packed data."""
+    assert got.vars == ref.vars and got.order == ref.order
+    assert got.den == ref.den and got.num == ref.num
+
+
+def const_system(rows, order=14):
+    """dy/dw = A y / w for the constant matrix A = rows, each entry trusted
+    through `order`."""
+    n = len(rows)
+    ent = [[LaurentInW(MultiSeries.const(rows[i][j], ("w",), order), 1, "w")
+            for j in range(n)] for i in range(n)]
+    return LinearODESystem(ent, unknown="y")
+
+
+def expm_oracle(A):
+    """Independent matrix exponential: scaling and squaring on the series."""
+    A = np.array(A, dtype=complex)
+    k = max(int(np.ceil(np.log2(max(1.0, np.linalg.norm(A, np.inf))))) + 4, 0)
+    B = A / 2 ** k
+    E = np.eye(len(A), dtype=complex)
+    term = np.eye(len(A), dtype=complex)
+    for j in range(1, 25):
+        term = term @ B / j
+        E = E + term
+    for _ in range(k):
+        E = E @ E
+    return E
+
+
+def rnd_pullback_field(rng):
+    """A random polynomial field whose Q vanishes on w = 0, so that its
+    pullback by a blow-up clears the poles."""
+    t1, t2 = {}, {}
+    for _ in range(3):
+        t1[(rng.randint(0, 2), rng.randint(0, 2))] = qi(
+            rng.randint(-3, 3), rng.randint(-3, 3))
+        t2[(rng.randint(0, 2), rng.randint(1, 2))] = qi(
+            rng.randint(-3, 3), rng.randint(-3, 3))
+    return VectorField(MultiSeries(("z", "w"), EXACT, t1),
+                       MultiSeries(("z", "w"), EXACT, t2))
+
+
+def dense_surface(N=12, m=1, fuchsian=False):
+    """Real surface with every admissible h_kl coefficient nonzero.
+
+    The coefficients are small Gaussian integers fixed by (k, l, j), with
+    h_lk = conj(h_kl), so the surface is the same on every platform.  With
+    `fuchsian`, each h_kl starts at its REAL_BOUNDS valuation, so the
+    surface is Fuchsian at every m (without it, only at m = 1).
+    """
+    floor = {kl: _bound(expr, m) for kl, expr in REAL_BOUNDS} \
+        if fuchsian else {}
+    top = N - m
+    h = {}
+    for k in range(2, top):
+        for l in range(k, top - k + 1):
+            terms, conj = {}, {}
+            for j in range(floor.get((k, l), 0), top - k - l + 1):
+                re = (k + 2 * l + 3 * j) % 5 - 2 or 3
+                im = 0 if k == l else (2 * k + l + j) % 5 - 2 or -1
+                terms[(j,)] = qi(re, im)
+                conj[(j,)] = qi(re, -im)
+            if terms:
+                h[(k, l)] = terms
+                if k != l:
+                    h[(l, k)] = conj
+    return build_real(m, 1, h, N)
+
+
+def kl_table(psi):
+    """{(k, l): coefficient series of z^k zb^l} of psi over (z, zb, t), for
+    each k, l >= 2 that carries a term, read through coeff_of."""
+    z, zb, _ = psi.vars
+    return {(k, l): psi.coeff_of({z: k, zb: l})
+            for k, l, _ in psi.terms if k >= 2 and l >= 2}
+
+
+GEN_VARS = ("P", "Q", "Pz", "Pw", "Qz", "Qw", "Pzz", "Pzw", "Pww",
+            "Qzz", "Qzw", "Qww", "a", "az", "aw", "b", "bz", "bw",
+            "c", "cz", "cw", "w1")
+
+
+def collect_initial_system():
+    """Mechanical w1^0..w1^3 collection of the tangency condition.
+
+    Uses opaque symbols for the meromorphic coefficients a, b, c and their
+    composite derivatives.  Returns (computed, fixture, diffs): computed[j]
+    is the collected equation at w1^j in the canonical orientation
+    lhs - rhs = 0; fixture holds the classical four-line form; diffs
+    lists the per-line difference (all zero: the fixture is reproduced).
+    """
+    (P, Q, Pz, Pw, Qz, Qw, Pzz, Pzw, Pww, Qzz, Qzw, Qww, a, az, aw, b, bz, bw,
+     c, cz, cw, w1) = (MultiSeries.variable(v, GEN_VARS) for v in GEN_VARS)
+
+    Phi = a * w1 ** 2 + b * w1 ** 3 + c * w1 ** 4
+    Phiz = az * w1 ** 2 + bz * w1 ** 3 + cz * w1 ** 4
+    Phiw = aw * w1 ** 2 + bw * w1 ** 3 + cw * w1 ** 4
+    Phiw1 = a.scale(2) * w1 + b.scale(3) * w1 ** 2 + c.scale(4) * w1 ** 3
+    Q1 = Qz + (Qw - Pz) * w1 - Pw * w1 ** 2
+    Q2 = (Qzz + (Qzw.scale(2) - Pzz) * w1 + (Qww - Pzw.scale(2)) * w1 ** 2
+          - Pww * w1 ** 3 + (Qw - Pz.scale(2)) * Phi - Pw.scale(3) * w1 * Phi)
+    T = Q2 - P * Phiz - Q * Phiw - Q1 * Phiw1
+
+    computed = [T.coeff_of({"w1": j}) for j in range(4)]
+    # fixture lines, lhs - rhs; the third keeps its split a-terms
+    fixture = [
+        Qzz,
+        Qzw.scale(2) - Pzz - a.scale(2) * Qz,
+        (Qww - Pzw.scale(2))
+        - (a * (-Qw + Pz.scale(2)) + az * P + aw * Q + b.scale(3) * Qz
+           + a.scale(2) * (Qw - Pz)),
+        Pww - (b * (Qw - Pz.scale(2)) - a * Pw - bz * P - bw * Q
+               - c.scale(4) * Qz + b.scale(3) * (Pz - Qw)),
+    ]
+    # orientation of the mechanical collection: w1^3 slice is -(line 4)
+    oriented = [computed[0], computed[1], computed[2], -computed[3]]
+    diffs = [o - f for o, f in zip(oriented, fixture)]
+    return oriented, fixture, diffs
 
 
 def conj(x):

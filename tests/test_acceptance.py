@@ -10,14 +10,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from segrefuchs import serialize
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW, EXACT
+from segrefuchs.qfield import ONE, I, qi
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
-                                 complex_to_real, check_reality,
-                                 ComplexDefining, Z, ZB, WB)
+                                 check_reality, ComplexDefining, Z, ZB, WB)
 from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
                               verify_ode)
 from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
@@ -25,16 +23,14 @@ from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
 from segrefuchs.prolongation import (VectorField, assemble_u_system,
                                      assemble_Y_system, tangency_residual)
 from segrefuchs.frobenius import (formal_symmetries, field_u_vector,
-                                  convergence_diagnostic, _field_row)
+                                  convergence_diagnostic, in_span)
 from segrefuchs.blowup import BlowupMap, pullback_field, pushforward_field
 from segrefuchs.monodromy import (LoopSpec, monodromy_matrix,
                                   infinitesimal_monodromy)
 from segrefuchs.errors import NonFuchsianError
-from segrefuchs import linalg
 from segrefuchs.cli import main as cli_main, EXIT_REFUSED
-from reference import conj
-
-from test_prolongation import collect_initial_system
+from reference import (collect_initial_system, conj, const_system,
+                       expm_oracle, rnd_pullback_field, zero_zw, zw)
 
 
 def report(num, ok, text):
@@ -65,21 +61,6 @@ def random_phi_table(rng, m, order, fuchsian):
         if terms:
             tbl[kl] = MultiSeries(("wb",), cap, terms)
     return tbl
-
-
-def zw(name):
-    return MultiSeries.variable(name, ("z", "w"))
-
-
-def zero_zw():
-    return MultiSeries.zero(("z", "w"))
-
-
-def in_span(fields, target, order=6):
-    rows = [_field_row(L, order) for L in fields]
-    r0 = linalg.rank(rows)
-    rows.append(_field_row(target, order))
-    return linalg.rank(rows) == r0
 
 
 def test_criterion_1_coefficient_oracle_equivalence():
@@ -160,7 +141,7 @@ def test_criterion_5_known_symmetries():
     z, w = zw("z"), zw("w")
     iz = VectorField(z.scale(I), zero_zw())
     wdw = VectorField(zero_zw(), w)
-    ok1 = in_span(basis.fields, iz) and in_span(basis.fields, wdw)
+    ok1 = in_span(basis.fields, [iz, wdw], 6)
     ok1 &= tangency_residual(iz, basis.ode).is_zero()
     ok1 &= tangency_residual(wdw, basis.ode).is_zero()
     ok1 &= all(c.is_zero() for c in basis.certificates)
@@ -169,7 +150,7 @@ def test_criterion_5_known_symmetries():
     Mr = build_real(2, 1, {}, 13)
     Mc = real_to_complex(Mr)
     basis2 = formal_symmetries(Mc)
-    ok2 = in_span(basis2.fields, iz)
+    ok2 = in_span(basis2.fields, [iz], 6)
     dt2 = time.monotonic() - t0
     report(5, ok1 and ok2 and dt1 < 30 and dt2 < 30,
            "m=1 model basis contains iz d/dz and w d/dw with zero residual "
@@ -223,14 +204,7 @@ def test_criterion_8_blowup_roundtrip():
     ok = True
     for trial in range(10):
         B = BlowupMap(rng.choice((2, 3)), 2)
-        t1, t2 = {}, {}
-        for _ in range(3):
-            t1[(rng.randint(0, 2), rng.randint(0, 2))] = qi(
-                rng.randint(-3, 3), rng.randint(-3, 3))
-            t2[(rng.randint(0, 2), rng.randint(1, 2))] = qi(
-                rng.randint(-3, 3), rng.randint(-3, 3))
-        L = VectorField(MultiSeries(("z", "w"), EXACT, t1),
-                        MultiSeries(("z", "w"), EXACT, t2))
+        L = rnd_pullback_field(rng)
         bf = pullback_field(L, B)
         L2 = pushforward_field(bf.P, bf.Q, B)
         ok &= (L2.P - L.P).is_zero() and (L2.Q - L.Q).is_zero()
@@ -258,15 +232,12 @@ def test_criterion_9_numeric_monodromy():
             if row_sum > 2.0:
                 scl = qi(Fraction(2)) * qi(Fraction(1, int(row_sum) + 1))
                 A[i] = [c * scl for c in A[i]]
-        ent = [[LaurentInW(MultiSeries.const(A[i][j], ("w",), 10), 1, "w")
-                for j in range(n)] for i in range(n)]
-        from segrefuchs.prolongation import LinearODESystem
-        S = LinearODESystem(ent, unknown="y")
+        S = const_system(A, order=10)
         t0 = time.monotonic()
         res = monodromy_matrix(S, LoopSpec(tol=1e-9))
         dt = time.monotonic() - t0
         Af = np.array([[c.to_complex() for c in row] for row in A])
-        expect = _expm(2j * np.pi * Af)
+        expect = expm_oracle(2j * np.pi * Af)
         err = float(np.max(np.abs(res.matrix - expect)))
         worst = max(worst, err)
         ok &= err < 1e-8 and dt < 10.0
@@ -281,20 +252,6 @@ def test_criterion_9_numeric_monodromy():
            "10 random Fuchsian systems: |M - exp(2 pi i A)| < 1e-8 "
            "(worst %.2e), each < 10s; model holomorphic-basis monodromy "
            "= identity within 1e-6 (err %.2e)" % (worst, id_err))
-
-
-def _expm(A):
-    A = np.array(A, dtype=complex)
-    k = max(int(np.ceil(np.log2(max(1.0, np.linalg.norm(A, np.inf))))) + 4, 0)
-    B = A / 2 ** k
-    E = np.eye(len(A), dtype=complex)
-    term = np.eye(len(A), dtype=complex)
-    for j in range(1, 25):
-        term = term @ B / j
-        E = E + term
-    for _ in range(k):
-        E = E @ E
-    return E
 
 
 def test_criterion_10_reality_validation():

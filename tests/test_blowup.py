@@ -3,37 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, LaurentInW, EXACT, exp_series
+from segrefuchs.qfield import ONE, I, qi
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
-from segrefuchs.segre import segre_graph
 from segrefuchs.prolongation import VectorField
 from segrefuchs.frobenius import lie_bracket
 from segrefuchs.blowup import (BlowupMap, pullback_surface, pullback_field,
                                pushforward_field, find_blowup_exponent,
                                levi_unit_off_locus, XI, ETA)
 from segrefuchs.errors import DivisibilityError, SegrefuchsError
-
-
-def zw(name):
-    return MultiSeries.variable(name, ("z", "w"))
-
-
-def zero_zw():
-    return MultiSeries.zero(("z", "w"))
-
-
-def rnd_pullback_field(rng, B, order=9):
-    """A field guaranteed to clear poles: the pullback of a random field."""
-    t1, t2 = {}, {}
-    for _ in range(3):
-        t1[(rng.randint(0, 2), rng.randint(0, 2))] = qi(
-            rng.randint(-3, 3), rng.randint(-3, 3))
-        t2[(rng.randint(0, 2), rng.randint(1, 2))] = qi(
-            rng.randint(-3, 3), rng.randint(-3, 3))
-    L = VectorField(MultiSeries(("z", "w"), EXACT, t1),
-                    MultiSeries(("z", "w"), EXACT, t2))
-    return L
+from reference import rnd_pullback_field, zero_zw, zw
 
 
 # ---- map validation --------------------------------------------------------
@@ -169,7 +148,7 @@ def test_roundtrip_exact_randomized():
     rng = random.Random(88)
     for trial in range(10):
         B = BlowupMap(rng.choice((2, 3)), 2)
-        L = rnd_pullback_field(rng, B)
+        L = rnd_pullback_field(rng)
         bf = pullback_field(L, B)
         L2 = pushforward_field(bf.P, bf.Q, B)
         assert (L2.P - L.P).is_zero()
@@ -189,15 +168,12 @@ def test_pullback_is_lie_algebra_map():
     rng = random.Random(77)
     B = BlowupMap(2, 2)
     for _ in range(5):
-        L1 = rnd_pullback_field(rng, B)
-        L2 = rnd_pullback_field(rng, B)
+        L1 = rnd_pullback_field(rng)
+        L2 = rnd_pullback_field(rng)
         br = lie_bracket(L1, L2)
         lhs = pullback_field(br, B)
         p1, p2 = pullback_field(L1, B), pullback_field(L2, B)
-        # bracket of Laurent fields, computed directly
-        def apply(f, g, comp):
-            return f.P * comp.body.diff(XI).embed(comp.body.vars) and None
-        # compute [p1, p2] componentwise with Laurent calculus
+        # [p1, p2] componentwise with Laurent calculus
         def bracket(a, b):
             P = (a.P * b.P.diff(XI) + a.Q * b.P.diff(ETA)
                  - b.P * a.P.diff(XI) - b.Q * a.P.diff(ETA))

@@ -15,7 +15,7 @@ from segrefuchs.cli import main, build_parser, EXIT_OK, EXIT_NON_FUCHSIAN, \
     EXIT_REFUSED, EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, \
     EXIT_DOMAIN
 from segrefuchs.monodromy import LoopSpec
-from segrefuchs.qfield import GaussianRational, ONE, I, qi, SQRT2
+from segrefuchs.qfield import GaussianRational, ONE, I, qi
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.segre import eliminate
@@ -25,8 +25,7 @@ from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, RealDefining,
                                  admissible_series, check_reality,
                                  split_admissible, Z, ZB, WB)
-from test_golden import dense_surface
-from test_surfaces import kl_table
+from reference import const_system, dense_surface, kl_table
 
 
 @pytest.fixture
@@ -122,11 +121,7 @@ def test_surface_roundtrip_both_forms():
 
 
 def test_system_roundtrip(tmp_path):
-    ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
-                       1, "w")]]
-    from segrefuchs.prolongation import LinearODESystem
-    S = LinearODESystem(ent, unknown="y")
-    d = serialize.system_to_json(S)
+    d = serialize.system_to_json(const_system([[qi(Fraction(1, 2))]], 10))
     S2 = serialize.system_from_json(d)
     assert S2.pole_order == 1
     assert serialize.dumps(serialize.system_to_json(S2)) == serialize.dumps(d)
@@ -199,11 +194,7 @@ def test_blowup_commands(model_file, tmp_path):
 
 
 def test_monodromy_command_and_reverse(tmp_path, capsys):
-    from segrefuchs.prolongation import LinearODESystem
-    import numpy as np
-    ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
-                       1, "w")]]
-    S = LinearODESystem(ent, unknown="y")
+    S = const_system([[qi(Fraction(1, 2))]], 10)
     p = tmp_path / "sys.json"
     p.write_text(serialize.dumps(serialize.system_to_json(S)))
     assert main(["monodromy", str(p), "--tol", "1e-9"]) == EXIT_OK
@@ -217,6 +208,23 @@ def test_monodromy_command_and_reverse(tmp_path, capsys):
     assert abs(mf + 1.0) < 1e-7
 
 
+def _refused_as_not_finite(S, options, tmp_path, capsys):
+    """monodromy on S exits 14 naming a run that is not finite, with no
+    numpy warning and no output."""
+    p, out = tmp_path / "sys.json", tmp_path / "out.json"
+    p.write_text(serialize.dumps(serialize.system_to_json(S)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["monodromy", str(p), "-o", str(out)] + options) == \
+            EXIT_DOMAIN
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "run of 256 steps" in cap.err and "not finite" in cap.err
+    assert "RuntimeWarning" not in cap.err
+
+
 def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
         tmp_path, capsys):
     """At |w| = 1e-200, w**2 underflows to 0, so C(w) / w^2 is not finite:
@@ -225,19 +233,8 @@ def test_monodromy_refuses_a_loop_whose_coefficients_are_not_finite(
     warning."""
     ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
                        2, "w")]]
-    p, out = tmp_path / "sys.json", tmp_path / "out.json"
-    p.write_text(serialize.dumps(serialize.system_to_json(
-        LinearODESystem(ent, unknown="y"))))
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        assert main(["monodromy", str(p), "--radius", "1e-200",
-                     "-o", str(out)]) == EXIT_DOMAIN
-    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
-    assert not out.exists()
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert "run of 256 steps" in cap.err and "not finite" in cap.err
-    assert "RuntimeWarning" not in cap.err
+    _refused_as_not_finite(LinearODESystem(ent, unknown="y"),
+                           ["--radius", "1e-200"], tmp_path, capsys)
 
 
 def test_monodromy_refuses_a_run_whose_result_is_not_finite(tmp_path,
@@ -245,20 +242,8 @@ def test_monodromy_refuses_a_run_whose_result_is_not_finite(tmp_path,
     """C = 10^200 / w is finite on the loop, but the RK4 products of its
     first run overflow: refused at once, not run to the step budget, with
     no numpy warning."""
-    ent = [[LaurentInW(MultiSeries.const(qi(10 ** 200), ("w",), 10), 1,
-                       "w")]]
-    p, out = tmp_path / "sys.json", tmp_path / "out.json"
-    p.write_text(serialize.dumps(serialize.system_to_json(
-        LinearODESystem(ent, unknown="y"))))
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        assert main(["monodromy", str(p), "-o", str(out)]) == EXIT_DOMAIN
-    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
-    assert not out.exists()
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert "run of 256 steps" in cap.err and "not finite" in cap.err
-    assert "RuntimeWarning" not in cap.err
+    _refused_as_not_finite(const_system([[qi(10 ** 200)]], 10), [],
+                           tmp_path, capsys)
 
 
 def test_monodromy_option_defaults_are_those_of_loop_spec():
@@ -275,11 +260,9 @@ def _refuse_constant(name):
 
 def test_monodromy_payload_is_strict_json(tmp_path, capsys):
     """A loop radius >= 1 has no finite tail bound: null, not Infinity."""
-    ent = [[LaurentInW(MultiSeries.const(qi(Fraction(1, 2)), ("w",), 10),
-                       1, "w")]]
     p = tmp_path / "sys.json"
     p.write_text(serialize.dumps(serialize.system_to_json(
-        LinearODESystem(ent, unknown="y"))))
+        const_system([[qi(Fraction(1, 2))]], 10))))
     assert main(["monodromy", str(p), "--radius", "1.5",
                  "--trusted-radius", "2"]) == EXIT_OK
     d = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
@@ -512,9 +495,8 @@ REAL_999999 = {"form": "real", "m": 1, "sign": 1, "order": 999999,
 COMPLEX_999999 = {"form": "complex", "m": 1, "sign": 1, "order": 999999,
                   "series": serialize.series_to_json(MultiSeries.monomial(
                       ONE, (1, 1, 0), ("z", "zb", "wb"), 999999))}
-SYSTEM2 = serialize.system_to_json(LinearODESystem(
-    [[LaurentInW(MultiSeries.const(qi(Fraction(i + j, 4)), ("w",), 4), 1, "w")
-      for j in range(2)] for i in range(2)], unknown="y"))
+SYSTEM2 = serialize.system_to_json(const_system(
+    [[qi(Fraction(i + j, 4)) for j in range(2)] for i in range(2)], 4))
 
 
 def _with(payload, edit):
@@ -593,6 +575,21 @@ def _z_term(d):
         MultiSeries.variable("z", ("z", "w"), 4))
 
 
+def _entry(pole, degree):
+    """An edit that leaves one entry, w^degree / w^pole with an exact body."""
+    def edit(d):
+        d["entries"] = [[{"pole": pole, "wvar": "w",
+                          "body": serialize.series_to_json(
+                              MultiSeries.monomial(ONE, (degree,), ("w",)))}]]
+    return edit
+
+
+def _pole_gap(d):
+    for i, row in enumerate(d["entries"]):
+        for j, e in enumerate(row):
+            e["pole"] = 10 ** 5 if i == j == 0 else 0
+
+
 # a name, argv with {in} for the input file and {dir} for a directory, the
 # input file's bytes, and the code the case must end in
 PINNED = [
@@ -657,6 +654,17 @@ PINNED = [
                  ("series", "terms", 0, 0, 0))
     for kind in ("float", "bool", "string")
 ] + [
+    # a system entry's |pole| or term degree above MAX_ORDER is refused at
+    # load: the coefficient tensor of monodromy grows with both
+    ("system-%s" % name, ["monodromy", "{in}"], _with(SYSTEM2, edit),
+     EXIT_FORMAT)
+    for name, edit in (("pole=10^400", _entry(10 ** 400, 0)),
+                       ("pole=-10^400", _entry(-10 ** 400, 0)),
+                       ("degree=10^7", _entry(1, 10 ** 7)),
+                       ("poles=10^5,0", _pole_gap),
+                       ("pole=1001", _entry(1001, 0)),
+                       ("degree=1001", _entry(0, 1001)))
+] + [
     ("%s-pole" % kind, ["monodromy", "{in}"],
      _with(SYSTEM2, _retyped(("entries", 0, 0, "pole"), kind)), EXIT_FORMAT)
     for kind in ("float", "bool", "string")
@@ -696,6 +704,13 @@ def test_pinned_cases_exit_with_their_code(argv, content, code, workdir,
                                            capsys):
     assert _run(workdir, argv, content) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_system_entries_at_the_cap_load():
+    cap = serialize.MAX_ORDER
+    for pole, degree in ((cap, 0), (-cap, cap)):
+        doc = json.loads(_with(SYSTEM2, _entry(pole, degree)))
+        assert serialize.system_from_json(doc).entries[0][0].pole == pole
 
 
 def test_documented_exit_codes_match_the_error_classes():

@@ -9,8 +9,8 @@ residuals) against each other on nontrivial surfaces.
 import numpy as np
 import pytest
 
-from segrefuchs.qfield import qi, I
-from segrefuchs.series import MultiSeries, LaurentInW, EXACT
+from segrefuchs.qfield import qi
+from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import build_real, build_complex, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,

@@ -6,40 +6,16 @@ import pytest
 from segrefuchs.qfield import GaussianRational, ZERO, ONE, I, qi
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
-from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      tangency_residual)
 from segrefuchs.frobenius import (residue_spectrum, holomorphic_solutions,
                                   frobenius_basis, formal_symmetries,
                                   lie_bracket, convergence_diagnostic,
-                                  real_form_basis, field_u_vector,
-                                  FrobeniusBasis, _field_row)
+                                  real_form_basis, FrobeniusBasis,
+                                  SymmetryBasis, in_span)
 from segrefuchs.errors import NonFuchsianError, OrderTooLowError
 from segrefuchs import linalg
-
-from test_golden import dense_surface
-
-
-def const_system(rows, order=14):
-    n = len(rows)
-    ent = [[LaurentInW(MultiSeries.const(rows[i][j], ("w",), order), 1, "w")
-            for j in range(n)] for i in range(n)]
-    return LinearODESystem(ent, unknown="y")
-
-
-def zw(name):
-    return MultiSeries.variable(name, ("z", "w"))
-
-
-def zero_zw():
-    return MultiSeries.zero(("z", "w"))
-
-
-def in_span(fields, target, order=6):
-    rows = [_field_row(L, order) for L in fields]
-    r0 = linalg.rank(rows)
-    rows.append(_field_row(target, order))
-    return linalg.rank(rows) == r0
+from reference import const_system, dense_surface, zero_zw, zw
 
 
 # ---- residue spectrum ----------------------------------------------------------
@@ -114,7 +90,6 @@ def test_holomorphic_diag_examples():
     S = const_system([[qi(0), qi(0)], [qi(0), qi(1)]])
     B = holomorphic_solutions(S, 8)
     assert B.dimension == 2
-    flat = sorted(repr(v) for v in B.solutions)
     S2 = const_system([[qi(0), qi(0)], [qi(0), qi(-1)]])
     B2 = holomorphic_solutions(S2, 8)
     assert B2.dimension == 1
@@ -137,6 +112,14 @@ def test_exact_system_needs_an_explicit_order():
         holomorphic_solutions(S)
     B = holomorphic_solutions(S, 8)
     assert B.dimension == 2 and B.order == 8
+
+
+def test_no_holomorphic_solution_has_dimension_zero():
+    """y' = -y/(2w) has the solutions c w^(-1/2) only, so every step of the
+    recurrence has the unique solution 0 and the empty basis passes the
+    independence check."""
+    B = holomorphic_solutions(const_system([[qi(Fraction(-1, 2))]]))
+    assert (B.dimension, B.solutions, B.order) == (0, [], 14)
 
 
 def test_holomorphic_resonant_consistent():
@@ -220,11 +203,35 @@ def test_model_symmetries_contain_known_fields():
     basis = formal_symmetries(M.truncate(12))
     z, w = zw("z"), zw("w")
     assert basis.dimension >= 2
-    assert in_span(basis.fields, VectorField(z.scale(I), zero_zw()))
-    assert in_span(basis.fields, VectorField(zero_zw(), w))
+    assert in_span(basis.fields, [VectorField(z.scale(I), zero_zw()),
+                                  VectorField(zero_zw(), w)], 6)
     for cert in basis.certificates:
         assert cert.is_zero()
     assert basis.bracket_closure_defect() == 0
+
+
+def test_bracket_closure_defect_sees_a_bracket_off_the_span():
+    """[d/dz, z^2 d/dz] = 2z d/dz leaves the span of the pair, while
+    [d/dz, z d/dz] = d/dz stays in it."""
+    z = zw("z")
+    dz = VectorField(MultiSeries.const(ONE, ("z", "w")), zero_zw())
+
+    def defect(*fields):
+        return SymmetryBasis(list(fields), [], [], None, [], [],
+                             8).bracket_closure_defect()
+    assert defect(dz, VectorField(z * z, zero_zw())) == 1
+    assert defect(dz, VectorField(z, zero_zw())) == 0
+    assert defect() == defect(dz) == 0
+
+
+def test_in_span_compares_through_the_order():
+    z, w = zw("z"), zw("w")
+    zdz, wdw = VectorField(z, zero_zw()), VectorField(zero_zw(), w)
+    z2dz = VectorField(z * z, zero_zw())
+    assert in_span([zdz, wdw], [VectorField(z.scale(3), w.scale(-2))], 4)
+    assert not in_span([zdz], [wdw], 4)
+    assert not in_span([zdz, wdw], [z2dz], 4)
+    assert in_span([zdz], [z2dz], 1)
 
 
 def test_m2_symmetries_contain_rotation():
@@ -232,7 +239,7 @@ def test_m2_symmetries_contain_rotation():
     Mc = real_to_complex(Mr)
     basis = formal_symmetries(Mc)
     z = zw("z")
-    assert in_span(basis.fields, VectorField(z.scale(I), zero_zw()))
+    assert in_span(basis.fields, [VectorField(z.scale(I), zero_zw())], 6)
 
 
 def test_random_fuchsian_surface_certificates():

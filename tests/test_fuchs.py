@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from segrefuchs.qfield import ONE, I, qi
-from segrefuchs.series import MultiSeries, EXACT
+from segrefuchs.qfield import ONE, qi
+from segrefuchs.series import MultiSeries
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  complex_to_real)
 from segrefuchs.segre import eliminate
@@ -13,16 +13,7 @@ from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
                               FUCHSIAN, NON_FUCHSIAN)
 from segrefuchs.errors import OrderTooLowError
 from segrefuchs import serialize
-from reference import conj
-from test_golden import dense_surface
-
-
-def u_series(terms):
-    return MultiSeries(("u",), EXACT, {(k,): c for k, c in terms.items()})
-
-
-def wb_series(terms):
-    return MultiSeries(("wb",), EXACT, {(k,): c for k, c in terms.items()})
+from reference import conj, dense_surface, u_series, wb_series
 
 
 def random_real_table(rng, order, fuchsian, m):

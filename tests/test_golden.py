@@ -11,11 +11,10 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.cli import main, EXIT_OK
-from segrefuchs.fuchs import REAL_BOUNDS, _bound
 from segrefuchs.prolongation import assemble_u_system, assemble_Y_system
-from segrefuchs.qfield import qi
 from segrefuchs.segre import eliminate
-from segrefuchs.surfaces import build_complex, build_real
+from segrefuchs.surfaces import build_complex
+from reference import dense_surface
 
 COMMANDS = [("verify", []), ("derive-ode", []), ("check-fuchsian", []),
             ("symmetries", ["--real-form"]), ("blowup", ["--auto", "4"])]
@@ -65,33 +64,6 @@ SYSTEM_GOLDEN = {
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def dense_surface(N=12, m=1, fuchsian=False):
-    """Real surface with every admissible h_kl coefficient nonzero.
-
-    The coefficients are small Gaussian integers fixed by (k, l, j), with
-    h_lk = conj(h_kl), so the surface is the same on every platform.  With
-    `fuchsian`, each h_kl starts at its REAL_BOUNDS valuation, so the
-    surface is Fuchsian at every m (without it, only at m = 1).
-    """
-    floor = {kl: _bound(expr, m) for kl, expr in REAL_BOUNDS} \
-        if fuchsian else {}
-    top = N - m
-    h = {}
-    for k in range(2, top):
-        for l in range(k, top - k + 1):
-            terms, conj = {}, {}
-            for j in range(floor.get((k, l), 0), top - k - l + 1):
-                re = (k + 2 * l + 3 * j) % 5 - 2 or 3
-                im = 0 if k == l else (2 * k + l + j) % 5 - 2 or -1
-                terms[(j,)] = qi(re, im)
-                conj[(j,)] = qi(re, -im)
-            if terms:
-                h[(k, l)] = terms
-                if k != l:
-                    h[(l, k)] = conj
-    return build_real(m, 1, h, N)
 
 
 # At m = 3 and N = 19 the Frobenius window is too short for a real form

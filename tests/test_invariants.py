@@ -1,24 +1,19 @@
 """Cross-module invariants exercised on non-model surfaces."""
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from segrefuchs import serialize
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
+from segrefuchs.qfield import qi
 from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  check_reality)
 from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
                              ZETA)
-from segrefuchs.fuchs import check_fuchsian_ode
-from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,
+from segrefuchs.prolongation import (assemble_u_system,
                                      assemble_twelve_system,
                                      tangency_residual)
 from segrefuchs.frobenius import formal_symmetries, field_u_vector, \
     lie_bracket
-from segrefuchs import linalg
 from reference import conj, is_gaussian
 
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from segrefuchs import monodromy
-from segrefuchs.qfield import GaussianRational, ONE, qi
+from segrefuchs.qfield import ONE, qi
 from segrefuchs.series import MultiSeries, LaurentInW
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, assemble_u_system,
-                                     assemble_Y_system, VectorField)
+                                     assemble_Y_system)
 from segrefuchs.frobenius import formal_symmetries, field_u_vector
 from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
                                   TRUSTED_RADIUS, continue_system,
@@ -18,28 +18,7 @@ from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
                                   tail_estimate, _dense_matrix_data,
                                   _rk4_loop)
 from segrefuchs.errors import NonConvergenceError, SegrefuchsError
-
-
-def const_system(rows, order=14):
-    n = len(rows)
-    ent = [[LaurentInW(MultiSeries.const(rows[i][j], ("w",), order), 1, "w")
-            for j in range(n)] for i in range(n)]
-    return LinearODESystem(ent, unknown="y")
-
-
-def expm_oracle(A):
-    """Independent matrix exponential: scaling and squaring on the series."""
-    A = np.array(A, dtype=complex)
-    k = max(int(np.ceil(np.log2(max(1.0, np.linalg.norm(A, np.inf))))) + 4, 0)
-    B = A / 2 ** k
-    E = np.eye(len(A), dtype=complex)
-    term = np.eye(len(A), dtype=complex)
-    for j in range(1, 25):
-        term = term @ B / j
-        E = E + term
-    for _ in range(k):
-        E = E @ E
-    return E
+from reference import const_system, expm_oracle
 
 
 def test_half_exponent_loop():

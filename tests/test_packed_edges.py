@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import identical
 from segrefuchs import serialize
 from segrefuchs.errors import FormatError, NotNormalizableError
 from segrefuchs.qfield import GaussianRational
@@ -50,11 +51,6 @@ def series(draw, lead=None):
     if lead is not None:
         terms[(1, 1, 0)] = lead
     return MultiSeries(VARS, order, terms)
-
-
-def identical(got, ref):
-    assert got.vars == ref.vars and got.order == ref.order
-    assert got.den == ref.den and got.num == ref.num
 
 
 @st.composite

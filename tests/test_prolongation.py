@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
+from segrefuchs.qfield import ONE, I, qi
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import AssociatedODE, eliminate, WV, ZETA
@@ -17,20 +17,7 @@ from segrefuchs.prolongation import (VectorField, ProlongedField,
                                      LinearODESystem)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError, SegrefuchsError
-
-from test_golden import dense_surface
-
-
-def zw(name):
-    return MultiSeries.variable(name, ("z", "w"))
-
-
-def zero_zw():
-    return MultiSeries.zero(("z", "w"))
-
-
-def wser(terms):
-    return MultiSeries(("w",), EXACT, {(k,): c for k, c in terms.items()})
+from reference import collect_initial_system, dense_surface, zero_zw, zw
 
 
 def model(order=12, m=1):
@@ -172,59 +159,6 @@ def test_restricted_tangency_keeps_the_valuation_of_each_factor(m):
 
 # ---- symbolic collection (four-equation regression fixture) --------------------
 
-GEN_VARS = ("P", "Q", "Pz", "Pw", "Qz", "Qw", "Pzz", "Pzw", "Pww",
-            "Qzz", "Qzw", "Qww", "a", "az", "aw", "b", "bz", "bw",
-            "c", "cz", "cw", "w1")
-
-
-def _gen(name):
-    return MultiSeries.variable(name, GEN_VARS)
-
-
-def collect_initial_system():
-    """Mechanical w1^0..w1^3 collection of the tangency condition.
-
-    Uses opaque symbols for the meromorphic coefficients a, b, c and their
-    composite derivatives.  Returns (computed, fixture, diffs): computed[j]
-    is the collected equation at w1^j in the canonical orientation
-    lhs - rhs = 0; fixture holds the classical four-line form; diffs
-    lists the per-line difference (all zero: the fixture is reproduced).
-    """
-    P, Q = _gen("P"), _gen("Q")
-    Pz, Pw, Qz, Qw = _gen("Pz"), _gen("Pw"), _gen("Qz"), _gen("Qw")
-    Pzz, Pzw, Pww = _gen("Pzz"), _gen("Pzw"), _gen("Pww")
-    Qzz, Qzw, Qww = _gen("Qzz"), _gen("Qzw"), _gen("Qww")
-    a, az, aw = _gen("a"), _gen("az"), _gen("aw")
-    b, bz, bw = _gen("b"), _gen("bz"), _gen("bw")
-    c, cz, cw = _gen("c"), _gen("cz"), _gen("cw")
-    w1 = _gen("w1")
-
-    Phi = a * w1 ** 2 + b * w1 ** 3 + c * w1 ** 4
-    Phiz = az * w1 ** 2 + bz * w1 ** 3 + cz * w1 ** 4
-    Phiw = aw * w1 ** 2 + bw * w1 ** 3 + cw * w1 ** 4
-    Phiw1 = a.scale(2) * w1 + b.scale(3) * w1 ** 2 + c.scale(4) * w1 ** 3
-    Q1 = Qz + (Qw - Pz) * w1 - Pw * w1 ** 2
-    Q2 = (Qzz + (Qzw.scale(2) - Pzz) * w1 + (Qww - Pzw.scale(2)) * w1 ** 2
-          - Pww * w1 ** 3 + (Qw - Pz.scale(2)) * Phi - Pw.scale(3) * w1 * Phi)
-    T = Q2 - P * Phiz - Q * Phiw - Q1 * Phiw1
-
-    computed = [T.coeff_of({"w1": j}) for j in range(4)]
-    # fixture lines, lhs - rhs; the third keeps its split a-terms
-    fixture = [
-        Qzz,
-        Qzw.scale(2) - Pzz - a.scale(2) * Qz,
-        (Qww - Pzw.scale(2))
-        - (a * (-Qw + Pz.scale(2)) + az * P + aw * Q + b.scale(3) * Qz
-           + a.scale(2) * (Qw - Pz)),
-        Pww - (b * (Qw - Pz.scale(2)) - a * Pw - bz * P - bw * Q
-               - c.scale(4) * Qz + b.scale(3) * (Pz - Qw)),
-    ]
-    # orientation of the mechanical collection: w1^3 slice is -(line 4)
-    oriented = [computed[0], computed[1], computed[2], -computed[3]]
-    diffs = [o - f for o, f in zip(oriented, fixture)]
-    return oriented, fixture, diffs
-
-
 def test_collected_system_matches_fixture_lines():
     oriented, fixture, diffs = collect_initial_system()
     assert all(d.is_zero() for d in diffs), diffs
@@ -330,7 +264,7 @@ def test_collection_soundness():
     """u-vector solves the system iff the zeta^2/zeta^3 slices vanish."""
     E = eliminate(model())
     U = assemble_u_system(E)
-    z, w = zw("z"), zw("w")
+    w = zw("w")
     # a non-symmetry of the structural shape: Q = w^2
     L = VectorField(zero_zw(), w * w)
     res = U.residual(u_vector_of(L))

@@ -19,12 +19,9 @@ import sys
 import pytest
 
 from segrefuchs import serialize
-from segrefuchs.prolongation import LinearODESystem
 from segrefuchs.qfield import qi
-from segrefuchs.series import LaurentInW, MultiSeries
 from segrefuchs.surfaces import build_complex, build_real
-
-from test_golden import dense_surface
+from reference import const_system, dense_surface
 
 SRC = os.path.dirname(os.path.abspath(serialize.__file__))
 
@@ -90,10 +87,8 @@ def cli_run(tmp_path_factory):
                    serialize.surface_to_json(build_complex(1, 1, {}, 12)))
     dense = _write(tmp / "dense.json",
                    serialize.surface_to_json(dense_surface(12)))
-    const = [[LaurentInW(MultiSeries.const(qi(c), ("w",), 10), 1, "w")
-              for c in row] for row in ((1, 0), (0, -1))]
-    system = _write(tmp / "system.json",
-                    serialize.system_to_json(LinearODESystem(const, "y")))
+    system = _write(tmp / "system.json", serialize.system_to_json(
+        const_system([[qi(1), qi(0)], [qi(0), qi(-1)]], 10)))
     nonfuchsian = _write(tmp / "nonfuchsian.json", serialize.surface_to_json(
         build_real(2, 1, {(2, 2): {(0,): qi(1)}}, 12)))
     out = str(tmp / "out.json")

@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, EXACT
+from segrefuchs.qfield import ONE, I, qi
+from segrefuchs.series import MultiSeries
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import (segre_graph, eliminate, closed_form_coeffs,
                               families_agree, verify_ode, AssociatedODE,
                               COEFF_KEYS, XIB, ETAB, WV, ZETA)
 from segrefuchs.errors import OrderTooLowError
-
-
-def wb_series(terms, order=EXACT):
-    return MultiSeries(("wb",), order, {(k,): c for k, c in terms.items()})
+from reference import wb_series
 
 
 def random_table(rng, m, order, keys=((2, 2), (2, 3), (3, 2), (3, 3),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segrefuchs.qfield import GaussianRational, ONE, I, qi
+from segrefuchs.qfield import ONE, I, qi
 from segrefuchs.series import (MultiSeries, LaurentInW, EXACT, SeriesError,
                                exp_series, log_series, solve_implicit,
                                SingularJacobianError)
@@ -118,6 +118,7 @@ def test_compose_examples():
     assert r.coefficient((2, 4)) == ONE and len(r.terms) == 1
     x = var("x", ("x",), 9)
     assert x.compose({"x": x}) == x
+    assert x.compose({}) is x and x.compose({"y": x}) is x
     e = exp_series(var("z", ("z",), 2))
     z = var("z", ("z",), 2)
     r2 = e.compose({"z": (z + z * z).truncate(2)})
@@ -209,6 +210,12 @@ def test_laurent_normalization_and_ops():
     assert (L * M).pole_order() == 2
     assert LaurentInW(w, 1).as_series() == \
         MultiSeries.const(ONE, ("w",), 7)
+
+
+def test_laurent_negative_pole_multiplies_by_w():
+    body = MultiSeries(("w",), 6, {(0,): ONE, (1,): qi(2)})
+    assert LaurentInW(body, -2).as_series() == \
+        MultiSeries(("w",), 8, {(2,): ONE, (3,): qi(2)})
 
 
 def test_laurent_genuine_pole_rejected():

@@ -20,7 +20,7 @@ from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
                                SingularJacobianError, exp_series, log_series,
                                solve_implicit)
-from reference import of_sqrt2
+from reference import identical, of_sqrt2
 
 VARS = ("z", "w", "t")
 
@@ -289,12 +289,6 @@ def ref_solve_implicit(F, x_vars, y_vars):
                               MultiSeries.zero(tuple(x_vars))), level)
               for i in range(n)]
     return [y.truncate(order) for y in ys]
-
-
-def identical(got, ref):
-    assert got.vars == ref.vars
-    assert got.order == ref.order
-    assert got.den == ref.den and got.num == ref.num
 
 
 EXP_CASES = [(nvars, kind, shape)

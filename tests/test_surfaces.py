@@ -15,25 +15,7 @@ from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
                                  W)
 from segrefuchs.errors import (RealityViolation, SegrefuchsError,
                                OrderTooLowError)
-from reference import conj
-
-from test_golden import dense_surface
-
-
-def u_series(terms, order=EXACT):
-    return MultiSeries(("u",), order, {(k,): c for k, c in terms.items()})
-
-
-def wb_series(terms, order=EXACT):
-    return MultiSeries(("wb",), order, {(k,): c for k, c in terms.items()})
-
-
-def kl_table(psi):
-    """{(k, l): coefficient series of z^k zb^l} of psi over (z, zb, t), for
-    each k, l >= 2 that carries a term, read through coeff_of."""
-    z, zb, _ = psi.vars
-    return {(k, l): psi.coeff_of({z: k, zb: l})
-            for k, l, _ in psi.terms if k >= 2 and l >= 2}
+from reference import conj, dense_surface, kl_table, u_series, wb_series
 
 
 # ---- real_to_complex --------------------------------------------------------
@@ -76,7 +58,6 @@ def test_pure_model_chain_residual(m):
 
 
 def test_round_trip_real_complex_real():
-    u = MultiSeries.variable("u", ("u",))
     h = {(2, 2): u_series({1: qi(1), 2: qi(Fraction(1, 3))}),
          (2, 3): u_series({2: qi(1, 1)}),
          (3, 2): u_series({2: qi(1, -1)}),
