@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import serialize
 from .errors import (FormatError, OrderTooLowError, RealityViolation,
                      NonFuchsianError, NonConvergenceError, SegrefuchsError)
-from .surfaces import RealDefining, real_to_complex, validate_complex
+from .surfaces import (RealDefining, real_to_complex, require_min_order,
+                       validate_complex)
 from .segre import eliminate, closed_form_coeffs, families_agree
 from .fuchs import (check_fuchsian_real, check_fuchsian_complex,
                     FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
@@ -56,13 +57,15 @@ def _read_surface(path):
 
 
 def _as_complex(M, order):
-    """The complex form of M, truncated to order; order can only lower."""
+    """The complex form of M, truncated to order; order can only lower,
+    and never below the 3m+2 floor."""
     if order is not None:
         if order > M.order:
             raise OrderTooLowError(M.order, order, "input is trusted through "
                                    "order %d only; --order %d asks for more"
                                    % (M.order, order))
         M = M.truncate(order)
+    require_min_order(M)
     return real_to_complex(M) if isinstance(M, RealDefining) else M
 
 

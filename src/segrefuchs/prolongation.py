@@ -9,11 +9,14 @@ are Laurent-in-w series.  The tangency residual is computed once,
 generically, and every linear system is read off mechanically from its
 slices; none of the four-equation reductions is hard-coded.
 
-There is one structural solve: the zeta^3 and zeta^2 slots give P0'', P1'',
-Q0'', Q1'', and with them the 8x8 u-system du/dw = C(w) u for
-u = (P0, P1, P0', P1', Q0, Q1, Q0', Q1').  The Fuchsian Y-system
-dY/dw = A(w) Y / w, Y = (P0, P1, R0, R1, wP0', wP1', wR0', wR1') with
-Q = w R, is its exact gauge Y = G(w) u for one fixed Laurent matrix G
+Both derived systems come from the four collected equations: line j is
+the zeta^j slot of the residual divided by its weight w^(j*m), which
+leaves every pivot constant, so one exact constant-matrix solve,
+_solve_tags, serves both.  Under the structural ansatz, lines 3 and 2 at
+z^0 and z^1 give P0'', P1'', Q0'', Q1'', and with them the 8x8 u-system
+du/dw = C(w) u for u = (P0, P1, P0', P1', Q0, Q1, Q0', Q1').  The Fuchsian
+Y-system dY/dw = A(w) Y / w, Y = (P0, P1, R0, R1, wP0', wP1', wR0', wR1')
+with Q = w R, is its exact gauge Y = G(w) u for one fixed Laurent matrix G
 (Balser, Formal Power Series and Linear Systems of Meromorphic Ordinary
 Differential Equations, 2000).  G writes each u-tag in Y:
 
@@ -21,7 +24,8 @@ Differential Equations, 2000).  G writes each u-tag in Y:
 
 and likewise for P1, Q1 with Y1, Y5, Y3, Y7.  So A[i][4+i] = 1 for i < 4,
 rows 4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.  The 12x12
-complete system differentiates the four collected equations once.
+complete system differentiates the collected equations over jet tags once
+and solves them for the eight third-order derivatives.
 """
 
 from .qfield import ZERO, ONE
@@ -302,41 +306,46 @@ def _const(c, vars):
     return LaurentInW(MultiSeries.const(c, vars), 0, WV)
 
 
-def _invert_monomial(L):
-    """Inverse of a Laurent value that is a single monomial in w."""
-    terms = list(L.body.terms.items())
-    if len(terms) != 1:
-        raise SegrefuchsError("pivot is not a monomial: %r" % (L,))
-    e, c = terms[0]
-    iw = L.body.vars.index(WV)
-    if any(x and i != iw for i, x in enumerate(e)):
-        raise SegrefuchsError("pivot involves variables besides w: %r" % (L,))
-    k = e[iw] - L.pole   # actual w-exponent
-    inv_c = c.inverse()
-    if k >= 0:
-        return LaurentInW(MultiSeries.const(inv_c, (WV,)), k, WV)
-    return LaurentInW(MultiSeries.monomial(inv_c, (-k,), (WV,)), 0, WV)
+def _collected(Pf, Qf, E, top):
+    """The four collected equations of the field (Pf, Qf): line j is the
+    zeta^j slot of the tangency residual divided by its weight w^(j*m)."""
+    T = tangency_forms(Pf, Qf, E, top)
+    return [T.slice({ZETA: j}).div_w(j * E.m) for j in range(4)]
 
 
-def _solve_slot(eq, target, allowed):
-    """Express the target tag from one linear equation slot.
+def _constant_of(L):
+    """The value of a constant target coefficient; ZERO for None."""
+    if L is None:
+        return ZERO
+    if L.pole_order() > 0 or L.body.max_degree() > 0:
+        raise SegrefuchsError("target coefficient is not constant: %r"
+                              % (L,))
+    return L.body.constant_term()
 
-    eq is a LinForm in w-Laurent coefficients; returns dict tag -> Laurent
-    with target = sum coeff * tag over the remaining tags.
+
+def _solve_tags(eqs, targets, allowed):
+    """Solve the linear forms eqs = 0 for the target tags.
+
+    The targets' coefficients must form a constant invertible matrix, so
+    the solve is one exact inverse.  Returns {target: LinForm} over the
+    other tags, each of which must be in allowed.
     """
-    piv = eq.get(target)
-    if piv is None or piv.is_zero():
-        raise SegrefuchsError("slot lacks the pivot %s" % (target,))
-    inv = _invert_monomial(piv)
-    out = {}
-    for t, c in eq.coef.items():
-        if t == target:
-            continue
-        if t not in allowed:
-            raise SegrefuchsError("unexpected tag %s in slot for %s"
-                                  % (t, (target,)))
-        out[t] = -(inv * c)
-    return out
+    Minv = linalg.inverse([[_constant_of(eq.get(t)) for t in targets]
+                           for eq in eqs])
+    rests = [LinForm({t: c for t, c in eq.coef.items() if t not in targets},
+                     eq.alg) for eq in eqs]
+    solved = {}
+    for t, row in zip(targets, Minv):
+        expr = LinForm({}, eqs[0].alg)
+        for x, rest in zip(row, rests):
+            if not x.is_zero():
+                expr = expr - rest.scale(x)
+        bad = sorted(u for u in expr.coef if u not in allowed)
+        if bad:
+            raise SegrefuchsError("the solve for %s left tags %s"
+                                  % (t, bad))
+        solved[t] = expr
+    return solved
 
 
 U_NAMES = ("P0", "P1", "Q0", "Q1")
@@ -347,19 +356,19 @@ U_TAGS = [("P0", 0), ("P1", 0), ("P0", 1), ("P1", 1),
 def _second_derivative_exprs(E):
     """Solve the structural tangency for P0'', P1'', Q0'', Q1''.
 
-    The zeta^3 slots at z^0 and z^1 give the P-type, the zeta^2 slots the
-    Q-type second derivatives.  Returns {(name, 2): {tag: Laurent}} over the
-    u-tags (name, 0), (name, 1), in the order of U_NAMES.
+    Collected lines 3 and 2 at z^0 and z^1 hold them with the constant
+    pivots -1, -1, 1 and -3.  Returns {(name, 2): LinForm} over the u-tags
+    (name, 0), (name, 1), in the order of U_NAMES.
     """
     V3 = (Z, WV, ZETA)
     P0, P1, Q0, Q1 = (LinForm.unknown((n, 0), STRUCT_ALG) for n in U_NAMES)
     at = E.a_tilde()
     Pf, Qf = structural_field(LaurentInW(at.body.embed(V3), at.pole, WV),
                               MultiSeries.variable(Z, V3), P0, P1, Q0, Q1)
-    T = tangency_forms(Pf, Qf, E, {ZETA: 3, Z: 1})
-    return {(n, 2): _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2),
-                                set(U_TAGS))
-            for n, (jz, kz) in zip(U_NAMES, ((3, 0), (3, 1), (2, 0), (2, 1)))}
+    lines = _collected(Pf, Qf, E, {ZETA: 3, Z: 1})
+    return _solve_tags([lines[j].slice({Z: k})
+                        for j, k in ((3, 0), (3, 1), (2, 0), (2, 1))],
+                       [(n, 2) for n in U_NAMES], set(U_TAGS))
 
 
 def assemble_u_system(E):
@@ -374,7 +383,7 @@ def assemble_u_system(E):
     C[0][2] = C[1][3] = C[4][6] = C[5][7] = _const(ONE, (WV,))
     for (n, _), expr in exprs.items():
         i = col[(n, 1)]   # the row of n' holds n''
-        for t, c in expr.items():
+        for t, c in expr.coef.items():
             C[i][col[t]] = C[i][col[t]] + c
     sys = LinearODESystem(C, unknown="(P0,P1,P0',P1',Q0,Q1,Q0',Q1')")
     if sys.pole_order > 3 * E.m:
@@ -473,13 +482,11 @@ class TwelveSystem:
 def initial_system(E):
     """The four collected equations of E as linear forms over jet tags.
 
-    Line j is the zeta^j coefficient of the tangency residual divided by
-    its w^(j*m) weight: coefficients are Laurent in w, built from the
-    meromorphic a, b, c data of E.  Line 0 is Q_zz = 0.
+    Coefficients are Laurent in w, built from the meromorphic a, b, c data
+    of E.  Line 0 is Q_zz = 0.
     """
-    T = tangency_forms(LinForm.unknown(("P", 0, 0), JET_ALG),
-                       LinForm.unknown(("Q", 0, 0), JET_ALG), E, {ZETA: 3})
-    return [T.slice({ZETA: j}).div_w(j * E.m) for j in range(4)]
+    return _collected(LinForm.unknown(("P", 0, 0), JET_ALG),
+                      LinForm.unknown(("Q", 0, 0), JET_ALG), E, {ZETA: 3})
 
 
 def assemble_twelve_system(E):
@@ -488,41 +495,8 @@ def assemble_twelve_system(E):
 
     Every entry stays meromorphic with pole order at most 3m+1.
     """
-    lines = initial_system(E)
-    eqs = []
-    for ln in lines:
-        eqs.append(ln.diff(Z))
-        eqs.append(ln.diff(WV))
-    # linear solve for the third-order tags; their coefficient matrix is
-    # constant, so the elimination happens over plain rationals
-    M = []
-    for eq in eqs:
-        row = []
-        for t in _THIRD:
-            c = eq.get(t)
-            if c is None:
-                row.append(ZERO)
-            else:
-                cc = _constant_of(c)
-                row.append(cc)
-        M.append(row)
-    Minv = linalg.inverse(M)
-    rests = []
-    for eq in eqs:
-        rest = LinForm({t: c for t, c in eq.coef.items()
-                        if t not in set(_THIRD)}, JET_ALG)
-        rests.append(rest)
-    solved = {}
-    for i, t in enumerate(_THIRD):
-        expr = LinForm({}, JET_ALG)
-        for e in range(8):
-            if Minv[i][e].is_zero():
-                continue
-            expr = expr - rests[e].scale(Minv[i][e])
-        solved[t] = expr
-        bad = [u for u in expr.coef if u not in set(Y12_COMPONENTS)]
-        if bad:
-            raise SegrefuchsError("third-order solve left tags %s" % bad)
+    eqs = [ln.diff(v) for ln in initial_system(E) for v in (Z, WV)]
+    solved = _solve_tags(eqs, _THIRD, set(Y12_COMPONENTS))
     comp_index = {t: i for i, t in enumerate(Y12_COMPONENTS)}
 
     def build(step):
@@ -543,13 +517,3 @@ def assemble_twelve_system(E):
         raise SegrefuchsError("12x12 entries reach pole order %d > 3m+1"
                               % sys.pole_order)
     return sys
-
-
-def _constant_of(L):
-    body = L.body
-    if body.is_zero():
-        return ZERO
-    if L.pole_order() > 0 or body.max_degree() > 0:
-        raise SegrefuchsError("third-order coefficient is not constant: %r"
-                              % (L,))
-    return body.constant_term()

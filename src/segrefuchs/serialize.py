@@ -13,7 +13,8 @@ gcd, so no coefficient object is built at the file edge.
 
 Every integer field (an m, sign, order, exponent or pole) is read by one
 reader that takes a JSON integer only: a float, a bool or a numeric string
-is refused with FormatError, never truncated.  A surface's m must be >= 1.
+is refused with FormatError, never truncated.  A surface's m must be >= 1,
+and a series' variables must be a list of distinct names.
 
 An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
 and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
@@ -108,7 +109,12 @@ def series_to_json(s):
 @_reader("series")
 def series_from_json(d):
     """Parsed straight into packed integers over one common denominator."""
-    vars = tuple(d["vars"])
+    vars = d["vars"]
+    if type(vars) is not list or not all(type(v) is str for v in vars) \
+            or len(set(vars)) < len(vars):
+        raise FormatError("variables %r are not a list of distinct names"
+                          % (vars,))
+    vars = tuple(vars)
     order = _order_from_json(d["order"])
     parts = {}
     for entry in d["terms"]:

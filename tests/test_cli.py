@@ -482,6 +482,7 @@ COMPLEX5 = serialize.surface_to_json(build_complex(1, 1, {}, 5))
 REAL5 = serialize.surface_to_json(build_real(1, 1, {}, 5))
 DENSE6 = serialize.surface_to_json(dense_surface(6))
 COMPLEX4 = serialize.surface_to_json(build_complex(1, 1, {}, 4))
+REAL4 = serialize.surface_to_json(build_real(1, 1, {}, 4))
 # a real m=2 file whose psi is trusted through order 7, so v = u^2 psi
 # through order 9 only
 REAL_PSI7 = {"form": "real", "m": 2, "sign": 1, "order": 9,
@@ -584,6 +585,25 @@ def _entry(pole, degree):
     return edit
 
 
+def _repeated_w(d):
+    # w^-1 (1/2 + w/4) over the variables (w, w): a reader that kept it
+    # would see only its first w slot, and the pole term alone
+    d["entries"] = [[{"pole": 1, "wvar": "w", "body": {
+        "vars": ["w", "w"], "order": 4,
+        "terms": [[[0, 0], "1/2", "0/1"], [[0, 1], "1/4", "0/1"]]}}]]
+
+
+def _repeated_z(d):
+    d["series"]["vars"] = ["z", "z", "wb"]
+
+
+def _vars_string(d):
+    # "w" is no list of names, though tuple("w") would read as one
+    for row in d["entries"]:
+        for e in row:
+            e["body"]["vars"] = "w"
+
+
 def _pole_gap(d):
     for i, row in enumerate(d["entries"]):
         for j, e in enumerate(row):
@@ -633,6 +653,26 @@ PINNED = [
      _with(COMPLEX5, _term_above_order), EXIT_FORMAT),
     ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
      EXIT_OK),
+    ("repeated-vars-system", ["monodromy", "{in}"],
+     _with(SYSTEM2, _repeated_w), EXIT_FORMAT),
+    ("repeated-vars-surface", ["verify", "{in}"],
+     _with(COMPLEX5, _repeated_z), EXIT_FORMAT),
+    ("vars-string-system", ["monodromy", "{in}"],
+     _with(SYSTEM2, _vars_string), EXIT_FORMAT),
+] + [
+    # below the 3m+2 floor, whether the file or --order says so, a surface
+    # is refused in either form by every command that takes --order
+    ("floor-%s-%s" % (name, argv[0]), argv + extra, content, EXIT_ORDER)
+    for name, content, extra in (
+        ("declared-4-complex", _doc(COMPLEX4), []),
+        ("declared-4-real", _doc(REAL4), []),
+        ("order=4-complex", _doc(COMPLEX5), ["--order", "4"]),
+        ("order=-5-complex", _doc(COMPLEX5), ["--order", "-5"]),
+        ("order=4-real", _doc(REAL5), ["--order", "4"]),
+        ("order=-5-real", _doc(REAL5), ["--order", "-5"]))
+    for argv in (["verify", "{in}"], ["derive-ode", "{in}"],
+                 ["symmetries", "{in}"],
+                 ["blowup", "{in}", "--blowup", "s=2"])
 ] + [
     # a declared order above MAX_ORDER, an order of 1000000 (which in a
     # file means exact) included: refused at load, not worked at
@@ -692,6 +732,7 @@ def _run(workdir, argv, content):
     """main on argv with the placeholders filled in; -o goes to a file."""
     path, out = workdir / "input.json", workdir / "out.json"
     path.write_bytes(content)
+    out.unlink(missing_ok=True)
     argv = [a.format(**{"in": path, "dir": workdir}) for a in argv]
     if "-o" not in argv:
         argv += ["-o", str(out)]
@@ -704,6 +745,9 @@ def test_pinned_cases_exit_with_their_code(argv, content, code, workdir,
                                            capsys):
     assert _run(workdir, argv, content) == code
     assert "Traceback" not in capsys.readouterr().err
+    if code in (EXIT_FORMAT, EXIT_ORDER):
+        # a refused input writes no payload
+        assert not (workdir / "out.json").exists()
 
 
 def test_system_entries_at_the_cap_load():

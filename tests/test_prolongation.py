@@ -14,7 +14,7 @@ from segrefuchs.prolongation import (VectorField, ProlongedField,
                                      reconstruct_field,
                                      assemble_u_system, assemble_Y_system,
                                      assemble_twelve_system,
-                                     LinearODESystem)
+                                     LinearODESystem, _solve_tags)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError, SegrefuchsError
 from reference import collect_initial_system, dense_surface, zero_zw, zw
@@ -248,6 +248,29 @@ def test_u_system_model_and_known_solutions():
     for L in (VectorField(zero_zw(), w), VectorField(z.scale(I), zero_zw())):
         res = U.residual(u_vector_of(L))
         assert all(r.is_zero() for r in res)
+
+
+def _form(**coef):
+    """The LinForm sum of coef[name] * (name, 0), each a Laurent value
+    w^-pole * c * w^degree given as (c, degree, pole)."""
+    return LinForm({(n, 0): LaurentInW(MultiSeries.monomial(c, (k,), ("w",)),
+                                       p, "w")
+                    for n, (c, k, p) in coef.items()}, STRUCT_ALG)
+
+
+@pytest.mark.parametrize("eqs,match", [
+    ([_form(x=(1, 1, 0), a=(1, 0, 0))], "not constant"),
+    ([_form(x=(1, 0, 1), a=(1, 0, 0))], "not constant"),
+    ([_form(x=(1, 0, 0), b=(1, 0, 0))], r"left tags \[\('b', 0\)\]"),
+    ([_form(x=(1, 0, 0), y=(1, 0, 0), a=(1, 0, 0)),
+      _form(x=(2, 0, 0), y=(2, 0, 0), a=(1, 0, 0))], "singular")],
+    ids=["w-target", "pole-target", "outside-allowed", "singular"])
+def test_solve_tags_refusals(eqs, match):
+    """A target coefficient that is not a constant, a tag left outside the
+    allowed ones and a singular target matrix are each refused."""
+    targets = [("x", 0), ("y", 0)][:len(eqs)]
+    with pytest.raises(SegrefuchsError, match=match):
+        _solve_tags(eqs, targets, {("a", 0)})
 
 
 def test_system_entries_depend_on_w_alone():

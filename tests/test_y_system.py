@@ -4,9 +4,10 @@
 through the gauge Y = G(w) u.  The reference below solves the structural
 tangency a second time, directly in the Y unknowns (P0, P1, R0, R1) with
 Q = w R substituted before the solve, and assembles A from that solve.
-The truncation oracle rebuilds A from the surface truncated a few orders
-lower and checks every entry, zero entries included, through the order
-the lower build claims for it.
+The truncation oracles rebuild A, and the u-system's C that the solve
+yields directly, from the surface truncated a few orders lower and check
+every entry, zero entries included, through the order the lower build
+claims for it.
 """
 
 import functools
@@ -16,7 +17,8 @@ import pytest
 from segrefuchs.frobenius import holomorphic_solutions
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.prolongation import (LinForm, LinearODESystem, STRUCT_ALG,
-                                     _solve_slot, assemble_Y_system,
+                                     _solve_tags, assemble_Y_system,
+                                     assemble_u_system,
                                      structural_field, tangency_forms)
 from segrefuchs.qfield import ONE
 from segrefuchs.segre import WV, ZETA, eliminate
@@ -40,16 +42,17 @@ def reference_A(E):
                               MultiSeries.variable(Z, V3), P0, P1,
                               R0 * w, R1 * w)
     T = tangency_forms(Pf, Qf, E)
-    allowed = {(n, d) for n in names for d in (0, 1)}
+    # each slot over its pivot's power of w: w^(j*m), times w for R = Q/w
+    slots = [T.slice({ZETA: jz, Z: kz}).div_w(jz * E.m + (n[0] == "R"))
+             for n, (jz, kz) in zip(names, ((3, 0), (3, 1), (2, 0), (2, 1)))]
+    solved = _solve_tags(slots, [(n, 2) for n in names],
+                         {(n, d) for n in names for d in (0, 1)})
     A = [[MultiSeries.zero((WV,)) for _ in range(8)] for _ in range(8)]
     for i in range(4):
         A[i][4 + i] = MultiSeries.const(ONE, (WV,))
-    for pos, (n, (jz, kz)) in enumerate(zip(names, ((3, 0), (3, 1), (2, 0),
-                                                    (2, 1)))):
-        i = 4 + pos
+    for i, n in enumerate(names, 4):
         A[i][i] = A[i][i] + MultiSeries.const(ONE, (WV,))
-        expr = _solve_slot(T.slice({ZETA: jz, Z: kz}), (n, 2), allowed)
-        for (base, d), c in expr.items():
+        for (base, d), c in solved[(n, 2)].coef.items():
             j = names.index(base) + 4 * d
             A[i][j] = A[i][j] + c.mul_w(2 - d).as_series()
     return A
@@ -116,13 +119,27 @@ OVERCLAIMS = {
     ("dense-m3-N19", 3): "at N = 16, A[4][3], A[5][0], A[5][3] and A[7][0] "
                          "claim an exact zero that N = 19 contradicts",
 }
+# the same in the u-system's C, whose rows 2, 3, 6, 7 A is read off
+U_OVERCLAIMS = {
+    ("real-model-m3", 3): "at N = 14, C[2][0], C[3][4], C[3][6] and C[7][5] "
+                          "claim an exact zero that N = 17 contradicts",
+    ("dense-m3-N19", 2): "at N = 17, C[3][0] and C[3][5] claim an exact "
+                         "zero that N = 19 contradicts",
+    ("dense-m3-N19", 3): "at N = 16, C[2][5], C[3][0], C[3][5] and C[7][0] "
+                         "claim an exact zero that N = 19 contradicts",
+}
 
 
-@pytest.mark.parametrize("name,k", [
-    pytest.param(name, k, marks=pytest.mark.xfail(
-        strict=True, reason=OVERCLAIMS[name, k])
-        if (name, k) in OVERCLAIMS else ())
-    for name in sorted(SURFACES) for k in (1, 2, 3)])
+def _truncations(overclaims):
+    """(name, k) for every surface and k = 1, 2, 3; a strict xfail where
+    overclaims gives the reason."""
+    return [pytest.param(name, k, marks=pytest.mark.xfail(
+        strict=True, reason=overclaims[name, k])
+        if (name, k) in overclaims else ())
+        for name in sorted(SURFACES) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,k", _truncations(OVERCLAIMS))
 def test_truncation_oracle(name, k):
     """Every entry of A from the surface truncated k orders lower, zero
     entries included, agrees with A from the full surface through the
@@ -133,3 +150,19 @@ def test_truncation_oracle(name, k):
             if not low[i][j].equal_mod(full[i][j],
                                        min(low[i][j].order,
                                            full[i][j].order))] == []
+
+
+@functools.lru_cache(maxsize=None)
+def _u_entries(name, k=0):
+    return assemble_u_system(_build(name, k)[0]).entries
+
+
+@pytest.mark.parametrize("name,k", _truncations(U_OVERCLAIMS))
+def test_u_system_truncation_oracle(name, k):
+    """Every entry C[i][j] of the u-system from the surface truncated k
+    orders lower, zero entries included, agrees with C from the full
+    surface: their difference, taken over the larger of the two poles,
+    vanishes through the lower of the two orders."""
+    full, low = _u_entries(name), _u_entries(name, k)
+    assert [(i, j) for i in range(8) for j in range(8)
+            if not (low[i][j] - full[i][j]).is_zero()] == []
