@@ -110,7 +110,8 @@ def check_fuchsian_ode(E):
     """Ledger over the coefficient family of an AssociatedODE.
 
     Equivalent to pole bounds (-1, -2, -3) on the meromorphic a, b, c and
-    their z-derivative rows; those are reported alongside.
+    their z-derivative rows; `mero_pole_rows` computes those, off the CLI
+    path.
     """
     rows = []
     fam = E.coeffs

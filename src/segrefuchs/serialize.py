@@ -14,7 +14,9 @@ gcd, so no coefficient object is built at the file edge.
 Every integer field (an m, sign, order, exponent or pole) is read by one
 reader that takes a JSON integer only: a float, a bool or a numeric string
 is refused with FormatError, never truncated.  A surface's m must be >= 1,
-and a series' variables must be a list of distinct names.
+and a series' variables must be a list of distinct names.  A complex
+surface's scale_sq, the squared rescale 1/|c|, must be positive, and a
+system entry's wvar must be a string.
 
 An exact order (EXACT, unbounded in memory) is written as EXACT_IN_FILE,
 and any order of EXACT_IN_FILE or more is read back as exact.  So a writer
@@ -148,7 +150,11 @@ def laurent_from_json(d):
     if max(abs(pole), body.max_degree()) > MAX_ORDER:
         raise FormatError("a system entry's pole or term degree is above "
                           "%d in absolute value" % MAX_ORDER)
-    return LaurentInW(body, pole, d.get("wvar", W))
+    wvar = d.get("wvar", W)
+    if type(wvar) is not str:
+        raise FormatError("a system entry's wvar %r is not a variable name"
+                          % (wvar,))
+    return LaurentInW(body, pole, wvar)
 
 
 def surface_to_json(M):
@@ -195,6 +201,9 @@ def surface_from_json(d):
     else:
         scale_sq = Fraction(*_unrat(d["scale_sq"])) \
             if "scale_sq" in d else None
+        if scale_sq is not None and scale_sq <= 0:
+            raise FormatError("scale_sq %s is not positive: it is the "
+                              "squared rescale 1/|c|" % scale_sq)
         M = ComplexDefining(m, sign, series, scale_sq)
     require_reality(M)
     return M

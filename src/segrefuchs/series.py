@@ -26,12 +26,12 @@ GaussianRational values are built only where a caller reads a coefficient
 (`terms`, `coefficient`, `constant_term`).
 
 The three series functions each do their work about once.  `compose`
-evaluates the first substituted variable by Horner and every other one
-through a list of its powers, computed once per call and shared by all
-slices of the outer variables.  Before the r-th-from-last Horner product
-the accumulator is cut to degree order - r*val(s), since its terms past
-that land above the order (truncated composition, Brent and Kung, J. ACM
-25 (1978)).  `exp_series` and `log_series` compute one homogeneous degree
+evaluates every substituted variable v by Horner in s = subs[v], and
+composes the slice of v**k only through degree order - k*val(s): it meets
+s**k, of valuation k*val(s), so its terms past that land above the order;
+the Horner accumulator, trusted only as far as the last slice added to it,
+is then cut the same way (truncated composition, Brent and Kung, J. ACM 25
+(1978)).  `exp_series` and `log_series` compute one homogeneous degree
 at a time from the Euler-operator identities theta E = theta X * E and
 theta L * T = theta T (theta = sum x_i d/dx_i multiplies total degree d by
 d), about one truncated product in all (van der Hoeven, "Relax, but don't
@@ -471,11 +471,7 @@ class MultiSeries:
         for s in subs.values():
             order = min(order, s.order)
         subs = {v: s.embed(out_vars).truncate(order) for v, s in subs.items()}
-        # every substituted variable but the first keeps one list of powers
-        # [s, s**2, ...] for all slices of the outer ones
-        inner = [v for v in self.vars if v in subs][1:]
-        powers = {v: [subs[v]] for v in inner}
-        return _compose_rec(self, subs, out_vars, order, powers)
+        return _compose_rec(self, subs, out_vars, order)
 
     # ---------- numerics / io ----------
 
@@ -514,33 +510,27 @@ def _as_coeff(c):
     return g
 
 
-def _compose_rec(f, subs, out_vars, order, powers):
-    """f with subs substituted.  A variable with a list in `powers` sums its
-    slices against those shared powers; the outermost one goes by Horner."""
+def _compose_rec(f, subs, out_vars, order):
+    """f with subs substituted, trusted through order, by Horner in the
+    first substituted variable v of f.  The slice of v**k meets s**k, of
+    valuation k*val(s), so it is composed only through order - k*val(s).
+    The accumulator is trusted only as far as the last slice added to it,
+    so each product with s stops where its terms would land above the
+    order.  An exact order cuts nothing (a zero exact s has valuation inf).
+    """
     sub_here = [v for v in f.vars if v in subs]
     if not sub_here:
         return f.embed(out_vars).truncate(order)
     v = sub_here[0]
-    slices = [_compose_rec(c, subs, out_vars, order, powers)
-              for c in f._var_slices(v, 0, f.var_degree(v))]
-    pw = powers.get(v)
-    if pw is None:
-        s = subs[v]
-        val = s.valuation()
-        acc = slices.pop()
-        while slices:
-            # acc meets s len(slices) more times, so its terms past this
-            # degree land above the order; an exact order cuts nothing
-            if order != EXACT:
-                acc = acc.truncate(order - len(slices) * val)
-            acc = acc * s + slices.pop()
-    else:
-        while len(pw) < len(slices) - 1:
-            pw.append((pw[-1] * subs[v]).truncate(order))
-        acc = slices[0]
-        for c, p in zip(slices[1:], pw):
-            acc = acc + c * p
-    return acc.truncate(order)
+    s = subs[v]
+    val = s.valuation()
+    slices = [_compose_rec(c, subs, out_vars,
+                           order - k * val if order != EXACT else order)
+              for k, c in enumerate(f._var_slices(v, 0, f.var_degree(v)))]
+    acc = slices.pop()
+    while slices:
+        acc = acc * s + slices.pop()
+    return acc
 
 
 # ---------- homogeneous parts ----------

@@ -111,6 +111,13 @@ def dense_surface(N=12, m=1, fuchsian=False):
     return build_real(m, 1, h, N)
 
 
+# the structured h tables of the benchmark's model-sparse ladder
+H22_U = {(2, 2): {(1,): ONE}}
+H22_U2 = {(2, 2): {(2,): ONE}}
+SQRT2_TABLE = {(2, 2): {(1,): ONE}, (2, 3): {(2,): qi(1, 2)},
+               (3, 2): {(2,): qi(1, -2)}}
+
+
 def kl_table(psi):
     """{(k, l): coefficient series of z^k zb^l} of psi over (z, zb, t), for
     each k, l >= 2 that carries a term, read through coeff_of."""

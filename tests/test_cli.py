@@ -370,22 +370,28 @@ def test_ode_reader_takes_integer_fields_as_json_integers():
                 serialize.ode_from_json(dict(d, **{field: value}))
 
 
-def test_verify_computes_the_reality_residual_once(tmp_path, monkeypatch):
-    """real_to_complex checks the reality of its result, and validate_complex
-    reads the same residual."""
-    calls = []
+def test_only_verify_computes_a_reality_residual(tmp_path, monkeypatch):
+    """On a real file the loader checks h_kl = conj(h_lk) and the transfer
+    is exact, so no command re-derives the reality of its complex form:
+    verify reports it through validate_complex, once, and the other
+    surface commands compute none."""
+    seen = []
 
     def counted(M):
-        calls.append(M)
+        seen.append(M)
         return check_reality(M)
 
     monkeypatch.setattr(surfaces, "check_reality", counted)
     p = tmp_path / "real.json"
     p.write_text(serialize.dumps(serialize.surface_to_json(
         build_real(1, 1, {}, 8))))
-    assert main(["verify", str(p), "-o", str(tmp_path / "out.json")]) == \
-        EXIT_OK
-    assert len(calls) == 1
+    for argv, calls in ((["verify"], 1), (["derive-ode"], 0),
+                        (["check-fuchsian"], 0), (["symmetries"], 0),
+                        (["blowup", "--blowup", "s=2"], 0)):
+        seen.clear()
+        assert main([argv[0], str(p), "-o", str(tmp_path / "out.json")]
+                    + argv[1:]) == EXIT_OK
+        assert len(seen) == calls, argv[0]
 
 
 @pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb",
@@ -559,6 +565,16 @@ def _m(value):
     return edit
 
 
+def _set(path, value):
+    """An edit that sets the field at path, a tuple of keys and indices."""
+    def edit(d):
+        *parents, last = path
+        for key in parents:
+            d = d[key]
+        d[last] = value
+    return edit
+
+
 def _ragged(d):
     d["entries"][1].pop()
 
@@ -659,6 +675,16 @@ PINNED = [
      _with(COMPLEX5, _repeated_z), EXIT_FORMAT),
     ("vars-string-system", ["monodromy", "{in}"],
      _with(SYSTEM2, _vars_string), EXIT_FORMAT),
+    # scale_sq is the squared rescale 1/|c|, so it is positive
+    ("scale-sq-negative", ["verify", "{in}"],
+     _with(COMPLEX5, _set(("scale_sq",), "-1/2")), EXIT_FORMAT),
+    ("scale-sq-zero", ["verify", "{in}"],
+     _with(COMPLEX5, _set(("scale_sq",), "0/1")), EXIT_FORMAT),
+    # an entry's wvar names its variable
+    ("wvar-null", ["monodromy", "{in}"],
+     _with(SYSTEM2, _set(("entries", 0, 0, "wvar"), None)), EXIT_FORMAT),
+    ("wvar-int", ["monodromy", "{in}"],
+     _with(SYSTEM2, _set(("entries", 0, 0, "wvar"), 5)), EXIT_FORMAT),
 ] + [
     # below the 3m+2 floor, whether the file or --order says so, a surface
     # is refused in either form by every command that takes --order

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from segrefuchs.qfield import qi
-from segrefuchs.series import MultiSeries, EXACT
+from segrefuchs.series import MultiSeries
 from segrefuchs.surfaces import build_real, build_complex, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,
@@ -19,7 +19,7 @@ from segrefuchs.frobenius import (formal_symmetries, holomorphic_solutions,
                                   field_u_vector, residue_spectrum)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.monodromy import LoopSpec, continue_system
-from reference import conj
+from reference import SQRT2_TABLE
 
 
 def rich_fuchsian_m2():
@@ -29,13 +29,7 @@ def rich_fuchsian_m2():
 
 
 def sqrt2_surface():
-    u = MultiSeries.variable("u", ("u",))
-    c = qi(1, 2)
-    return real_to_complex(build_real(
-        2, 1, {(2, 2): u,
-               (2, 3): MultiSeries(("u",), EXACT, {(2,): c}),
-               (3, 2): MultiSeries(("u",), EXACT,
-                                   {(2,): conj(c)})}, 14))
+    return real_to_complex(build_real(2, 1, SQRT2_TABLE, 14))
 
 
 @pytest.mark.parametrize("make", [rich_fuchsian_m2, sqrt2_surface])
@@ -78,13 +72,7 @@ def test_spurious_shallow_candidates_are_rejected():
     candidates must be filtered out at every working order, and deeper
     windows must agree."""
     for order in (14, 18, 22):
-        u = MultiSeries.variable("u", ("u",))
-        c = qi(1, 2)
-        M = real_to_complex(build_real(
-            2, 1, {(2, 2): u,
-                   (2, 3): MultiSeries(("u",), EXACT, {(2,): c}),
-                   (3, 2): MultiSeries(("u",), EXACT,
-                                       {(2,): conj(c)})}, order))
+        M = real_to_complex(build_real(2, 1, SQRT2_TABLE, order))
         basis = formal_symmetries(M)
         assert basis.dimension == 0
         assert basis.dropped

@@ -10,11 +10,11 @@ import hashlib
 import pytest
 
 from segrefuchs import serialize
-from segrefuchs.cli import main, EXIT_OK
+from segrefuchs.cli import main, EXIT_OK, EXIT_NON_FUCHSIAN, EXIT_REFUSED
 from segrefuchs.prolongation import assemble_u_system, assemble_Y_system
 from segrefuchs.segre import eliminate
-from segrefuchs.surfaces import build_complex
-from reference import dense_surface
+from segrefuchs.surfaces import build_complex, build_real
+from reference import H22_U, SQRT2_TABLE, dense_surface
 
 COMMANDS = [("verify", []), ("derive-ode", []), ("check-fuchsian", []),
             ("symmetries", ["--real-form"]), ("blowup", ["--auto", "4"])]
@@ -62,6 +62,40 @@ SYSTEM_GOLDEN = {
 }
 
 
+# payloads that GOLDEN leaves out: a symmetry basis of dimension 2 and its
+# real form at m = 2 (h22 = u), a basis of dimension 0 with 2 dropped
+# candidates (the sqrt2 table) and the verdict and refusal of a
+# non-Fuchsian surface, each with the exit code it comes with
+VERDICT_EXITS = {("nonfuchsian-m2", "check-fuchsian"): EXIT_NON_FUCHSIAN,
+                 ("nonfuchsian-m2", "symmetries"): EXIT_REFUSED}
+VERDICT_GOLDEN = {
+    ("h22u-m2", "verify"):
+        "91fcf9e46980289908ead921a27961647672f372942cf8b2a6a4a36b1b54690c",
+    ("h22u-m2", "derive-ode"):
+        "dcc4c8d7c5389a23e2abd5b2e53da81856ee00e7170a2792acf0361f729ffcc0",
+    ("h22u-m2", "check-fuchsian"):
+        "b6ec333360434d038f915a12186b55549b066bf914753854678b2a2e9d9167e5",
+    ("h22u-m2", "symmetries"):
+        "d2aa9a2b0f7a265f1b802ce44ddf64ed3ee4ddc3ef8d93fbcbcb0b4faa00eca6",
+    ("h22u-m2", "blowup"):
+        "1d307bd9ed55aef7eefad434cfa76c1a6fb62fcaa1c820a9de2b6d64f8e2de3f",
+    ("sqrt2-m2", "verify"):
+        "185937401b783c4f25471b1c613ed13dcd539606561e439f4b05ecf40c62f393",
+    ("sqrt2-m2", "derive-ode"):
+        "55497b2addc6421d9f5d888cfa3a0bc603d87cf4444c5bb52c7dbbf68e6b92be",
+    ("sqrt2-m2", "check-fuchsian"):
+        "797dfc3975a117d08497fb4f7ef40b83af1ef752007421d9119f438b8af5656f",
+    ("sqrt2-m2", "symmetries"):
+        "d32cbda72c8152f5ec393ec9aaece84a327d88e79cd0cc2a8ba5f5508246f982",
+    ("sqrt2-m2", "blowup"):
+        "1d307bd9ed55aef7eefad434cfa76c1a6fb62fcaa1c820a9de2b6d64f8e2de3f",
+    ("nonfuchsian-m2", "check-fuchsian"):
+        "1ff240b9f00bb337920f6c64bfa085e08b99dd89b8558841d2957dac5b8bb8a2",
+    ("nonfuchsian-m2", "symmetries"):
+        "932ec8d3c307631ecd093b7b690b67b74262cda502066370bf15b44625a44051",
+}
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -74,7 +108,13 @@ SURFACES = {"model": (lambda: build_complex(1, 1, {}, 12), COMMANDS),
             "dense-m2": (lambda: dense_surface(17, 2, fuchsian=True),
                          COMMANDS),
             "dense-m3": (lambda: dense_surface(19, 3, fuchsian=True),
-                         [("derive-ode", []), ("symmetries", [])])}
+                         [("derive-ode", []), ("symmetries", [])]),
+            "h22u-m2": (lambda: build_real(2, 1, H22_U, 20), COMMANDS),
+            "sqrt2-m2": (lambda: build_real(2, 1, SQRT2_TABLE, 20),
+                         COMMANDS),
+            "nonfuchsian-m2": (lambda: dense_surface(14, 2),
+                               [("check-fuchsian", []), ("symmetries", [])])}
+DIGESTS = {**GOLDEN, **VERDICT_GOLDEN}
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -84,8 +124,10 @@ def test_cli_payload_digests(name, tmp_path):
     path.write_text(serialize.dumps(serialize.surface_to_json(build())))
     out = tmp_path / "out.json"
     for command, extra in commands:
-        assert main([command, str(path), "-o", str(out)] + extra) == EXIT_OK
-        assert _sha(out.read_bytes()) == GOLDEN[(name, command)], command
+        out.unlink(missing_ok=True)
+        code = main([command, str(path), "-o", str(out)] + extra)
+        assert code == VERDICT_EXITS.get((name, command), EXIT_OK), command
+        assert _sha(out.read_bytes()) == DIGESTS[(name, command)], command
 
 
 def test_model_system_digests():

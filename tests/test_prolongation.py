@@ -17,7 +17,8 @@ from segrefuchs.prolongation import (VectorField, ProlongedField,
                                      LinearODESystem, _solve_tags)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError, SegrefuchsError
-from reference import collect_initial_system, dense_surface, zero_zw, zw
+from reference import (SQRT2_TABLE, collect_initial_system, dense_surface,
+                       zero_zw, zw)
 
 
 def model(order=12, m=1):
@@ -88,10 +89,6 @@ def test_tangency_negative_examples():
 
 
 # ---- restricted tangency (only the slots the systems read) -------------------
-
-SQRT2_TABLE = {(2, 2): {(1,): qi(1)}, (2, 3): {(2,): qi(1, 2)},
-               (3, 2): {(2,): qi(1, -2)}}
-
 
 def _restriction_surface(kind, m):
     N = 3 * m + 8

@@ -15,7 +15,8 @@ from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
                                  W)
 from segrefuchs.errors import (RealityViolation, SegrefuchsError,
                                OrderTooLowError)
-from reference import conj, dense_surface, kl_table, u_series, wb_series
+from reference import (H22_U, H22_U2, SQRT2_TABLE, conj, dense_surface,
+                       kl_table, u_series, wb_series)
 
 
 # ---- real_to_complex --------------------------------------------------------
@@ -202,6 +203,32 @@ def test_reality_detects_single_perturbation():
     assert not res.is_zero()
     with pytest.raises(RealityViolation):
         require_reality(bad)
+
+
+# the surfaces of the benchmark's ladders: dense Fuchsian tables, a dense
+# non-Fuchsian one, the models and the structured h tables, at the
+# workloads' (m, N)
+REALITY_LADDER = {
+    "dense-m1-N13": lambda: dense_surface(13, 1, fuchsian=True),
+    "dense-m1-N14": lambda: dense_surface(14, 1, fuchsian=True),
+    "dense-m2-N17": lambda: dense_surface(17, 2, fuchsian=True),
+    "dense-m3-N19": lambda: dense_surface(19, 3, fuchsian=True),
+    "dense-nonfuchsian-m2-N14": lambda: dense_surface(14, 2),
+    "model-m1-N24": lambda: build_real(1, 1, {}, 24),
+    "model-m2-N24": lambda: build_real(2, 1, {}, 24),
+    "model-m3-N28": lambda: build_real(3, 1, {}, 28),
+    "h22u-m2-N20": lambda: build_real(2, 1, H22_U, 20),
+    "h22u2-m3-N24": lambda: build_real(3, 1, H22_U2, 24),
+    "sqrt2-m2-N20": lambda: build_real(2, 1, SQRT2_TABLE, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALITY_LADDER))
+def test_transfer_of_real_data_is_real(name):
+    """real_to_complex does not re-check its result, so the suite does: the
+    reality residual of the transferred form vanishes."""
+    Mc = real_to_complex(REALITY_LADDER[name]())
+    assert check_reality(Mc).is_zero()
 
 
 def test_bar_series_involution():
