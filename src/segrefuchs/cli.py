@@ -201,49 +201,32 @@ def cmd_selftest(args):
     return EXIT_OK
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="segrefuchs",
-        description="Exact workbench for nonminimal hypersurfaces in C^2: "
-                    "associated singular ODEs, Fuchsian classification, "
-                    "infinitesimal automorphisms, blow-ups and numeric "
-                    "monodromy.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _surface_args(sp, order=True):
+    sp.add_argument("surface", help="surface JSON file")
+    if order:
+        sp.add_argument("--order", type=int, default=None,
+                        help="truncate the input to this lower order")
+    sp.add_argument("-o", "--output", default=None)
 
-    def common(sp, order=True):
-        sp.add_argument("surface", help="surface JSON file")
-        if order:
-            sp.add_argument("--order", type=int, default=None,
-                            help="truncate the input to this lower order")
-        sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("verify", help="reality/normality validation")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("derive-ode", help="eliminate to the associated ODE")
-    common(sp)
-    sp.set_defaults(fn=cmd_derive_ode)
-
-    sp = sub.add_parser("check-fuchsian", help="Fuchsian-type classification")
-    common(sp, order=False)
+def _check_fuchsian_args(sp):
+    _surface_args(sp, order=False)
     sp.add_argument("--format", choices=["json", "table"], default="json")
-    sp.set_defaults(fn=cmd_check_fuchsian)
 
-    sp = sub.add_parser("symmetries",
-                        help="formal infinitesimal automorphisms")
-    common(sp)
+
+def _symmetries_args(sp):
+    _surface_args(sp)
     sp.add_argument("--real-form", action="store_true")
-    sp.set_defaults(fn=cmd_symmetries)
 
-    sp = sub.add_parser("blowup", help="monomial blow-up of the surface")
-    common(sp)
+
+def _blowup_args(sp):
+    _surface_args(sp)
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--blowup", type=_blowup_spec, help="s=K,l=2")
     g.add_argument("--auto", type=int, help="search s in [2, S_MAX]")
-    sp.set_defaults(fn=cmd_blowup)
 
-    sp = sub.add_parser("monodromy", help="numeric monodromy of a system")
+
+def _monodromy_args(sp):
     sp.add_argument("system", help="linear system JSON file")
     loop = LoopSpec()
     sp.add_argument("--radius", type=float, default=loop.radius)
@@ -253,18 +236,58 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=loop.tol)
     sp.add_argument("--reverse", action="store_true")
     sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(fn=cmd_monodromy)
 
-    sp = sub.add_parser("selftest", help="seeded randomized oracle check")
+
+def _selftest_args(sp):
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the randomized surfaces")
-    sp.set_defaults(fn=cmd_selftest)
+
+
+# name: (help, function, the function adding its arguments)
+COMMANDS = {
+    "verify": ("reality/normality validation", cmd_verify, _surface_args),
+    "derive-ode": ("eliminate to the associated ODE", cmd_derive_ode,
+                   _surface_args),
+    "check-fuchsian": ("Fuchsian-type classification", cmd_check_fuchsian,
+                       _check_fuchsian_args),
+    "symmetries": ("formal infinitesimal automorphisms", cmd_symmetries,
+                   _symmetries_args),
+    "blowup": ("monomial blow-up of the surface", cmd_blowup, _blowup_args),
+    "monodromy": ("numeric monodromy of a system", cmd_monodromy,
+                  _monodromy_args),
+    "selftest": ("seeded randomized oracle check", cmd_selftest,
+                 _selftest_args),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of the named one alone: a call
+    parses with the subparser of its first token only, so that is all
+    main builds when that token names a command."""
+    p = argparse.ArgumentParser(
+        prog="segrefuchs",
+        description="Exact workbench for nonminimal hypersurfaces in C^2: "
+                    "associated singular ODEs, Fuchsian classification, "
+                    "infinitesimal automorphisms, blow-ups and numeric "
+                    "monodromy.")
+    # a one-command parser's usage line lists every command, as the full
+    # parser's default metavar does; the full parser keeps that default,
+    # since its errors name the argument "command" only without a metavar
+    listed = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in COMMANDS if command is None else (command,):
+        help_, fn, add_args = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        add_args(sp)
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_FORMAT

@@ -16,10 +16,14 @@ survive every product.
 
 The system is linear, so one RK4 step is multiplication by its transfer
 matrix P_k, the step applied to the identity (a matrix polynomial in h*F).
-A run forms the P_k of CHUNK steps at a time as stacked arrays, from one
-batched evaluation of the coefficients at the chunk's nodes, multiplies
-them in step order (later steps on the left) by pairwise products, and
-applies the chunk's product to the solution once.
+When the coefficient tensor shows that F is constant on the loop, as for
+A0 / w with A0 constant, every step has the same P and a run of n steps
+is P^n, formed by binary powering.  Otherwise a run forms the P_k of
+CHUNK steps at a time as stacked arrays, from one batched evaluation of
+the coefficients at the chunk's nodes, multiplies them in step order
+(later steps on the left) by pairwise products, and applies the chunk's
+product to the solution once.  Either way the step counts, the doubling
+schedule and its stopping rules are those of a step-by-step loop.
 """
 
 import numpy as np
@@ -100,16 +104,14 @@ def _finite_or_none(x):
 def _dense_matrix_data(S):
     """Common-pole polynomial tensor for fast evaluation of C(w).
 
-    Returns (coeffs[d, i, j], pole, tail_degree, tail_coeff_max).
+    Returns (coeffs[d, i, j], pole, tail_degree, tail_coeff_max).  Only
+    nonzero entries size the tensor, so a constant A0 / w has one plane.
     """
     n = S.n
     pole = max(e.pole for row in S.entries for e in row)
-    degs = []
-    for row in S.entries:
-        for e in row:
-            shift = pole - e.pole
-            degs.append(e.body.var_degree(e.wvar) + shift)
-    D = max(degs, default=0)
+    D = max((e.body.var_degree(e.wvar) + pole - e.pole
+             for row in S.entries for e in row if not e.is_zero()),
+            default=0)
     C = np.zeros((D + 1, n, n), dtype=complex)
     tail_deg = 0
     tail_max = 0.0
@@ -167,63 +169,22 @@ def _rk4_loop(data, loop, Y0):
     the loop inside its trusted radius.  Runs n fixed RK4 steps, then 2n,
     4n, ... until two consecutive runs agree to loop.tol.
 
-    With F(t) = 2 pi i dir w C(w) / w^pole at w = r exp(2 pi i dir t), the
-    step from t_k is Y -> P_k Y with P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
-    K1 = F(t_k), K2 = F(t_k + h/2) (I + h/2 K1),
-    K3 = F(t_k + h/2) (I + h/2 K2), K4 = F(t_k + h) (I + h K3): the
-    classical RK4 step applied to the identity.  Each chunk of at most
-    CHUNK steps evaluates F at its 2B + 1 nodes at once, forms its P_k as
-    stacked arrays and applies their ordered product P_{B-1} ... P_0.
-
-    A run whose result is not finite is refused at once.  That covers a
-    loop on which F is not finite: inf and NaN survive every product, even
-    one by 0.  A run of n steps carries a rounding error of about
-    eps n max|Y|, which grows with n while the truncation error falls.  So
-    once a doubling fails to shrink the difference of two runs, and that
-    difference is within this rounding floor, more steps cannot reach
-    loop.tol: the schedule stops there with NonConvergenceError, as it
-    does when the step budget runs out.  Both tests come after the tol
-    test, so a run that converges is untouched by them.
+    A run of n steps carries a rounding error of about eps n max|Y|, which
+    grows with n while the truncation error falls.  So once a doubling
+    fails to shrink the difference of two runs, and that difference is
+    within this rounding floor, more steps cannot reach loop.tol: the
+    schedule stops there with NonConvergenceError, as it does when the
+    step budget runs out.  Both tests come after the tol test, so a run
+    that converges is untouched by them.  The floor holds for a powered
+    run too: P^n carries the rounding error of P amplified n-fold.
     """
-    C, pole, _, _ = data
-    r = loop.radius
-    two_pi_i = 2j * np.pi * loop.direction
-    eye = np.eye(C.shape[1], dtype=complex)
-
-    def chunks(nsteps):
-        """F at the 2B + 1 nodes of each chunk of B steps of a run."""
-        h = 1.0 / nsteps
-        for start in range(0, nsteps, CHUNK):
-            B = min(CHUNK, nsteps - start)
-            w = r * np.exp(two_pi_i * h * (start + np.arange(2 * B + 1) / 2))
-            dw = two_pi_i * w / w ** pole
-            yield _eval_poly_matrix(C, w) * dw[:, None, None]
-
-    def run(nsteps):
-        h = 1.0 / nsteps
-        Y = Y0.astype(complex)
-        with np.errstate(all="ignore"):
-            for F in chunks(nsteps):
-                F0, Fh, F1 = F[0:-1:2], F[1::2], F[2::2]
-                K2 = Fh @ (eye + h / 2 * F0)
-                K3 = Fh @ (eye + h / 2 * K2)
-                K4 = F1 @ (eye + h * K3)
-                P = eye + (h / 6) * (F0 + 2 * K2 + 2 * K3 + K4)
-                Y = _ordered_product(P) @ Y
-        if not np.isfinite(Y).all():
-            raise SegrefuchsError("a run of %d steps around |w| = %g is not "
-                                  "finite: the system's coefficients are not "
-                                  "finite on the loop, or its RK4 products "
-                                  "overflow" % (nsteps, r))
-        return Y
-
     n = loop.steps
     eps = np.finfo(float).eps
-    prev = run(n)
+    prev = _run(data, loop, Y0, n)
     prev_diff = np.inf
     while n < STEP_BUDGET:
         n *= 2
-        cur = run(n)
+        cur = _run(data, loop, Y0, n)
         diff = float(np.max(np.abs(cur - prev)))
         if diff < loop.tol:
             return cur, diff, n
@@ -235,6 +196,61 @@ def _rk4_loop(data, loop, Y0):
         prev, prev_diff = cur, diff
     raise NonConvergenceError("continuation did not converge below %g "
                               "within %d steps" % (loop.tol, STEP_BUDGET))
+
+
+def _run(data, loop, Y0, nsteps):
+    """Y0 after one run of nsteps RK4 steps of size h = 1 / nsteps.
+
+    With F(t) = 2 pi i dir w C(w) / w^pole at w = r exp(2 pi i dir t), the
+    step from t_k is Y -> P_k Y (_step_matrices).  When the only nonzero
+    plane of C is d = pole - 1, which after LaurentInW's normalization
+    means pole == 1 and one plane, F = 2 pi i dir C_0 on the whole loop:
+    every step has the same P, and the run is P^n Y0 by binary powering,
+    with no evaluation at w.  Otherwise each chunk of at most CHUNK steps
+    evaluates F at its 2B + 1 nodes at once, forms its P_k as stacked
+    arrays and applies their ordered product P_{B-1} ... P_0.
+
+    A run whose result is not finite is refused at once.  That covers a
+    loop on which F is not finite: inf and NaN survive every product, even
+    one by 0.
+    """
+    C, pole, _, _ = data
+    r = loop.radius
+    two_pi_i = 2j * np.pi * loop.direction
+    h = 1.0 / nsteps
+    with np.errstate(all="ignore"):
+        if pole == 1 and len(C) == 1:
+            F = two_pi_i * C
+            P = _step_matrices(F, F, F, h)[0]
+            Y = np.linalg.matrix_power(P, nsteps) @ Y0
+        else:
+            Y = Y0.astype(complex)
+            for start in range(0, nsteps, CHUNK):
+                B = min(CHUNK, nsteps - start)
+                w = r * np.exp(two_pi_i * h *
+                               (start + np.arange(2 * B + 1) / 2))
+                dw = two_pi_i * w / w ** pole
+                F = _eval_poly_matrix(C, w) * dw[:, None, None]
+                P = _step_matrices(F[0:-1:2], F[1::2], F[2::2], h)
+                Y = _ordered_product(P) @ Y
+    if not np.isfinite(Y).all():
+        raise SegrefuchsError("a run of %d steps around |w| = %g is not "
+                              "finite: the system's coefficients are not "
+                              "finite on the loop, or its RK4 products "
+                              "overflow" % (nsteps, r))
+    return Y
+
+
+def _step_matrices(F0, Fh, F1, h):
+    """The RK4 step matrices P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from the
+    stacks F0, Fh, F1 of F at t_k, t_k + h/2 and t_k + h, with K1 = F0,
+    K2 = Fh (I + h/2 K1), K3 = Fh (I + h/2 K2), K4 = F1 (I + h K3): the
+    classical RK4 step applied to the identity."""
+    eye = np.eye(F0.shape[-1], dtype=complex)
+    K2 = Fh @ (eye + h / 2 * F0)
+    K3 = Fh @ (eye + h / 2 * K2)
+    K4 = F1 @ (eye + h * K3)
+    return eye + (h / 6) * (F0 + 2 * K2 + 2 * K3 + K4)
 
 
 def _ordered_product(P):

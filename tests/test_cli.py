@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from segrefuchs import serialize
+from segrefuchs import cli, serialize
 from segrefuchs.cli import main, build_parser, EXIT_OK, EXIT_NON_FUCHSIAN, \
     EXIT_REFUSED, EXIT_ORDER, EXIT_REALITY, EXIT_NUMERIC, EXIT_FORMAT, \
     EXIT_DOMAIN
@@ -459,6 +459,44 @@ def test_usage_errors_exit_format(model_file, capsys):
     assert capsys.readouterr().out.startswith("verdict: fuchsian")
 
 
+def _parsed_by_the_full_parser(argv, capsys):
+    """(exit code, stdout, stderr) of the parser of every command on argv,
+    a help request or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return EXIT_OK if exc.value.code == 0 else EXIT_FORMAT, out, err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS) + [None])
+def test_a_call_builds_the_parser_of_its_command_alone(command, monkeypatch,
+                                                       capsys):
+    """main builds only the subparser its first token names (all of them
+    for no command or an unknown one), and its help and usage-error texts
+    are the full parser's, byte for byte."""
+    if command is None:
+        calls = [[], ["--help"], ["no-such-command"],
+                 ["--no-such-option", "verify"]]
+    else:
+        calls = [[command, "--help"], [command, "--no-such-option"],
+                 [command, "in.json", "extra"], [command, "--seed", "x"],
+                 [command, "in.json", "--auto", "3", "extra"]]
+    expected = [_parsed_by_the_full_parser(argv, capsys) for argv in calls]
+    built = []
+    real = cli.build_parser
+
+    def recorded(name=None):
+        built.append(name)
+        return real(name)
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for argv, (code, out, err) in zip(calls, expected):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+    assert built == [command] * len(calls)
+    if command is None:
+        assert all(name in expected[1][1] for name in cli.COMMANDS)
+
+
 def test_determinism_byte_identical(model_file, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["symmetries", model_file, "-o", a]) == EXIT_OK
@@ -504,6 +542,10 @@ COMPLEX_999999 = {"form": "complex", "m": 1, "sign": 1, "order": 999999,
                       ONE, (1, 1, 0), ("z", "zb", "wb"), 999999))}
 SYSTEM2 = serialize.system_to_json(const_system(
     [[qi(Fraction(i + j, 4)) for j in range(2)] for i in range(2)], 4))
+# dy/dw = diag(1, -1) y / w, whose coefficients are the same on every
+# circle, however small
+DIAG_PM1 = serialize.system_to_json(const_system(
+    [[qi(1), qi(0)], [qi(0), qi(-1)]], 4))
 
 
 def _with(payload, edit):
@@ -669,6 +711,10 @@ PINNED = [
      _with(COMPLEX5, _term_above_order), EXIT_FORMAT),
     ("loop--steps=64", ["monodromy", "{in}", "--steps", "64"], _doc(SYSTEM2),
      EXIT_OK),
+    ("loop--radius=1e-320", ["monodromy", "{in}", "--radius", "1e-320"],
+     _doc(DIAG_PM1), EXIT_OK),
+    ("loop--radius=5e-324", ["monodromy", "{in}", "--radius", "5e-324"],
+     _doc(DIAG_PM1), EXIT_OK),
     ("repeated-vars-system", ["monodromy", "{in}"],
      _with(SYSTEM2, _repeated_w), EXIT_FORMAT),
     ("repeated-vars-surface", ["verify", "{in}"],

@@ -84,6 +84,18 @@ def test_loop_radius_independence():
     assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
 
 
+def test_a_constant_system_at_a_subnormal_radius_has_its_monodromy():
+    """A constant system's coefficients are 2 pi i A0 on every circle, and
+    its runs never evaluate them at w: at the radii 1e-320 and 5e-324,
+    where w / w**pole is NaN, the loop has the matrix of radius 0.2."""
+    S = const_system([[qi(1), qi(0)], [qi(0), qi(-1)]])
+    ref = monodromy_matrix(S, LoopSpec())
+    for r in (1e-320, 5e-324):
+        res = monodromy_matrix(S, LoopSpec(radius=r))
+        assert res.steps == ref.steps
+        assert np.array_equal(res.matrix, ref.matrix)
+
+
 def test_orientation_inverse():
     S = const_system([[qi(Fraction(1, 2)), qi(1)], [qi(0), qi(Fraction(1, 4))]])
     fwd = monodromy_matrix(S, LoopSpec(tol=1e-9))
@@ -235,6 +247,15 @@ def test_transfer_loop_matches_per_step_loop_on_the_model(model_m1, system,
     assert_matches_reference(res.matrix, Y_ref)
 
 
+def test_zero_entries_do_not_size_the_coefficient_tensor(model_m1):
+    """The m=1 model Y-system is A0 / w, its zero entries of pole 0: one
+    plane, so its loop is constant; the u-system keeps its three."""
+    C, pole, _, _ = _dense_matrix_data(model_m1["ysys"])
+    assert (len(C), pole) == (1, 1)
+    C, pole, _, _ = _dense_matrix_data(model_m1["usys"])
+    assert (len(C), pole) == (3, 2)
+
+
 def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
     U = model_m1["usys"]
     loop = LoopSpec(steps=100, tol=1e-9)
@@ -274,15 +295,15 @@ def test_as_dict_writes_null_for_non_finite_diagnostics():
     assert d["residual"] == 1e-12
 
 
-def _steps_evaluated(monkeypatch):
-    """Count the RK4 steps whose nodes _eval_poly_matrix is asked for."""
+def _runs(monkeypatch):
+    """Record the step count of each run of the doubling schedule."""
     seen = []
-    real = monodromy._eval_poly_matrix
+    real = monodromy._run
 
-    def counted(C, w):
-        seen.append((len(w) - 1) // 2)
-        return real(C, w)
-    monkeypatch.setattr(monodromy, "_eval_poly_matrix", counted)
+    def counted(data, loop, Y0, nsteps):
+        seen.append(nsteps)
+        return real(data, loop, Y0, nsteps)
+    monkeypatch.setattr(monodromy, "_run", counted)
     return seen
 
 
@@ -294,25 +315,23 @@ def test_a_loop_at_its_rounding_floor_stops_after_the_stalled_doubling(
     reach the absolute tol."""
     S = assemble_Y_system(eliminate(real_to_complex(build_real(2, 1, {}, 12)),
                                     12))
-    seen = _steps_evaluated(monkeypatch)
+    seen = _runs(monkeypatch)
     with pytest.raises(NonConvergenceError,
                        match="runs of 16384 and 32768 steps differ by "
                              ".* not below 1e-10"):
         monodromy_matrix(S, LoopSpec())
-    # runs of 256, 512, ..., 2^15 steps
-    assert sum(seen) == sum(256 << k for k in range(8))
+    assert seen == [256 << k for k in range(8)]
 
 
 def test_a_loop_whose_differences_still_shrink_exhausts_the_budget(
         monkeypatch):
     monkeypatch.setattr(monodromy, "STEP_BUDGET", 256)
     S = const_system([[qi(Fraction(1, 2))]])
-    seen = _steps_evaluated(monkeypatch)
+    seen = _runs(monkeypatch)
     with pytest.raises(NonConvergenceError,
                        match="not converge below 1e-12 within 256 steps"):
         continue_system(S, LoopSpec(steps=64, tol=1e-12), [1.0])
-    # three runs
-    assert sum(seen) == 64 + 128 + 256
+    assert seen == [64, 128, 256]
 
 
 CONVERGING_LOOPS = [

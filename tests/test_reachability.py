@@ -2,12 +2,13 @@
 
 A child interpreter installs `sys.setprofile` before it imports the
 package, then runs every command on small inputs (the m=1 model, a dense
-m=1 surface, a non-Fuchsian m=2 surface, a 2x2 constant system) with each
-option that selects its own code, plus `selftest`.  A function no command
-calls keeps one docstring line, "Off the CLI path: <role>.", naming why it
-stays in the package.  The test fails when a function is neither reached
-nor marked, or when a marked function is reached, so the marked
-docstrings stay the exact list of what the CLI never calls.
+m=1 surface, a non-Fuchsian m=2 surface, a 2x2 constant system and the
+m=1 model's u-system, which depends on w) with each option that selects
+its own code, plus `selftest`.  A function no command calls keeps one
+docstring line, "Off the CLI path: <role>.", naming why it stays in the
+package.  The test fails when a function is neither reached nor marked,
+or when a marked function is reached, so the marked docstrings stay the
+exact list of what the CLI never calls.
 """
 
 import ast
@@ -19,7 +20,9 @@ import sys
 import pytest
 
 from segrefuchs import serialize
+from segrefuchs.prolongation import assemble_u_system
 from segrefuchs.qfield import qi
+from segrefuchs.segre import eliminate
 from segrefuchs.surfaces import build_complex, build_real
 from reference import const_system, dense_surface
 
@@ -89,6 +92,8 @@ def cli_run(tmp_path_factory):
                    serialize.surface_to_json(dense_surface(12)))
     system = _write(tmp / "system.json", serialize.system_to_json(
         const_system([[qi(1), qi(0)], [qi(0), qi(-1)]], 10)))
+    usystem = _write(tmp / "usystem.json", serialize.system_to_json(
+        assemble_u_system(eliminate(build_complex(1, 1, {}, 12), 12))))
     nonfuchsian = _write(tmp / "nonfuchsian.json", serialize.surface_to_json(
         build_real(2, 1, {(2, 2): {(0,): qi(1)}}, 12)))
     out = str(tmp / "out.json")
@@ -106,8 +111,9 @@ def cli_run(tmp_path_factory):
                            (["verify", "--order", "10"], 0)):
             ops.append([argv[0], surface] + argv[1:] + ["-o", out])
             expect.append(code)
-    ops += [["monodromy", system, "-o", out], ["selftest"]]
-    expect += [0, 0]
+    ops += [["monodromy", system, "-o", out], ["monodromy", usystem, "-o", out],
+            ["selftest"]]
+    expect += [0, 0, 0]
     report = tmp / "reached.json"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     subprocess.run([sys.executable, "-c", CHILD, json.dumps(ops),
