@@ -19,9 +19,8 @@ class OrderTooLowError(SegrefuchsError):
     """Truncation order below the 3m+2 floor required downstream."""
     exit_code = 11
 
-    def __init__(self, order, required, msg=None):
-        super().__init__(msg or "order %d too low, need >= %d"
-                         % (order, required))
+    def __init__(self, order, required, msg):
+        super().__init__(msg)
         self.order = order
         self.required = required
 

@@ -148,19 +148,18 @@ def _matrix_coeffs(A, order):
             for k in range(order + 1)]
 
 
-def _param_recurrence(A_mats, n, order, base_shift=None):
+def _param_recurrence(A_mats, n, order):
     """Run the Frobenius recurrence with exact symbolic parameters.
 
-    base_shift: optional rational lambda0; the step matrix becomes
-    ((lambda0 + k) I - A0).  Returns (M_list, params, obstructions): M_list
-    holds n x params coefficient matrices per degree.
+    The step matrix of degree k is k I - A0.  Returns (M_list, params,
+    obstructions): M_list holds n x params coefficient matrices per degree.
     """
     A0 = A_mats[0]
     Ms = []
     params = 0
     obstructions = []
     for k in range(order + 1):
-        lam = GaussianRational.of(Fraction(k) + (base_shift or 0))
+        lam = GaussianRational.from_int(k)
         L = [[(lam if i == j else ZERO) - A0[i][j] for j in range(n)]
              for i in range(n)]
         # sum_{j=1..J} A_j M_{k-j}: the row-stacked [A_1 ... A_J] times the
@@ -231,7 +230,10 @@ def frobenius_basis(S, order=None):
     For every congruence class (mod 1) of rational eigenvalues other than
     the integers, the recurrence is run from the smallest class member
     lambda0, producing formal solutions H(w) w^lambda0 per the Fuchsian
-    fundamental-system shape.
+    fundamental-system shape.  H solves the shifted system
+    (A - lambda0 I) / w, so its recurrence is the holomorphic one with
+    A0 - lambda0 I as its constant term, run through the holomorphic
+    family's order.
 
     Off the CLI path: paper content, the non-integer branches.
     """
@@ -248,8 +250,10 @@ def frobenius_basis(S, order=None):
     A_mats = _matrix_coeffs(A, hol.order)
     for frac, lams in sorted(classes.items()):
         lam0 = min(lams)
-        Ms, params, _ = _param_recurrence(A_mats, S.n, hol.order,
-                                          base_shift=lam0)
+        shift = GaussianRational.of(lam0)
+        A0 = [[a - shift if i == j else a for j, a in enumerate(row)]
+              for i, row in enumerate(A_mats[0])]
+        Ms, params, _ = _param_recurrence([A0] + A_mats[1:], S.n, hol.order)
         sols = _solution_vectors(Ms, S.n, params, hol.order)
         if sols:
             branches.append((lam0, sols))
@@ -440,7 +444,7 @@ def convergence_diagnostic(y):
 def field_u_vector(L):
     """(P0, P1, P0', P1', Q0, Q1, Q0', Q1') of a field, as w-series.
 
-    Off the CLI path: oracle of the u-system.
+    Off the CLI path: the input of infinitesimal_monodromy.
     """
     P, Q = L.P, L.Q
     P0 = P.coeff_of({Z: 0})
@@ -471,20 +475,6 @@ def _surface_parts(L, rho, order):
     A = on[1] - rho.diff(Z) * on[0]
     B = -(rho.diff(ZB) * bar[0]) - (rho.diff(WB) * bar[1])
     return A, B
-
-
-def real_tangency_residual(L, M):
-    """Residual of Q = rho_z P + rho_zb bar(P) + rho_wb bar(Q) on w = rho.
-
-    Zero iff the real flow of L preserves the surface (L lies in the real
-    automorphism algebra, not merely its complexification).  It is taken
-    at the lower of the two trusted orders.
-
-    Off the CLI path: oracle of real_form_basis.
-    """
-    order = min(M.order, L.order())
-    A, B = _surface_parts(L, M.truncate(order).defining_series(), order)
-    return (A + B).truncate(order)
 
 
 def real_form_basis(basis, M):

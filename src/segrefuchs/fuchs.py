@@ -16,7 +16,7 @@ sound outright.  No row is ever marked undecidable; the
 undecidable-at-order verdict (exit 2) is reserved.
 """
 
-from .surfaces import Z, U, W, WB, require_min_order
+from .surfaces import U, W, WB, require_min_order
 
 REAL_BOUNDS = [((2, 2), "m-1"), ((2, 3), "2m-2"), ((3, 2), "2m-2"),
                ((3, 3), "2m-2"), ((2, 4), "3m-3"), ((4, 2), "3m-3"),
@@ -110,8 +110,7 @@ def check_fuchsian_ode(E):
     """Ledger over the coefficient family of an AssociatedODE.
 
     Equivalent to pole bounds (-1, -2, -3) on the meromorphic a, b, c and
-    their z-derivative rows; `mero_pole_rows` computes those, off the CLI
-    path.
+    their z-derivative rows at z = 0.
     """
     rows = []
     fam = E.coeffs
@@ -119,25 +118,3 @@ def check_fuchsian_ode(E):
         rows.append(_series_order_row(key, expr, fam[key], W, E.m))
     return FuchsReport(E.m, rows, form="ode")
 
-
-def mero_pole_rows(E):
-    """Pole-order view: ord a(0,w) >= -1, b >= -2, c >= -3 with z-rows.
-
-    Off the CLI path: oracle of the ODE ledger.
-    """
-    out = []
-    for which, bound in (("a", 1), ("b", 2), ("c", 3)):
-        mero = E.mero(which)
-        nder = 2 if which in ("a", "b") else 1
-        cur = mero
-        for d in range(nder + 1):
-            slice0 = cur.body.coeff_of({Z: 0})
-            if slice0.is_zero():
-                pole = None
-            else:
-                pole = cur.pole - slice0.var_valuation(W)
-            out.append({"name": "%s%s(0,w)" % (which, "_z" * d),
-                        "pole": pole, "bound": bound,
-                        "ok": pole is None or pole <= bound})
-            cur = cur.diff(Z)
-    return out

@@ -32,8 +32,6 @@ from .errors import NonConvergenceError, SegrefuchsError
 from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
-# |det| over the Hadamard bound above which a monodromy matrix is invertible
-INVERTIBLE_TOL = 1e-8
 STEP_BUDGET = 1 << 17
 # RK4 steps whose transfer matrices are stacked at once; bounds the memory
 # of a chunk (a few (2*CHUNK+1) x n x n complex arrays)
@@ -76,15 +74,6 @@ class MonodromyResult:
         self.condition = condition
         self.steps = steps
 
-    def invertible(self):
-        """|det M| relative to the Hadamard bound, the product of the row
-        norms, exceeds INVERTIBLE_TOL.
-
-        Off the CLI path: the tests' invertibility check.
-        """
-        bound = float(np.prod(np.linalg.norm(self.matrix, axis=1)))
-        return abs(np.linalg.det(self.matrix)) > INVERTIBLE_TOL * bound
-
     def as_dict(self):
         """JSON payload; a non-finite diagnostic (no finite bound) is None."""
         return {
@@ -105,10 +94,12 @@ def _dense_matrix_data(S):
     """Common-pole polynomial tensor for fast evaluation of C(w).
 
     Returns (coeffs[d, i, j], pole, tail_degree, tail_coeff_max).  Only
-    nonzero entries size the tensor, so a constant A0 / w has one plane.
+    nonzero entries set the pole and size the tensor, so a constant A0 / w
+    has one plane and w A0, pole -1, has one too.
     """
     n = S.n
-    pole = max(e.pole for row in S.entries for e in row)
+    pole = max((e.pole for row in S.entries for e in row if not e.is_zero()),
+               default=0)
     D = max((e.body.var_degree(e.wvar) + pole - e.pole
              for row in S.entries for e in row if not e.is_zero()),
             default=0)
@@ -142,19 +133,13 @@ def _eval_poly_matrix(C, w):
     return M
 
 
-def tail_estimate(S, radius):
+def _tail_bound(data, radius):
     """Crude bound on the ignored series tail of the entries at |w| = r.
 
     Uses the magnitude of the last retained degree with a geometric factor;
     the artifact cannot know true convergence radii, so this is reported,
     not enforced.
-
-    Off the CLI path: the tests' view of the tail bound.
     """
-    return _tail_bound(_dense_matrix_data(S), radius)
-
-
-def _tail_bound(data, radius):
     _, pole, tail_deg, tail_max = data
     if radius >= 1.0:
         return float("inf")
@@ -259,16 +244,6 @@ def _ordered_product(P):
         k = len(P) // 2 * 2
         P = np.concatenate((P[1:k:2] @ P[0:k:2], P[k:]))
     return P[0]
-
-
-def continue_system(S, loop, y0):
-    """Analytic continuation of one solution vector around the loop.
-
-    Off the CLI path: oracle of the RK4 loop.
-    """
-    Y0 = np.array(y0, dtype=complex).reshape(-1, 1)
-    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, Y0)
-    return Y[:, 0], diff, steps
 
 
 def monodromy_matrix(S, loop):

@@ -45,16 +45,8 @@ class VectorField:
         self.P = P.embed((Z, WV))
         self.Q = Q.embed((Z, WV))
 
-    def order(self):
-        """Off the CLI path: the order real_tangency_residual reads."""
-        return min(self.P.order, self.Q.order)
-
-    def scale(self, c):
-        """Off the CLI path: field arithmetic of the tests."""
-        return VectorField(self.P.scale(c), self.Q.scale(c))
-
     def __add__(self, other):
-        """Off the CLI path: field arithmetic of the tests."""
+        """Off the CLI path: operator protocol, the sum of two fields."""
         return VectorField(self.P + other.P, self.Q + other.Q)
 
     def is_zero(self):
@@ -156,10 +148,6 @@ class LinForm:
     def div_w(self, k):
         return LinForm({t: c.div_w(k) for t, c in self.coef.items()},
                        self.alg)
-
-    def tags(self):
-        """Off the CLI path: the tests' view of a linear form."""
-        return sorted(self.coef)
 
     def get(self, t):
         return self.coef.get(t)
@@ -273,13 +261,6 @@ class LinearODESystem:
         self.unknown = unknown
         self.pole_order = max((e.pole_order() for row in entries
                                for e in row), default=0)
-
-    def residual(self, u):
-        """du/dw - C u for a candidate vector of w-series (Laurent ok).
-
-        Off the CLI path: oracle of the Frobenius solutions.
-        """
-        return _residual(self.entries, u, WV)
 
     def fuchsian_A(self):
         """For pole order <= 1: the holomorphic matrix A with C = A/w."""

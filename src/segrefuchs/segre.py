@@ -184,18 +184,3 @@ def families_agree(f1, f2):
             ok = False
             report[key] = ("differ", d)
     return ok, report
-
-
-def verify_ode(M, E):
-    """Residual of w'' - Phi(z, w, w'/w^m) along the Segre graphs of M.
-
-    Zero modulo the trusted order iff E is the associated ODE of M.  The
-    residual comes back in the graph variables (z, xib, etab).
-
-    Off the CLI path: oracle of eliminate.
-    """
-    order = min(M.order, E.order)
-    g = segre_graph(M.truncate(order))
-    sub = E.Phi.compose({WV: g.w.truncate(order),
-                         ZETA: g.zeta.truncate(order)})
-    return (g.wzz - sub).truncate(order)

@@ -217,7 +217,7 @@ def ode_to_json(E):
 
 @_reader("ODE")
 def ode_from_json(d):
-    """Off the CLI path: the benchmark oracle's ODE reader."""
+    """Off the CLI path: the benchmark's ODE reader."""
     from .segre import AssociatedODE
     Phi, order = series_from_json(d["Phi"]), _order_from_json(d["order"])
     if order > Phi.order:

@@ -350,7 +350,7 @@ class MultiSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Off the CLI path: the tests' symbolic collection fixture."""
+        """Off the CLI path: ring protocol, repeated products."""
         if not isinstance(n, int) or n < 0:
             raise SeriesError("powers must be nonnegative integers")
         if n == 0:
@@ -361,23 +361,11 @@ class MultiSeries:
         return acc
 
     def __eq__(self, other):
-        """Off the CLI path: exact comparison in the tests."""
+        """Off the CLI path: value equality of series."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
         a, b = self._aligned(other)
         return a.order == b.order and a.den == b.den and a.num == b.num
-
-    def equal_mod(self, other, order):
-        """Exact equality of all coefficients through total degree `order`.
-
-        Off the CLI path: oracle comparison through an order.
-        """
-        a, b = self._aligned(other if isinstance(other, MultiSeries)
-                             else MultiSeries.const(other, self.vars))
-        if min(a.order, b.order) < order:
-            raise SeriesError("comparison order exceeds trusted order")
-        d = a - b
-        return all(sum(e) > order for e in d.num)
 
     # ---------- calculus ----------
 

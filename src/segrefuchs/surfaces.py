@@ -34,10 +34,15 @@ Z, ZB, WB, U, W = "z", "zb", "wb", "u", "w"
 
 def require_min_order(M):
     """Refuse a surface below the 3m+2 order that the transfers, the
-    elimination and the Fuchsian ledger demand."""
+    elimination and the Fuchsian ledger demand.  The message names the
+    form: a real surface of order N transfers to a complex one of order
+    N - m, so the elimination can refuse an order the user never gave."""
     need = 3 * M.m + 2
     if M.order < need:
-        raise OrderTooLowError(M.order, need)
+        form = "real" if isinstance(M, RealDefining) else "complex"
+        raise OrderTooLowError(M.order, need, "%s surface of order %d is "
+                               "below the 3m+2 = %d floor"
+                               % (form, M.order, need))
 
 
 def admissible_series(lead, table, vars):
@@ -178,11 +183,6 @@ class ValidationReport:
         self.admissible = admissible
         self.reality_ok = reality_ok
         self.levi_ok = levi_ok
-
-    def ok(self):
-        """Off the CLI path: the tests' one-flag summary."""
-        return (self.normal and self.admissible and self.reality_ok
-                and self.levi_ok)
 
     def as_dict(self):
         return {

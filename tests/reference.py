@@ -1,6 +1,7 @@
 """The one home of the helpers that several test modules share.
 
-Besides the shared builders and oracles (the first section), it holds
+Besides the shared builders (the first section) and the oracles the
+tests hold the package's layers to (the second), it holds
 per-coefficient reference versions of the packed edges of the package.
 The package reads and writes series files, conjugates a series and
 rescales z on the packed integer tuples of a series (one common
@@ -16,14 +17,17 @@ from math import isqrt
 import numpy as np
 
 from segrefuchs.errors import FormatError, NotNormalizableError
+from segrefuchs.frobenius import _surface_parts
 from segrefuchs.fuchs import REAL_BOUNDS, _bound
-from segrefuchs.prolongation import LinearODESystem, VectorField
+from segrefuchs.monodromy import _dense_matrix_data, _rk4_loop
+from segrefuchs.prolongation import LinearODESystem, VectorField, _residual
 from segrefuchs.qfield import GaussianRational, ONE, qi
-from segrefuchs.series import MultiSeries, LaurentInW, EXACT
+from segrefuchs.segre import WV, ZETA, segre_graph
+from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
 from segrefuchs.surfaces import Z, ZB, build_real
 
 
-# ---------- shared builders and oracles ----------
+# ---------- shared builders ----------
 
 def zw(name):
     return MultiSeries.variable(name, ("z", "w"))
@@ -197,6 +201,88 @@ def power(x, n):
 
 def is_gaussian(x):
     return x.c == 0 and x.d == 0
+
+
+# ---------- oracles of the package's layers ----------
+
+def equal_mod(a, b, order):
+    """Exact equality of all coefficients of two series through total
+    degree `order`, which both must be trusted through."""
+    a, b = a._aligned(b)
+    if min(a.order, b.order) < order:
+        raise SeriesError("comparison order exceeds trusted order")
+    return all(sum(e) > order for e in (a - b).num)
+
+
+def verify_ode(M, E):
+    """Residual of w'' - Phi(z, w, w'/w^m) along the Segre graphs of M.
+
+    Zero modulo the trusted order iff E is the associated ODE of M (the
+    oracle of eliminate).  The residual comes back in the graph variables
+    (z, xib, etab).
+    """
+    order = min(M.order, E.order)
+    g = segre_graph(M.truncate(order))
+    sub = E.Phi.compose({WV: g.w.truncate(order),
+                         ZETA: g.zeta.truncate(order)})
+    return (g.wzz - sub).truncate(order)
+
+
+def mero_pole_rows(E):
+    """Pole-order view of the ODE ledger: ord a(0,w) >= -1, b >= -2,
+    c >= -3, with their z-derivative rows."""
+    out = []
+    for which, bound in (("a", 1), ("b", 2), ("c", 3)):
+        cur = E.mero(which)
+        nder = 2 if which in ("a", "b") else 1
+        for d in range(nder + 1):
+            slice0 = cur.body.coeff_of({Z: 0})
+            if slice0.is_zero():
+                pole = None
+            else:
+                pole = cur.pole - slice0.var_valuation(WV)
+            out.append({"name": "%s%s(0,w)" % (which, "_z" * d),
+                        "pole": pole, "bound": bound,
+                        "ok": pole is None or pole <= bound})
+            cur = cur.diff(Z)
+    return out
+
+
+def real_tangency_residual(L, M):
+    """Residual of Q = rho_z P + rho_zb bar(P) + rho_wb bar(Q) on w = rho.
+
+    Zero iff the real flow of L preserves the surface (L lies in the real
+    automorphism algebra, not merely its complexification); the oracle of
+    real_form_basis.  It is taken at the lower of the two trusted orders.
+    """
+    order = min(M.order, L.P.order, L.Q.order)
+    A, B = _surface_parts(L, M.truncate(order).defining_series(), order)
+    return (A + B).truncate(order)
+
+
+def system_residual(S, u):
+    """du/dw - C u for a candidate vector u of w-series (Laurent ok) of
+    the system S; zero entries mean u solves S through their orders."""
+    return _residual(S.entries, u, WV)
+
+
+# |det| over the Hadamard bound above which a monodromy matrix is invertible
+INVERTIBLE_TOL = 1e-8
+
+
+def invertible(M):
+    """|det M| relative to the Hadamard bound, the product of the row
+    norms, exceeds INVERTIBLE_TOL."""
+    bound = float(np.prod(np.linalg.norm(M, axis=1)))
+    return abs(np.linalg.det(M)) > INVERTIBLE_TOL * bound
+
+
+def continue_system(S, loop, y0):
+    """One solution vector continued once around the loop by the package's
+    RK4 schedule: (y, last difference, steps)."""
+    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop,
+                               np.array(y0, dtype=complex).reshape(-1, 1))
+    return Y[:, 0], diff, steps
 
 
 # ---------- the series file format, one coefficient at a time ----------

@@ -16,8 +16,7 @@ from segrefuchs.qfield import ONE, I, qi
 from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  check_reality, ComplexDefining, Z, ZB, WB)
-from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
-                              verify_ode)
+from segrefuchs.segre import eliminate, closed_form_coeffs, families_agree
 from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
                               check_fuchsian_ode, FUCHSIAN, NON_FUCHSIAN)
 from segrefuchs.prolongation import (VectorField, assemble_u_system,
@@ -30,7 +29,8 @@ from segrefuchs.monodromy import (LoopSpec, monodromy_matrix,
 from segrefuchs.errors import NonFuchsianError
 from segrefuchs.cli import main as cli_main, EXIT_REFUSED
 from reference import (collect_initial_system, conj, const_system,
-                       expm_oracle, rnd_pullback_field, zero_zw, zw)
+                       expm_oracle, rnd_pullback_field, verify_ode, zero_zw,
+                       zw)
 
 
 def report(num, ok, text):

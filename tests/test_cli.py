@@ -316,6 +316,30 @@ def test_order_can_only_lower_the_input(model_file, tmp_path, capsys):
     assert json.loads(out.read_text())["surface"]["order"] == 8
 
 
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_a_real_input_needs_4m_plus_2_to_be_eliminated(m, tmp_path, capsys):
+    """A real surface of order N transfers to a complex one of order N - m,
+    so derive-ode and symmetries need N >= 4m + 2, while verify and
+    check-fuchsian take N >= 3m + 2.  The refusal names the complex form
+    and its order, not the order of the file."""
+    commands = ("verify", "derive-ode", "check-fuchsian", "symmetries")
+    out = str(tmp_path / "out.json")
+    for N, codes in ((3 * m + 2, [0, 11, 0, 11]), (4 * m + 1, [0, 11, 0, 11]),
+                     (4 * m + 2, [0, 0, 0, 0])):
+        p = tmp_path / ("real-%d.json" % N)
+        p.write_text(serialize.dumps(serialize.surface_to_json(
+            build_real(m, 1, {}, N))))
+        exits = []
+        for command in commands:
+            capsys.readouterr()
+            exits.append(main([command, str(p), "-o", out]))
+            err = capsys.readouterr().err
+            if exits[-1] == EXIT_ORDER:
+                assert "complex surface of order %d is below the 3m+2 = %d " \
+                    "floor" % (N - m, 3 * m + 2) in err
+        assert exits == codes, N
+
+
 def test_declared_order_is_the_series_order(tmp_path, capsys):
     # the order-4 model declared 12: refused by every surface command
     p = tmp_path / "low.json"

@@ -15,7 +15,8 @@ from segrefuchs.frobenius import (residue_spectrum, holomorphic_solutions,
                                   SymmetryBasis, in_span)
 from segrefuchs.errors import NonFuchsianError, OrderTooLowError
 from segrefuchs import linalg
-from reference import const_system, dense_surface, zero_zw, zw
+from reference import (const_system, dense_surface, real_tangency_residual,
+                       system_residual, zero_zw, zw)
 
 
 # ---- residue spectrum ----------------------------------------------------------
@@ -131,7 +132,7 @@ def test_holomorphic_resonant_consistent():
     assert B.dimension == oracle_dim == 2
     # solutions satisfy the system exactly
     for vec in B.solutions:
-        assert all(r.is_zero() for r in S.residual(vec))
+        assert all(r.is_zero() for r in system_residual(S, vec))
 
 
 def test_log_obstruction_detected():
@@ -148,7 +149,7 @@ def test_log_obstruction_detected():
     assert B.log_obstructions == [(1, 1)]
     assert B.dimension == 1
     for vec in B.solutions:
-        assert all(r.is_zero() for r in S.residual(vec))
+        assert all(r.is_zero() for r in system_residual(S, vec))
 
 
 def stacked_dimension(A_mats, n, order):
@@ -183,7 +184,7 @@ def test_resonant_cut_keeps_parameters():
     assert B.log_obstructions == [(1, 1)]
     assert B.dimension == stacked_dimension([A0, A1], 3, 6) == 2
     for vec in B.solutions:
-        assert all(r.is_zero() for r in S.residual(vec))
+        assert all(r.is_zero() for r in system_residual(S, vec))
 
 
 def test_frobenius_branches_half_exponent():
@@ -194,6 +195,31 @@ def test_frobenius_branches_half_exponent():
     lam0, sols = F.branches[0]
     assert lam0 == Fraction(1, 2)
     assert len(sols) == 1
+
+
+def test_frobenius_branches_solve_the_shifted_system():
+    """A = A0 + A1 w with A0 = diag(0, 1/2): the branch H(w) w^(1/2)
+    solves dY/dw = A Y / w, so H solves (A - I/2) / w exactly through the
+    order of the holomorphic family."""
+    A0 = [[qi(0), qi(0)], [qi(0), qi(Fraction(1, 2))]]
+    A1 = [[qi(1), qi(2)], [qi(-3), qi(1, 1)]]
+
+    def system(shift):
+        return LinearODESystem(
+            [[LaurentInW(MultiSeries(("w",), 10, {
+                (0,): A0[i][j] - (shift if i == j else ZERO),
+                (1,): A1[i][j]}), 1, "w") for j in range(2)]
+             for i in range(2)], unknown="y")
+
+    F = frobenius_basis(system(ZERO), 6)
+    assert (F.dimension, F.order) == (1, 6)
+    [(lam0, sols)] = F.branches
+    assert lam0 == Fraction(1, 2) and len(sols) == 1
+    shifted = system(GaussianRational.of(lam0))
+    for H in sols:
+        assert [h.order for h in H] == [6, 6]
+        assert not H[0].is_zero() and not H[1].is_zero()
+        assert all(r.is_zero() for r in system_residual(shifted, H))
 
 
 # ---- symmetries ------------------------------------------------------------------
@@ -337,7 +363,6 @@ def test_real_form_weighted_scaling(m, order):
     Recovered mechanically: the real-form kernel must contain it, and the
     real tangency residual certifies it directly.
     """
-    from segrefuchs.frobenius import real_tangency_residual
     from segrefuchs.surfaces import build_real, real_to_complex
     Mc = real_to_complex(build_real(m, 1, {}, order))
     basis = formal_symmetries(Mc)
@@ -378,7 +403,6 @@ def test_empty_basis_has_an_empty_real_form_below_the_window():
 
 
 def test_real_form_of_model():
-    from segrefuchs.frobenius import real_tangency_residual
     M = build_complex(1, 1, {}, 12)
     basis = formal_symmetries(M.truncate(12))
     real = real_form_basis(basis, M)

@@ -9,11 +9,12 @@ from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  complex_to_real)
 from segrefuchs.segre import eliminate
 from segrefuchs.fuchs import (check_fuchsian_real, check_fuchsian_complex,
-                              check_fuchsian_ode, mero_pole_rows,
+                              check_fuchsian_ode,
                               FUCHSIAN, NON_FUCHSIAN)
 from segrefuchs.errors import OrderTooLowError
 from segrefuchs import serialize
-from reference import conj, dense_surface, u_series, wb_series
+from reference import (conj, dense_surface, mero_pole_rows, u_series,
+                       wb_series)
 
 
 def random_real_table(rng, order, fuchsian, m):

@@ -13,12 +13,11 @@ from segrefuchs.prolongation import (LinearODESystem, assemble_u_system,
                                      assemble_Y_system)
 from segrefuchs.frobenius import formal_symmetries, field_u_vector
 from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
-                                  TRUSTED_RADIUS, continue_system,
-                                  monodromy_matrix, infinitesimal_monodromy,
-                                  tail_estimate, _dense_matrix_data,
-                                  _rk4_loop)
+                                  TRUSTED_RADIUS, monodromy_matrix,
+                                  infinitesimal_monodromy, _dense_matrix_data,
+                                  _rk4_loop, _tail_bound)
 from segrefuchs.errors import NonConvergenceError, SegrefuchsError
-from reference import const_system, expm_oracle
+from reference import const_system, continue_system, expm_oracle, invertible
 
 
 def test_half_exponent_loop():
@@ -47,7 +46,7 @@ def test_monodromy_diag_half():
     res = monodromy_matrix(S, LoopSpec(tol=1e-9))
     expect = np.diag([-1.0 + 0j, 1.0 + 0j])
     assert np.max(np.abs(res.matrix - expect)) < 1e-8
-    assert res.invertible()
+    assert invertible(res.matrix)
     assert res.tail_estimate == 0.0  # constant matrix has no tail
 
 
@@ -163,12 +162,12 @@ def test_tail_estimate_reported():
     # a term at the truncation boundary signals an unknown tail
     body = MultiSeries(("w",), 6, {(1,): ONE, (6,): qi(3)})
     S = LinearODESystem([[LaurentInW(body, 1, "w")]], unknown="y")
-    t = tail_estimate(S, 0.25)
+    t = _tail_bound(_dense_matrix_data(S), 0.25)
     assert t > 0.0
     # a short exact polynomial reports no tail
     body2 = MultiSeries(("w",), 6, {(1,): ONE})
     S2 = LinearODESystem([[LaurentInW(body2, 1, "w")]], unknown="y")
-    assert tail_estimate(S2, 0.25) == 0.0
+    assert _tail_bound(_dense_matrix_data(S2), 0.25) == 0.0
 
 
 def reference_rk4_loop(S, loop, Y0):
@@ -249,11 +248,26 @@ def test_transfer_loop_matches_per_step_loop_on_the_model(model_m1, system,
 
 def test_zero_entries_do_not_size_the_coefficient_tensor(model_m1):
     """The m=1 model Y-system is A0 / w, its zero entries of pole 0: one
-    plane, so its loop is constant; the u-system keeps its three."""
+    plane, so its loop is constant; the u-system keeps its three.  Nor do
+    zero entries set the pole: diag(b, b) for b = w + 2 w^6, pole -1, has
+    the data and the loop of the 1x1 system b."""
     C, pole, _, _ = _dense_matrix_data(model_m1["ysys"])
     assert (len(C), pole) == (1, 1)
     C, pole, _, _ = _dense_matrix_data(model_m1["usys"])
     assert (len(C), pole) == (3, 2)
+    b = LaurentInW(MultiSeries(("w",), 6, {(0,): ONE, (5,): qi(2)}), -1, "w")
+    zero = LaurentInW(MultiSeries.zero(("w",), 6), 0, "w")
+    diag = LinearODESystem([[b, zero], [zero, b]], unknown="y")
+    one = LinearODESystem([[b]], unknown="y")
+    C, pole, _, _ = _dense_matrix_data(diag)
+    assert pole == _dense_matrix_data(one)[1] == -1
+    assert [np.count_nonzero(plane) for plane in C] == [2, 0, 0, 0, 0, 2]
+    loop = LoopSpec(tol=1e-9)
+    res, ref = monodromy_matrix(diag, loop), monodromy_matrix(one, loop)
+    assert (res.steps, res.tail_estimate) == (ref.steps, ref.tail_estimate)
+    # equal up to the rounding of 2x2 against 1x1 products
+    assert np.max(np.abs(np.diag(res.matrix) - ref.matrix[0, 0])) < 1e-13
+    assert res.matrix[0, 1] == res.matrix[1, 0] == 0
 
 
 def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
@@ -277,15 +291,13 @@ def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
 
 
 def test_invertible_is_relative_to_the_hadamard_bound():
-    small = MonodromyResult(1e-3 * np.eye(8), 0.0, 0.0, 1.0, 64)
-    assert small.invertible()  # det 1e-24, yet well conditioned
+    assert invertible(1e-3 * np.eye(8))  # det 1e-24, yet well conditioned
     # rank 7 with entries ~1e6: rounding leaves |det| ~ 1e32, far above
     # any absolute threshold but ~1e-18 of the Hadamard bound
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 7)) @ rng.standard_normal((7, 8)) * 4e5
     assert abs(np.linalg.det(A)) > 1.0
-    big = MonodromyResult(A, 0.0, 0.0, 1.0, 64)
-    assert not big.invertible()
+    assert not invertible(A)
 
 
 def test_as_dict_writes_null_for_non_finite_diagnostics():

@@ -8,12 +8,14 @@ its own code, plus `selftest`.  A function no command calls keeps one
 docstring line, "Off the CLI path: <role>.", naming why it stays in the
 package.  The test fails when a function is neither reached nor marked,
 or when a marked function is reached, so the marked docstrings stay the
-exact list of what the CLI never calls.
+exact list of what the CLI never calls.  A role may not name the tests or
+an oracle: code only the tests use lives in tests/reference.py.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -53,9 +55,10 @@ with open(sys.argv[2], "w") as f:
 
 def universe():
     """({(file, first line): "module.qualname"} of every def in the
-    package, the names whose docstring carries MARK); lambdas and
-    comprehensions are part of the function around them."""
-    out, marked = {}, set()
+    package, {name: role} of those whose docstring carries MARK); lambdas
+    and comprehensions are part of the function around them, and a role
+    is the rest of MARK's paragraph."""
+    out, roles = {}, {}
 
     def walk(node, fn, prefix):
         for c in ast.iter_child_nodes(node):
@@ -63,8 +66,10 @@ def universe():
                 name = prefix + c.name
                 first = min([c.lineno] + [d.lineno for d in c.decorator_list])
                 out[(fn, first)] = name
-                if MARK in (ast.get_docstring(c) or ""):
-                    marked.add(name)
+                doc = ast.get_docstring(c) or ""
+                if MARK in doc:
+                    role = doc.split(MARK, 1)[1].split("\n\n", 1)[0]
+                    roles[name] = " ".join(role.split())
                 walk(c, fn, name + ".<locals>.")
             elif isinstance(c, ast.ClassDef):
                 walk(c, fn, prefix + c.name + ".")
@@ -75,7 +80,7 @@ def universe():
         if fn.endswith(".py"):
             with open(os.path.join(SRC, fn)) as f:
                 walk(ast.parse(f.read()), fn, fn[:-3] + ".")
-    return out, marked
+    return out, roles
 
 
 def _write(path, payload):
@@ -120,13 +125,13 @@ def cli_run(tmp_path_factory):
                     str(report)], check=True, env=env, capture_output=True)
     data = json.loads(report.read_text())
     assert data["exits"] == expect
-    names, marked = universe()
+    names, roles = universe()
     src = os.path.realpath(SRC)
     reached = {names[(os.path.basename(f), line)]
                for f, line in data["reached"]
                if os.path.dirname(os.path.realpath(f)) == src
                and (os.path.basename(f), line) in names}
-    return set(names.values()), marked, reached
+    return set(names.values()), set(roles), reached
 
 
 def test_every_function_is_reached_or_marked(cli_run):
@@ -137,3 +142,9 @@ def test_every_function_is_reached_or_marked(cli_run):
 def test_no_marked_function_is_reached(cli_run):
     functions, marked, reached = cli_run
     assert sorted(marked & reached) == []
+
+
+def test_no_role_names_the_tests_or_an_oracle():
+    _, roles = universe()
+    assert sorted(name for name, role in roles.items()
+                  if re.search(r"\btests?\b|oracle", role, re.I)) == []

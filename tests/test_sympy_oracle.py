@@ -19,7 +19,7 @@ from segrefuchs import linalg
 from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, exp_series, log_series,
                                solve_implicit)
-from reference import conj, of_sqrt2
+from reference import conj, equal_mod, of_sqrt2
 
 sp = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -115,8 +115,8 @@ def test_exp_log_against_sympy():
         one_plus = x + MultiSeries.const(ONE, x.vars)
         assert to_ring(log_series(one_plus), R) == ref_log
         # the round trips
-        assert log_series(e).equal_mod(x, order)
-        assert exp_series(log_series(one_plus)).equal_mod(one_plus, order)
+        assert equal_mod(log_series(e), x, order)
+        assert equal_mod(exp_series(log_series(one_plus)), one_plus, order)
 
 
 def test_compose_against_sympy():
