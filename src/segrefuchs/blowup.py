@@ -97,7 +97,7 @@ def pullback_surface(M, B):
     if psi.is_zero():
         raise OrderTooLowError(order, order + 2 * s,
                                "pullback degenerated: every substituted "
-                               "term vanishes at this truncation")
+                               "term vanishes at complex order %d" % order)
     mv = psi.var_valuation(ETAB)
     m_star = mv + 1
     phi_star = psi.monomial_div(ETAB, mv).rename({XI: Z, XIB: ZB, ETAB: WB})

@@ -2,9 +2,11 @@
 
 holomorphic_solutions runs the power-series recurrence
     (k I - A0) y_k = sum_{j>=1} A_j y_{k-j}
-keeping every resonant degree of freedom as an exact symbolic parameter;
-inconsistent resonant steps cut the parameter space (those branches would
-need a log term and are reported, never materialized).  formal_symmetries
+with each degree one exact kernel solve in y_k and the symbolic parameters
+carried so far, resonances included: a resonant degree's free directions
+become new parameters, and the parameters an inconsistent one excludes are
+cut in the same solve (those branches would need a log term and are
+reported, never materialized).  formal_symmetries
 feeds the holomorphic basis of the Fuchsian Y-system through the structural
 reconstruction and keeps exactly the fields whose full tangency residual
 vanishes; the filter, not the recurrence, is the source of truth.
@@ -151,43 +153,44 @@ def _matrix_coeffs(A, order):
 def _param_recurrence(A_mats, n, order):
     """Run the Frobenius recurrence with exact symbolic parameters.
 
-    The step matrix of degree k is k I - A0.  Returns (M_list, params,
+    Degree k solves (k I - A0) Y_k = R_k p, R_k = sum_{j>=1} A_j M_{k-j},
+    as one kernel of [A0 - k I | R_k] in (Y_k, p).  A vector from a free
+    p-column keeps old parameters, listed first; one from a free column of
+    A0 - k I has p = 0 and is a new parameter (a resonance).  When fewer
+    than `params` survive, the earlier degrees are cut to the kept p-parts
+    and (k, params - kept) is a log obstruction.  Returns (M_list, params,
     obstructions): M_list holds n x params coefficient matrices per degree.
     """
-    A0 = A_mats[0]
     Ms = []
     params = 0
     obstructions = []
     for k in range(order + 1):
         lam = GaussianRational.from_int(k)
-        L = [[(lam if i == j else ZERO) - A0[i][j] for j in range(n)]
-             for i in range(n)]
         # sum_{j=1..J} A_j M_{k-j}: the row-stacked [A_1 ... A_J] times the
         # column-stacked [M_{k-1}; ...; M_{k-J}]
         J = range(1, min(k, len(A_mats) - 1) + 1)
         if J:
-            rhs = linalg.mat_mul([[a for j in J for a in A_mats[j][i]]
-                                  for i in range(n)],
-                                 [row for j in J for row in Ms[k - j]])
+            R = linalg.mat_mul([[a for j in J for a in A_mats[j][i]]
+                                for i in range(n)],
+                               [row for j in J for row in Ms[k - j]])
         else:
-            rhs = linalg.zeros(n, params)
-        X, kern, constraints = linalg.solve_with_rhs_matrix(L, rhs)
-        if constraints:
-            # cut to the parameters K on which the constraints vanish; X is
-            # linear in rhs and the reduction only subtracted constraint
-            # rows from it, so X K solves L Y = rhs K
-            K = linalg.kernel_basis(constraints)
-            obstructions.append((k, params - len(K)))
-            # the params x r matrix whose columns are K's vectors
-            Kt = [[v[p] for v in K] for p in range(params)]
+            R = linalg.zeros(n, params)
+        kern = linalg.kernel_basis(
+            [[a - lam if i == j else a for j, a in enumerate(row)] + R[i]
+             for i, row in enumerate(A_mats[0])])
+        # a row pivoting in a p-column is zero on the Y-columns, so the
+        # vectors of the free Y-columns, which come first, have p = 0
+        new = [v for v in kern if all(x.is_zero() for x in v[n:])]
+        kept = kern[len(new):]
+        if len(kept) < params:
+            obstructions.append((k, params - len(kept)))
+            # the params x kept matrix whose columns are the kept p-parts
+            Kt = [[v[n + p] for v in kept] for p in range(params)]
             Ms = [linalg.mat_mul(M, Kt) for M in Ms]
-            X = linalg.mat_mul(X, Kt)
-            params = len(K)
-        if kern:
-            X = [X[i] + [v[i] for v in kern] for i in range(n)]
-            Ms = [[row + [ZERO] * len(kern) for row in M] for M in Ms]
-            params += len(kern)
-        Ms.append(X)
+        if new:
+            Ms = [[row + [ZERO] * len(new) for row in M] for M in Ms]
+        params = len(kept) + len(new)
+        Ms.append([[v[i] for v in kept + new] for i in range(n)])
     return Ms, params, obstructions
 
 

@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of GaussianRational.  Sizes in this package stay
 small (n <= 12), so plain Gaussian elimination with exact division is used
-throughout; no fraction-free tricks are needed.
+throughout; no fraction-free tricks are needed.  Solving is reading a kernel
+off one rref: each degree of the Frobenius recurrence, resonant or not, is
+one kernel_basis of [A0 - kI | R_k] in the unknowns and the old parameters.
 """
 
 from .qfield import GaussianRational, ZERO, ONE
@@ -82,51 +84,18 @@ def inverse(M):
 
 
 def kernel_basis(M):
-    """Basis of the right kernel, as a list of column vectors."""
+    """Basis of the right kernel, as column vectors: one per free column of
+    rref(M), in order, with 1 there and 0 at the other free columns."""
     R, pivots = rref(M)
-    return _kernel_from_rref(R, pivots, len(M[0]) if M else 0)
-
-
-def _kernel_from_rref(R, pivots, m):
-    """Kernel basis of the first m columns of a reduced row echelon form
-    whose pivots in those columns are `pivots`."""
-    free = [c for c in range(m) if c not in pivots]
+    m = len(M[0]) if M else 0
     basis = []
-    for fc in free:
+    for fc in [c for c in range(m) if c not in pivots]:
         v = [ZERO] * m
         v[fc] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_with_rhs_matrix(A, B):
-    """Solve A X = B for an n x m right-hand side.
-
-    Returns (X, kernel, constraints): X is one solution with the convention
-    that free variables are set to zero, kernel is a basis of ker A, and
-    constraints lists the rows of reduced B that make the system
-    inconsistent (each row is a length-m vector that must vanish).
-    When constraints is nonempty, X solves only the consistent projection.
-    """
-    n = len(A)
-    m = len(B[0]) if B else 0
-    cols = len(A[0]) if n else 0
-    aug = [A[i][:] + B[i][:] for i in range(n)]
-    R, pivots = rref(aug)
-    pivots_in_A = [p for p in pivots if p < cols]
-    constraints = []
-    for r in range(len(pivots_in_A), len(R)):
-        tail = R[r][cols:]
-        if any(not x.is_zero() for x in tail):
-            constraints.append(tail)
-    X = [[ZERO] * m for _ in range(cols)]
-    for r, p in enumerate(pivots_in_A):
-        for j in range(m):
-            X[p][j] = R[r][cols + j]
-    # the A-columns of rref([A|B]) are rref(A)
-    return X, _kernel_from_rref(R, pivots_in_A, cols), constraints
 
 
 def charpoly(A):

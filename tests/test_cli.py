@@ -177,7 +177,7 @@ def test_symmetries_refusal_and_success(model_file, nonfuchs_file, tmp_path,
     assert len(d["real_form"]) == 2
 
 
-def test_blowup_commands(model_file, tmp_path):
+def test_blowup_commands(model_file, tmp_path, capsys):
     out = str(tmp_path / "star.json")
     assert main(["blowup", model_file, "--blowup", "s=2,l=2", "-o", out]) == \
         EXIT_OK
@@ -188,9 +188,38 @@ def test_blowup_commands(model_file, tmp_path):
     # empty search range: structured none-branch with a domain exit code
     from segrefuchs.cli import EXIT_DOMAIN
     for auto in ("1", "0"):
+        capsys.readouterr()
         assert main(["blowup", model_file, "--auto", auto, "-o", out]) == \
             EXIT_DOMAIN
-        assert json.loads(Path(out).read_text())["found"] is None
+        assert json.loads(Path(out).read_text()) == \
+            {"found": None, "diagnostics": []}
+        assert capsys.readouterr().err == \
+            "blowup: no exponent s in [2, %s] makes the pullback " \
+            "Levi-nondegenerate at complex order 12\n" % auto
+
+
+@pytest.mark.parametrize("form,N,held", [
+    ("complex", 5, 5), ("complex", 6, None), ("real", 5, 4),
+    ("real", 6, 5), ("real", 7, None)])
+def test_m1_blowup_needs_complex_order_6(form, N, held, tmp_path, capsys):
+    """At m = 1 the pullback degenerates below complex order 6, one above
+    the 3m+2 floor, so real inputs need order 7; the refusal (exit 11)
+    names the complex order it holds."""
+    build = build_real if form == "real" else build_complex
+    p = tmp_path / "m1.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(
+        build(1, 1, {}, N))))
+    for option in (["--auto", "4"], ["--blowup", "s=2"]):
+        capsys.readouterr()
+        code = main(["blowup", str(p), "-o", str(tmp_path / "out.json")]
+                    + option)
+        if held is None:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_ORDER
+            assert capsys.readouterr().err == "OrderTooLowError: pullback " \
+                "degenerated: every substituted term vanishes at complex " \
+                "order %d\n" % held
 
 
 def test_monodromy_command_and_reverse(tmp_path, capsys):

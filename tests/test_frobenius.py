@@ -59,9 +59,9 @@ def test_spectrum_past_the_divisor_cap():
 # ---- holomorphic solutions ------------------------------------------------------
 
 def brute_force_recurrence(A0, A_rest, n, order):
-    """Independent oracle: iterate the recurrence naively over columns."""
-    from segrefuchs.linalg import solve_with_rhs_matrix
-    # returns dimension found by rank of all solutions at the end
+    """Independent oracle: iterate the recurrence naively over columns,
+    solving each step by reading rref([L | rhs]) directly; returns the
+    number of parameters at the end (no step may be inconsistent)."""
     Ms = []
     params = 0
     for k in range(order + 1):
@@ -77,12 +77,20 @@ def brute_force_recurrence(A0, A_rest, n, order):
                 for t in range(n):
                     for p in range(params):
                         rhs[i][p] = rhs[i][p] + Aj[i][t] * Mk[t][p]
-        X, kern, cons = solve_with_rhs_matrix(L, rhs)
-        assert not cons
-        if kern:
-            X = [X[i] + [v[i] for v in kern] for i in range(n)]
-            Ms = [[row + [ZERO] * len(kern) for row in M] for M in Ms]
-            params += len(kern)
+        R, piv = linalg.rref([L[i] + rhs[i] for i in range(n)])
+        assert all(c < n for c in piv)
+        free = [c for c in range(n) if c not in piv]
+        # particular solution with the free unknowns 0, then one column per
+        # free unknown: 1 there, the negated rref column at the pivots
+        X = [[ZERO] * (params + len(free)) for _ in range(n)]
+        for r, c in enumerate(piv):
+            X[c][:params] = R[r][n:]
+        for f, fc in enumerate(free):
+            X[fc][params + f] = ONE
+            for r, c in enumerate(piv):
+                X[c][params + f] = -R[r][fc]
+        Ms = [[row + [ZERO] * len(free) for row in M] for M in Ms]
+        params += len(free)
         Ms.append(X)
     return params
 
@@ -167,18 +175,63 @@ def stacked_dimension(A_mats, n, order):
     return n * (order + 1) - linalg.rank(rows)
 
 
+def affine_system(A0, A1):
+    """dy/dw = (A0 + A1 w) y / w, each entry trusted through order 10."""
+    n = len(A0)
+    return LinearODESystem(
+        [[LaurentInW(MultiSeries(("w",), 10, {(0,): A0[i][j],
+                                              (1,): A1[i][j]}), 1, "w")
+          for j in range(n)] for i in range(n)], unknown="y")
+
+
+# (A0, A1) with A0 = diag(0, 0, 1): two parameters at k=0, one cut at k=1
+CUT_SYSTEM = ([[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+              [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+# A0 = diag(0, 2, 2): one parameter at k=0, cut at k=2, where the two
+# resonant directions add two new ones
+CUT_AND_ADD_SYSTEM = ([[0, 0, 0], [0, 2, 0], [0, 0, 2]],
+                      [[1, 1, 0], [1, 0, 3], [2, 1, 1]])
+
+
+@pytest.mark.parametrize("system,obstructions,solutions", [
+    (CUT_SYSTEM, [(1, 1)], [
+        [{1: "2", 2: "2", 3: "1", 4: "2/3", 5: "5/12", 6: "11/60"},
+         {0: "1", 1: "1", 2: "1/2", 3: "5/6", 4: "17/24", 5: "41/120",
+          6: "91/720"},
+         {2: "2", 3: "2", 4: "1", 5: "5/12", 6: "1/6"}],
+        [{3: "1/3", 4: "1/3", 5: "1/6", 6: "17/270"},
+         {2: "1/2", 3: "1/2", 4: "1/4", 5: "19/180", 6: "31/720"},
+         {1: "1", 2: "1", 3: "1/2", 4: "5/18", 5: "11/72", 6: "23/360"}]]),
+    (CUT_AND_ADD_SYSTEM, [(2, 1)], [
+        [{3: "1/3", 4: "1/12", 5: "7/20", 6: "109/540"},
+         {2: "1", 4: "5/3", 5: "31/36", 6: "181/240"},
+         {3: "1", 4: "5/6", 5: "8/9", 6: "49/80"}],
+        [{4: "3/4", 5: "9/20", 6: "9/20"},
+         {3: "3", 4: "3/2", 5: "9/4", 6: "109/80"},
+         {2: "1", 3: "1", 4: "2", 5: "5/3", 6: "289/240"}]]),
+], ids=["cut", "cut-and-add"])
+def test_resonant_bases_are_pinned(system, obstructions, solutions):
+    """The exact basis through order 6 of two systems whose recurrence cuts
+    parameters at a resonant degree: values, parameter order and the log
+    obstructions, as recorded before the resonant step became one kernel
+    solve."""
+    A0, A1 = [[[qi(a) for a in row] for row in A] for A in system]
+    B = holomorphic_solutions(affine_system(A0, A1), 6)
+    assert (B.dimension, B.order) == (2, 6)
+    assert B.log_obstructions == obstructions
+    assert [[s.order for s in vec] for vec in B.solutions] == [[6] * 3] * 2
+    assert [[{e: c for (e,), c in s.terms.items()} for s in vec]
+            for vec in B.solutions] == \
+        [[{e: qi(Fraction(c)) for e, c in comp.items()} for comp in vec]
+         for vec in solutions]
+
+
 def test_resonant_cut_keeps_parameters():
     """Two parameters before the k=1 cut, one kept through it."""
     # A = A0 + A1 w with A0 = diag(0, 0, 1): y0 is free in e1, e2; at k=1
     # the third row needs A1[2] . y0 = 0, which kills the e1 direction only
-    A0 = [[qi(0), qi(0), qi(0)], [qi(0), qi(0), qi(0)],
-          [qi(0), qi(0), qi(1)]]
-    A1 = [[qi(1), qi(2), qi(0)], [qi(0), qi(1), qi(1)],
-          [qi(1), qi(0), qi(1)]]
-    ent = [[LaurentInW(MultiSeries(("w",), 10, {(0,): A0[i][j],
-                                               (1,): A1[i][j]}), 1, "w")
-            for j in range(3)] for i in range(3)]
-    S = LinearODESystem(ent, unknown="y")
+    A0, A1 = [[[qi(a) for a in row] for row in A] for A in CUT_SYSTEM]
+    S = affine_system(A0, A1)
     B = holomorphic_solutions(S, 6)
     assert brute_force_recurrence(A0, [A1], 3, 0) == 2
     assert B.log_obstructions == [(1, 1)]
