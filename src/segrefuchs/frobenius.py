@@ -6,10 +6,13 @@ with each degree one exact kernel solve in y_k and the symbolic parameters
 carried so far, resonances included: a resonant degree's free directions
 become new parameters, and the parameters an inconsistent one excludes are
 cut in the same solve (those branches would need a log term and are
-reported, never materialized).  formal_symmetries
-feeds the holomorphic basis of the Fuchsian Y-system through the structural
-reconstruction and keeps exactly the fields whose full tangency residual
-vanishes; the filter, not the recurrence, is the source of truth.
+reported, never materialized).  A degree k >= 1 whose right-hand side has no
+live term, a nonzero A_j against a nonzero y_{k-j}, at a k that is not an
+eigenvalue of A0, has the unique solution y_k = 0 and takes no solve.
+formal_symmetries feeds the holomorphic basis of the Fuchsian Y-system
+through the structural reconstruction and keeps exactly the fields whose
+full tangency residual vanishes; the filter, not the recurrence, is the
+source of truth.
 """
 
 from fractions import Fraction
@@ -158,17 +161,32 @@ def _param_recurrence(A_mats, n, order):
     p-column keeps old parameters, listed first; one from a free column of
     A0 - k I has p = 0 and is a new parameter (a resonance).  When fewer
     than `params` survive, the earlier degrees are cut to the kept p-parts
-    and (k, params - kept) is a log obstruction.  Returns (M_list, params,
-    obstructions): M_list holds n x params coefficient matrices per degree.
+    and (k, params - kept) is a log obstruction.  R_k sums only the live
+    terms, a nonzero A_j against a nonzero M_{k-j}; a degree k >= 1 with
+    none, where k is not a root of the characteristic polynomial of A0, has
+    Y_k = 0 and keeps every parameter, so it is appended with no solve.
+    Returns (M_list, params, obstructions): M_list holds n x params
+    coefficient matrices per degree.
     """
+    def nonzero(M):
+        return any(not x.is_zero() for row in M for x in row)
+
+    live_A = [j for j in range(1, len(A_mats)) if nonzero(A_mats[j])]
     Ms = []
+    chi = None  # characteristic polynomial of A0, formed on first use
     params = 0
     obstructions = []
     for k in range(order + 1):
         lam = GaussianRational.from_int(k)
-        # sum_{j=1..J} A_j M_{k-j}: the row-stacked [A_1 ... A_J] times the
-        # column-stacked [M_{k-1}; ...; M_{k-J}]
-        J = range(1, min(k, len(A_mats) - 1) + 1)
+        J = [j for j in live_A if j <= k and nonzero(Ms[k - j])]
+        if not J and k:
+            if chi is None:
+                chi = linalg.charpoly(A_mats[0])
+            if not linalg.poly_eval(chi, lam).is_zero():
+                Ms.append(linalg.zeros(n, params))
+                continue
+        # sum_{j in J} A_j M_{k-j}: the row-stacked [A_j ...] times the
+        # column-stacked [M_{k-j}; ...]
         if J:
             R = linalg.mat_mul([[a for j in J for a in A_mats[j][i]]
                                 for i in range(n)],

@@ -2,9 +2,13 @@
 
 Matrices are lists of lists of GaussianRational.  Sizes in this package stay
 small (n <= 12), so plain Gaussian elimination with exact division is used
-throughout; no fraction-free tricks are needed.  Solving is reading a kernel
-off one rref: each degree of the Frobenius recurrence, resonant or not, is
-one kernel_basis of [A0 - kI | R_k] in the unknowns and the old parameters.
+throughout; no fraction-free tricks are needed.  rref leaves zero entries
+alone, so a sparse row costs only its nonzeros.  Solving is reading a kernel
+off one rref: each degree of the Frobenius recurrence that has something to
+solve, resonant or not, is one kernel_basis of [A0 - kI | R_k] in the
+unknowns and the old parameters.  A degree k >= 1 with no live term in R_k,
+at a k that is not an eigenvalue of A0, is zero with no solve: charpoly and
+poly_eval tell the two apart.
 """
 
 from .qfield import GaussianRational, ZERO, ONE
@@ -55,12 +59,19 @@ def rref(M):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [inv * x for x in R[r]]
+        # inv * 0 and x - f * 0 are no-ops: touch only the pivot row's
+        # nonzero entries, all at columns >= c
+        Rr = R[r]
+        inv = Rr[c].inverse()
+        live = [j for j in range(c, m) if not Rr[j].is_zero()]
+        for j in live:
+            Rr[j] = inv * Rr[j]
         for i in range(n):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            Ri = R[i]
+            f = Ri[c]
+            if i != r and not f.is_zero():
+                for j in live:
+                    Ri[j] = Ri[j] - f * Rr[j]
         pivots.append(c)
         r += 1
         if r == n:
@@ -132,10 +143,7 @@ def det(A):
 
 
 def poly_eval(coeffs, x):
-    """Evaluate a coefficient list (lowest degree first) at x.
-
-    Off the CLI path: residue_spectrum's rational root search.
-    """
+    """Evaluate a coefficient list (lowest degree first) at x."""
     acc = ZERO
     for c in reversed(coeffs):
         acc = acc * x + c

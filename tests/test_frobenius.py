@@ -191,6 +191,12 @@ CUT_SYSTEM = ([[0, 0, 0], [0, 0, 0], [0, 0, 1]],
 # resonant directions add two new ones
 CUT_AND_ADD_SYSTEM = ([[0, 0, 0], [0, 2, 0], [0, 0, 2]],
                       [[1, 1, 0], [1, 0, 3], [2, 1, 1]])
+# constant A0 = diag(0, 3): degrees 1-2 have nothing to solve, and the k=3
+# resonance adds w^3 e2
+SKIP_TO_RESONANCE_SYSTEM = ([[0, 0], [0, 3]], [[0, 0], [0, 0]])
+# A0 = diag(-1, 2): no parameter at k=0, nothing to solve at k=1, a new
+# parameter at k=2, and A1 live from k=3 on
+SKIP_THEN_ADD_SYSTEM = ([[-1, 0], [0, 2]], [[1, 1], [1, 1]])
 
 
 @pytest.mark.parametrize("system,obstructions,solutions", [
@@ -209,21 +215,52 @@ CUT_AND_ADD_SYSTEM = ([[0, 0, 0], [0, 2, 0], [0, 0, 2]],
         [{4: "3/4", 5: "9/20", 6: "9/20"},
          {3: "3", 4: "3/2", 5: "9/4", 6: "109/80"},
          {2: "1", 3: "1", 4: "2", 5: "5/3", 6: "289/240"}]]),
-], ids=["cut", "cut-and-add"])
+    (SKIP_TO_RESONANCE_SYSTEM, [], [
+        [{0: "1"}, {}],
+        [{}, {3: "1"}]]),
+    (SKIP_THEN_ADD_SYSTEM, [], [
+        [{3: "1/4", 4: "1/4", 5: "7/48", 6: "1/16"},
+         {2: "1", 3: "1", 4: "5/8", 5: "7/24", 6: "7/64"}]]),
+], ids=["cut", "cut-and-add", "skip-to-resonance", "skip-then-add"])
 def test_resonant_bases_are_pinned(system, obstructions, solutions):
-    """The exact basis through order 6 of two systems whose recurrence cuts
-    parameters at a resonant degree: values, parameter order and the log
-    obstructions, as recorded before the resonant step became one kernel
-    solve."""
+    """The exact basis through order 6 of systems whose recurrence cuts
+    parameters at a resonant degree or solves nothing at some degrees:
+    values, parameter order and the log obstructions, as recorded before
+    the resonant step became one kernel solve (the cut systems) and before
+    degrees with nothing to solve were skipped (the skip systems)."""
     A0, A1 = [[[qi(a) for a in row] for row in A] for A in system]
     B = holomorphic_solutions(affine_system(A0, A1), 6)
-    assert (B.dimension, B.order) == (2, 6)
+    assert (B.dimension, B.order) == (len(solutions), 6)
     assert B.log_obstructions == obstructions
-    assert [[s.order for s in vec] for vec in B.solutions] == [[6] * 3] * 2
+    assert [[s.order for s in vec] for vec in B.solutions] == \
+        [[6] * len(A0)] * len(solutions)
     assert [[{e: c for (e,), c in s.terms.items()} for s in vec]
             for vec in B.solutions] == \
         [[{e: qi(Fraction(c)) for e, c in comp.items()} for comp in vec]
          for vec in solutions]
+
+
+@pytest.mark.parametrize("system,solves", [
+    (SKIP_TO_RESONANCE_SYSTEM, 2),
+    (SKIP_THEN_ADD_SYSTEM, 6),
+    (([[Fraction(-1, 2), 0], [0, Fraction(1, 3)]], [[0, 0], [0, 0]]), 1),
+], ids=["skip-to-resonance", "skip-then-add", "no-integer-eigenvalue"])
+def test_degrees_with_nothing_to_solve_take_no_solve(monkeypatch, system,
+                                                     solves):
+    """Through order 6, a kernel solve runs at degree 0, at a resonant
+    degree and at each degree with a live right-hand-side term, and nowhere
+    else; the dimension still matches the stacked oracle."""
+    A0, A1 = [[[qi(a) for a in row] for row in A] for A in system]
+    calls = []
+    kernel_basis = linalg.kernel_basis
+
+    def counted(M):
+        calls.append(M)
+        return kernel_basis(M)
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    B = holomorphic_solutions(affine_system(A0, A1), 6)
+    assert len(calls) == solves
+    assert B.dimension == stacked_dimension([A0, A1], 2, 6)
 
 
 def test_resonant_cut_keeps_parameters():

@@ -172,16 +172,32 @@ def to_domain_matrix(M, cols):
                         (len(M), cols), K)
 
 
-def rnd_matrix(rng, n, m, rank):
+def rnd_matrix(rng, n, m, rank, zero_share):
     """An n x m matrix of rank at most `rank`: a product n x rank by
-    rank x m of random coefficients, some of them zero."""
+    rank x m of random coefficients, each factor entry zero with
+    probability `zero_share`."""
     if rank == 0:
         return linalg.zeros(n, m)
 
     def factor(r, c):
-        return [[rnd_coeff(rng) if rng.random() < 0.8 else ZERO
+        return [[rnd_coeff(rng) if rng.random() < 1 - zero_share else ZERO
                  for _ in range(c)] for _ in range(r)]
     return linalg.mat_mul(factor(n, rank), factor(rank, m))
+
+
+# a sparse setting gives zero rows, zero columns and late pivots, where rref
+# skips zero entries
+DENSE, SPARSE = 0.2, 0.7
+
+
+def with_sparse(cases):
+    """Each case at DENSE under its plain id, and at SPARSE with "-sparse"
+    appended unless its rank is 0."""
+    return [pytest.param(*case, share,
+                         id="-".join(map(str, case)) + suffix)
+            for case in cases
+            for share, suffix in ((DENSE, ""), (SPARSE, "-sparse"))
+            if share == DENSE or case[-1] > 0]
 
 
 MATRIX_SHAPES = [(n, m, r) for n, m in ((1, 1), (2, 2), (3, 3), (4, 4),
@@ -189,11 +205,11 @@ MATRIX_SHAPES = [(n, m, r) for n, m in ((1, 1), (2, 2), (3, 3), (4, 4),
                  for r in sorted({min(n, m), min(n, m) - 1, 1, 0})]
 
 
-@pytest.mark.parametrize("n,m,rank", MATRIX_SHAPES)
-def test_rref_and_kernel_against_sympy(n, m, rank):
+@pytest.mark.parametrize("n,m,rank,zero_share", with_sparse(MATRIX_SHAPES))
+def test_rref_and_kernel_against_sympy(n, m, rank, zero_share):
     rng = random.Random(repr(("rref", n, m, rank)))
     for _ in range(3):
-        M = rnd_matrix(rng, n, m, rank)
+        M = rnd_matrix(rng, n, m, rank, zero_share)
         D = to_domain_matrix(M, m)
         ref, ref_pivots = D.rref()
         R, pivots = linalg.rref(M)
@@ -208,12 +224,12 @@ def test_rref_and_kernel_against_sympy(n, m, rank):
             assert (D * Kmat.transpose()).is_zero_matrix
 
 
-@pytest.mark.parametrize("n,rank", [(n, r) for n in (1, 2, 3, 4, 5)
-                                    for r in sorted({n, n - 1, 1, 0})])
-def test_charpoly_and_det_against_sympy(n, rank):
+@pytest.mark.parametrize("n,rank,zero_share", with_sparse(
+    [(n, r) for n in (1, 2, 3, 4, 5) for r in sorted({n, n - 1, 1, 0})]))
+def test_charpoly_and_det_against_sympy(n, rank, zero_share):
     rng = random.Random(repr(("charpoly", n, rank)))
     for _ in range(3):
-        A = rnd_matrix(rng, n, n, rank)
+        A = rnd_matrix(rng, n, n, rank, zero_share)
         D = to_domain_matrix(A, n)
         # sympy lists the coefficients highest degree first
         assert [to_field(c) for c in reversed(linalg.charpoly(A))] == \
