@@ -123,20 +123,24 @@ def levi_unit_off_locus(P):
 
 
 def find_blowup_exponent(M, s_max):
-    """Smallest s in [2, s_max] whose pullback is Levi-nondegenerate off X.
+    """The exponent s = 2, when s_max >= 2 and its pullback is
+    Levi-nondegenerate off X.
 
-    Returns (s, PulledBackSurface) or (None, diagnostics) when no exponent
-    in range certifies nondegeneracy at this truncation.
+    s = 2 is the only exponent worth trying: the xi*xib coefficient of the
+    pulled-back exponent comes from phi's z*zb slice alone, at etab-degree
+    2s + 2m - 2, and every other slice lies deeper and grows with s, so no
+    s >= 3 certifies what s = 2 does not.  Returns (2, PulledBackSurface),
+    (None, [(2, reason)]) when that coefficient vanishes at this
+    truncation, or (None, []) when s_max < 2.
     """
-    diagnostics = []
-    for s in range(2, s_max + 1):
-        P = pullback_surface(M, BlowupMap(s, 2))
-        c = levi_unit_off_locus(P)
-        if not c.is_zero():
-            return s, P
-        diagnostics.append((s, "xi*xib coefficient vanishes to order %d"
-                            % c.order))
-    return None, diagnostics
+    if s_max < 2:
+        return None, []
+    P = pullback_surface(M, BlowupMap(2, 2))
+    c = levi_unit_off_locus(P)
+    if c.is_zero():
+        return None, [(2, "xi*xib coefficient vanishes to order %d"
+                       % c.order)]
+    return 2, P
 
 
 class BlownField:

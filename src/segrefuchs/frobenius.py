@@ -107,9 +107,7 @@ def residue_spectrum(S):
 
     Off the CLI path: paper content, the exact spectrum of A(0).
     """
-    A = S.fuchsian_A()
-    A0 = [[s.coefficient((0,) * len(s.vars)) for s in row] for row in A]
-    cp = linalg.charpoly(A0)
+    cp = linalg.charpoly(_matrix_coeffs(S.fuchsian_A(), 0)[0])
     rational = {}
     # peel zero roots
     work = cp[:]
@@ -228,7 +226,8 @@ def holomorphic_solutions(S, order=None):
     as log obstructions.  The returned dimension is the number of exact
     power-series solutions at the working order, which is the lowest trusted
     order of the entries, or `order` if that is lower; an all-exact system
-    needs an explicit order.
+    needs an explicit order.  Independence is checked on the recurrence's
+    coefficient matrices, before the series are built from them.
     """
     A = S.fuchsian_A()
     avail = min((s.order for row in A for s in row if not s.is_zero()),
@@ -239,10 +238,12 @@ def holomorphic_solutions(S, order=None):
                           "an explicit order")
     A_mats = _matrix_coeffs(A, order)
     Ms, params, obstructions = _param_recurrence(A_mats, S.n, order)
-    basis = FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),
-                           params, obstructions, order)
-    _assert_independent(basis)
-    return basis
+    if linalg.rank([[M[i][p] for M in Ms for i in range(S.n)]
+                    for p in range(params)]) != params:
+        raise SegrefuchsError("holomorphic solutions are linearly dependent "
+                              "at the working order")
+    return FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),
+                          params, obstructions, order)
 
 
 def frobenius_basis(S, order=None):
@@ -282,19 +283,6 @@ def frobenius_basis(S, order=None):
                           hol.log_obstructions, hol.order, branches)
 
 
-def _assert_independent(basis):
-    rows = []
-    for vec in basis.solutions:
-        row = []
-        for s in vec:
-            for k in range(basis.order + 1):
-                row.append(s.coefficient((k,)))
-        rows.append(row)
-    if linalg.rank(rows) != basis.dimension:
-        raise SegrefuchsError("holomorphic solutions are linearly dependent "
-                              "at the working order")
-
-
 # ---------------------------------------------------------------------------
 # symmetry pipeline
 # ---------------------------------------------------------------------------
@@ -328,20 +316,15 @@ class SymmetryBasis:
 
 def in_span(fields, others, order):
     """Every field of `others` lies in the span of `fields`, coefficient
-    for coefficient through total degree `order`."""
-    rows = [_field_row(L, order) for L in fields]
-    return linalg.rank(rows + [_field_row(L, order) for L in others]) == \
-        linalg.rank(rows)
-
-
-def _field_row(L, order):
-    row = []
-    for s in (L.P.truncate(order), L.Q.truncate(order)):
-        for kz in range(order + 1):
-            for kw in range(order + 1 - kz):
-                row.append(s.coefficient(
-                    tuple(kz if v == Z else kw for v in s.vars)))
-    return row
+    for coefficient through total degree `order`; each field is one row
+    over the (component, exponent) pairs that some field holds."""
+    fields = list(fields)
+    terms = [{(c, e): x for c, s in enumerate((L.P, L.Q))
+              for e, x in s.truncate(order).terms.items()}
+             for L in fields + list(others)]
+    cols = sorted(set().union(*terms))
+    rows = [[t.get(k, ZERO) for k in cols] for t in terms]
+    return linalg.rank(rows) == linalg.rank(rows[:len(fields)])
 
 
 def lie_bracket(L1, L2):
@@ -441,14 +424,12 @@ def convergence_diagnostic(y):
     if order >= EXACT:
         order = max(max(s.max_degree() for s in series), 8)
     window = (5, order - 1)
-    norms = {}
-    for k in range(order + 1):
-        m = 0.0
-        for s in series:
-            for e, c in s.terms.items():
-                if sum(e) == k:
-                    m = max(m, c.magnitude())
-        norms[k] = m
+    norms = dict.fromkeys(range(order + 1), 0.0)
+    for s in series:
+        for e, c in s.terms.items():
+            k = sum(e)
+            if k <= order:
+                norms[k] = max(norms[k], c.magnitude())
     nonzero = [k for k, v in norms.items() if v > 0.0]
     lo, hi = window
     ratios = {k: norms[k + 1] / norms[k] for k in range(lo, hi + 1)
@@ -516,32 +497,20 @@ def real_form_basis(basis, M):
                                "raise the input truncation order"
                                % (M.m + 2, order))
     rho = M.truncate(order).defining_series()
-    cols = []
+    cols = []  # the coefficients of a_j and of b_j, per field
     for L in basis.fields:
         A, B = _surface_parts(L, rho, order)
-        col_a = A + B                 # coefficient of a_j
-        col_b = (A - B).scale(I)      # coefficient of b_j
-        cols.append((dict(col_a.terms), dict(col_b.terms)))
-    nvar = 2 * len(basis.fields)
-    keys = set()
-    for col_a, col_b in cols:
-        keys.update(col_a)
-        keys.update(col_b)
+        cols += [dict((A + B).terms), dict((A - B).scale(I).terms)]
+    # one row per monomial and per rational component that is not all zero
     rows = []
-    for key in sorted(keys):
-        for part in ("a", "b", "c", "d"):
-            row = []
-            for col_a, col_b in cols:
-                for col in (col_a, col_b):
-                    coeff = col.get(key, ZERO)
-                    row.append(GaussianRational.of(
-                        Fraction(getattr(coeff, part), coeff.q)))
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    if not rows:
-        kern = linalg.identity(nvar)
-    else:
-        kern = linalg.kernel_basis(rows)
+    for key in sorted(set().union(*cols)):
+        xs = [col.get(key, ZERO) for col in cols]
+        for parts in zip(*((x.a, x.b, x.c, x.d) for x in xs)):
+            if any(parts):
+                rows.append([GaussianRational(p, 0, 0, 0, x.q)
+                             for p, x in zip(parts, xs)])
+    kern = (linalg.kernel_basis(rows) if rows
+            else linalg.identity(len(cols)))
     fields = []
     for v in kern:
         P = MultiSeries.zero((Z, WV))

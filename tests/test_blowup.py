@@ -5,7 +5,8 @@ import pytest
 
 from segrefuchs.qfield import ONE, I, qi
 from segrefuchs.series import MultiSeries, EXACT
-from segrefuchs.surfaces import build_complex, build_real, real_to_complex
+from segrefuchs.surfaces import (ComplexDefining, build_complex, build_real,
+                                 real_to_complex)
 from segrefuchs.prolongation import VectorField
 from segrefuchs.frobenius import lie_bracket
 from segrefuchs.blowup import (BlowupMap, pullback_surface, pullback_field,
@@ -93,6 +94,28 @@ def test_find_blowup_exponent_scan():
             assert ss == s
             break
     assert find_blowup_exponent(M, 1)[0] is None
+
+
+def test_blowup_search_stops_at_two(monkeypatch):
+    """phi = z zb^2 has no z*zb slice, so no s certifies; the answer does not
+    depend on s_max and takes one pullback, at s = 2."""
+    import segrefuchs.blowup as blowup
+    M = ComplexDefining(1, 1, MultiSeries(("z", "zb", "wb"), 12,
+                                          {(1, 2, 0): ONE}))
+    calls = []
+
+    def counted(M, B):
+        calls.append(B.s)
+        return pullback_surface(M, B)
+    monkeypatch.setattr(blowup, "pullback_surface", counted)
+    for s_max in (2, 3, 5):
+        calls.clear()
+        assert find_blowup_exponent(M, s_max) == \
+            (None, [(2, "xi*xib coefficient vanishes to order 10")])
+        assert calls == [2]
+    calls.clear()
+    assert find_blowup_exponent(M, 1) == (None, [])
+    assert calls == []
 
 
 def test_segre_functoriality_perturbed_sample():

@@ -16,6 +16,8 @@ from math import factorial
 import pytest
 
 from segrefuchs import linalg
+from segrefuchs.frobenius import in_span
+from segrefuchs.prolongation import VectorField
 from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, exp_series, log_series,
                                solve_implicit)
@@ -236,3 +238,50 @@ def test_charpoly_and_det_against_sympy(n, rank, zero_share):
             D.charpoly()
         assert to_field(linalg.det(A)) == D.det()
         assert linalg.det(A).is_zero() == (D.rank() < n)
+
+
+def rnd_field(rng, nterms):
+    """P d/dz + Q d/dw with up to `nterms` random terms per component, of
+    total degree up to 5."""
+    def component():
+        return MultiSeries(("z", "w"), EXACT,
+                           {(rng.randint(0, 3), rng.randint(0, 2)):
+                            rnd_coeff(rng) for _ in range(nterms)})
+    return VectorField(component(), component())
+
+
+def field_rank(fields, order):
+    """sympy's rank of the dense coefficient rows, one per field over every
+    (component, z-power, w-power) of total degree <= order."""
+    if not fields:
+        return 0
+    rows = [[to_field(s.coefficient((kz, kw))) for s in (L.P, L.Q)
+             for kz in range(order + 1) for kw in range(order + 1 - kz)]
+            for L in fields]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), K).rank()
+
+
+@pytest.mark.parametrize("nfields,nothers",
+                         [(0, 0), (0, 2), (2, 0), (1, 1), (2, 2), (3, 2)])
+def test_in_span_against_sympy(nfields, nothers):
+    rng = random.Random(repr(("in_span", nfields, nothers)))
+    seen = set()
+    for order in range(4):
+        for _ in range(4):
+            fields = [rnd_field(rng, 2) for _ in range(nfields)]
+            # a combination of the fields plus a random part, which may be
+            # empty or lie above the order
+            others = []
+            for _ in range(nothers):
+                L = rnd_field(rng, rng.randint(0, 2))
+                for F in fields:
+                    c = rnd_coeff(rng)
+                    L = L + VectorField(F.P.scale(c), F.Q.scale(c))
+                others.append(L)
+            expect = (field_rank(fields + others, order) ==
+                      field_rank(fields, order))
+            # callers pass lists and generators alike
+            assert in_span(iter(fields), (L for L in others), order) == \
+                expect
+            seen.add(expect)
+    assert seen == ({True, False} if nothers else {True})
