@@ -38,16 +38,15 @@ class PulledBackSurface:
     """Defining data of M* containing {eta = 0}.
 
     psi is the full exponent of  eta = etab * exp(i psi(xi, xib, etab));
-    m_star and eps describe its leading eta-power and sign; surface holds
-    the admissible ComplexDefining when the xi-rescale lands in the field
-    (always for l = 2).
+    m_star describes its leading eta-power; surface holds the admissible
+    ComplexDefining when the xi-rescale lands in the field (always for
+    l = 2).
     """
 
-    def __init__(self, s, l, m_star, eps, psi, defining, surface):
+    def __init__(self, s, l, m_star, psi, defining, surface):
         self.s = s
         self.l = l
         self.m_star = m_star
-        self.eps = eps
         self.psi = psi
         self.defining = defining
         self.surface = surface
@@ -83,9 +82,6 @@ def pullback_surface(M, B):
         .scale(sgn * GaussianRational.of(Fraction(1, l)))
     G = MultiSeries.variable(ETA, amb) - exp_series(expo).monomial_mul(ETAB, 1)
     R = solve_implicit([G], (XI, XIB, ETAB), (ETA,))[0]
-    if R.is_zero():
-        raise SegrefuchsError("pullback degenerated: defining series is "
-                              "zero at this truncation")
     # normal-coordinates validation: no pure-xi or pure-xib terms
     # besides the etab-axis
     for e in R.terms:
@@ -110,7 +106,7 @@ def pullback_surface(M, B):
             surface = cand
     except NotNormalizableError:
         pass
-    return PulledBackSurface(s, l, m_star, M.eps, psi, R, surface)
+    return PulledBackSurface(s, l, m_star, psi, R, surface)
 
 
 def levi_unit_off_locus(P):
@@ -146,11 +142,10 @@ def find_blowup_exponent(M, s_max):
 class BlownField:
     """Vector field in (xi, eta) with Laurent-in-eta components."""
 
-    def __init__(self, Pstar, Qstar, s):
+    def __init__(self, Pstar, Qstar):
         """Off the CLI path: the result of pullback_field."""
         self.P = Pstar
         self.Q = Qstar
-        self.s = s
 
 
 def pullback_field(L, B):
@@ -174,7 +169,7 @@ def pullback_field(L, B):
     Pstar = LaurentInW(Psub, s, ETA) - \
         LaurentInW((xi * Qsub).scale(half_s), 2, ETA)
     Qstar = LaurentInW(Qsub.scale(Fraction(1, 2)), 1, ETA)
-    return BlownField(Pstar, Qstar, s)
+    return BlownField(Pstar, Qstar)
 
 
 def pushforward_field(f, g, B):

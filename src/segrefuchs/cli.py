@@ -152,9 +152,13 @@ def cmd_blowup(args):
         s, P = find_blowup_exponent(Mc, args.auto)
         if s is None:
             _emit({"found": None, "diagnostics": P}, args.output)
-            sys.stderr.write("blowup: no exponent s in [2, %d] makes the "
-                             "pullback Levi-nondegenerate at complex order "
-                             "%d\n" % (args.auto, Mc.order))
+            if args.auto < 2:
+                sys.stderr.write("blowup: --auto %d leaves the search empty; "
+                                 "it starts at s = 2\n" % args.auto)
+            else:
+                sys.stderr.write("blowup: no exponent s in [2, %d] makes the "
+                                 "pullback Levi-nondegenerate at complex "
+                                 "order %d\n" % (args.auto, Mc.order))
             return EXIT_DOMAIN
     else:
         P = pullback_surface(Mc, BlowupMap(*args.blowup))

@@ -32,9 +32,8 @@ from . import linalg
 class ResidueSpectrum:
     """Exact spectral data of the residue matrix A(0)."""
 
-    def __init__(self, charpoly, rational, residual_factor, truncated_search):
+    def __init__(self, rational, residual_factor, truncated_search):
         """Off the CLI path: the result of residue_spectrum."""
-        self.charpoly = charpoly            # coefficients, low degree first
         self.rational = rational            # dict Fraction -> multiplicity
         self.residual_factor = residual_factor  # unfactored part or None
         self.truncated_search = truncated_search
@@ -45,18 +44,6 @@ class ResidueSpectrum:
                 d = y - x
                 if d != 0 and d.denominator == 1:
                     self.resonances.append((x, y))
-
-    def as_dict(self):
-        """Off the CLI path: the result of residue_spectrum."""
-        return {
-            "rational_eigenvalues": {str(k): v
-                                     for k, v in sorted(self.rational.items())},
-            "resonance_pairs": [[str(a), str(b)] for a, b in self.resonances],
-            "non_rational_factor_degree":
-                (len(self.residual_factor) - 1 if self.residual_factor
-                 else 0),
-            "root_search_truncated": self.truncated_search,
-        }
 
 
 DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
@@ -126,7 +113,7 @@ def residue_spectrum(S):
             raise SegrefuchsError("deflation left a remainder")
     residual = work if len(work) > 1 else None
     # a search cut short can only have missed a root of what is left
-    return ResidueSpectrum(cp, rational, residual,
+    return ResidueSpectrum(rational, residual,
                            truncated and residual is not None)
 
 
@@ -394,8 +381,7 @@ def formal_symmetries(M):
 # ---------------------------------------------------------------------------
 
 class ConvergenceReport:
-    def __init__(self, norms, ratios, verdict, bound, window):
-        self.norms = norms
+    def __init__(self, ratios, verdict, bound, window):
         self.ratios = ratios
         self.verdict = verdict
         self.bound = bound
@@ -440,7 +426,7 @@ def convergence_diagnostic(y):
         verdict = "growth-bounded"
     else:
         verdict = "growth-unbounded"
-    return ConvergenceReport(norms, ratios, verdict, GROWTH_BOUND, window)
+    return ConvergenceReport(ratios, verdict, GROWTH_BOUND, window)
 
 
 def field_u_vector(L):

@@ -8,7 +8,7 @@ off one rref: each degree of the Frobenius recurrence that has something to
 solve, resonant or not, is one kernel_basis of [A0 - kI | R_k] in the
 unknowns and the old parameters.  A degree k >= 1 with no live term in R_k,
 at a k that is not an eigenvalue of A0, is zero with no solve: charpoly and
-poly_eval tell the two apart.
+poly_eval tell the two apart.  charpoly forms one matrix product per step.
 """
 
 from .qfield import GaussianRational, ZERO, ONE
@@ -113,22 +113,21 @@ def charpoly(A):
     """Characteristic polynomial det(tI - A), exact Faddeev-LeVerrier.
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, lowest degree first.
+    Step k forms one product, A M_k, read for c_(n-k) and kept for M_(k+1).
     """
     n = len(A)
-    M = zeros(n, n)
+    AM = zeros(n, n)    # A M_0, with M_0 = 0
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
     c = ONE
     for k in range(1, n + 1):
-        # M <- A M + c I ; c <- -tr(A M)/k
-        AM = mat_mul(A, M)
+        # M_k = A M_(k-1) + c I ; c <- -tr(A M_k)/k
         for i in range(n):
             AM[i][i] = AM[i][i] + c
-        M = AM
-        AM2 = mat_mul(A, M)
+        AM = mat_mul(A, AM)
         tr = ZERO
         for i in range(n):
-            tr = tr + AM2[i][i]
+            tr = tr + AM[i][i]
         c = -(tr / GaussianRational.from_int(k))
         coeffs[n - k] = c
     return coeffs

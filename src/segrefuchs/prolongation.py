@@ -25,7 +25,8 @@ Differential Equations, 2000).  G writes each u-tag in Y:
 and likewise for P1, Q1 with Y1, Y5, Y3, Y7.  So A[i][4+i] = 1 for i < 4,
 rows 4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.  The 12x12
 complete system differentiates the collected equations over jet tags once
-and solves them for the eight third-order derivatives.
+and solves them for the eight third-order derivatives.  _system_matrix
+reads the u-system and the 12x12 system off their solved forms.
 """
 
 from .qfield import ZERO, ONE
@@ -294,6 +295,24 @@ def _collected(Pf, Qf, E, top):
     return [T.slice({ZETA: j}).div_w(j * E.m) for j in range(4)]
 
 
+def _system_matrix(tags, step, solved, vars):
+    """The matrix M of d/dv y = M y for y over the tags, where step is the
+    derivative rule of v: row t holds step(t), a unit entry when that tag
+    is itself a column, else its solved form over the columns."""
+    col = {t: i for i, t in enumerate(tags)}
+    rows = []
+    for t in tags:
+        dt = step(t)
+        row = [_const(ZERO, vars) for _ in tags]
+        if dt in col:
+            row[col[dt]] = _const(ONE, vars)
+        else:
+            for u, c in solved[dt].coef.items():
+                row[col[u]] = row[col[u]] + c
+        rows.append(row)
+    return rows
+
+
 def _constant_of(L):
     """The value of a constant target coefficient; ZERO for None."""
     if L is None:
@@ -358,14 +377,8 @@ def assemble_u_system(E):
     Mechanically derived: rows 3-4 of the collected system at z-degrees 0
     and 1 under the structural substitution.  Pole order is at most 3m.
     """
-    exprs = _second_derivative_exprs(E)
-    col = {t: i for i, t in enumerate(U_TAGS)}
-    C = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
-    C[0][2] = C[1][3] = C[4][6] = C[5][7] = _const(ONE, (WV,))
-    for (n, _), expr in exprs.items():
-        i = col[(n, 1)]   # the row of n' holds n''
-        for t, c in expr.coef.items():
-            C[i][col[t]] = C[i][col[t]] + c
+    C = _system_matrix(U_TAGS, STRUCT_ALG[WV], _second_derivative_exprs(E),
+                       (WV,))
     sys = LinearODESystem(C, unknown="(P0,P1,P0',P1',Q0,Q1,Q0',Q1')")
     if sys.pole_order > 3 * E.m:
         raise SegrefuchsError("u-system pole order %d exceeds 3m = %d"
@@ -434,11 +447,9 @@ _THIRD = [("P", 3, 0), ("P", 2, 1), ("P", 1, 2), ("P", 0, 3),
 class TwelveSystem:
     """dy/dz = A y, dy/dw = B y for the full second-jet vector y."""
 
-    def __init__(self, A, B, m):
+    def __init__(self, A, B):
         self.A = A
         self.B = B
-        self.m = m
-        self.n = 12
         self.pole_order = max(e.pole_order() for M in (A, B)
                               for row in M for e in row)
 
@@ -478,22 +489,9 @@ def assemble_twelve_system(E):
     """
     eqs = [ln.diff(v) for ln in initial_system(E) for v in (Z, WV)]
     solved = _solve_tags(eqs, _THIRD, set(Y12_COMPONENTS))
-    comp_index = {t: i for i, t in enumerate(Y12_COMPONENTS)}
-
-    def build(step):
-        rows = []
-        for t in Y12_COMPONENTS:
-            dt = step(t)
-            row = [_const(ZERO, (Z, WV)) for _ in range(12)]
-            if dt in comp_index:
-                row[comp_index[dt]] = _const(ONE, (Z, WV))
-            else:
-                for u, c in solved[dt].coef.items():
-                    row[comp_index[u]] = row[comp_index[u]] + c
-            rows.append(row)
-        return rows
-
-    sys = TwelveSystem(build(_jet_dz), build(_jet_dw), E.m)
+    A, B = (_system_matrix(Y12_COMPONENTS, step, solved, (Z, WV))
+            for step in (_jet_dz, _jet_dw))
+    sys = TwelveSystem(A, B)
     if sys.pole_order > 3 * E.m + 1:
         raise SegrefuchsError("12x12 entries reach pole order %d > 3m+1"
                               % sys.pole_order)

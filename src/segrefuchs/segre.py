@@ -34,9 +34,7 @@ _COEFF_SLOT = {"a0": (2, 0), "a1": (2, 1), "a2": (2, 2),
 class SegreGraph:
     """Graph series w_p(z) over (z, xib, etab), plus its jet data."""
 
-    def __init__(self, m, eps, w, wz, zeta):
-        self.m = m
-        self.eps = eps
+    def __init__(self, w, wz, zeta):
         self.w = w          # the graph series
         self.wz = wz        # dw/dz
         self.zeta = zeta    # w'/w^m, computed without division
@@ -104,7 +102,7 @@ def segre_graph(M):
     # w'/w^m = eps*i * phi_z * exp((1-m) X): exact, no series division
     zeta = Xz.monomial_div(ETAB, M.m - 1) * \
         exp_series(X.scale(Fraction(1 - M.m)))
-    return SegreGraph(M.m, M.eps, w, wz, zeta)
+    return SegreGraph(w, wz, zeta)
 
 
 def eliminate(M, order=None):

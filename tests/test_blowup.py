@@ -13,7 +13,7 @@ from segrefuchs.blowup import (BlowupMap, pullback_surface, pullback_field,
                                pushforward_field, find_blowup_exponent,
                                levi_unit_off_locus, XI, ETA)
 from segrefuchs.errors import DivisibilityError, SegrefuchsError
-from reference import rnd_pullback_field, zero_zw, zw
+from reference import dense_surface, rnd_pullback_field, zero_zw, zw
 
 
 # ---- map validation --------------------------------------------------------
@@ -80,6 +80,29 @@ def test_pullback_degenerates_below_truncation():
     M = build_complex(1, 1, {}, 10)
     with pytest.raises(OrderTooLowError):
         pullback_surface(M.truncate(1), BlowupMap(2, 2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pullback_defining_has_unit_etab_coefficient(m):
+    """The pulled-back R solves eta = etab exp(E), and E has no constant
+    term, so R carries etab with coefficient exactly 1 at every order at
+    which pullback_surface returns: R is never zero."""
+    from segrefuchs.errors import OrderTooLowError
+    for Mr in (build_real(m, 1, {}, 10 + m), dense_surface(10 + m, m)):
+        Mc = real_to_complex(Mr)
+        for s in (1, 2, 3):
+            for l in (1, 2, 3):
+                returned = 0
+                for order in range(2, Mc.order + 1):
+                    try:
+                        P = pullback_surface(Mc.truncate(order),
+                                             BlowupMap(s, l))
+                    except OrderTooLowError:
+                        continue
+                    assert P.defining.vars == (XI, "xib", "etab")
+                    assert P.defining.coefficient((0, 0, 1)) == ONE
+                    returned += 1
+                assert returned
 
 
 def test_find_blowup_exponent_scan():

@@ -194,8 +194,8 @@ def test_blowup_commands(model_file, tmp_path, capsys):
         assert json.loads(Path(out).read_text()) == \
             {"found": None, "diagnostics": []}
         assert capsys.readouterr().err == \
-            "blowup: no exponent s in [2, %s] makes the pullback " \
-            "Levi-nondegenerate at complex order 12\n" % auto
+            "blowup: --auto %s leaves the search empty; it starts at " \
+            "s = 2\n" % auto
 
 
 @pytest.mark.parametrize("form,N,held", [

@@ -47,13 +47,13 @@ def test_spectrum_past_the_divisor_cap():
     big = 10 ** 13 + 37
     spec = residue_spectrum(const_system([[qi(2), qi(0)], [qi(0), qi(big)]]))
     assert spec.rational == {Fraction(2): 1, Fraction(big): 1}
-    assert spec.as_dict()["non_rational_factor_degree"] == 0
-    assert spec.as_dict()["root_search_truncated"] is False
+    assert spec.residual_factor is None
+    assert spec.truncated_search is False
     # x**2 + big has no rational root, and the cut search says so
     spec = residue_spectrum(const_system([[qi(0), qi(-big)], [qi(1), qi(0)]]))
     assert spec.rational == {}
-    assert spec.as_dict()["non_rational_factor_degree"] == 2
-    assert spec.as_dict()["root_search_truncated"] is True
+    assert len(spec.residual_factor) - 1 == 2
+    assert spec.truncated_search is True
 
 
 # ---- holomorphic solutions ------------------------------------------------------
@@ -261,6 +261,25 @@ def test_degrees_with_nothing_to_solve_take_no_solve(monkeypatch, system,
     B = holomorphic_solutions(affine_system(A0, A1), 6)
     assert len(calls) == solves
     assert B.dimension == stacked_dimension([A0, A1], 2, 6)
+
+
+def test_charpoly_forms_one_product_per_step(monkeypatch):
+    """Faddeev-LeVerrier keeps A M_k for the next step, so an n x n
+    charpoly forms n products; the sympy oracle pins its coefficients."""
+    rng = random.Random(6)
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(X, Y):
+        calls.append(X)
+        return mat_mul(X, Y)
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    for n in range(1, 7):
+        calls.clear()
+        A = [[qi(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)]
+             for _ in range(n)]
+        assert len(linalg.charpoly(A)) == n + 1
+        assert len(calls) == n
 
 
 def test_resonant_cut_keeps_parameters():
