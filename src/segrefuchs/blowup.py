@@ -18,6 +18,7 @@ from .series import (MultiSeries, LaurentInW, exp_series, log_series,
                      solve_implicit)
 from .surfaces import ComplexDefining, Z, ZB, WB, W, normalize_lead
 from .segre import XIB, ETAB
+from .prolongation import VectorField
 from .errors import (DivisibilityError, SegrefuchsError, OrderTooLowError,
                      NotNormalizableError)
 
@@ -195,7 +196,6 @@ def pushforward_field(f, g, B):
     qhat = g.mul_w(1).scale(2)
     P = _invert_substitution(phat, s, "P")
     Q = _invert_substitution(qhat, s, "Q")
-    from .prolongation import VectorField
     return VectorField(P, Q)
 
 

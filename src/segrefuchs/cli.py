@@ -14,10 +14,12 @@ import sys
 from fractions import Fraction
 
 from . import serialize
+from .qfield import qi
+from .series import MultiSeries
 from .errors import (FormatError, OrderTooLowError, RealityViolation,
                      NonFuchsianError, NonConvergenceError, SegrefuchsError)
 from .surfaces import (RealDefining, real_to_complex, require_min_order,
-                       validate_complex)
+                       validate_complex, build_complex, WB)
 from .segre import eliminate, closed_form_coeffs, families_agree
 from .fuchs import (check_fuchsian_real, check_fuchsian_complex,
                     FUCHSIAN, NON_FUCHSIAN, UNDECIDABLE)
@@ -183,9 +185,6 @@ def cmd_monodromy(args):
 
 def cmd_selftest(args):
     """Randomized oracle equivalence at desk scale (seeded)."""
-    from .series import MultiSeries
-    from .surfaces import build_complex, WB
-    from .qfield import qi
     rng = random.Random(args.seed)
     for m in (1, 2):
         order = 3 * m + 4

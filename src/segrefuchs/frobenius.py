@@ -19,12 +19,13 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .qfield import GaussianRational, ZERO, I
-from .series import MultiSeries, EXACT, SeriesError
+from .series import MultiSeries, LaurentInW, EXACT, SeriesError
 from .segre import WV, eliminate
 from .surfaces import Z, ZB, WB, bar_series
 from .errors import NonFuchsianError, SegrefuchsError, OrderTooLowError
 from .prolongation import (VectorField, assemble_Y_system,
-                           reconstruct_field, tangency_residual)
+                           assemble_twelve_system, reconstruct_field,
+                           tangency_residual)
 from .fuchs import check_fuchsian_complex, check_fuchsian_ode, FUCHSIAN
 from . import linalg
 
@@ -324,6 +325,33 @@ def lie_bracket(L1, L2):
     return VectorField(P, Q)
 
 
+def _jet(L, tag):
+    """The jet component tag = (name, i, j) of the field L: the name
+    component differentiated i times in z and j times in w."""
+    name, i, j = tag
+    s = L.P if name == "P" else L.Q
+    for _ in range(i):
+        s = s.diff(Z)
+    for _ in range(j):
+        s = s.diff(WV)
+    return s
+
+
+def _jet_residuals(third, L):
+    """{t: jet_t(L) - sum_u c_u jet_u(L)} over the solved third-order
+    equations third = {t: LinForm sum_u c_u u} of assemble_twelve_system;
+    each is zero through its order when the jets of L solve them."""
+    tags = set(third).union(*(form.coef for form in third.values()))
+    jets = {t: LaurentInW(_jet(L, t), 0, WV) for t in tags}
+    out = {}
+    for t, form in third.items():
+        r = jets[t]
+        for u, c in form.coef.items():
+            r = r - c * jets[u]
+        out[t] = r
+    return out
+
+
 def formal_symmetries(M):
     """Exact basis of formal infinitesimal symmetries of a Fuchsian surface.
 
@@ -331,14 +359,14 @@ def formal_symmetries(M):
     floor), Fuchsian Y-system, holomorphic Frobenius solutions, structural
     reconstruction, then the exact filters:
     a candidate stays only if its P-component is pole-free, its full
-    tangency residual vanishes, and its 12-component jet vector satisfies
-    the complete first-order system.  The jet filter probes the collected
-    equations several w-degrees deeper than the direct residual (through
-    the high-pole matrix entries), so shallow truncation windows cannot
-    smuggle spurious candidates through.  Returns the complex symmetry
-    space.
+    tangency residual vanishes, and its jets satisfy the eight solved
+    third-order equations, the rows of the complete 12x12 first-order
+    system that are not identities on a jet vector.  The jet filter probes
+    the collected equations several w-degrees deeper than the direct
+    residual (through the high-pole coefficients), so shallow truncation
+    windows cannot smuggle spurious candidates through.  Returns the
+    complex symmetry space.
     """
-    from .prolongation import assemble_twelve_system
     rep = check_fuchsian_complex(M)
     if rep.verdict != FUCHSIAN:
         w = rep.witnesses()
@@ -350,7 +378,7 @@ def formal_symmetries(M):
     ode_rep = check_fuchsian_ode(E)
     Y = assemble_Y_system(E, ode_rep)
     basis = holomorphic_solutions(Y)
-    T12 = assemble_twelve_system(E)
+    third = assemble_twelve_system(E)
     fields, certs, dropped = [], [], []
     for vec in basis.solutions:
         P0, P1, R0, R1 = vec[0], vec[1], vec[2], vec[3]
@@ -365,8 +393,8 @@ def formal_symmetries(M):
         if not res.is_zero():
             dropped.append(("residual", res))
             continue
-        rz, rw = T12.residuals(T12.vector_of(L))
-        if any(not r.body.is_zero() for r in rz + rw):
+        if any(not r.body.is_zero()
+               for r in _jet_residuals(third, L).values()):
             dropped.append(("jet-system", L))
             continue
         fields.append(L)

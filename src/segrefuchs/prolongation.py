@@ -23,10 +23,12 @@ Differential Equations, 2000).  G writes each u-tag in Y:
     P0 -> Y0    P0' -> Y4 / w    Q0 -> w Y2    Q0' -> Y6 + Y2
 
 and likewise for P1, Q1 with Y1, Y5, Y3, Y7.  So A[i][4+i] = 1 for i < 4,
-rows 4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.  The 12x12
-complete system differentiates the collected equations over jet tags once
-and solves them for the eight third-order derivatives.  _system_matrix
-reads the u-system and the 12x12 system off their solved forms.
+rows 4-5 are e_i + w^2 P'' and rows 6-7 are -e_i + w Q''.
+_system_matrix reads the u-system off its solved form.  The symmetry
+filter checks the collected equations differentiated once over jet tags
+and solved for the eight third-order derivatives of P and Q: the rows of
+the complete 12x12 first-order system that are not identities on a jet
+vector, each once.
 """
 
 from .qfield import ZERO, ONE
@@ -34,6 +36,7 @@ from .series import MultiSeries, LaurentInW
 from .segre import WV, ZETA
 from .surfaces import Z
 from .errors import NonFuchsianError, SegrefuchsError
+from .fuchs import NON_FUCHSIAN
 from . import linalg
 
 
@@ -271,19 +274,6 @@ class LinearODESystem:
         return [[e.mul_w(1).as_series() for e in row] for row in self.entries]
 
 
-def _residual(entries, y, var):
-    """d/d(var) y - M y for the Laurent matrix M = entries."""
-    y = [s if isinstance(s, LaurentInW) else LaurentInW(s, 0, WV) for s in y]
-    out = []
-    for row, yi in zip(entries, y):
-        acc = yi.diff(var)
-        for e, yj in zip(row, y):
-            if not e.is_zero():
-                acc = acc - e * yj
-        out.append(acc)
-    return out
-
-
 def _const(c, vars):
     return LaurentInW(MultiSeries.const(c, vars), 0, WV)
 
@@ -407,7 +397,6 @@ def assemble_Y_system(E, report=None):
     names that entry and, when a classifier report is supplied, its first
     violated ledger row.
     """
-    from .fuchs import NON_FUCHSIAN
     C = assemble_u_system(E).entries
     A = [[_const(ZERO, (WV,)) for _ in range(8)] for _ in range(8)]
     for i in range(4):
@@ -433,7 +422,7 @@ def assemble_Y_system(E, report=None):
 
 
 # ---------------------------------------------------------------------------
-# the complete 12x12 system
+# the eight solved third-order equations
 # ---------------------------------------------------------------------------
 
 Y12_COMPONENTS = [("P", 0, 0), ("Q", 0, 0), ("P", 1, 0), ("P", 0, 1),
@@ -442,33 +431,6 @@ Y12_COMPONENTS = [("P", 0, 0), ("Q", 0, 0), ("P", 1, 0), ("P", 0, 1),
 
 _THIRD = [("P", 3, 0), ("P", 2, 1), ("P", 1, 2), ("P", 0, 3),
           ("Q", 3, 0), ("Q", 2, 1), ("Q", 1, 2), ("Q", 0, 3)]
-
-
-class TwelveSystem:
-    """dy/dz = A y, dy/dw = B y for the full second-jet vector y."""
-
-    def __init__(self, A, B):
-        self.A = A
-        self.B = B
-        self.pole_order = max(e.pole_order() for M in (A, B)
-                              for row in M for e in row)
-
-    def vector_of(self, L):
-        """The 12 jet components of a concrete field, as (z,w)-series."""
-        P, Q = L.P, L.Q
-        out = []
-        for name, i, j in Y12_COMPONENTS:
-            s = P if name == "P" else Q
-            for _ in range(i):
-                s = s.diff(Z)
-            for _ in range(j):
-                s = s.diff(WV)
-            out.append(s)
-        return out
-
-    def residuals(self, y):
-        """(d/dz y - A y, d/dw y - B y) for a 12-vector of (z,w)-series."""
-        return _residual(self.A, y, Z), _residual(self.B, y, WV)
 
 
 def initial_system(E):
@@ -483,16 +445,15 @@ def initial_system(E):
 
 def assemble_twelve_system(E):
     """Differentiate the four collected equations once in z and w and solve
-    for the complete set of third-order derivatives; read off A and B.
-
-    Every entry stays meromorphic with pole order at most 3m+1.
+    them for the eight third-order derivatives of P and Q: returns
+    {tag: LinForm over Y12_COMPONENTS}, one solved form per tag of _THIRD.
+    Every coefficient stays meromorphic with pole order at most 3m+1.
     """
     eqs = [ln.diff(v) for ln in initial_system(E) for v in (Z, WV)]
     solved = _solve_tags(eqs, _THIRD, set(Y12_COMPONENTS))
-    A, B = (_system_matrix(Y12_COMPONENTS, step, solved, (Z, WV))
-            for step in (_jet_dz, _jet_dw))
-    sys = TwelveSystem(A, B)
-    if sys.pole_order > 3 * E.m + 1:
-        raise SegrefuchsError("12x12 entries reach pole order %d > 3m+1"
-                              % sys.pole_order)
-    return sys
+    pole = max((c.pole_order() for form in solved.values()
+                for c in form.coef.values()), default=0)
+    if pole > 3 * E.m + 1:
+        raise SegrefuchsError("third-order equations reach pole order "
+                              "%d > 3m+1" % pole)
+    return solved

@@ -37,6 +37,8 @@ from .qfield import GaussianRational
 from .series import LaurentInW, EXACT, _reduced
 from .surfaces import (RealDefining, ComplexDefining, split_admissible,
                        require_reality, Z, ZB, WB, U, W)
+from .segre import AssociatedODE
+from .prolongation import LinearODESystem
 from .errors import FormatError
 
 EXACT_IN_FILE = 10 ** 6  # the file encoding of an exact order
@@ -218,7 +220,6 @@ def ode_to_json(E):
 @_reader("ODE")
 def ode_from_json(d):
     """Off the CLI path: the benchmark's ODE reader."""
-    from .segre import AssociatedODE
     Phi, order = series_from_json(d["Phi"]), _order_from_json(d["order"])
     if order > Phi.order:
         raise FormatError("declared order %s is above Phi's order %s"
@@ -236,7 +237,6 @@ def system_to_json(S):
 
 @_reader("system")
 def system_from_json(d):
-    from .prolongation import LinearODESystem
     entries = [[laurent_from_json(e) for e in row] for row in d["entries"]]
     if not entries or any(len(row) != len(entries) for row in entries):
         raise FormatError("system entries are not a nonempty square matrix")

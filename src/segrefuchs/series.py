@@ -54,6 +54,7 @@ from operator import add
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce, mul_parts
 from .errors import SegrefuchsError
+from . import linalg
 
 EXACT = inf
 
@@ -622,8 +623,6 @@ def solve_implicit(F, x_vars, y_vars):
     precision.  The solution truncated to an order is unique, hence equal
     to any other method's.
     """
-    from . import linalg
-
     n = len(y_vars)
     if len(F) != n:
         raise SeriesError("need as many equations as unknowns")

@@ -17,10 +17,12 @@ from math import isqrt
 import numpy as np
 
 from segrefuchs.errors import FormatError, NotNormalizableError
-from segrefuchs.frobenius import _surface_parts
+from segrefuchs.frobenius import _jet, _surface_parts
 from segrefuchs.fuchs import REAL_BOUNDS, _bound
 from segrefuchs.monodromy import _dense_matrix_data, _rk4_loop
-from segrefuchs.prolongation import LinearODESystem, VectorField, _residual
+from segrefuchs.prolongation import (LinearODESystem, VectorField,
+                                     Y12_COMPONENTS, _jet_dw, _jet_dz,
+                                     _system_matrix)
 from segrefuchs.qfield import GaussianRational, ONE, qi
 from segrefuchs.segre import WV, ZETA, segre_graph
 from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
@@ -260,10 +262,44 @@ def real_tangency_residual(L, M):
     return (A + B).truncate(order)
 
 
+def _residual(entries, y, var):
+    """d/d(var) y - M y for the Laurent matrix M = entries."""
+    y = [s if isinstance(s, LaurentInW) else LaurentInW(s, 0, WV) for s in y]
+    out = []
+    for row, yi in zip(entries, y):
+        acc = yi.diff(var)
+        for e, yj in zip(row, y):
+            if not e.is_zero():
+                acc = acc - e * yj
+        out.append(acc)
+    return out
+
+
 def system_residual(S, u):
     """du/dw - C u for a candidate vector u of w-series (Laurent ok) of
     the system S; zero entries mean u solves S through their orders."""
     return _residual(S.entries, u, WV)
+
+
+def twelve_system(third):
+    """The Laurent matrices (A, B) of the complete first-order system
+    dy/dz = A y, dy/dw = B y over the jet vector y of Y12_COMPONENTS, read
+    off the solved third-order forms of assemble_twelve_system: row t holds
+    a unit entry where the derivative of t is itself a component, else the
+    solved form of that third-order derivative."""
+    return tuple(_system_matrix(Y12_COMPONENTS, step, third, (Z, WV))
+                 for step in (_jet_dz, _jet_dw))
+
+
+def jet_vector(L):
+    """The 12 jet components of a concrete field, as (z,w)-series."""
+    return [_jet(L, t) for t in Y12_COMPONENTS]
+
+
+def twelve_residuals(A, B, y):
+    """The 24 rows (d/dz y - A y, d/dw y - B y) for a 12-vector y of
+    (z,w)-series; the jet filter's oracle."""
+    return _residual(A, y, Z), _residual(B, y, WV)
 
 
 # |det| over the Hadamard bound above which a monodromy matrix is invertible

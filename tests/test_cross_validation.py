@@ -14,13 +14,16 @@ from segrefuchs.series import MultiSeries
 from segrefuchs.surfaces import build_real, build_complex, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,
-                                     assemble_twelve_system)
+                                     assemble_twelve_system,
+                                     tangency_residual)
 from segrefuchs.frobenius import (formal_symmetries, holomorphic_solutions,
-                                  field_u_vector, residue_spectrum)
+                                  field_u_vector, residue_spectrum,
+                                  _jet_residuals)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.monodromy import LoopSpec
-from reference import (SQRT2_TABLE, continue_system, equal_mod,
-                       system_residual)
+from reference import (H22_U, SQRT2_TABLE, continue_system, dense_surface,
+                       equal_mod, jet_vector, system_residual,
+                       twelve_residuals, twelve_system)
 
 
 def rich_fuchsian_m2():
@@ -60,12 +63,52 @@ def test_symmetries_vs_twelve_system(make):
     """Every returned field solves the separately built 12x12 exactly."""
     M = make()
     basis = formal_symmetries(M)
-    T12 = assemble_twelve_system(basis.ode)
+    A, B = twelve_system(assemble_twelve_system(basis.ode))
     for L in basis.fields:
-        y = T12.vector_of(L)
-        rz, rw = T12.residuals(y)
+        y = jet_vector(L)
+        rz, rw = twelve_residuals(A, B, y)
         for r in rz + rw:
             assert r.body.is_zero()
+
+
+# real surfaces whose Frobenius candidates reach the jet filter; on the
+# first four it drops every candidate, on the last two it keeps both
+JET_FILTER_SURFACES = {
+    "dense-m1-N14": lambda: dense_surface(14, 1, fuchsian=True),
+    "dense-m2-N17": lambda: dense_surface(17, 2, fuchsian=True),
+    "dense-m3-N19": lambda: dense_surface(19, 3, fuchsian=True),
+    "sqrt2-m2-N20": lambda: build_real(2, 1, SQRT2_TABLE, 20),
+    "model-m1-N24": lambda: build_real(1, 1, {}, 24),
+    "h22u-m2-N20": lambda: build_real(2, 1, H22_U, 20),
+}
+
+
+@pytest.mark.parametrize("label", list(JET_FILTER_SURFACES))
+def test_eight_jet_residuals_decide_as_the_twelve_system(label):
+    """The jet filter checks the eight solved third-order equations; on
+    every candidate that passes the pole and tangency filters its decision
+    equals that of the 24 rows of the complete 12x12 system.  On the dense
+    and sqrt2 surfaces every candidate is dropped there, after a zero
+    tangency residual; the structured ones keep both."""
+    basis = formal_symmetries(real_to_complex(JET_FILTER_SURFACES[label]()))
+    E = basis.ode
+    third = assemble_twelve_system(E)
+    A, B = twelve_system(third)
+    reasons = [reason for reason, _ in basis.dropped]
+    jet_dropped = [L for reason, L in basis.dropped if reason == "jet-system"]
+    if label.startswith(("dense", "sqrt2")):
+        assert basis.dimension == 0
+        assert reasons and set(reasons) == {"jet-system"}
+        for L in jet_dropped:
+            assert tangency_residual(L, E).is_zero()
+    else:
+        assert (basis.dimension, reasons) == (2, [])
+    for L, kept in ([(L, True) for L in basis.fields]
+                    + [(L, False) for L in jet_dropped]):
+        eight = _jet_residuals(third, L).values()
+        rz, rw = twelve_residuals(A, B, jet_vector(L))
+        assert all(r.body.is_zero() for r in eight) == kept
+        assert all(r.body.is_zero() for r in rz + rw) == kept
 
 
 def test_spurious_shallow_candidates_are_rejected():

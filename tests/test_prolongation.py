@@ -15,10 +15,12 @@ from segrefuchs.prolongation import (VectorField, ProlongedField,
                                      assemble_u_system, assemble_Y_system,
                                      assemble_twelve_system,
                                      LinearODESystem, _solve_tags)
+from segrefuchs.frobenius import _jet_residuals
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError, SegrefuchsError
 from reference import (SQRT2_TABLE, collect_initial_system, dense_surface,
-                       system_residual, zero_zw, zw)
+                       jet_vector, system_residual, twelve_residuals,
+                       twelve_system, zero_zw, zw)
 
 
 def model(order=12, m=1):
@@ -332,35 +334,49 @@ def test_Y_solutions_reconstruct_u_solutions():
 
 def test_twelve_bookkeeping_row():
     E = eliminate(model())
-    T = assemble_twelve_system(E)
+    A, _ = twelve_system(assemble_twelve_system(E))
     # dP/dz = Pz: row 0 selects component 2 exactly
-    row = T.A[0]
+    row = A[0]
     assert row[2].body.constant_term() == ONE
     assert all(row[j].is_zero() for j in range(12) if j != 2)
 
 
 def test_twelve_known_solutions_and_compatibility():
     E = eliminate(model())
-    T = assemble_twelve_system(E)
+    A, B = twelve_system(assemble_twelve_system(E))
     z, w = zw("z"), zw("w")
     for L in (VectorField(zero_zw(), w), VectorField(z.scale(I), zero_zw()),
               VectorField(z, zero_zw())):
-        y = T.vector_of(L)
-        rz, rw = T.residuals(y)
+        y = jet_vector(L)
+        rz, rw = twelve_residuals(A, B, y)
         assert all(r.is_zero() for r in rz + rw)
         # mixed second derivatives agree along solutions:
         # d/dw (A y) = d/dz (B y) for the jet vector of a symmetry
-        Ay = [sum((T.A[i][j] * LaurentInW(y[j], 0, "w")
+        Ay = [sum((A[i][j] * LaurentInW(y[j], 0, "w")
                    for j in range(12)),
                   LaurentInW(MultiSeries.zero(("z", "w")), 0, "w"))
               for i in range(12)]
-        By = [sum((T.B[i][j] * LaurentInW(y[j], 0, "w")
+        By = [sum((B[i][j] * LaurentInW(y[j], 0, "w")
                    for j in range(12)),
                   LaurentInW(MultiSeries.zero(("z", "w")), 0, "w"))
               for i in range(12)]
         for i in range(12):
             d = Ay[i].diff("w") - By[i].diff("z")
             assert d.body.truncate(min(6, d.body.order)).is_zero()
+
+
+def test_jet_residuals_negative_control():
+    """On the model the eight jet residuals vanish for w d/dw and
+    iz d/dz; z^3 d/dz breaks the (P,3,0) equation and a w^3 term in Q the
+    (Q,0,3) one."""
+    third = assemble_twelve_system(eliminate(model()))
+    z, w = zw("z"), zw("w")
+    for L in (VectorField(zero_zw(), w), VectorField(z.scale(I), zero_zw())):
+        assert all(r.body.is_zero() for r in _jet_residuals(third, L).values())
+    for L, tag in ((VectorField(z.scale(I) + z * z * z, zero_zw()),
+                    ("P", 3, 0)),
+                   (VectorField(zero_zw(), w + w * w * w), ("Q", 0, 3))):
+        assert not _jet_residuals(third, L)[tag].body.is_zero()
 
 
 def test_twelve_pole_bound_random():
@@ -373,8 +389,9 @@ def test_twelve_pole_bound_random():
                 {(rng.randint(0, 2),): qi(rng.randint(1, 3),
                                           rng.randint(-2, 2))})
         M = build_complex(m, 1, tbl, 3 * m + 6)
-        T = assemble_twelve_system(eliminate(M))
-        assert T.pole_order <= 3 * m + 1
+        A, B = twelve_system(assemble_twelve_system(eliminate(M)))
+        assert max(e.pole_order() for M12 in (A, B) for row in M12
+                   for e in row) <= 3 * m + 1
 
 
 # ---- Q-divisibility (computed symmetries vanish on w = 0) ----------------------
