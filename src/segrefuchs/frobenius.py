@@ -294,12 +294,11 @@ class SymmetryBasis:
 
     def bracket_closure_defect(self):
         """1 if the bracket of some pair of basis fields leaves their span
-        through order - 1 (at least 1), else 0."""
+        through order - 1, the order a bracket is known through, else 0."""
         brackets = [lie_bracket(L1, L2)
                     for i, L1 in enumerate(self.fields)
                     for L2 in self.fields[i + 1:]]
-        return int(not in_span(self.fields, brackets,
-                               max(self.order - 1, 1)))
+        return int(not in_span(self.fields, brackets, self.order - 1))
 
 
 def in_span(fields, others, order):

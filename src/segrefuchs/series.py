@@ -36,9 +36,15 @@ at a time from the Euler-operator identities theta E = theta X * E and
 theta L * T = theta T (theta = sum x_i d/dx_i multiplies total degree d by
 d), about one truncated product in all (van der Hoeven, "Relax, but don't
 be too lazy", JSC 34 (2002)).
-`solve_implicit` lifts its solution by Newton's method, precision
-p -> q <= 2p+1, composing the Jacobian only to the precision the correction
-needs (Brent and Kung, again).
+`solve_implicit` lifts its solution by Newton's method, doubling the
+precision per step.  Where n of the x-variables enter F only through a
+constant invertible linear term, as in the elimination and the real-complex
+transfers, F(x, y) = 0 is an inversion and the solution's own derivative
+in those variables gives the inverse Jacobian, so a step composes F alone
+(Newton reversion, Brent and Kung, again).  Otherwise the step composes
+the Jacobian only to the precision the correction needs.  Either way
+`linalg.det` of the Jacobian at the origin decides solvability, so a
+refusal carries the exact determinant.
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -378,7 +384,7 @@ class MultiSeries:
             if k:
                 num[e[:i] + (k - 1,) + e[i + 1:]] = (a * k, b * k, c * k,
                                                      d * k)
-        return _reduced(self.vars, max(self.order - 1, 0), self.den, num)
+        return _reduced(self.vars, self.order - 1, self.den, num)
 
     def integrate(self, var):
         """Antiderivative in `var` with zero constant slice."""
@@ -610,18 +616,32 @@ def solve_implicit(F, x_vars, y_vars):
     """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton lifting.
 
     F is a list of series over x_vars + y_vars, one per unknown.  Requires
-    F(0,0) = 0 and an invertible Jacobian dF/dy at the origin; the returned
-    series satisfy the system modulo total degree order+1, order the lowest
-    trusted order among F, which must be finite.  The error on a singular
-    Jacobian carries the exact Jacobian determinant.
+    F(0,0) = 0 and an invertible Jacobian J = dF/dy at the origin; the
+    returned series satisfy the system modulo total degree order+1, order
+    the lowest trusted order among F, which must be finite.  The error on a
+    singular Jacobian carries the exact Jacobian determinant, which for the
+    elimination is the Levi determinant; `inverse` alone would not give it.
 
-    A Newton step lifts y from precision p to q <= 2p+1: it composes F at
-    precision q and the Jacobian J = dF/dy only at precision q-p-1, then
-    solves J delta = -F(x, y) for the parts of degree p+1..q of the
-    correction, one degree at a time through the constant Jacobian.  The
+    A Newton step lifts y from precision p to q: it composes F at
+    precision q and subtracts J(y)^-1 F(x, y) through degree q.  The
     precisions halve back from the target, so F is composed once at full
-    precision.  The solution truncated to an order is unique, hence equal
-    to any other method's.
+    precision.  The inverse Jacobian comes one of two ways.
+
+    Reversion, when n of the x-variables, xt, enter F only through a
+    constant invertible linear term: F = C xt + H(z, y), z the other
+    x-variables.  Then y(x) solves H(z, y) = -C xt, and differentiating
+    that in xt gives J(y) dy/dxt = -C, so J(y)^-1 = -(dy/dxt) C^-1: the
+    solution's own derivative is the inverse Jacobian, and a step composes
+    F alone (Newton reversion, Brent and Kung, J. ACM 25 (1978)).  From y
+    trusted through degree p that derivative is trusted through p-1, so
+    the steps keep q <= 2p; the first one, from y = 0, uses J(0)^-1.
+
+    Otherwise, q <= 2p+1: the step composes J only at precision q-p-1 and
+    solves J delta = -F(x, y) for the parts of degree p+1..q of the
+    correction, one degree at a time through the constant J(0).
+
+    The solution truncated to an order is unique, hence equal to any other
+    method's.
     """
     n = len(y_vars)
     if len(F) != n:
@@ -631,41 +651,107 @@ def solve_implicit(F, x_vars, y_vars):
     for f in F:
         if not f.constant_term().is_zero():
             raise SeriesError("F(0,0) != 0")
-    dF = [[f.diff(yv) for yv in y_vars] for f in F]
-    J0 = [[g.constant_term() for g in row] for row in dF]
+    J0 = [[f.coefficient(_unit(f.vars, yv)) for yv in y_vars] for f in F]
     d = linalg.det(J0)
     if d.is_zero():
         raise SingularJacobianError(d)
     J0inv = linalg.inverse(J0)
 
     order = _finite_order(min(F, key=lambda f: f.order), "solve_implicit")
+    linear = _linear_inputs(F, x_vars)
+    if linear is None:
+        dF = [[f.diff(yv) for yv in y_vars] for f in F]
+    # halving rounds up where a step must keep q <= 2p
+    up = linear is not None
     steps = [order]
-    while steps[-1] > 0:
-        steps.append(steps[-1] // 2)
+    while steps[-1] > 1:
+        steps.append((steps[-1] + up) // 2)
+    steps.append(0)
     ys = [MultiSeries.zero(tuple(x_vars), EXACT)] * n
     for p, q in pairwise(reversed(steps)):
         subs = dict(zip(y_vars, ys))
-        r = [_graded(f.truncate(q).compose(subs), q) for f in F]
-        k = q - p - 1
-        J = [[_graded(g.truncate(k).compose(subs), k) for g in row]
-             for row in dF]
-        # delta[j][deg]: the degree-deg part of the correction to y_j
-        delta = [[None] * (p + 1) for _ in range(n)]
-        for deg in range(p + 1, q + 1):
-            rhs = [r[i][deg] for i in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    rhs[i] = rhs[i] + _convolution(J[i][j], delta[j], deg, 1,
-                                                   deg - p - 1)
-            for i in range(n):
-                acc = MultiSeries.zero(rhs[0].vars)
-                for j in range(n):
-                    if not J0inv[i][j].is_zero():
-                        acc = acc - rhs[j].scale(J0inv[i][j])
-                delta[i].append(acc)
-        ys = [y + _ungraded(dl[p + 1:], dl[p + 1].vars, EXACT)
-              for y, dl in zip(ys, delta)]
+        r = [f.truncate(q).compose(subs) for f in F]
+        if p == 0:
+            delta = [-s for s in _apply(J0inv, r)]
+        elif linear is not None:
+            xt, Cinv = linear
+            Cr = _apply(Cinv, r)
+            delta = []
+            for y in ys:
+                acc = MultiSeries.zero(y.vars)
+                for v, s in zip(xt, Cr):
+                    acc = acc + y.diff(v).truncate(q - p - 1) * s
+                delta.append(acc)
+        else:
+            delta = _newton_correction(dF, subs, r, J0inv, p, q)
+        ys = [y + _polynomial(dl, q) for y, dl in zip(ys, delta)]
     return [y.truncate(order) for y in ys]
+
+
+def _unit(vars, v):
+    return tuple(int(u == v) for u in vars)
+
+
+def _polynomial(s, q):
+    """The terms of s through degree q, as an exact polynomial."""
+    s = s.truncate(q)
+    return _packed(s.vars, EXACT, s.den, s.num)
+
+
+def _apply(M, v):
+    """The vector M v, for a constant matrix M and a vector v of series."""
+    out = []
+    for row in M:
+        acc = MultiSeries.zero(v[0].vars)
+        for c, s in zip(row, v):
+            if not c.is_zero():
+                acc = acc + s.scale(c)
+        out.append(acc)
+    return out
+
+
+def _linear_inputs(F, x_vars):
+    """(xt, C^-1) when the x-variables that enter F only through a linear
+    term C xt are n in number, with C invertible; None otherwise."""
+    xt, columns = [], []
+    for v in x_vars:
+        col = []
+        for f in F:
+            i, unit = f.vars.index(v), _unit(f.vars, v)
+            if any(e[i] and e != unit for e in f.num):
+                break
+            col.append(f.coefficient(unit))
+        else:
+            if any(not c.is_zero() for c in col):
+                xt.append(v)
+                columns.append(col)
+    if len(xt) != len(F):
+        return None
+    try:
+        return xt, linalg.inverse([list(row) for row in zip(*columns)])
+    except SegrefuchsError:
+        return None
+
+
+def _newton_correction(dF, subs, r, J0inv, p, q):
+    """The Newton correction -J^-1 r through degree q, for y = subs trusted
+    through p >= 1, with J = dF(x, y) composed at precision q-p-1."""
+    n = len(r)
+    r = [_graded(s, q) for s in r]
+    k = q - p - 1
+    J = [[_graded(g.truncate(k).compose(subs), k) for g in row]
+         for row in dF]
+    # delta[j][deg]: the degree-deg part of the correction to y_j
+    delta = [[None] * (p + 1) for _ in range(n)]
+    for deg in range(p + 1, q + 1):
+        rhs = [r[i][deg] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                rhs[i] = rhs[i] + _convolution(J[i][j], delta[j], deg, 1,
+                                               deg - p - 1)
+        for i, s in enumerate(_apply(J0inv, rhs)):
+            delta[i].append(-s)
+    return [_ungraded(dl[p + 1:], dl[p + 1].vars, EXACT) for dl in delta]
 
 
 class SingularJacobianError(SeriesError):

@@ -16,6 +16,7 @@ from math import isqrt
 
 import numpy as np
 
+from segrefuchs import linalg
 from segrefuchs.errors import FormatError, NotNormalizableError
 from segrefuchs.frobenius import _jet, _surface_parts
 from segrefuchs.fuchs import REAL_BOUNDS, _bound
@@ -25,7 +26,8 @@ from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      _system_matrix)
 from segrefuchs.qfield import GaussianRational, ONE, qi
 from segrefuchs.segre import WV, ZETA, segre_graph
-from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
+from segrefuchs.series import (MultiSeries, LaurentInW, EXACT, SeriesError,
+                               SingularJacobianError)
 from segrefuchs.surfaces import Z, ZB, build_real
 
 
@@ -214,6 +216,37 @@ def equal_mod(a, b, order):
     if min(a.order, b.order) < order:
         raise SeriesError("comparison order exceeds trusted order")
     return all(sum(e) > order for e in (a - b).num)
+
+
+def solve_by_degree(F, x_vars, y_vars):
+    """The oracle of solve_implicit: y one homogeneous degree at a time,
+    y_d = -J0^-1 [F(x, y_<d)]_d, with J0 = dF/dy at the origin.  It composes
+    F once per degree and reads no Jacobian past J0; it refuses as
+    solve_implicit does, with the same determinant."""
+    n = len(y_vars)
+    order = min(f.order for f in F)
+    all_vars = tuple(x_vars) + tuple(y_vars)
+    F = [f.embed(tuple(f.vars) + tuple(v for v in all_vars
+                                       if v not in f.vars)) for f in F]
+    J = [[f.diff(yv).constant_term() for yv in y_vars] for f in F]
+    d = linalg.det(J)
+    if d.is_zero():
+        raise SingularJacobianError(d)
+    Jinv = linalg.inverse(J)
+
+    def cap(s, deg):
+        return MultiSeries(s.vars, EXACT, {e: c for e, c in s.terms.items()
+                                           if sum(e) <= deg})
+
+    ys = [MultiSeries.zero(tuple(x_vars)) for _ in range(n)]
+    for level in range(1, order + 1):
+        subs = dict(zip(y_vars, ys))
+        vals = [cap(f.truncate(level).compose(subs), level) for f in F]
+        ys = [cap(ys[i] - sum((vals[j].scale(Jinv[i][j])
+                               for j in range(n)),
+                              MultiSeries.zero(tuple(x_vars))), level)
+              for i in range(n)]
+    return [y.truncate(order) for y in ys]
 
 
 def verify_ode(M, E):

@@ -111,6 +111,22 @@ def test_eight_jet_residuals_decide_as_the_twelve_system(label):
         assert all(r.body.is_zero() for r in rz + rw) == kept
 
 
+def test_jet_residuals_claim_only_known_degrees():
+    """dense-m3-N19 has a basis of order 1.  The (P, 2, 1) residual of its
+    first dropped candidate reads third derivatives of a body known
+    through degree 3, so it is known through degree 1 only: there it has
+    one term, nonzero, and the drop stands on that term alone."""
+    basis = formal_symmetries(real_to_complex(
+        JET_FILTER_SURFACES["dense-m3-N19"]()))
+    assert basis.order == 1
+    third = assemble_twelve_system(basis.ode)
+    reason, L = basis.dropped[0]
+    r = _jet_residuals(third, L)[("P", 2, 1)]
+    assert reason == "jet-system"
+    assert (r.pole, r.body.order, len(r.body.num)) == (3, 1, 1)
+    assert not r.body.is_zero()
+
+
 def test_spurious_shallow_candidates_are_rejected():
     """The sqrt2 surface has no structural symmetries: shallow Frobenius
     candidates must be filtered out at every working order, and deeper

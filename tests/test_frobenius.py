@@ -359,6 +359,20 @@ def test_bracket_closure_defect_sees_a_bracket_off_the_span():
     assert defect() == defect(dz) == 0
 
 
+def test_bracket_closure_defect_reads_only_known_degrees():
+    """In an order-1 basis a bracket is known through degree 0 only.
+    [z d/dz, d/dz + z d/dw] = -d/dz + z d/dw leaves the span of the pair in
+    degree 1, which is not known; through degree 0 it lies in the span."""
+    z = zw("z").truncate(1)
+    one = MultiSeries.const(ONE, ("z", "w"), 1)
+    fields = [VectorField(z, zero_zw().truncate(1)), VectorField(one, z)]
+    bracket = lie_bracket(*fields)
+    assert in_span(fields, [bracket], 0)
+    assert not in_span(fields, [bracket], 1)
+    assert SymmetryBasis(fields, [], [], None, [], [],
+                         1).bracket_closure_defect() == 0
+
+
 def test_in_span_compares_through_the_order():
     z, w = zw("z"), zw("w")
     zdz, wdw = VectorField(z, zero_zw()), VectorField(zero_zw(), w)

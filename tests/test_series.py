@@ -77,6 +77,16 @@ def test_product_rule_all_vars():
             assert equal_mod(lhs, rhs, min(lhs.order, rhs.order))
 
 
+def test_diff_of_an_order_0_series_knows_nothing():
+    """A series known through degree 0 says nothing of its derivative, not
+    even its constant term: the derivative has order -1 and no terms."""
+    d = MultiSeries(("x",), 0, {(0,): 1}).diff("x")
+    assert d.order == -1 and d.is_zero()
+    d = var("x", ("x", "y"), 1).diff("x")
+    assert d.order == 0 and d.constant_term() == ONE
+    assert var("x", ("x", "y"), 0).diff("y").order == -1
+
+
 # ---- exp/log --------------------------------------------------------------
 
 def test_exp_examples():

@@ -16,11 +16,12 @@ from math import factorial, lcm
 import pytest
 
 from segrefuchs import linalg
+from segrefuchs.errors import SegrefuchsError
 from segrefuchs.qfield import GaussianRational, ZERO, ONE
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
                                SingularJacobianError, exp_series, log_series,
-                               solve_implicit)
-from reference import identical, of_sqrt2
+                               solve_implicit, _linear_inputs)
+from reference import identical, of_sqrt2, solve_by_degree
 
 VARS = ("z", "w", "t")
 
@@ -209,10 +210,11 @@ def test_cancelling_results_are_zero_in_lowest_terms():
 # ---------- the series functions against the algorithms they replaced ----
 #
 # The references below are the earlier implementations, kept here only as
-# oracles: exp and log as power sums of x**k, compose by Horner in every
-# substituted variable, and solve_implicit as the constant-Jacobian fixed
-# point that composes F once per degree.  The rewrites must agree with them
-# in every coefficient and in the trusted order.
+# oracles: exp and log as power sums of x**k, and compose by Horner in every
+# substituted variable.  solve_implicit's oracle, the degree-by-degree solve
+# that composes F once per degree, is reference.solve_by_degree.  The
+# rewrites must agree with them in every coefficient and in the trusted
+# order.
 
 def ref_power_sum(x, c0, coeff):
     order = x.order
@@ -262,33 +264,6 @@ def _ref_horner(f, subs, out_vars, order):
         acc = acc * s + _ref_horner(f.coeff_of_var_power(v, j), rest,
                                     out_vars, order)
     return acc.truncate(order)
-
-
-def ref_solve_implicit(F, x_vars, y_vars):
-    n = len(y_vars)
-    order = min(f.order for f in F)
-    all_vars = tuple(x_vars) + tuple(y_vars)
-    F = [f.embed(tuple(f.vars) + tuple(v for v in all_vars
-                                       if v not in f.vars)) for f in F]
-    J = [[f.diff(yv).constant_term() for yv in y_vars] for f in F]
-    d = linalg.det(J)
-    if d.is_zero():
-        raise SingularJacobianError(d)
-    Jinv = linalg.inverse(J)
-
-    def cap(s, deg):
-        return MultiSeries(s.vars, EXACT, {e: c for e, c in s.terms.items()
-                                           if sum(e) <= deg})
-
-    ys = [MultiSeries.zero(tuple(x_vars)) for _ in range(n)]
-    for level in range(1, order + 1):
-        subs = dict(zip(y_vars, ys))
-        vals = [cap(f.truncate(level).compose(subs), level) for f in F]
-        ys = [cap(ys[i] - sum((vals[j].scale(Jinv[i][j])
-                               for j in range(n)),
-                              MultiSeries.zero(tuple(x_vars))), level)
-              for i in range(n)]
-    return [y.truncate(order) for y in ys]
 
 
 EXP_CASES = [(nvars, kind, shape)
@@ -423,7 +398,7 @@ def test_solve_implicit_matches_fixed_point(n, kind):
         F = [f.truncate(order) for f in
              rnd_system(rng, x_vars, y_vars, F_order, kind)]
         try:
-            ref = ref_solve_implicit(F, x_vars, y_vars)
+            ref = solve_by_degree(F, x_vars, y_vars)
         except SingularJacobianError as err:
             with pytest.raises(SingularJacobianError) as got:
                 solve_implicit(F, x_vars, y_vars)
@@ -439,7 +414,150 @@ def test_singular_jacobian_carries_the_determinant():
     # Jacobian [[1, 2], [2, 4]] at the origin: determinant 0
     F = [(y1 + y2.scale(2) - x).truncate(4),
          (y1.scale(2) + y2.scale(4) + x * x).truncate(4)]
-    for solve in (solve_implicit, ref_solve_implicit):
+    for solve in (solve_implicit, solve_by_degree):
         with pytest.raises(SingularJacobianError) as err:
             solve(F, ("x",), ("y1", "y2"))
+        assert err.value.determinant == ZERO
+
+
+# ---------- inversions: the reversion step ----------
+
+def rnd_inversion(rng, n, kind, dense, order, nonlinear=False):
+    """F(x, y) = C a + H(z, y) in n unknowns y1..yn.  The x-variables
+    a1..an enter only through C, invertible and dense or a scaled
+    permutation; z enters H through z**2 and its terms of degree 2 and 3
+    in (z, y), present with probability 1/2 (dense) or 1/6; b enters
+    nowhere, so the solve must pass over it.  With `nonlinear`, every a_k
+    also enters the first equation through a_k**2, so F is no inversion.
+    The equations
+    after the first are trusted one degree further than it.  Returns
+    (F, x_vars, y_vars), x_vars in random order."""
+    a_vars = tuple("a%d" % k for k in range(1, n + 1))
+    y_vars = tuple("y%d" % k for k in range(1, n + 1))
+    vars = ("z", "b") + a_vars + y_vars
+    perm = rng.sample(range(n), n)
+
+    def invertible(entry):
+        while True:
+            M = [[entry(i, k) for k in range(n)] for i in range(n)]
+            try:
+                linalg.inverse(M)
+                return M
+            except SegrefuchsError:
+                pass
+
+    def at(pos, k=1):
+        return tuple(k if j == pos else 0 for j in range(len(vars)))
+
+    C = invertible(lambda i, k: rnd_coeff(rng, kind)
+                   if dense or perm[i] == k else ZERO)
+    J0 = invertible(lambda i, k: rnd_coeff(rng, kind))
+    F = []
+    for i in range(n):
+        terms = {at(0): rnd_coeff(rng, kind)}
+        for k in range(n):
+            terms[at(2 + k)] = C[i][k]
+            terms[at(2 + n + k)] = J0[i][k]
+        for e in _exponents(n + 1, 3):
+            if sum(e) >= 2 and rng.random() < (0.5 if dense else 1 / 6):
+                terms[(e[0], 0) + (0,) * n + e[1:]] = rnd_coeff(rng, kind)
+        terms[at(0, 2)] = ONE
+        if nonlinear and i == 0:
+            for k in range(n):
+                terms[at(2 + k, 2)] = ONE
+        F.append(MultiSeries(vars, order + (i > 0), terms))
+    x_vars = list(vars[:2 + n])
+    rng.shuffle(x_vars)
+    return F, tuple(x_vars), y_vars
+
+
+INVERSION_CASES = [(n, kind, dense) for n in (1, 2, 3)
+                   for kind in ("gauss", "sqrt2") for dense in (False, True)]
+
+
+@pytest.mark.parametrize("n,kind,dense", INVERSION_CASES)
+def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
+    """The reversion step's solution equals the oracle's, in every
+    coefficient and in the trusted order."""
+    rng = random.Random(repr(("inversion", n, kind, dense)))
+    for order in (2, 3, 4, 7):
+        F, x_vars, y_vars = rnd_inversion(rng, n, kind, dense, order)
+        xt, _ = _linear_inputs(F, x_vars)
+        assert sorted(xt) == ["a%d" % k for k in range(1, n + 1)]
+        for got, ref in zip(solve_implicit(F, x_vars, y_vars),
+                            solve_by_degree(F, x_vars, y_vars)):
+            identical(got, ref)
+            assert got.order == order
+
+
+@pytest.mark.parametrize("n,kind", [(n, kind) for n in (1, 2, 3)
+                                    for kind in ("gauss", "sqrt2")])
+def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
+    """With every x entering nonlinearly, the Jacobian-composing Newton
+    step runs, and it too equals the oracle."""
+    rng = random.Random(repr(("nonlinear", n, kind)))
+    for order in (2, 3, 6):
+        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, order,
+                                          nonlinear=True)
+        assert _linear_inputs(F, x_vars) is None
+        for got, ref in zip(solve_implicit(F, x_vars, y_vars),
+                            solve_by_degree(F, x_vars, y_vars)):
+            identical(got, ref)
+
+
+def spy_compose(monkeypatch):
+    """The list that every MultiSeries.compose call appends its series to."""
+    composed = []
+    compose = MultiSeries.compose
+
+    def spy(self, subs):
+        composed.append(self)
+        return compose(self, subs)
+    monkeypatch.setattr(MultiSeries, "compose", spy)
+    return composed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inversion_composes_F_alone(monkeypatch, n):
+    """A step of an inversion composes each equation once and no Jacobian
+    entry.  At order 9 the precisions are 1, 2, 3, 5 and 9: q <= 2p after
+    the first step, so five steps and 5n compositions."""
+    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 9)
+    composed = spy_compose(monkeypatch)
+    solve_implicit(F, x_vars, y_vars)
+    assert len(composed) == 5 * n
+    for s in composed:
+        assert any(dict(s.terms) == {e: c for e, c in f.terms.items()
+                                     if sum(e) <= s.order} for f in F)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonlinear_inputs_compose_the_jacobian(monkeypatch, n):
+    """Without an inversion the steps to precisions 3 and 6 compose the n
+    equations and the n**2 Jacobian entries; the first step, to precision
+    1, composes F alone."""
+    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 6,
+                                      nonlinear=True)
+    composed = spy_compose(monkeypatch)
+    solve_implicit(F, x_vars, y_vars)
+    assert len(composed) == n + 2 * (n + n * n)
+
+
+def test_inversion_refusals():
+    """The inversion path keeps both refusals: a nonzero F(0, 0), and a
+    singular Jacobian at the origin, reported with its determinant."""
+    v = ("z", "a1", "a2", "y1", "y2")
+    z, a1, a2, y1, y2 = (MultiSeries.variable(x, v) for x in v)
+    with pytest.raises(SeriesError, match=r"F\(0,0\)"):
+        solve_implicit([(y1 - a1 + ONE).truncate(5)], ("z", "a1"), ("y1",))
+    with pytest.raises(SingularJacobianError) as err:
+        solve_implicit([(y1 * y1 + z * y1 - a1).truncate(5)], ("z", "a1"),
+                       ("y1",))
+    assert err.value.determinant == ZERO
+    # Jacobian [[1, 2], [2, 4]] at the origin, C = [[0, -1], [-1, 0]]
+    F = [(y1 + y2.scale(2) - a2 + z * z).truncate(5),
+         (y1.scale(2) + y2.scale(4) - a1).truncate(5)]
+    for solve in (solve_implicit, solve_by_degree):
+        with pytest.raises(SingularJacobianError) as err:
+            solve(F, ("z", "a1", "a2"), ("y1", "y2"))
         assert err.value.determinant == ZERO
