@@ -35,14 +35,18 @@ is then cut the same way (truncated composition, Brent and Kung, J. ACM 25
 at a time from the Euler-operator identities theta E = theta X * E and
 theta L * T = theta T (theta = sum x_i d/dx_i multiplies total degree d by
 d), about one truncated product in all (van der Hoeven, "Relax, but don't
-be too lazy", JSC 34 (2002)).
+be too lazy", JSC 34 (2002)).  A degree is a packed part over its own
+reduced denominator, not a MultiSeries: its coefficient pairs are summed
+over one common denominator by the multiply-add loop of `__mul__`, then
+reduced by one gcd, and the parts become a series once, at the end.
 `solve_implicit` lifts its solution by Newton's method, doubling the
 precision per step.  Where n of the x-variables enter F only through a
 constant invertible linear term, as in the elimination and the real-complex
 transfers, F(x, y) = 0 is an inversion and the solution's own derivative
 in those variables gives the inverse Jacobian, so a step composes F alone
 (Newton reversion, Brent and Kung, again).  Otherwise the step composes
-the Jacobian only to the precision the correction needs.  Either way
+the Jacobian only to the precision the correction needs and solves for
+the correction one degree at a time on packed parts.  Either way
 `linalg.det` of the Jacobian at the origin decides solvability, so a
 refusal carries the exact determinant.
 
@@ -53,7 +57,7 @@ variable while the pole is positive.
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from fractions import Fraction
+from functools import reduce
 from itertools import chain, pairwise
 from math import gcd, inf, lcm
 from operator import add
@@ -324,32 +328,21 @@ class MultiSeries:
         adeg, aitems = a._degree_sorted()
         bdeg, bitems = b._degree_sorted()
         order = min(a.order + bdeg[0], b.order + adeg[0])
-        # iterate the smaller operand outside; each inner loop stops at the
-        # last term of b that fits under the order.  The multiply-adds are
-        # mul_parts inlined, accumulated in place.
+        # iterate the smaller operand outside, one degree of it at a time;
+        # its inner loop stops at the last term of b that fits under the
+        # order
         if len(aitems) > len(bitems):
             a, b = b, a
             adeg, aitems, bdeg, bitems = bdeg, bitems, adeg, aitems
         room0 = order - bdeg[0]
         acc = {}
-        for da, (ea, (a1, b1, c1, d1)) in zip(adeg, aitems):
-            if da > room0:
-                break
-            for eb, (a2, b2, c2, d2) in bitems[:bisect_right(bdeg,
-                                                             order - da)]:
-                e = tuple(map(add, ea, eb))
-                x = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-                y = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-                z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
-                w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = [x, y, z, w]
-                else:
-                    s[0] += x
-                    s[1] += y
-                    s[2] += z
-                    s[3] += w
+        lo, n = 0, len(adeg)
+        while lo < n and adeg[lo] <= room0:
+            da = adeg[lo]
+            mid = bisect_right(adeg, da, lo)
+            _mac(acc, 1, aitems[lo:mid],
+                 bitems[:bisect_right(bdeg, order - da)])
+            lo = mid
         num = {e: tuple(t) for e, t in acc.items()
                if t[0] or t[1] or t[2] or t[3]}
         return _reduced(a.vars, order, a.den * b.den, num)
@@ -529,38 +522,86 @@ def _compose_rec(f, subs, out_vars, order):
 
 
 # ---------- homogeneous parts ----------
+#
+# exp, log and the general Newton correction work one total degree at a
+# time on packed parts: a part is a pair (den, items), items a list of
+# (exponent, (a, b, c, d)) pairs standing for the terms (a, b, c, d) / den.
 
-def _graded(s, top):
-    """[homogeneous part of s of total degree d for d = 0..top], exact."""
-    parts = [{} for _ in range(top + 1)]
+def _mac(acc, f, rows, cols):
+    """acc[ea + eb] += f * ta * tb for every (ea, ta) in rows and (eb, tb)
+    in cols, acc mapping exponents to [x, y, z, w] sums: mul_parts
+    inlined and accumulated in place.  The kernel's one multiply-add."""
+    for ea, (a1, b1, c1, d1) in rows:
+        if f != 1:
+            a1, b1, c1, d1 = a1 * f, b1 * f, c1 * f, d1 * f
+        for eb, (a2, b2, c2, d2) in cols:
+            e = tuple(map(add, ea, eb))
+            x = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+            y = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+            z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
+            w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [x, y, z, w]
+            else:
+                s[0] += x
+                s[1] += y
+                s[2] += z
+                s[3] += w
+
+
+def _parts(s, top):
+    """[the homogeneous part of s of total degree d for d = 0..top], each
+    over s.den."""
+    items = [[] for _ in range(top + 1)]
     for e, t in s.num.items():
         d = sum(e)
         if d <= top:
-            parts[d][e] = t
-    return [_reduced(s.vars, EXACT, s.den, p) for p in parts]
+            items[d].append((e, t))
+    return [(s.den, p) for p in items]
 
 
-def _ungraded(parts, vars, order):
+def _constant(c, vars):
+    """The part of the constant c."""
+    if c.is_zero():
+        return 1, []
+    return c.q, [((0,) * len(vars), (c.a, c.b, c.c, c.d))]
+
+
+def _dot(terms, m):
+    """The part sum(f * A * B for f, A, B in terms) / m in lowest terms.
+    The products are accumulated over the lcm of their denominators, so a
+    term costs its coefficient pairs, and one with an empty factor
+    nothing."""
+    terms = [t for t in terms if t[1][1] and t[2][1]]
+    if not terms:
+        return 1, []
+    den = lcm(*(da * db for _, (da, _), (db, _) in terms))
+    acc = {}
+    for f, (da, ra), (db, rb) in terms:
+        _mac(acc, f * (den // (da * db)), ra, rb)
+    items = [(e, tuple(t)) for e, t in acc.items()
+             if t[0] or t[1] or t[2] or t[3]]
+    den *= m
+    # no items leave g = den, so an empty part gets den 1
+    g = gcd(den, *chain.from_iterable(t for _, t in items))
+    if g != 1:
+        den //= g
+        items = [(e, (a // g, b // g, c // g, d // g))
+                 for e, (a, b, c, d) in items]
+    return den, items
+
+
+def _series(parts, vars, order):
     """The series of the given order whose homogeneous parts are `parts`."""
-    den = lcm(*(p.den for p in parts))
+    den = lcm(*(pden for pden, _ in parts))
     num = {}
-    for p in parts:
-        f = den // p.den
-        num.update(p.num if f == 1 else
-                   {e: (a * f, b * f, c * f, d * f)
-                    for e, (a, b, c, d) in p.num.items()})
+    for pden, items in parts:
+        f = den // pden
+        num.update(items if f == 1 else
+                   ((e, (a * f, b * f, c * f, d * f))
+                    for e, (a, b, c, d) in items))
     return _reduced(vars, order, den, num)
-
-
-def _convolution(a, b, d, lo, hi):
-    """sum_{lo <= j <= hi} a[j] * b[d - j] over homogeneous parts (zero for
-    an empty range); pairs with a zero factor are skipped, as sparse series
-    have many."""
-    acc = MultiSeries.zero(a[0].vars)
-    for j in range(lo, hi + 1):
-        if a[j].num and b[d - j].num:
-            acc = acc + a[j] * b[d - j]
-    return acc
 
 
 # ---------- transcendental-free series functions ----------
@@ -579,35 +620,39 @@ def exp_series(x):
 
     The homogeneous parts come from the Euler-operator identity
     theta E = theta X * E, theta multiplying degree d by d:
-    d E_d = sum_j j X_j E_{d-j}, one truncated product in all.
+    d E_d = sum_j j X_j E_{d-j}.  Each E_d is one packed part, accumulated
+    over one common denominator and reduced by one gcd; the parts become
+    a series once, at the end.
     """
     if not x.constant_term().is_zero():
         raise SeriesError("exp needs a zero constant term")
     top = _finite_order(x, "exp")
-    tx = [p.scale(j) for j, p in enumerate(_graded(x, top))]
-    E = [MultiSeries.const(ONE, x.vars)]
+    X = _parts(x, top)
+    js = [j for j in range(1, top + 1) if X[j][1]]
+    E = [_constant(ONE, x.vars)]
     for d in range(1, top + 1):
-        E.append(_convolution(tx, E, d, 1, d).scale(Fraction(1, d)))
-    return _ungraded(E, x.vars, top)
+        E.append(_dot([(j, X[j], E[d - j]) for j in js if j <= d], d))
+    return _series(E, x.vars, top)
 
 
 def log_series(x):
     """log of a series with constant term exactly 1, trusted as far as x.
 
     The homogeneous parts come from theta L * T = theta T (theta as in
-    exp_series, T_0 = 1): L_d = T_d - (1/d) sum_{0<j<d} j L_j T_{d-j}.
+    exp_series, T_0 = 1): d L_d = d T_d - sum_{0<j<d} j T_{d-j} L_j, one
+    packed part per degree as in exp_series.
     """
     if not (x.constant_term() == ONE):
         raise SeriesError("log needs constant term 1")
     top = _finite_order(x, "log")
-    T = _graded(x, top)
-    L = [MultiSeries.zero(x.vars)]
-    tl = [L[0]]
+    T = _parts(x, top)
+    js = [j for j in range(1, top + 1) if T[j][1]]
+    one = _constant(ONE, x.vars)
+    L = [(1, [])]
     for d in range(1, top + 1):
-        Ld = T[d] - _convolution(tl, T, d, 1, d - 1).scale(Fraction(1, d))
-        L.append(Ld)
-        tl.append(Ld.scale(d))
-    return _ungraded(L, x.vars, top)
+        L.append(_dot([(d, T[d], one)] +
+                      [(j - d, T[j], L[d - j]) for j in js if j < d], d))
+    return _series(L, x.vars, top)
 
 
 # ---------- implicit solve ----------
@@ -735,23 +780,28 @@ def _linear_inputs(F, x_vars):
 
 def _newton_correction(dF, subs, r, J0inv, p, q):
     """The Newton correction -J^-1 r through degree q, for y = subs trusted
-    through p >= 1, with J = dF(x, y) composed at precision q-p-1."""
+    through p >= 1, with J = dF(x, y) composed at precision q-p-1: on
+    packed parts, delta_d = -J(0)^-1 (r_d + sum_{0<t<d-p} J_t delta_{d-t})
+    for d = p+1..q, made a series once, at the end."""
     n = len(r)
-    r = [_graded(s, q) for s in r]
+    vars = reduce(_merge_vars, (s.vars for s in r))
     k = q - p - 1
-    J = [[_graded(g.truncate(k).compose(subs), k) for g in row]
+    r = [_parts(s.embed(vars), q) for s in r]
+    J = [[_parts(g.truncate(k).compose(subs).embed(vars), k) for g in row]
          for row in dF]
-    # delta[j][deg]: the degree-deg part of the correction to y_j
+    one = _constant(ONE, vars)
+    C = [[_constant(-c, vars) for c in row] for row in J0inv]
+    # delta[j][d]: the degree-d part of the correction to y_j
     delta = [[None] * (p + 1) for _ in range(n)]
-    for deg in range(p + 1, q + 1):
-        rhs = [r[i][deg] for i in range(n)]
+    for d in range(p + 1, q + 1):
+        rhs = [_dot([(1, r[i][d], one)] +
+                    [(1, J[i][j][t], delta[j][d - t])
+                     for j in range(n) for t in range(1, d - p)], 1)
+               for i in range(n)]
         for i in range(n):
-            for j in range(n):
-                rhs[i] = rhs[i] + _convolution(J[i][j], delta[j], deg, 1,
-                                               deg - p - 1)
-        for i, s in enumerate(_apply(J0inv, rhs)):
-            delta[i].append(-s)
-    return [_ungraded(dl[p + 1:], dl[p + 1].vars, EXACT) for dl in delta]
+            delta[i].append(_dot([(1, C[i][j], rhs[j]) for j in range(n)],
+                                 1))
+    return [_series(dl[p + 1:], vars, EXACT) for dl in delta]
 
 
 class SingularJacobianError(SeriesError):

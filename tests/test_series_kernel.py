@@ -17,7 +17,7 @@ import pytest
 
 from segrefuchs import linalg
 from segrefuchs.errors import SegrefuchsError
-from segrefuchs.qfield import GaussianRational, ZERO, ONE
+from segrefuchs.qfield import GaussianRational, ZERO, ONE, qi
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
                                SingularJacobianError, exp_series, log_series,
                                solve_implicit, _linear_inputs)
@@ -269,24 +269,66 @@ def _ref_horner(f, subs, out_vars, order):
 EXP_CASES = [(nvars, kind, shape)
              for nvars in (1, 2, 3)
              for kind in ("gauss", "sqrt2", "mixed")
-             for shape in ("plain", "low-order", "valuation-2", "exact")]
+             for shape in ("plain", "low-order", "valuation-2", "exact",
+                           "sparse-high", "big-den")]
+
+
+def exp_argument(rng, nvars, kind, shape):
+    """A random series with zero constant term.  "sparse-high" has 1-3
+    terms of degree 1..6, exact, to be truncated at the benchmark's model
+    orders; "big-den" is dense, its coefficients over two denominators
+    of 10**6 and more, each with a sqrt2 part."""
+    vars = VARS[:nvars]
+    if shape == "sparse-high":
+        terms, size = {}, rng.randint(1, 3)
+        while len(terms) < size:
+            e = tuple(rng.randint(0, 3) for _ in vars)
+            if 1 <= sum(e) <= 6:
+                terms[e] = rnd_coeff(rng, kind)
+        return MultiSeries(vars, EXACT, terms)
+    if shape == "big-den":
+        dens = [rng.randint(10 ** 6, 10 ** 7) for _ in range(2)]
+
+        def big():
+            return rng.choice(dens)
+        return MultiSeries(vars, 6, {
+            e: qi(Fraction(1, big())) * rnd_coeff(rng, kind) +
+            of_sqrt2(Fraction(rng.randint(-5, 5), big()), Fraction(1, big()))
+            for e in _exponents(nvars, 6) if sum(e)})
+    x, _ = rnd_pair(rng, nvars, {"low-order": 4, "exact": EXACT}.get(
+        shape, 6), True, kind, zero_constant=True)
+    if shape == "valuation-2":
+        x = MultiSeries(x.vars, x.order, {e: c for e, c in x.terms.items()
+                                          if sum(e) >= 2})
+    return x
 
 
 @pytest.mark.parametrize("nvars,kind,shape", EXP_CASES)
 def test_exp_log_match_power_sums(nvars, kind, shape):
     rng = random.Random(repr(("exp", nvars, kind, shape)))
-    order = 6
     for _ in range(2):
-        x, _ = rnd_pair(rng, nvars, {"low-order": 4, "exact": EXACT}.get(
-            shape, order), True, kind, zero_constant=True)
-        if shape == "valuation-2":
-            x = MultiSeries(x.vars, x.order, {e: c for e, c in x.terms.items()
-                                              if sum(e) >= 2})
+        x = exp_argument(rng, nvars, kind, shape)
         one = MultiSeries.const(ONE, x.vars)
-        for o in (order, 3):
+        for o in (24, 32, 40) if shape == "sparse-high" else (6, 3):
             xt = x.truncate(o)
             identical(exp_series(xt), ref_exp(xt))
             identical(log_series(one + xt), ref_log(one + xt))
+
+
+def test_exp_log_of_one_term_make_no_product(monkeypatch):
+    """The recurrences multiply packed homogeneous parts, never series."""
+    products = []
+    mul = MultiSeries.__mul__
+
+    def spy(a, b):
+        products.append((a, b))
+        return mul(a, b)
+    x = MultiSeries.monomial(qi(Fraction(1, 3), 2), (1, 1, 0), VARS, 40)
+    one = MultiSeries.const(ONE, VARS)
+    monkeypatch.setattr(MultiSeries, "__mul__", spy)
+    exp_series(x)
+    log_series(one + x)
+    assert products == []
 
 
 def test_exp_log_of_zero_match_power_sums():
@@ -494,12 +536,16 @@ def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
                                     for kind in ("gauss", "sqrt2")])
 def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
     """With every x entering nonlinearly, the Jacobian-composing Newton
-    step runs, and it too equals the oracle."""
+    step runs, and it too equals the oracle; its packed parts meet sqrt2
+    coefficients and denominators other than 1."""
     rng = random.Random(repr(("nonlinear", n, kind)))
     for order in (2, 3, 6):
         F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, order,
                                           nonlinear=True)
         assert _linear_inputs(F, x_vars) is None
+        assert any(f.den != 1 for f in F)
+        assert (kind == "sqrt2") == any(t[2] or t[3] for f in F
+                                        for t in f.num.values())
         for got, ref in zip(solve_implicit(F, x_vars, y_vars),
                             solve_by_degree(F, x_vars, y_vars)):
             identical(got, ref)

@@ -22,24 +22,30 @@ from reference import (H22_U, H22_U2, SQRT2_TABLE, conj, dense_surface,
 # ---- real_to_complex --------------------------------------------------------
 
 def test_model_m1_closed_form():
-    """v = u z zb has the closed form w = wb (1 + i z zb)/(1 - i z zb)."""
-    Mr = build_real(1, 1, {}, 10)
-    Mc = real_to_complex(Mr)
-    assert Mc.scale_sq == Fraction(1, 2)
-    # pre-normalization phi = 2 z zb - (2/3) (z zb)^3 + ...; after the
-    # z -> z/sqrt(2) rescale the degree-6 coefficient becomes -1/12
-    assert Mc.phi.coefficient((1, 1, 0)) == ONE
-    assert Mc.phi.coefficient((2, 2, 0)).is_zero()
-    assert Mc.phi.coefficient((3, 3, 0)) == qi(Fraction(-1, 12))
-    # oracle: R must satisfy (w - wb)/2i = u * z*zb with u = (w+wb)/2,
-    # both sides divided by the original z-scale
-    R = Mc.defining_series()
-    lhs = (R - MultiSeries.variable(WB, (Z, ZB, WB))).scale(
-        qi(0, Fraction(-1, 2)))
-    u = (R + MultiSeries.variable(WB, (Z, ZB, WB))).scale(Fraction(1, 2))
-    zzb = MultiSeries.monomial(ONE, (1, 1, 0), (Z, ZB, WB))
-    rhs = u * zzb.scale(GaussianRational.of(Fraction(Mc.scale_sq)))
-    assert (lhs - rhs).truncate(R.order).is_zero()
+    """v = u z zb has the closed form w = wb (1 + i z zb)/(1 - i z zb), so
+    log(w/wb) = 2i atan(z zb), and the z -> z/sqrt(2) rescale that makes
+    the z zb coefficient 1 gives phi = 2 atan(z zb / 2): the terms
+    (z zb)^(2k+1) with coefficient (-1)^k / ((2k+1) 4^k), and no others,
+    through the order N-1 of the transfer, here up to the benchmark's
+    model orders."""
+    for N in (10, 24, 32, 40):
+        Mr = build_real(1, 1, {}, N)
+        Mc = real_to_complex(Mr)
+        assert Mc.scale_sq == Fraction(1, 2)
+        assert Mc.phi.order == N - 1
+        assert dict(Mc.phi.terms) == {
+            (2 * k + 1, 2 * k + 1, 0):
+            qi(Fraction((-1) ** k, (2 * k + 1) * 4 ** k))
+            for k in range(N) if 4 * k + 2 <= N - 1}
+        # oracle: R must satisfy (w - wb)/2i = u * z*zb with u = (w+wb)/2,
+        # both sides divided by the original z-scale
+        R = Mc.defining_series()
+        lhs = (R - MultiSeries.variable(WB, (Z, ZB, WB))).scale(
+            qi(0, Fraction(-1, 2)))
+        u = (R + MultiSeries.variable(WB, (Z, ZB, WB))).scale(Fraction(1, 2))
+        zzb = MultiSeries.monomial(ONE, (1, 1, 0), (Z, ZB, WB))
+        rhs = u * zzb.scale(GaussianRational.of(Fraction(Mc.scale_sq)))
+        assert (lhs - rhs).truncate(R.order).is_zero()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
