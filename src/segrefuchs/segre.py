@@ -4,7 +4,11 @@ The Segre varieties of an admissible surface are graphs
     w_p(z) = etab * exp( eps*i * etab^(m-1) * phi(z, xib, etab) )
 parametrized by the conjugated point coordinates (xib, etab).  Eliminating
 (xib, etab) between w_p, w_p'/w_p^m and w_p'' produces the unique singular
-ODE  w'' = Phi(z, w, w'/w^m)  with Phi = O(w^m zeta^2).
+ODE  w'' = Phi(z, w, w'/w^m)  with Phi = O(w^m zeta^2).  The elimination
+solves w_p = w, w_p'/w_p^m = zeta for xib = lam(z, w, zeta); the Segre
+parameters are first integrals of the ODE (Sukhov, Math. Z. 238 (2001)),
+so Phi follows from lam by one series division, with no substitution into
+w_p''.
 
 The jet variable zeta stays a first-class series variable; the substitution
 zeta = w'/w^m is never performed symbolically.  Closed-form expressions for
@@ -19,7 +23,7 @@ order of phi, and an ODE's order is the order of its Phi.  The surface's
 from fractions import Fraction
 
 from .qfield import GaussianRational, ONE, I
-from .series import MultiSeries, LaurentInW, EXACT, exp_series, \
+from .series import MultiSeries, LaurentInW, EXACT, divide, exp_series, \
     solve_implicit
 from .surfaces import Z, ZB, WB, W as WV, require_min_order
 
@@ -34,11 +38,9 @@ _COEFF_SLOT = {"a0": (2, 0), "a1": (2, 1), "a2": (2, 2),
 class SegreGraph:
     """Graph series w_p(z) over (z, xib, etab), plus its jet data."""
 
-    def __init__(self, w, wz, zeta):
+    def __init__(self, w, zeta):
         self.w = w          # the graph series
-        self.wz = wz        # dw/dz
         self.zeta = zeta    # w'/w^m, computed without division
-        self.wzz = wz.diff(Z)
 
 
 class AssociatedODE:
@@ -95,34 +97,43 @@ class AssociatedODE:
 def segre_graph(M):
     """Segre-variety graphs of M as a series in (z, xib, etab)."""
     X = M.exponent().rename({ZB: XIB, WB: ETAB})
-    E1 = exp_series(X)
-    w = E1.monomial_mul(ETAB, 1)
-    Xz = X.diff(Z)
-    wz = Xz * w
+    w = exp_series(X).monomial_mul(ETAB, 1)
     # w'/w^m = eps*i * phi_z * exp((1-m) X): exact, no series division
-    zeta = Xz.monomial_div(ETAB, M.m - 1) * \
+    zeta = X.diff(Z).monomial_div(ETAB, M.m - 1) * \
         exp_series(X.scale(Fraction(1 - M.m)))
-    return SegreGraph(w, wz, zeta)
+    return SegreGraph(w, zeta)
 
 
 def eliminate(M, order=None):
     """Eliminate the Segre parameters to get the associated ODE.
 
     Solves w_p = w, w_p'/w_p^m = zeta for (xib, etab) as series in
-    (z, w, zeta) and substitutes into w_p''.  The Jacobian of the solve is
-    the Levi unit of an admissible surface, so the implicit step cannot
-    degenerate for valid input.  An `order` works on M.truncate(order).
+    (z, w, zeta).  The Jacobian of the solve is the Levi unit of an
+    admissible surface, so the implicit step cannot degenerate for valid
+    input.  The solution lam = xib is a first integral of the ODE: along
+    every Segre graph, d/dz lam(z, w, zeta) = 0 with w' = zeta w^m, so
+        zeta' = -(lam_z + zeta w^m lam_w) / lam_zeta,
+        Phi = w^m zeta' + m zeta^2 w^(2m-1),
+    one truncated division.  lam_zeta(0) = 1/det J(0) is a unit, and the
+    quotient is taken through lam's order minus m, so Phi is trusted
+    through lam's order.  An `order` works on M.truncate(order).
     """
     if order is not None:
         M = M.truncate(order)
     require_min_order(M)
     g = segre_graph(M)
+    m = M.m
     vars5 = (Z, WV, ZETA, XIB, ETAB)
     F1 = g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5)
     F2 = g.w.embed(vars5) - MultiSeries.variable(WV, vars5)
-    lam, om = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB))
-    return AssociatedODE.from_phi(M.m, M.eps,
-                                  g.wzz.compose({XIB: lam, ETAB: om}))
+    lam, _ = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB))
+    # the quotient is needed through lam's order minus m only
+    lam = lam.truncate(lam.order - m + 1)
+    flow = lam.diff(Z) + lam.diff(WV).monomial_mul(ZETA, 1) \
+        .monomial_mul(WV, m)
+    Phi = MultiSeries.monomial(m, (0, 2 * m - 1, 2), (Z, WV, ZETA)) - \
+        divide(flow, lam.diff(ZETA)).monomial_mul(WV, m)
+    return AssociatedODE.from_phi(m, M.eps, Phi)
 
 
 def closed_form_coeffs(M):

@@ -10,9 +10,9 @@ so e.g. multiplying a degree-shifted slice back by its monomial does not
 lose precision.
 
 A series function takes the order of its arguments: `exp_series`,
-`log_series` and `solve_implicit` are trusted exactly as far as their
-arguments are and refuse an exact argument, whose result would be an
-infinite series.  `truncate` is the one way to lower an order.  `compose`
+`log_series`, `divide` and `solve_implicit` are trusted exactly as far as
+their arguments are and refuse an exact argument, whose result would be
+an infinite series.  `truncate` is the one way to lower an order.  `compose`
 allows a substitution with a constant term only into an exact series: in a
 truncated one the unknown tail would feed every lower degree.
 
@@ -25,7 +25,7 @@ these integers alone and divides out the common content at its end;
 GaussianRational values are built only where a caller reads a coefficient
 (`terms`, `coefficient`, `constant_term`).
 
-The three series functions each do their work about once.  `compose`
+The series functions each do their work about once.  `compose`
 evaluates every substituted variable v by Horner in s = subs[v], and
 composes the slice of v**k only through degree order - k*val(s): it meets
 s**k, of valuation k*val(s), so its terms past that land above the order;
@@ -39,6 +39,8 @@ be too lazy", JSC 34 (2002)).  A degree is a packed part over its own
 reduced denominator, not a MultiSeries: its coefficient pairs are summed
 over one common denominator by the multiply-add loop of `__mul__`, then
 reduced by one gcd, and the parts become a series once, at the end.
+`divide` runs the same scheme on b q = a, q_d = (a_d - sum_{t>0} b_t
+q_{d-t}) / b_0, through the solve loop of the Newton correction below.
 `solve_implicit` lifts its solution by Newton's method, doubling the
 precision per step.  Where n of the x-variables enter F only through a
 constant invertible linear term, as in the elimination and the real-complex
@@ -655,6 +657,22 @@ def log_series(x):
     return _series(L, x.vars, top)
 
 
+def divide(a, b):
+    """a / b for b with a nonzero constant term, trusted as far as both
+    are: the one-unknown case of the Newton correction's solve, b q = a
+    with q_d = (a_d - sum_{t>0} b_t q_{d-t}) / b_0, one packed part per
+    degree and one series at the end."""
+    c = b.constant_term()
+    if c.is_zero():
+        raise SeriesError("division needs a divisor with a nonzero "
+                          "constant term")
+    a, b = a._aligned(b)
+    top = _finite_order(min(a, b, key=lambda s: s.order), "divide")
+    q, = _solve_parts([_parts(-a, top)], [[_parts(b, top)]],
+                      [[_constant(-c.inverse(), a.vars)]], 0, top, a.vars)
+    return _series(q, a.vars, top)
+
+
 # ---------- implicit solve ----------
 
 def solve_implicit(F, x_vars, y_vars):
@@ -780,28 +798,38 @@ def _linear_inputs(F, x_vars):
 
 def _newton_correction(dF, subs, r, J0inv, p, q):
     """The Newton correction -J^-1 r through degree q, for y = subs trusted
-    through p >= 1, with J = dF(x, y) composed at precision q-p-1: on
-    packed parts, delta_d = -J(0)^-1 (r_d + sum_{0<t<d-p} J_t delta_{d-t})
-    for d = p+1..q, made a series once, at the end."""
-    n = len(r)
+    through p >= 1, with J = dF(x, y) composed at precision q-p-1, solved
+    on packed parts for the degrees p+1..q and made a series once, at the
+    end."""
     vars = reduce(_merge_vars, (s.vars for s in r))
     k = q - p - 1
     r = [_parts(s.embed(vars), q) for s in r]
     J = [[_parts(g.truncate(k).compose(subs).embed(vars), k) for g in row]
          for row in dF]
-    one = _constant(ONE, vars)
     C = [[_constant(-c, vars) for c in row] for row in J0inv]
-    # delta[j][d]: the degree-d part of the correction to y_j
-    delta = [[None] * (p + 1) for _ in range(n)]
-    for d in range(p + 1, q + 1):
+    return [_series(dl, vars, EXACT)
+            for dl in _solve_parts(r, J, C, p + 1, q, vars)]
+
+
+def _solve_parts(r, J, C, lo, hi, vars):
+    """The parts of degree lo..hi of the solution delta of J delta = -r
+    that vanishes below degree lo, for C = -J(0)^-1: one degree at a time,
+    delta_d = C (r_d + sum_{0<t<=d-lo} J_t delta_{d-t}).  r[i] and J[i][j]
+    are lists of parts indexed by degree, through hi and hi-lo; the
+    kernel's one packed-part solve loop."""
+    n = len(r)
+    one = _constant(ONE, vars)
+    # delta[j][d]: the degree-d part of delta_j
+    delta = [[None] * lo for _ in range(n)]
+    for d in range(lo, hi + 1):
         rhs = [_dot([(1, r[i][d], one)] +
                     [(1, J[i][j][t], delta[j][d - t])
-                     for j in range(n) for t in range(1, d - p)], 1)
+                     for j in range(n) for t in range(1, d - lo + 1)], 1)
                for i in range(n)]
         for i in range(n):
             delta[i].append(_dot([(1, C[i][j], rhs[j]) for j in range(n)],
                                  1))
-    return [_series(dl[p + 1:], vars, EXACT) for dl in delta]
+    return [dl[lo:] for dl in delta]
 
 
 class SingularJacobianError(SeriesError):

@@ -25,10 +25,11 @@ from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      Y12_COMPONENTS, _jet_dw, _jet_dz,
                                      _system_matrix)
 from segrefuchs.qfield import GaussianRational, ONE, qi
-from segrefuchs.segre import WV, ZETA, segre_graph
+from segrefuchs.segre import (AssociatedODE, ETAB, WV, XIB, ZETA,
+                             segre_graph)
 from segrefuchs.series import (MultiSeries, LaurentInW, EXACT, SeriesError,
-                               SingularJacobianError)
-from segrefuchs.surfaces import Z, ZB, build_real
+                               SingularJacobianError, solve_implicit)
+from segrefuchs.surfaces import Z, ZB, build_real, require_min_order
 
 
 # ---------- shared builders ----------
@@ -254,13 +255,47 @@ def verify_ode(M, E):
 
     Zero modulo the trusted order iff E is the associated ODE of M (the
     oracle of eliminate).  The residual comes back in the graph variables
-    (z, xib, etab).
+    (z, xib, etab); w_p'' is the second z-derivative of the graph series.
     """
     order = min(M.order, E.order)
     g = segre_graph(M.truncate(order))
     sub = E.Phi.compose({WV: g.w.truncate(order),
                          ZETA: g.zeta.truncate(order)})
-    return (g.wzz - sub).truncate(order)
+    return (g.w.diff(Z).diff(Z) - sub).truncate(order)
+
+
+def segre_system(g):
+    """The arguments of eliminate's solve for the graph g: F = (w_p'/w_p^m
+    - zeta, w_p - w), solved for (xib, etab) over (z, w, zeta)."""
+    vars5 = (Z, WV, ZETA, XIB, ETAB)
+    return ([g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5),
+             g.w.embed(vars5) - MultiSeries.variable(WV, vars5)],
+            (Z, WV, ZETA), (XIB, ETAB))
+
+
+def eliminate_by_composition(M):
+    """The associated ODE by substitution into w_p'': the solve of
+    eliminate for (xib, etab) as series in (z, w, zeta), then w_p'' (the
+    second z-derivative of the graph series) composed with that solution.
+    The oracle of eliminate's division along the first integral xib."""
+    require_min_order(M)
+    g = segre_graph(M)
+    lam, om = solve_implicit(*segre_system(g))
+    wzz = g.w.diff(Z).diff(Z)
+    return AssociatedODE.from_phi(M.m, M.eps,
+                                  wzz.compose({XIB: lam, ETAB: om}))
+
+
+def spy_compose(monkeypatch):
+    """The list that every MultiSeries.compose call appends its series to."""
+    composed = []
+    compose = MultiSeries.compose
+
+    def spy(self, subs):
+        composed.append(self)
+        return compose(self, subs)
+    monkeypatch.setattr(MultiSeries, "compose", spy)
+    return composed
 
 
 def mero_pole_rows(E):

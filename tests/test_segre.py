@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from segrefuchs.qfield import ONE, I, qi
-from segrefuchs.series import MultiSeries
+from segrefuchs.series import MultiSeries, solve_implicit
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import (segre_graph, eliminate, closed_form_coeffs,
                               families_agree, AssociatedODE,
                               COEFF_KEYS, XIB, ETAB, WV, ZETA)
 from segrefuchs.errors import OrderTooLowError
-from reference import verify_ode, wb_series
+from reference import (SQRT2_TABLE, eliminate_by_composition, segre_system,
+                       spy_compose, verify_ode, wb_series)
 
 
 def random_table(rng, m, order, keys=((2, 2), (2, 3), (3, 2), (3, 3),
@@ -50,7 +51,8 @@ def test_graph_derivative_matches_sign(m, eps):
     order = 3 * m + 4
     M = build_complex(m, eps, random_table(rng, m, order), order)
     g = segre_graph(M)
-    lead = g.wz.coeff_of({"z": 0})
+    wz = g.w.diff("z")
+    lead = wz.coeff_of({"z": 0})
     expect = MultiSeries.monomial(I if eps == 1 else -I, (1, m),
                                   (XIB, ETAB), lead.order)
     assert lead.truncate(m + 1) == expect.truncate(m + 1)
@@ -58,7 +60,7 @@ def test_graph_derivative_matches_sign(m, eps):
     zeta0 = g.zeta.coeff_of({"z": 0}).truncate(1)
     assert zeta0 == MultiSeries.monomial(I if eps == 1 else -I, (1, 0),
                                          (XIB, ETAB), 1)
-    jet = g.wz - g.zeta * g.w ** m
+    jet = wz - g.zeta * g.w ** m
     assert jet.truncate(min(jet.order, order)).is_zero()
 
 
@@ -99,6 +101,72 @@ def test_oracle_equivalence_randomized():
             E = eliminate(M)
             ok, report = families_agree(E.coeffs, closed_form_coeffs(M))
             assert ok, (m, eps, report)
+
+
+def dense_table(rng, m, order):
+    """Every admissible phi_kl (k, l >= 2) with every wb-power up to the
+    order, random small Gaussian coefficients."""
+    tbl = {}
+    for k in range(2, order - 1):
+        for l in range(2, order - k + 1):
+            cap = order - k - l
+            tbl[(k, l)] = MultiSeries(("wb",), cap, {
+                (j,): qi(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                         rng.randint(-2, 2)) for j in range(cap + 1)})
+    return tbl
+
+
+def _oracle_surfaces():
+    """(id, surface) for the division oracle: random sparse and dense
+    tables at m = 1, 2, 3 and eps = +-1, the model and the sqrt2 table of
+    the benchmark, each at the 3m+2 floor of the complex form and above."""
+    rng = random.Random(2016)
+    out = []
+    for m in (1, 2, 3):
+        for eps in (1, -1):
+            for order in (3 * m + 2, 3 * m + 5):
+                out.append(("sparse-m%d%+d-N%d" % (m, eps, order),
+                            build_complex(m, eps,
+                                          random_table(rng, m, order), order)))
+                out.append(("dense-m%d%+d-N%d" % (m, eps, order),
+                            build_complex(m, eps,
+                                          dense_table(rng, m, order), order)))
+        out.append(("model-m%d" % m, build_complex(m, 1, {}, 3 * m + 2)))
+        out.append(("model-m%d-N24" % m, build_complex(m, -1, {}, 24)))
+    # the real sqrt2 surface at its 4m+2 floor (complex order 3m+2) and
+    # at its benchmark order
+    for N in (10, 20):
+        out.append(("sqrt2-m2-N%d" % N,
+                    real_to_complex(build_real(2, 1, SQRT2_TABLE, N))))
+    return out
+
+
+ORACLE_SURFACES = _oracle_surfaces()
+
+
+@pytest.mark.parametrize("M", [M for _, M in ORACLE_SURFACES],
+                         ids=[name for name, _ in ORACLE_SURFACES])
+def test_division_matches_substitution_into_wzz(M):
+    """Phi from the first integral xib equals Phi from w_p'' composed with
+    the solution, down to its packed data and order, and solves the ODE
+    along the Segre graphs."""
+    E, ref = eliminate(M), eliminate_by_composition(M)
+    assert E.Phi.vars == ref.Phi.vars
+    assert (E.Phi.den, E.Phi.num, E.order) == \
+        (ref.Phi.den, ref.Phi.num, ref.order)
+    assert verify_ode(M, E).is_zero()
+
+
+def test_eliminate_composes_only_in_the_solve(monkeypatch):
+    """eliminate makes the compositions of its solve and no other: Phi
+    comes from a division, not from substituting into w_p''."""
+    M = build_complex(2, -1, random_table(random.Random(9), 2, 11), 11)
+    composed = spy_compose(monkeypatch)
+    eliminate(M)
+    n_eliminate = len(composed)
+    composed.clear()
+    solve_implicit(*segre_system(segre_graph(M)))
+    assert n_eliminate == len(composed) > 0
 
 
 def test_eliminate_guards_low_order():

@@ -19,9 +19,9 @@ from segrefuchs import linalg
 from segrefuchs.errors import SegrefuchsError
 from segrefuchs.qfield import GaussianRational, ZERO, ONE, qi
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
-                               SingularJacobianError, exp_series, log_series,
-                               solve_implicit, _linear_inputs)
-from reference import identical, of_sqrt2, solve_by_degree
+                               SingularJacobianError, divide, exp_series,
+                               log_series, solve_implicit, _linear_inputs)
+from reference import identical, of_sqrt2, solve_by_degree, spy_compose
 
 VARS = ("z", "w", "t")
 
@@ -331,6 +331,34 @@ def test_exp_log_of_one_term_make_no_product(monkeypatch):
     assert products == []
 
 
+@pytest.mark.parametrize("nvars,kind", [(n, k) for n in (1, 2, 3)
+                                         for k in ("gauss", "sqrt2", "mixed")])
+def test_divide_inverts_the_product(nvars, kind):
+    """divide(a, b) times b is a through their common order, and the
+    quotient is trusted exactly that far."""
+    rng = random.Random(repr(("divide", nvars, kind)))
+    for shape in ("plain", "valuation-2", "big-den"):
+        a = exp_argument(rng, nvars, kind, shape) + rnd_coeff(rng, kind)
+        c = rnd_coeff(rng, kind)
+        b = exp_argument(rng, nvars, kind, "plain") + \
+            (ONE if c.is_zero() else c)
+        for oa, ob in ((6, 6), (3, 5), (5, 2)):
+            at, bt = a.truncate(oa), b.truncate(ob)
+            q = divide(at, bt)
+            assert q.order == min(oa, ob)
+            identical((q * bt).truncate(q.order), at.truncate(q.order))
+
+
+def test_divide_refusals():
+    """A divisor without a constant term, and two exact arguments."""
+    x = MultiSeries.variable("z", VARS)
+    one = MultiSeries.const(ONE, VARS)
+    with pytest.raises(SeriesError, match="nonzero constant term"):
+        divide(one.truncate(4), x.truncate(4))
+    with pytest.raises(SeriesError, match="no finite order"):
+        divide(x, one + x)
+
+
 def test_exp_log_of_zero_match_power_sums():
     for vars, order in ((("z",), 5), (("z", "w"), 3), (("z", "w"), EXACT)):
         for o in (2, 5, 8):
@@ -549,18 +577,6 @@ def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
         for got, ref in zip(solve_implicit(F, x_vars, y_vars),
                             solve_by_degree(F, x_vars, y_vars)):
             identical(got, ref)
-
-
-def spy_compose(monkeypatch):
-    """The list that every MultiSeries.compose call appends its series to."""
-    composed = []
-    compose = MultiSeries.compose
-
-    def spy(self, subs):
-        composed.append(self)
-        return compose(self, subs)
-    monkeypatch.setattr(MultiSeries, "compose", spy)
-    return composed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
