@@ -1,26 +1,17 @@
-"""Monomial blow-ups of surfaces and transport of vector fields.
+"""Monomial blow-ups of surfaces.
 
 The blow-down map is F(xi, eta) = (xi eta^s, eta^l).  Surfaces pull back for
 any s, l >= 1 by substituting into the defining relation, taking the l-th
-root and re-solving the implicit shape; vector fields transport only for
-l = 2, where the explicit formulas
-    P* = eta^-s P(xi eta^s, eta^2) - (s xi / 2 eta^2) Q(xi eta^s, eta^2)
-    Q* = (1 / 2 eta) Q(xi eta^s, eta^2)
-apply.  Pushing forward requires each xi^j-coefficient of the transported
-components to be divisible by eta^(j s) with an even-power quotient; the
-failure is reported with the offending index.
+root and re-solving the implicit shape.
 """
 
 from fractions import Fraction
 
 from .qfield import GaussianRational, ONE, I
-from .series import (MultiSeries, LaurentInW, exp_series, log_series,
-                     solve_implicit)
-from .surfaces import ComplexDefining, Z, ZB, WB, W, normalize_lead
+from .series import MultiSeries, exp_series, log_series, solve_implicit
+from .surfaces import ComplexDefining, Z, ZB, WB, normalize_lead
 from .segre import XIB, ETAB
-from .prolongation import VectorField
-from .errors import (DivisibilityError, SegrefuchsError, OrderTooLowError,
-                     NotNormalizableError)
+from .errors import SegrefuchsError, OrderTooLowError, NotNormalizableError
 
 XI, ETA = "xi", "eta"
 
@@ -138,84 +129,3 @@ def find_blowup_exponent(M, s_max):
         return None, [(2, "xi*xib coefficient vanishes to order %d"
                        % c.order)]
     return 2, P
-
-
-class BlownField:
-    """Vector field in (xi, eta) with Laurent-in-eta components."""
-
-    def __init__(self, Pstar, Qstar):
-        """Off the CLI path: the result of pullback_field."""
-        self.P = Pstar
-        self.Q = Qstar
-
-
-def pullback_field(L, B):
-    """Transport a field through the blow-down (l = 2 only).
-
-    Components may acquire finite eta-poles; they are tracked exactly.
-
-    Off the CLI path: paper content, field transport into a blow-up.
-    """
-    if B.l != 2:
-        raise SegrefuchsError("field transport is implemented for l = 2 "
-                              "only; explicit formulas exist just there")
-    s = B.s
-    amb = (XI, ETA)
-    zsub = MultiSeries.monomial(ONE, (1, s), amb)
-    wsub = MultiSeries.monomial(ONE, (0, 2), amb)
-    Psub = L.P.compose({Z: zsub, W: wsub})
-    Qsub = L.Q.compose({Z: zsub, W: wsub})
-    xi = MultiSeries.variable(XI, amb)
-    half_s = GaussianRational.of(Fraction(s, 2))
-    Pstar = LaurentInW(Psub, s, ETA) - \
-        LaurentInW((xi * Qsub).scale(half_s), 2, ETA)
-    Qstar = LaurentInW(Qsub.scale(Fraction(1, 2)), 1, ETA)
-    return BlownField(Pstar, Qstar)
-
-
-def pushforward_field(f, g, B):
-    """Reconstruct (P, Q) in (z, w) from transported components.
-
-    f and g are the (xi, eta)-components of the transported field (Laurent
-    values allowed).  Checks the eta^(j s) divisibility with even-power
-    quotients and inverts the substitution; inverse of pullback_field on
-    its image.
-
-    Off the CLI path: paper content, transport out of a blow-up.
-    """
-    if B.l != 2:
-        raise SegrefuchsError("field transport is implemented for l = 2 "
-                              "only")
-    s = B.s
-    f = f if isinstance(f, LaurentInW) else LaurentInW(f, 0, ETA)
-    g = g if isinstance(g, LaurentInW) else LaurentInW(g, 0, ETA)
-    amb = (XI, ETA)
-    xi = LaurentInW(MultiSeries.variable(XI, amb), 0, ETA)
-    # P o F = eta^s f + s xi eta^(s-1) g ;  Q o F = 2 eta g
-    phat = f.mul_w(s) + (xi * g).scale(s).mul_w(s - 1)
-    qhat = g.mul_w(1).scale(2)
-    P = _invert_substitution(phat, s, "P")
-    Q = _invert_substitution(qhat, s, "Q")
-    return VectorField(P, Q)
-
-
-def _invert_substitution(hhat, s, label):
-    """Solve H(xi eta^s, eta^2) = hhat for H(z, w).
-
-    Off the CLI path: pushforward_field's inverse substitution.
-    """
-    if hhat.pole_order() > 0:
-        raise DivisibilityError(0, hhat.pole, -hhat.pole_order())
-    h = hhat.as_series()
-    terms = {}
-    order = h.order
-    for e, c in h.terms.items():
-        j = e[h.vars.index(XI)]
-        k = e[h.vars.index(ETA)]
-        if k < j * s:
-            raise DivisibilityError(j, j * s, k)
-        r = k - j * s
-        if r % 2:
-            raise DivisibilityError(j, j * s, k)
-        terms[(j, r // 2)] = c
-    return MultiSeries((Z, W), order, terms)

@@ -45,18 +45,6 @@ class NonFuchsianError(SegrefuchsError):
         self.pole = pole
 
 
-class DivisibilityError(SegrefuchsError):
-    """A pushforward component misses its required eta-divisibility."""
-
-    def __init__(self, j, needed, found):
-        """Off the CLI path: raised by pushforward_field."""
-        super().__init__("component j=%d needs eta^%d with an even-power "
-                         "quotient, found valuation %d" % (j, needed, found))
-        self.j = j
-        self.needed = needed
-        self.found = found
-
-
 class NonConvergenceError(SegrefuchsError):
     """Numeric continuation failed to converge within the step budget."""
     exit_code = 13

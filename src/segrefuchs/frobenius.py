@@ -15,9 +15,6 @@ full tangency residual vanishes; the filter, not the recurrence, is the
 source of truth.
 """
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
-
 from .qfield import GaussianRational, ZERO, I
 from .series import MultiSeries, LaurentInW, EXACT, SeriesError
 from .segre import WV, eliminate
@@ -30,104 +27,14 @@ from .fuchs import check_fuchsian_complex, check_fuchsian_ode, FUCHSIAN
 from . import linalg
 
 
-class ResidueSpectrum:
-    """Exact spectral data of the residue matrix A(0)."""
-
-    def __init__(self, rational, residual_factor, truncated_search):
-        """Off the CLI path: the result of residue_spectrum."""
-        self.rational = rational            # dict Fraction -> multiplicity
-        self.residual_factor = residual_factor  # unfactored part or None
-        self.truncated_search = truncated_search
-        self.resonances = []
-        eigs = sorted(self.rational)
-        for i, x in enumerate(eigs):
-            for y in eigs[i + 1:]:
-                d = y - x
-                if d != 0 and d.denominator == 1:
-                    self.resonances.append((x, y))
-
-
-DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
-
-
-def _divisors(n):
-    """(the divisors of |n|, or past DIVISOR_CAP those below 1000 only,
-    whether the list was cut short).
-
-    Off the CLI path: residue_spectrum's rational root search.
-    """
-    n = abs(n)
-    if n > DIVISOR_CAP:
-        return [d for d in range(1, 1000) if n % d == 0], True
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(low + [n // d for d in low])), False
-
-
-def _rational_root(work):
-    """(a rational root of the polynomial `work` or None, whether the
-    divisor search was cut short); a linear factor's is read off exactly.
-
-    Off the CLI path: residue_spectrum's rational root search.
-    """
-    if len(work) == 2:
-        r = -work[0] / work[1]
-        return (r.re if r.is_rational() else None), False
-    den = 1
-    for c in work:
-        den = lcm(den, c.q)
-    cleared = [c * GaussianRational.from_int(den) for c in work]
-    lo, hi = cleared[0], cleared[-1]
-    p_div, t1 = _divisors(gcd(lo.a, lo.b, lo.c, lo.d))
-    q_div, t2 = _divisors(gcd(hi.a, hi.b, hi.c, hi.d))
-    for q in q_div:
-        for p in p_div:
-            if gcd(p, q) != 1:
-                continue
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if linalg.poly_eval(work, GaussianRational.of(r)).is_zero():
-                    return r, t1 or t2
-    return None, t1 or t2
-
-
-def residue_spectrum(S):
-    """Characteristic polynomial of A(0) with exact rational-root data.
-
-    Off the CLI path: paper content, the exact spectrum of A(0).
-    """
-    cp = linalg.charpoly(_matrix_coeffs(S.fuchsian_A(), 0)[0])
-    rational = {}
-    # peel zero roots
-    work = cp[:]
-    while len(work) > 1 and work[0].is_zero():
-        rational[Fraction(0)] = rational.get(Fraction(0), 0) + 1
-        work = work[1:]
-    truncated = False
-    while len(work) > 1:
-        found, cut = _rational_root(work)
-        truncated = truncated or cut
-        if found is None:
-            break
-        rational[found] = rational.get(found, 0) + 1
-        work, rem = linalg.poly_divmod_linear(work, GaussianRational.of(found))
-        if not rem.is_zero():
-            raise SegrefuchsError("deflation left a remainder")
-    residual = work if len(work) > 1 else None
-    # a search cut short can only have missed a root of what is left
-    return ResidueSpectrum(rational, residual,
-                           truncated and residual is not None)
-
-
 class FrobeniusBasis:
-    """Holomorphic solution family plus non-integer exponent branches."""
+    """Holomorphic solution family of a Fuchsian system."""
 
-    def __init__(self, solutions, dimension, log_obstructions, order,
-                 branches=()):
+    def __init__(self, solutions, dimension, log_obstructions, order):
         self.solutions = solutions          # list of vectors of w-series
         self.dimension = dimension
         self.log_obstructions = log_obstructions
         self.order = order
-        self.branches = list(branches)      # (lambda0, solutions) pairs
 
 
 def _matrix_coeffs(A, order):
@@ -232,43 +139,6 @@ def holomorphic_solutions(S, order=None):
                               "at the working order")
     return FrobeniusBasis(_solution_vectors(Ms, S.n, params, order),
                           params, obstructions, order)
-
-
-def frobenius_basis(S, order=None):
-    """Holomorphic family plus materialized non-integer rational branches.
-
-    For every congruence class (mod 1) of rational eigenvalues other than
-    the integers, the recurrence is run from the smallest class member
-    lambda0, producing formal solutions H(w) w^lambda0 per the Fuchsian
-    fundamental-system shape.  H solves the shifted system
-    (A - lambda0 I) / w, so its recurrence is the holomorphic one with
-    A0 - lambda0 I as its constant term, run through the holomorphic
-    family's order.
-
-    Off the CLI path: paper content, the non-integer branches.
-    """
-    hol = holomorphic_solutions(S, order)
-    spec = residue_spectrum(S)
-    classes = {}
-    for lam in spec.rational:
-        if lam.denominator == 1:
-            continue
-        frac = lam - int(lam // 1)
-        classes.setdefault(frac, []).append(lam)
-    branches = []
-    A = S.fuchsian_A()
-    A_mats = _matrix_coeffs(A, hol.order)
-    for frac, lams in sorted(classes.items()):
-        lam0 = min(lams)
-        shift = GaussianRational.of(lam0)
-        A0 = [[a - shift if i == j else a for j, a in enumerate(row)]
-              for i, row in enumerate(A_mats[0])]
-        Ms, params, _ = _param_recurrence([A0] + A_mats[1:], S.n, hol.order)
-        sols = _solution_vectors(Ms, S.n, params, hol.order)
-        if sols:
-            branches.append((lam0, sols))
-    return FrobeniusBasis(hol.solutions, hol.dimension,
-                          hol.log_obstructions, hol.order, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -454,20 +324,6 @@ def convergence_diagnostic(y):
     else:
         verdict = "growth-unbounded"
     return ConvergenceReport(ratios, verdict, GROWTH_BOUND, window)
-
-
-def field_u_vector(L):
-    """(P0, P1, P0', P1', Q0, Q1, Q0', Q1') of a field, as w-series.
-
-    Off the CLI path: the input of infinitesimal_monodromy.
-    """
-    P, Q = L.P, L.Q
-    P0 = P.coeff_of({Z: 0})
-    P1 = P.coeff_of({Z: 1})
-    Q0 = Q.coeff_of({Z: 0})
-    Q1 = Q.coeff_of({Z: 1})
-    return [P0, P1, P0.diff(WV), P1.diff(WV),
-            Q0, Q1, Q0.diff(WV), Q1.diff(WV)]
 
 
 # ---------------------------------------------------------------------------

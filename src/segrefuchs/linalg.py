@@ -147,18 +147,3 @@ def poly_eval(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def poly_divmod_linear(coeffs, r):
-    """Divide polynomial by (t - r); returns (quotient, remainder).
-
-    Off the CLI path: residue_spectrum's rational root search.
-    """
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    acc = ZERO
-    for k in range(n, 0, -1):
-        acc = coeffs[k] + acc * r
-        out[k - 1] = acc
-    rem = coeffs[0] + acc * r
-    return out, rem

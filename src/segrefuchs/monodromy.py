@@ -29,7 +29,6 @@ schedule and its stopping rules are those of a step-by-step loop.
 import numpy as np
 
 from .errors import NonConvergenceError, SegrefuchsError
-from .surfaces import W
 
 TRUSTED_RADIUS = 0.25
 STEP_BUDGET = 1 << 17
@@ -253,24 +252,3 @@ def monodromy_matrix(S, loop):
     cond = float(np.linalg.cond(Y))
     return MonodromyResult(Y, diff, _tail_bound(data, loop.radius), cond,
                            steps)
-
-
-def infinitesimal_monodromy(basis_vectors, S, loop):
-    """Continue basis solution vectors and re-express them in the basis.
-
-    basis_vectors: list of vectors of w-series (field_u_vector's output)
-    that solve S at |w| = r.  Returns (psi, offspan): psi is the
-    change-of-basis matrix of the loop action, offspan the largest
-    least-squares residual (a large value signals the basis does not span
-    its continuation at this truncation; reported, not fatal).
-
-    Off the CLI path: paper content, the loop action on a basis.
-    """
-    r = loop.radius
-    cols = [[comp.eval_complex({W: r}) for comp in vec]
-            for vec in basis_vectors]
-    B = np.array(cols, dtype=complex).T          # n x d
-    Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop, B)
-    sol, res, rank, _ = np.linalg.lstsq(B, Y, rcond=None)
-    offspan = float(np.max(np.abs(B @ sol - Y)))
-    return sol, offspan

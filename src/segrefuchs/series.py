@@ -49,8 +49,8 @@ in those variables gives the inverse Jacobian, so a step composes F alone
 (Newton reversion, Brent and Kung, again).  Otherwise the step composes
 the Jacobian only to the precision the correction needs and solves for
 the correction one degree at a time on packed parts.  Either way
-`linalg.det` of the Jacobian at the origin decides solvability, so a
-refusal carries the exact determinant.
+`linalg.det` of the Jacobian at the origin decides solvability: a zero
+one is refused.
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -463,19 +463,7 @@ class MultiSeries:
         subs = {v: s.embed(out_vars).truncate(order) for v, s in subs.items()}
         return _compose_rec(self, subs, out_vars, order)
 
-    # ---------- numerics / io ----------
-
-    def eval_complex(self, point):
-        """Off the CLI path: infinitesimal_monodromy's evaluation."""
-        idx = [point[v] for v in self.vars]
-        total = 0j
-        for e, c in self.terms.items():
-            z = c.to_complex()
-            for x, k in zip(idx, e):
-                if k:
-                    z *= x ** k
-            total += z
-        return total
+    # ---------- text ----------
 
     def __repr__(self):
         """Off the CLI path: series in error messages."""
@@ -835,8 +823,8 @@ def _solve_parts(r, J, C, lo, hi, vars):
 class SingularJacobianError(SeriesError):
     """Raised when the implicit solve degenerates.
 
-    The determinant attribute holds the exact Jacobian determinant at 0,
-    which for defining-equation eliminations is the Levi determinant.
+    It is raised only when the Jacobian at the origin is singular, so its
+    determinant attribute is always the exact zero of the field.
     """
 
     def __init__(self, determinant):

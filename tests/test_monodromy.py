@@ -11,13 +11,14 @@ from segrefuchs.surfaces import build_complex, build_real, real_to_complex
 from segrefuchs.segre import eliminate
 from segrefuchs.prolongation import (LinearODESystem, assemble_u_system,
                                      assemble_Y_system)
-from segrefuchs.frobenius import formal_symmetries, field_u_vector
+from segrefuchs.frobenius import formal_symmetries
 from segrefuchs.monodromy import (LoopSpec, MonodromyResult, STEP_BUDGET,
                                   TRUSTED_RADIUS, monodromy_matrix,
-                                  infinitesimal_monodromy, _dense_matrix_data,
-                                  _rk4_loop, _tail_bound)
+                                  _dense_matrix_data, _rk4_loop, _tail_bound)
 from segrefuchs.errors import NonConvergenceError, SegrefuchsError
-from reference import const_system, continue_system, expm_oracle, invertible
+from reference import (const_system, continue_system, eval_complex,
+                       expm_oracle, field_u_vector, infinitesimal_monodromy,
+                       invertible)
 
 
 def test_half_exponent_loop():
@@ -152,8 +153,7 @@ def test_infinitesimal_monodromy_bracket_compatibility():
     # psi[L1,L2] = [psi L1, psi L2] reduces to the bracket's u-vector
     # continuing to itself around the loop
     loop = LoopSpec(tol=1e-9)
-    uvec = [s.eval_complex({"w": loop.radius})
-            for s in field_u_vector(br)]
+    uvec = [eval_complex(s, loop.radius) for s in field_u_vector(br)]
     out, err, _ = continue_system(U, loop, uvec)
     assert np.max(np.abs(np.array(out) - np.array(uvec))) < 1e-6
 
@@ -279,7 +279,7 @@ def test_transfer_loop_matches_per_step_loop_on_one_and_d_columns(model_m1):
     assert steps == ref_steps
     assert_matches_reference(y, y_ref[:, 0])
     uvecs = [field_u_vector(L) for L in model_m1["basis"].fields]
-    B = np.array([[c.eval_complex({"w": loop.radius}) for c in v]
+    B = np.array([[eval_complex(c, loop.radius) for c in v]
                   for v in uvecs]).T
     psi, _ = infinitesimal_monodromy(uvecs, U, loop)
     Y_ref, ref_steps = reference_rk4_loop(U, loop, B)

@@ -19,8 +19,8 @@ from segrefuchs.frobenius import _jet_residuals
 from segrefuchs.fuchs import check_fuchsian_ode
 from segrefuchs.errors import NonFuchsianError, SegrefuchsError
 from reference import (SQRT2_TABLE, collect_initial_system, dense_surface,
-                       jet_vector, system_residual, twelve_residuals,
-                       twelve_system, zero_zw, zw)
+                       field_u_vector, jet_vector, system_residual,
+                       twelve_residuals, twelve_system, zero_zw, zw)
 
 
 def model(order=12, m=1):
@@ -233,18 +233,13 @@ def test_reconstruction_formula():
 
 # ---- u-system ----------------------------------------------------------------
 
-def u_vector_of(L):
-    from segrefuchs.frobenius import field_u_vector
-    return field_u_vector(L)
-
-
 def test_u_system_model_and_known_solutions():
     E = eliminate(model())
     U = assemble_u_system(E)
     assert U.pole_order <= 3 * E.m
     z, w = zw("z"), zw("w")
     for L in (VectorField(zero_zw(), w), VectorField(z.scale(I), zero_zw())):
-        res = system_residual(U, u_vector_of(L))
+        res = system_residual(U, field_u_vector(L))
         assert all(r.is_zero() for r in res)
 
 
@@ -288,7 +283,7 @@ def test_collection_soundness():
     w = zw("w")
     # a non-symmetry of the structural shape: Q = w^2
     L = VectorField(zero_zw(), w * w)
-    res = system_residual(U, u_vector_of(L))
+    res = system_residual(U, field_u_vector(L))
     assert any(not r.is_zero() for r in res)
     t = tangency_residual(L, E)
     assert any(not t.coeff_of({ZETA: j}).is_zero()

@@ -9,7 +9,9 @@ docstring line, "Off the CLI path: <role>.", naming why it stays in the
 package.  The test fails when a function is neither reached nor marked,
 or when a marked function is reached, so the marked docstrings stay the
 exact list of what the CLI never calls.  A role may not name the tests or
-an oracle: code only the tests use lives in tests/reference.py.
+an oracle: code only the tests use lives in tests/reference.py.  Nor may
+it be paper content: what no command runs leaves the package, or moves
+to the tests where it serves as an oracle.
 """
 
 import ast
@@ -148,3 +150,9 @@ def test_no_role_names_the_tests_or_an_oracle():
     _, roles = universe()
     assert sorted(name for name, role in roles.items()
                   if re.search(r"\btests?\b|oracle", role, re.I)) == []
+
+
+def test_no_role_is_paper_content():
+    _, roles = universe()
+    assert sorted(name for name, role in roles.items()
+                  if re.search(r"paper content", role, re.I)) == []
