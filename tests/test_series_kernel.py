@@ -440,36 +440,24 @@ def test_compose_matches_horner(nsubs, kind):
             identical(exact.compose(const), ref_compose(exact, const))
 
 
-def rnd_system(rng, x_vars, y_vars, order, kind):
-    """n equations F(x, y) = 0 with F(0, 0) = 0, every linear term present
-    and about half of the terms of degree 2 and 3."""
-    vars = tuple(x_vars) + tuple(y_vars)
-    F = []
-    for _ in y_vars:
-        terms = {}
-        for e in _exponents(len(vars), 3):
-            if sum(e) == 1 or (sum(e) and rng.random() < 0.5):
-                terms[e] = rnd_coeff(rng, kind)
-        F.append(MultiSeries(vars, order, terms))
-    return F
-
-
 SOLVE_CASES = [(n, kind) for n in (1, 2, 3)
                for kind in ("gauss", "sqrt2", "mixed")]
 
 
 @pytest.mark.parametrize("n,kind", SOLVE_CASES)
 def test_solve_implicit_matches_fixed_point(n, kind):
+    """Inversions with F exact, trusted past, at and below the solve's
+    order; truncated to order 1, where z too enters only linearly, so the
+    solve takes n of the n + 1 linear inputs; and truncated to order 0,
+    where F has lost its Jacobian and both refuse."""
     rng = random.Random(repr(("solve", n, kind)))
-    y_vars = ("y1", "y2", "y3")[:n]
-    x_vars = ("x1", "x2")
     for F_order, order in ((EXACT, 6), (8, 6), (4, 6), (5, 1), (5, 0)):
-        # truncated to order 0, F has lost its Jacobian: both refuse
-        F = [f.truncate(order) for f in
-             rnd_system(rng, x_vars, y_vars, F_order, kind)]
+        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, F_order)
+        F = [f.truncate(order) for f in F]
         try:
             ref = solve_by_degree(F, x_vars, y_vars)
         except SingularJacobianError as err:
+            assert order == 0
             with pytest.raises(SingularJacobianError) as got:
                 solve_implicit(F, x_vars, y_vars)
             assert got.value.determinant == err.determinant
@@ -560,23 +548,16 @@ def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
             assert got.order == order
 
 
-@pytest.mark.parametrize("n,kind", [(n, kind) for n in (1, 2, 3)
-                                    for kind in ("gauss", "sqrt2")])
-def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
-    """With every x entering nonlinearly, the Jacobian-composing Newton
-    step runs, and it too equals the oracle; its packed parts meet sqrt2
-    coefficients and denominators other than 1."""
-    rng = random.Random(repr(("nonlinear", n, kind)))
-    for order in (2, 3, 6):
-        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, order,
-                                          nonlinear=True)
-        assert _linear_inputs(F, x_vars) is None
-        assert any(f.den != 1 for f in F)
-        assert (kind == "sqrt2") == any(t[2] or t[3] for f in F
-                                        for t in f.num.values())
-        for got, ref in zip(solve_implicit(F, x_vars, y_vars),
-                            solve_by_degree(F, x_vars, y_vars)):
-            identical(got, ref)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonlinear_inputs_are_refused(n):
+    """With every a_k also entering nonlinearly, F is no inversion, and
+    solve_implicit refuses it with SeriesError; the degree-by-degree
+    oracle, which needs no inversion, still solves it."""
+    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 6,
+                                      nonlinear=True)
+    solve_by_degree(F, x_vars, y_vars)
+    with pytest.raises(SeriesError, match="needs an inversion"):
+        solve_implicit(F, x_vars, y_vars)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -593,21 +574,10 @@ def test_inversion_composes_F_alone(monkeypatch, n):
                                      if sum(e) <= s.order} for f in F)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_nonlinear_inputs_compose_the_jacobian(monkeypatch, n):
-    """Without an inversion the steps to precisions 3 and 6 compose the n
-    equations and the n**2 Jacobian entries; the first step, to precision
-    1, composes F alone."""
-    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 6,
-                                      nonlinear=True)
-    composed = spy_compose(monkeypatch)
-    solve_implicit(F, x_vars, y_vars)
-    assert len(composed) == n + 2 * (n + n * n)
-
-
 def test_inversion_refusals():
-    """The inversion path keeps both refusals: a nonzero F(0, 0), and a
-    singular Jacobian at the origin, reported with its determinant."""
+    """The solve's refusals: a nonzero F(0, 0), a singular Jacobian at the
+    origin, reported with its determinant, and linear inputs whose C is
+    singular."""
     v = ("z", "a1", "a2", "y1", "y2")
     z, a1, a2, y1, y2 = (MultiSeries.variable(x, v) for x in v)
     with pytest.raises(SeriesError, match=r"F\(0,0\)"):
@@ -616,6 +586,11 @@ def test_inversion_refusals():
         solve_implicit([(y1 * y1 + z * y1 - a1).truncate(5)], ("z", "a1"),
                        ("y1",))
     assert err.value.determinant == ZERO
+    # a1 and a2 enter linearly, but through dependent columns of C
+    with pytest.raises(SeriesError, match="needs an inversion"):
+        solve_implicit([(y1 - a1 - a2).truncate(5),
+                        (y2 - (a1 + a2).scale(2)).truncate(5)],
+                       ("z", "a1", "a2"), ("y1", "y2"))
     # Jacobian [[1, 2], [2, 4]] at the origin, C = [[0, -1], [-1, 0]]
     F = [(y1 + y2.scale(2) - a2 + z * z).truncate(5),
          (y1.scale(2) + y2.scale(4) - a1).truncate(5)]

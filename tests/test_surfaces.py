@@ -5,7 +5,7 @@ import pytest
 
 from segrefuchs import serialize
 from segrefuchs.qfield import GaussianRational, ONE, I, qi
-from segrefuchs.series import MultiSeries, EXACT, log_series, solve_implicit
+from segrefuchs.series import MultiSeries, EXACT, log_series
 from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
                                  build_complex, real_to_complex,
                                  complex_to_real, check_reality,
@@ -16,7 +16,7 @@ from segrefuchs.surfaces import (RealDefining, ComplexDefining, build_real,
 from segrefuchs.errors import (RealityViolation, SegrefuchsError,
                                OrderTooLowError)
 from reference import (H22_U, H22_U2, SQRT2_TABLE, conj, dense_surface,
-                       kl_table, u_series, wb_series)
+                       kl_table, solve_by_degree, u_series, wb_series)
 
 
 # ---- real_to_complex --------------------------------------------------------
@@ -135,7 +135,7 @@ def reference_real_to_complex(Mr):
     Fw = F.embed((Z, ZB, U, WB, W)).compose({U: half})
     lin = MultiSeries(vars5, EXACT, {(0, 0, 0, 1): qi(0, Fraction(-1, 2)),
                                      (0, 0, 1, 0): qi(0, Fraction(1, 2))})
-    R = solve_implicit([lin - Fw], (Z, ZB, WB), (W,))[0]
+    R = solve_by_degree([lin - Fw], (Z, ZB, WB), (W,))[0]
     lg = log_series(R.monomial_div(WB, 1))
     phi = lg.scale((I if Mr.eps == 1 else -I).inverse()) \
         .monomial_div(WB, Mr.m - 1)
@@ -150,7 +150,7 @@ def reference_complex_to_real(Mc):
     vars4 = (Z, ZB, U, WB)
     G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
         Fraction(1, 2)) - MultiSeries.variable(U, vars4)
-    wb = solve_implicit([G], (Z, ZB, U), (WB,))[0]
+    wb = solve_by_degree([G], (Z, ZB, U), (WB,))[0]
     F = (R.compose({WB: wb}) - wb).scale(qi(0, Fraction(-1, 2)))
     eps, psi, _ = normalize_lead(F.monomial_div(U, Mc.m))
     return RealDefining(Mc.m, eps, psi)

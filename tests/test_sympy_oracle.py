@@ -134,20 +134,26 @@ def test_compose_against_sympy():
 
 
 def test_solve_implicit_residual_against_sympy():
-    vars = ("x", "y1", "y2")
-    R, x, y1, y2, _, _ = field_ring(vars)
+    vars = ("x1", "x2", "y1", "y2")
+    R, _, _, y1, y2, _, _ = field_ring(vars)
     order = 6
     rng = random.Random(14)
-    # F = A y + c x + (terms of degree >= 2), A invertible: F(0, 0) = 0
+    # F = A y + C x + (terms of degree >= 2 in y), A invertible and
+    # C = [[1, c], [0, 1]]: F(0, 0) = 0, and x enters through C alone, as
+    # an inversion needs
     F = []
     for i in range(2):
-        lin = {(0, 1, 0): GaussianRational.from_int(2 if i == 0 else 1),
-               (0, 0, 1): GaussianRational.from_int(1 if i == 0 else 3),
-               (1, 0, 0): rnd_coeff(rng)}
-        expos = [tuple(rng.randint(0, 2) for _ in vars) for _ in range(5)]
+        lin = {(0, 0, 1, 0): GaussianRational.from_int(2 if i == 0 else 1),
+               (0, 0, 0, 1): GaussianRational.from_int(1 if i == 0 else 3),
+               (1 - i, i, 0, 0): ONE}
+        if i == 0:
+            lin[(0, 1, 0, 0)] = rnd_coeff(rng)
+        expos = [(0, 0) + tuple(rng.randint(0, 2) for _ in range(2))
+                 for _ in range(5)]
         nonlin = {e: rnd_coeff(rng) for e in expos if sum(e) >= 2}
         F.append(MultiSeries(vars, EXACT, {**nonlin, **lin}))
-    ys = solve_implicit([f.truncate(order) for f in F], ("x",), ("y1", "y2"))
+    ys = solve_implicit([f.truncate(order) for f in F], ("x1", "x2"),
+                        ("y1", "y2"))
     assert [y.order for y in ys] == [order, order]
     Y = [to_ring(y, R) for y in ys]
     for f in F:
