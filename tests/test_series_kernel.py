@@ -548,16 +548,31 @@ def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
             assert got.order == order
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_nonlinear_inputs_are_refused(n):
+@pytest.mark.parametrize("n,kind", [(n, kind) for n in (1, 2, 3)
+                                    for kind in ("gauss", "sqrt2")])
+def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
     """With every a_k also entering nonlinearly, F is no inversion, and
-    solve_implicit refuses it with SeriesError; the degree-by-degree
-    oracle, which needs no inversion, still solves it."""
-    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 6,
-                                      nonlinear=True)
-    solve_by_degree(F, x_vars, y_vars)
-    with pytest.raises(SeriesError, match="needs an inversion"):
-        solve_implicit(F, x_vars, y_vars)
+    solve_implicit refuses it with SeriesError.  With one new input t_i
+    per equation, F - t is an inversion again, and its solution at t = 0
+    equals the oracle's solution of F; its packed parts meet sqrt2
+    coefficients and denominators other than 1."""
+    rng = random.Random(repr(("nonlinear", n, kind)))
+    t_vars = tuple("t%d" % k for k in range(1, n + 1))
+    for order in (2, 3, 6):
+        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, order,
+                                          nonlinear=True)
+        assert any(f.den != 1 for f in F)
+        assert (kind == "sqrt2") == any(t[2] or t[3] for f in F
+                                        for t in f.num.values())
+        with pytest.raises(SeriesError, match="needs an inversion"):
+            solve_implicit(F, x_vars, y_vars)
+        vars = F[0].vars + t_vars
+        G = [f.embed(vars) - MultiSeries.variable(t, vars)
+             for f, t in zip(F, t_vars)]
+        at_zero = {t: MultiSeries.zero(x_vars) for t in t_vars}
+        for got, ref in zip(solve_implicit(G, x_vars + t_vars, y_vars),
+                            solve_by_degree(F, x_vars, y_vars)):
+            identical(got.compose(at_zero), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
