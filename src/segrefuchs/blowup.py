@@ -96,10 +96,10 @@ def pullback_surface(M, B):
         R, prev = exp_series(expo.compose({ETA: R})).monomial_mul(ETAB, 1), R
     # normal-coordinates validation: no pure-xi or pure-xib terms
     # besides the etab-axis
-    for e in R.terms:
-        if (e[0] == 0) != (e[1] == 0):
-            raise SegrefuchsError("pullback lost normal coordinates: "
-                                  "term %s" % (e,))
+    bad = [e for e in R.terms if (e[0] == 0) != (e[1] == 0)]
+    if bad:
+        raise SegrefuchsError("pullback lost normal coordinates: "
+                              "term %s" % (min(bad),))
     theta = R.monomial_div(ETAB, 1)
     psi = log_series(theta).scale(-I)
     if psi.is_zero():

@@ -9,7 +9,10 @@ payloads are the only place floats appear.
 A series is read and written in its packed form (series.py): the reader
 parses every string into integers over one common denominator, and the
 writer reduces each packed component over the series' denominator by one
-gcd, so no coefficient object is built at the file edge.
+gcd, so no coefficient object is built at the file edge.  Terms are
+written in exponent-tuple order, and a term of total degree 2**20 or more,
+which the kernel's W-bit exponent fields cannot hold, is refused with
+FormatError before it is packed.
 
 Every integer field (an m, sign, order, exponent or pole) is read by one
 reader that takes a JSON integer only: a float, a bool or a numeric string
@@ -34,7 +37,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import GaussianRational
-from .series import LaurentInW, EXACT, _reduced
+from .series import (LaurentInW, EXACT, W as FIELD_BITS, _exps, _key,
+                     _reduced)
 from .surfaces import (RealDefining, ComplexDefining, split_admissible,
                        require_reality, Z, ZB, WB, U, W)
 from .segre import AssociatedODE
@@ -102,8 +106,8 @@ def series_to_json(s):
     """Each coefficient as its re, im (and, when nonzero, re and im sqrt2)
     parts, each written from its packed integer over the series' den."""
     terms = []
-    for e in sorted(s.num):
-        t = s.num[e]
+    n = len(s.vars)
+    for e, t in sorted((_exps(k, n), t) for k, t in s.num.items()):
         terms.append([list(e)] + [_rat(x, s.den)
                                   for x in (t if t[2] or t[3] else t[:2])])
     return {"vars": list(s.vars), "order": _order_to_json(s.order),
@@ -126,6 +130,9 @@ def series_from_json(d):
         if len(exps) != len(vars) or min(exps, default=0) < 0:
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
+        if sum(exps) >= 1 << FIELD_BITS:
+            raise FormatError("term %r has total degree 2**%d or more"
+                              % (exps, FIELD_BITS))
         if exps in parts or sum(exps) > order:
             raise FormatError("term %r is repeated or above the order %s"
                               % (exps, order))
@@ -138,7 +145,7 @@ def series_from_json(d):
     for e, ps in parts.items():
         t = tuple(n * (den // q) for n, q in ps)
         if any(t):
-            num[e] = t
+            num[_key(e)] = t
     return _reduced(vars, order, den, num)
 
 

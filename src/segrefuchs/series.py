@@ -25,6 +25,17 @@ these integers alone and divides out the common content at its end;
 GaussianRational values are built only where a caller reads a coefficient
 (`terms`, `coefficient`, `constant_term`).
 
+The exponents are packed too: `num` is keyed by one integer per exponent
+vector, a W-bit field per variable in `vars` order, the first variable
+highest, with the total degree in the field above them (packed exponent
+vectors, Monagan and Pearce, CASC 2007).  A product of monomials adds keys,
+integer order on keys is total degree first and then the exponent tuple,
+and a truncation compares a key with one bound; slicing and embedding
+shift and mask fields.  A total degree at or above 2**W would carry into
+the next field, so it is refused with a SeriesError.  Exponent tuples stay
+the interface: the constructor, `monomial`, `coefficient` and the `terms`
+view take and yield them.
+
 The series functions each do their work about once.  `compose`
 evaluates every substituted variable v by Horner in s = subs[v], and
 composes the slice of v**k only through degree order - k*val(s): it meets
@@ -56,15 +67,18 @@ variable while the pole is positive.
 
 from bisect import bisect_right
 from collections.abc import Mapping
+from functools import cache
 from itertools import chain, pairwise
 from math import gcd, inf, lcm
-from operator import add
 
 from .qfield import GaussianRational, ZERO, ONE, _coerce, mul_parts
 from .errors import SegrefuchsError
 from . import linalg
 
 EXACT = inf
+# bits per exponent field of a key; a total degree must stay below 2**W
+W = 20
+_MASK = (1 << W) - 1
 
 
 class SeriesError(SegrefuchsError, ValueError):
@@ -82,13 +96,57 @@ def _merge_vars(v1, v2):
     return tuple(out)
 
 
-def _remap(exps, src, dst):
-    pos = {v: i for i, v in enumerate(dst)}
-    out = [0] * len(dst)
-    for v, e in zip(src, exps):
-        if e:
-            out[pos[v]] = e
-    return tuple(out)
+def _room(degree):
+    """Refuse a total degree that the exponent fields cannot hold."""
+    if degree >= 1 << W:
+        raise SeriesError("total degree %d does not fit the %d-bit exponent "
+                          "fields" % (degree, W))
+
+
+def _pack(e, n):
+    """The key of the exponent vector e over n variables."""
+    e = tuple(e)
+    if len(e) != n or min(e, default=0) < 0:
+        raise SeriesError("exponents %r are not %d nonnegative integers"
+                          % (e, n))
+    _room(sum(e))
+    return _key(e)
+
+
+def _key(e):
+    """The key of a checked exponent vector e."""
+    k = sum(e)
+    for x in e:
+        k = k << W | x
+    return k
+
+
+def _exps(k, n):
+    """The exponent vector of the key k over n variables."""
+    return tuple([k >> s & _MASK for s in range(W * (n - 1), -1, -W)])
+
+
+def _slot(vars, v):
+    """The bit offset of v's exponent field in a key over vars."""
+    return W * (len(vars) - 1 - vars.index(v))
+
+
+@cache
+def _blocks(src, dst):
+    """(offset, mask, new offset) per run of fields, the degree's included,
+    that stay adjacent when keys over src are rewritten over dst; cached,
+    since the pipeline embeds between a few variable sets only."""
+    n, m = len(src), len(dst)
+    moves = [(W * n, W * m)] + [(W * (n - 1 - i), W * (m - 1 - dst.index(v)))
+                                for i, v in enumerate(src)]
+    blocks = []
+    for s, d in moves:
+        # the source offsets fall by W from one move to the next
+        if blocks and blocks[-1][2] - W == d:
+            blocks[-1] = (s, blocks[-1][1] + W, d)
+        else:
+            blocks.append((s, W, d))
+    return tuple((s, (1 << width) - 1, d) for s, width, d in blocks)
 
 
 def _packed(vars, order, den, num):
@@ -123,18 +181,23 @@ class Terms(Mapping):
     """Read-only view of a series' coefficients as GaussianRationals,
     keyed by exponent vector; a value is built on each read."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_n")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, n):
         self._num = num
         self._den = den
+        self._n = n
 
     def __getitem__(self, e):
-        a, b, c, d = self._num[e]
+        try:
+            a, b, c, d = self._num[_pack(e, self._n)]
+        except (SeriesError, KeyError, TypeError):
+            raise KeyError(e) from None
         return GaussianRational(a, b, c, d, self._den)
 
     def __iter__(self):
-        return iter(self._num)
+        n = self._n
+        return (_exps(k, n) for k in self._num)
 
     def __len__(self):
         return len(self._num)
@@ -145,15 +208,20 @@ class MultiSeries:
 
     def __init__(self, vars, order, terms=None):
         """Series from a map exponent vector -> coefficient; zero
-        coefficients and terms above `order` are dropped."""
+        coefficients and terms above `order` are dropped.  An exponent
+        vector of another length than vars, with a negative exponent or
+        of total degree 2**W or more is refused."""
         self.vars = tuple(vars)
         self.order = order
         self._by_degree = None
+        # the least key of total degree above the order
+        lim = EXACT if order == EXACT else (order + 1) << W * len(self.vars)
         coeffs = {}
         for e, c in (terms or {}).items():
             c = _as_coeff(c)
-            if sum(e) <= order and not c.is_zero():
-                coeffs[tuple(e)] = c
+            k = _pack(e, len(self.vars))
+            if k < lim and not c.is_zero():
+                coeffs[k] = c
         den = lcm(*(c.q for c in coeffs.values()))
         self.den = den
         self.num = {e: (c.a * (den // c.q), c.b * (den // c.q),
@@ -171,16 +239,15 @@ class MultiSeries:
         c = _as_coeff(c)
         if c.is_zero():
             return MultiSeries.zero(vars, order)
-        return _packed(tuple(vars), order, c.q,
-                       {(0,) * len(vars): (c.a, c.b, c.c, c.d)})
+        return _packed(tuple(vars), order, c.q, {0: (c.a, c.b, c.c, c.d)})
 
     @staticmethod
     def variable(name, vars, order=EXACT):
         vars = tuple(vars)
-        e = tuple(1 if v == name else 0 for v in vars)
-        if sum(e) != 1:
+        if name not in vars:
             raise SeriesError("variable %r not among %r" % (name, vars))
-        return _packed(vars, order, 1, {e: (1, 0, 0, 0)})
+        return _packed(vars, order, 1, {_pack(_unit(vars, name), len(vars)):
+                                        (1, 0, 0, 0)})
 
     @staticmethod
     def monomial(c, exps, vars, order=EXACT):
@@ -190,7 +257,7 @@ class MultiSeries:
 
     @property
     def terms(self):
-        return Terms(self.num, self.den)
+        return Terms(self.num, self.den, len(self.vars))
 
     def is_zero(self):
         return not self.num
@@ -199,47 +266,54 @@ class MultiSeries:
         """Smallest total degree present; order+1 for the zero series."""
         if not self.num:
             return self.order + 1
-        return min(map(sum, self.num))
+        return min(self.num) >> W * len(self.vars)
 
     def var_valuation(self, var):
-        i = self.vars.index(var)
+        s = _slot(self.vars, var)
         if not self.num:
             return self.order + 1
-        return min(e[i] for e in self.num)
+        m = _MASK << s
+        return min(k & m for k in self.num) >> s
 
     def max_degree(self):
-        return max(map(sum, self.num), default=0)
+        return max(self.num, default=0) >> W * len(self.vars)
 
     def constant_term(self):
-        return self.coefficient((0,) * len(self.vars))
+        t = self.num.get(0)
+        return ZERO if t is None else GaussianRational(*t, self.den)
 
     def coefficient(self, exps):
-        t = self.num.get(tuple(exps))
+        """The coefficient of the exponent vector exps, one exponent per
+        variable; another length is refused."""
+        t = self.num.get(_pack(exps, len(self.vars)))
         return ZERO if t is None else GaussianRational(*t, self.den)
 
     def _degree_sorted(self):
-        """(total degrees ascending, matching (exponent, packed) pairs);
-        computed once per series, since series are never mutated."""
+        """(total degrees ascending, matching (key, packed) pairs in key
+        order); computed once per series, since series are never mutated."""
         if self._by_degree is None:
-            items = sorted(self.num.items(), key=lambda it: sum(it[0]))
-            self._by_degree = ([sum(e) for e, _ in items], items)
+            items = sorted(self.num.items())
+            shift = W * len(self.vars)
+            self._by_degree = ([k >> shift for k, _ in items], items)
         return self._by_degree
 
     def truncate(self, order):
         if order >= self.order:
             return self
+        lim = (order + 1) << W * len(self.vars)
         return _reduced(self.vars, order, self.den,
-                        {e: t for e, t in self.num.items() if sum(e) <= order})
+                        {k: t for k, t in self.num.items() if k < lim})
 
     def within(self, top):
         """The terms within the powers in top (var -> highest power), and
-        one lowest-degree term, so that the valuation, and with it the
-        order of every product with the result, stays that of self."""
-        box = [(self.vars.index(v), k) for v, k in top.items()]
+        the lowest-degree term first in exponent order, so that the
+        valuation, and with it the order of every product with the result,
+        stays that of self."""
+        box = [(_slot(self.vars, v), k) for v, k in top.items()]
         num = {e: t for e, t in self.num.items()
-               if all(e[i] <= k for i, k in box)}
+               if all(e >> s & _MASK <= k for s, k in box)}
         if self.num:
-            low = min(self.num, key=sum)
+            low = min(self.num)
             num[low] = self.num[low]
         return _reduced(self.vars, self.order, self.den, num)
 
@@ -255,7 +329,17 @@ class MultiSeries:
         for v in self.vars:
             if v not in vars:
                 raise SeriesError("cannot drop variable %r" % v)
-        num = {_remap(e, self.vars, vars): t for e, t in self.num.items()}
+        blocks = _blocks(self.vars, vars)
+        if len(blocks) == 1:  # e.g. variables appended after self's
+            (s, mask, d), = blocks
+            num = {(k >> s & mask) << d: t for k, t in self.num.items()}
+        else:
+            num = {}
+            for k, t in self.num.items():
+                e = 0
+                for s, mask, d in blocks:
+                    e |= (k >> s & mask) << d
+                num[e] = t
         return _packed(vars, self.order, self.den, num)
 
     # ---------- ring operations ----------
@@ -289,7 +373,8 @@ class MultiSeries:
                     continue
             num[e] = (x, y, z, w)
         if order < max(a.order, b.order):
-            num = {e: t for e, t in num.items() if sum(e) <= order}
+            lim = (order + 1) << W * len(a.vars)
+            num = {e: t for e, t in num.items() if e < lim}
         return _reduced(a.vars, order, den, num)
 
     __radd__ = __add__
@@ -332,6 +417,10 @@ class MultiSeries:
         if len(aitems) > len(bitems):
             a, b = b, a
             adeg, aitems, bdeg, bitems = bdeg, bitems, adeg, aitems
+        if min(order, adeg[-1] + bdeg[-1]) >= 1 << W:
+            # the highest degree a pair under the order reaches
+            _room(max(da + bdeg[j - 1] for da in adeg
+                      if (j := bisect_right(bdeg, order - da))))
         room0 = order - bdeg[0]
         acc = {}
         lo, n = 0, len(adeg)
@@ -368,24 +457,26 @@ class MultiSeries:
     # ---------- calculus ----------
 
     def diff(self, var):
-        i = self.vars.index(var)
+        s = _slot(self.vars, var)
+        step = (1 << s) + (1 << W * len(self.vars))
         num = {}
         for e, (a, b, c, d) in self.num.items():
-            k = e[i]
+            k = e >> s & _MASK
             if k:
-                num[e[:i] + (k - 1,) + e[i + 1:]] = (a * k, b * k, c * k,
-                                                     d * k)
+                num[e - step] = (a * k, b * k, c * k, d * k)
         return _reduced(self.vars, self.order - 1, self.den, num)
 
     def integrate(self, var):
         """Antiderivative in `var` with zero constant slice."""
-        i = self.vars.index(var)
-        m = lcm(*(e[i] + 1 for e in self.num))
+        s = _slot(self.vars, var)
+        step = (1 << s) + (1 << W * len(self.vars))
+        if self.order + 1 >= 1 << W:
+            _room(self.max_degree() + 1)
+        m = lcm(*((e >> s & _MASK) + 1 for e in self.num))
         num = {}
         for e, (a, b, c, d) in self.num.items():
-            k = e[i] + 1
-            f = m // k
-            num[e[:i] + (k,) + e[i + 1:]] = (a * f, b * f, c * f, d * f)
+            f = m // ((e >> s & _MASK) + 1)
+            num[e + step] = (a * f, b * f, c * f, d * f)
         return _reduced(self.vars, self.order + 1, self.den * m, num)
 
     # ---------- slicing ----------
@@ -395,14 +486,18 @@ class MultiSeries:
         return self._var_slices(var, k, k)[0]
 
     def _var_slices(self, var, lo, hi):
-        """[coeff_of_var_power(var, k) for k in lo..hi], in one pass."""
+        """[coeff_of_var_power(var, k) for k in lo..hi], in one pass: a
+        key loses var's field, the fields above it move down into its
+        place and the degree drops by var's exponent."""
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
+        s, shift = W * (len(rest) - i), W * len(rest)
+        sw, below = s + W, (1 << s) - 1
         parts = [{} for _ in range(lo, hi + 1)]
         for e, t in self.num.items():
-            k = e[i]
+            k = e >> s & _MASK
             if lo <= k <= hi:
-                parts[k - lo][e[:i] + e[i + 1:]] = t
+                parts[k - lo][(e >> sw << s | e & below) - (k << shift)] = t
         return [_reduced(rest, self.order - k, self.den, part)
                 for k, part in enumerate(parts, lo)]
 
@@ -414,23 +509,31 @@ class MultiSeries:
         return s
 
     def var_degree(self, var):
-        i = self.vars.index(var)
-        return max((e[i] for e in self.num), default=0)
+        s = _slot(self.vars, var)
+        m = _MASK << s
+        return max((e & m for e in self.num), default=0) >> s
 
     def monomial_mul(self, var, k):
-        i = self.vars.index(var)
-        num = {e[:i] + (e[i] + k,) + e[i + 1:]: t
-               for e, t in self.num.items()}
-        return _packed(self.vars, self.order + k, self.den, num)
+        """self * var**k; a negative k divides (monomial_div)."""
+        if k < 0:
+            return self.monomial_div(var, -k)
+        if self.order + k >= 1 << W:
+            _room(self.max_degree() + k)
+        step = k * ((1 << _slot(self.vars, var)) + (1 << W * len(self.vars)))
+        return _packed(self.vars, self.order + k, self.den,
+                       {e + step: t for e, t in self.num.items()})
 
     def monomial_div(self, var, k):
         """Exact division by var**k; raises if any term is not divisible."""
-        i = self.vars.index(var)
+        if k < 0:
+            return self.monomial_mul(var, -k)
+        s = _slot(self.vars, var)
+        step = k * ((1 << s) + (1 << W * len(self.vars)))
         num = {}
         for e, t in self.num.items():
-            if e[i] < k:
+            if e >> s & _MASK < k:
                 raise SeriesError("series not divisible by %s**%d" % (var, k))
-            num[e[:i] + (e[i] - k,) + e[i + 1:]] = t
+            num[e - step] = t
         return _packed(self.vars, self.order - k, self.den, num)
 
     # ---------- composition ----------
@@ -466,10 +569,10 @@ class MultiSeries:
         if not self.num:
             return "<0 (order %s)>" % self.order
         bits = []
-        for e in sorted(self.num, key=lambda t: (sum(t), t)):
-            mono = "*".join("%s^%d" % (v, k)
-                            for v, k in zip(self.vars, e) if k)
-            c = repr(self.coefficient(e))
+        for key in sorted(self.num):
+            mono = "*".join("%s^%d" % (v, k) for v, k in
+                            zip(self.vars, _exps(key, len(self.vars))) if k)
+            c = repr(GaussianRational(*self.num[key], self.den))
             bits.append(c if not mono else "%s %s" % (c, mono))
         tail = "" if self.order == EXACT else " + O(deg %d)" % (self.order + 1)
         return "<" + " + ".join(bits[:12]) + ("..." if len(bits) > 12 else "") + tail + ">"
@@ -515,43 +618,81 @@ def _compose_rec(f, subs, out_vars, order):
 
 def _mac(acc, f, rows, cols):
     """acc[ea + eb] += f * ta * tb for every (ea, ta) in rows and (eb, tb)
-    in cols, acc mapping exponents to [x, y, z, w] sums: mul_parts
-    inlined and accumulated in place.  The kernel's one multiply-add."""
+    in cols, acc mapping keys to [x, y, z, w] sums: mul_parts inlined and
+    accumulated in place.  The kernel's one multiply-add.
+
+    The rows are the smaller operand, each checked once: a row with no
+    sqrt2 part, or nothing but sqrt2 parts, meets every column in 8
+    products instead of 16."""
+    if len(rows) > len(cols):
+        rows, cols = cols, rows
     for ea, (a1, b1, c1, d1) in rows:
         if f != 1:
             a1, b1, c1, d1 = a1 * f, b1 * f, c1 * f, d1 * f
-        for eb, (a2, b2, c2, d2) in cols:
-            e = tuple(map(add, ea, eb))
-            x = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-            y = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-            z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
-            w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-            s = acc.get(e)
-            if s is None:
-                acc[e] = [x, y, z, w]
-            else:
-                s[0] += x
-                s[1] += y
-                s[2] += z
-                s[3] += w
+        if not (c1 or d1):
+            for eb, (a2, b2, c2, d2) in cols:
+                e = ea + eb
+                x = a1 * a2 - b1 * b2
+                y = a1 * b2 + b1 * a2
+                z = a1 * c2 - b1 * d2
+                w = a1 * d2 + b1 * c2
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [x, y, z, w]
+                else:
+                    s[0] += x
+                    s[1] += y
+                    s[2] += z
+                    s[3] += w
+        elif not (a1 or b1):
+            for eb, (a2, b2, c2, d2) in cols:
+                e = ea + eb
+                x = 2 * (c1 * c2 - d1 * d2)
+                y = 2 * (c1 * d2 + d1 * c2)
+                z = c1 * a2 - d1 * b2
+                w = d1 * a2 + c1 * b2
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [x, y, z, w]
+                else:
+                    s[0] += x
+                    s[1] += y
+                    s[2] += z
+                    s[3] += w
+        else:
+            for eb, (a2, b2, c2, d2) in cols:
+                e = ea + eb
+                x = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+                y = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+                z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
+                w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [x, y, z, w]
+                else:
+                    s[0] += x
+                    s[1] += y
+                    s[2] += z
+                    s[3] += w
 
 
 def _parts(s, top):
     """[the homogeneous part of s of total degree d for d = 0..top], each
     over s.den."""
     items = [[] for _ in range(top + 1)]
+    shift = W * len(s.vars)
     for e, t in s.num.items():
-        d = sum(e)
+        d = e >> shift
         if d <= top:
             items[d].append((e, t))
     return [(s.den, p) for p in items]
 
 
-def _constant(c, vars):
+def _constant(c):
     """The part of the constant c."""
     if c.is_zero():
         return 1, []
-    return c.q, [((0,) * len(vars), (c.a, c.b, c.c, c.d))]
+    return c.q, [(0, (c.a, c.b, c.c, c.d))]
 
 
 def _dot(terms, m):
@@ -579,7 +720,9 @@ def _dot(terms, m):
 
 
 def _series(parts, vars, order):
-    """The series of the given order whose homogeneous parts are `parts`."""
+    """The series of the given order whose homogeneous parts are `parts`;
+    a part of degree 2**W or more is refused, its keys having carried."""
+    _room(max((d for d, (_, items) in enumerate(parts) if items), default=0))
     den = lcm(*(pden for pden, _ in parts))
     num = {}
     for pden, items in parts:
@@ -615,7 +758,7 @@ def exp_series(x):
     top = _finite_order(x, "exp")
     X = _parts(x, top)
     js = [j for j in range(1, top + 1) if X[j][1]]
-    E = [_constant(ONE, x.vars)]
+    E = [_constant(ONE)]
     for d in range(1, top + 1):
         E.append(_dot([(j, X[j], E[d - j]) for j in js if j <= d], d))
     return _series(E, x.vars, top)
@@ -633,7 +776,7 @@ def log_series(x):
     top = _finite_order(x, "log")
     T = _parts(x, top)
     js = [j for j in range(1, top + 1) if T[j][1]]
-    one = _constant(ONE, x.vars)
+    one = _constant(ONE)
     L = [(1, [])]
     for d in range(1, top + 1):
         L.append(_dot([(d, T[d], one)] +
@@ -653,7 +796,7 @@ def divide(a, b):
     a, b = a._aligned(b)
     top = _finite_order(min(a, b, key=lambda s: s.order), "divide")
     A, B = _parts(a, top), _parts(b, top)
-    one, inv = _constant(ONE, a.vars), _constant(c.inverse(), a.vars)
+    one, inv = _constant(ONE), _constant(c.inverse())
     q = []
     for d in range(top + 1):
         rhs = _dot([(1, A[d], one)] +
@@ -759,8 +902,9 @@ def _linear_inputs(F, x_vars):
             break
         col = []
         for f in F:
-            i, unit = f.vars.index(v), _unit(f.vars, v)
-            if any(e[i] and e != unit for e in f.num):
+            s, unit = _slot(f.vars, v), _unit(f.vars, v)
+            key = _pack(unit, len(f.vars))
+            if any(e >> s & _MASK and e != key for e in f.num):
                 break
             col.append(f.coefficient(unit))
         else:

@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 from .qfield import ONE, I
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
-                     solve_implicit, _packed, _reduced)
+                     solve_implicit, _MASK, _packed, _reduced, _slot)
 from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
                      SegrefuchsError)
 
@@ -199,12 +199,14 @@ def bar_series(s):
     For f(z, zb, wb) this realizes bar(f)(zb, z, w) as a series over the
     ambient commuting variables.
     """
-    i1, i2 = s.vars.index(Z), s.vars.index(ZB)
+    s1, s2 = _slot(s.vars, Z), _slot(s.vars, ZB)
+    # adding (k2 - k1) * step moves the z exponent k1 to the zb field and
+    # the zb exponent k2 to the z field
+    step = (1 << s1) - (1 << s2)
     num = {}
     for e, (a, b, c, d) in s.num.items():
-        ne = list(e)
-        ne[i1], ne[i2] = ne[i2], ne[i1]
-        num[tuple(ne)] = (a, -b, c, -d)
+        num[e + ((e >> s2 & _MASK) - (e >> s1 & _MASK)) * step] = \
+            (a, -b, c, -d)
     return _packed(s.vars, s.order, s.den, num)
 
 
@@ -307,12 +309,15 @@ def normalize_lead(series):
             "scale lambda^2 = %s has no square root in Q(sqrt2)" % lam_sq)
     # lambda**deg = f[deg] * sqrt2**(k * (deg % 2)), f[deg] rational
     r, k = lam
+    # the degree in the first two variables, z and zb, of each key
+    s1, s2 = (_slot(series.vars, v) for v in series.vars[:2])
+    degs = {e: (e >> s1 & _MASK) + (e >> s2 & _MASK) for e in series.num}
     f = {deg: lam_sq ** (deg // 2) * r ** (deg % 2)
-         for deg in {e[0] + e[1] for e in series.num}}
+         for deg in set(degs.values())}
     den = lcm(*(x.denominator for x in f.values()))
     num = {}
     for e, t in series.num.items():
-        deg = e[0] + e[1]
+        deg = degs[e]
         if k and deg % 2:
             t = (2 * t[2], 2 * t[3], t[0], t[1])
         g = f[deg].numerator * (den // f[deg].denominator)

@@ -240,7 +240,7 @@ def equal_mod(a, b, order):
     a, b = a._aligned(b)
     if min(a.order, b.order) < order:
         raise SeriesError("comparison order exceeds trusted order")
-    return all(sum(e) > order for e in (a - b).num)
+    return all(sum(e) > order for e in (a - b).terms)
 
 
 def solve_by_degree(F, x_vars, y_vars):

@@ -659,6 +659,15 @@ def _term_above_order(d):
     d["series"]["terms"].append([[3, 3, 0], "1/1", "0/1"])
 
 
+def _wide_exponent(d):
+    # z^(2^20) zb^2 and its conjugate in an exact series, above the
+    # declared order 5: the kernel's 20-bit exponent fields cannot hold
+    # them, so the file is refused rather than cut to its order
+    d["series"]["order"] = 1000000
+    d["series"]["terms"] += [[[2 ** 20, 2, 0], "1/1", "0/1"],
+                             [[2, 2 ** 20, 0], "1/1", "0/1"]]
+
+
 def _retyped(path, kind):
     """An edit that rewrites the integer at path, a tuple of keys and
     indices, as a float, a bool or a numeric string: each of them int()
@@ -709,11 +718,14 @@ def _z_term(d):
 
 
 def _entry(pole, degree):
-    """An edit that leaves one entry, w^degree / w^pole with an exact body."""
+    """An edit that leaves one entry, w^degree / w^pole with an exact body;
+    the body is written as JSON, since a degree of 2**20 or more has no
+    in-memory series."""
     def edit(d):
         d["entries"] = [[{"pole": pole, "wvar": "w",
-                          "body": serialize.series_to_json(
-                              MultiSeries.monomial(ONE, (degree,), ("w",)))}]]
+                          "body": {"vars": ["w"],
+                                   "order": serialize.EXACT_IN_FILE,
+                                   "terms": [[[degree], "1/1", "0/1"]]}}]]
     return edit
 
 
@@ -831,6 +843,11 @@ PINNED = [
     for argv in (["verify", "{in}"], ["derive-ode", "{in}"],
                  ["check-fuchsian", "{in}"], ["symmetries", "{in}"],
                  ["blowup", "{in}", "--blowup", "s=2"])
+] + [
+    ("wide-exponent-%s-%s" % (form, argv[0]), argv,
+     _with(surface, _wide_exponent), EXIT_FORMAT)
+    for form, surface in (("real", REAL5), ("complex", COMPLEX5))
+    for argv in (["check-fuchsian", "{in}"], ["verify", "{in}"])
 ] + [
     # an integer field is a JSON integer; nothing else is truncated to one
     ("%s-%s-%s" % (kind, form, "-".join(map(str, path))), ["verify", "{in}"],

@@ -15,15 +15,17 @@ from math import factorial, lcm
 
 import pytest
 
-from segrefuchs import linalg
-from segrefuchs.errors import SegrefuchsError
+from segrefuchs import linalg, serialize
+from segrefuchs.errors import FormatError, SegrefuchsError
 from segrefuchs.qfield import GaussianRational, ZERO, ONE, qi
-from segrefuchs.series import (MultiSeries, EXACT, SeriesError,
+from segrefuchs.series import (MultiSeries, EXACT, SeriesError, W,
                                SingularJacobianError, divide, exp_series,
                                log_series, solve_implicit, _linear_inputs)
 from reference import identical, of_sqrt2, solve_by_degree, spy_compose
 
 VARS = ("z", "w", "t")
+# the elimination's five variables (z, w, zeta, xib, etab)
+VARS5 = VARS + ("xib", "etab")
 
 
 class RefSeries:
@@ -73,6 +75,40 @@ class RefSeries:
         return RefSeries(self.vars[:i] + self.vars[i + 1:], self.order - k,
                          terms)
 
+    def monomial_mul(self, i, k):
+        """Times the i-th variable to the power k, k < 0 dividing."""
+        return RefSeries(self.vars, self.order + k,
+                         {e[:i] + (e[i] + k,) + e[i + 1:]: c
+                          for e, c in self.terms.items()})
+
+    def diff(self, i):
+        return RefSeries(self.vars, self.order - 1,
+                         {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                          c * GaussianRational.from_int(e[i])
+                          for e, c in self.terms.items() if e[i]})
+
+    def integrate(self, i):
+        return RefSeries(self.vars, self.order + 1,
+                         {e[:i] + (e[i] + 1,) + e[i + 1:]:
+                          c * GaussianRational.of(Fraction(1, e[i] + 1))
+                          for e, c in self.terms.items()})
+
+    def var_valuation(self, i):
+        return min((e[i] for e in self.terms), default=self.order + 1)
+
+    def var_degree(self, i):
+        return max((e[i] for e in self.terms), default=0)
+
+    def within(self, box):
+        """The terms with e[i] <= k for (i, k) in box, and the first
+        lowest-degree term in exponent order."""
+        terms = {e: c for e, c in self.terms.items()
+                 if all(e[i] <= k for i, k in box)}
+        if self.terms:
+            low = min(self.terms, key=lambda e: (sum(e), e))
+            terms[low] = self.terms[low]
+        return RefSeries(self.vars, self.order, terms)
+
     def embed(self, vars):
         pos = [vars.index(v) for v in self.vars]
         terms = {}
@@ -119,9 +155,10 @@ def rnd_coeff(rng, kind):
 
 
 def rnd_pair(rng, nvars, order, dense, kind, zero_constant=False):
-    """The same random series as (packed, reference)."""
-    vars = VARS[:nvars]
-    top = min(order, 6)
+    """The same random series as (packed, reference); at four and five
+    variables its degrees stop at 3, so a dense one stays small."""
+    vars = VARS5[:nvars]
+    top = min(order, 6 if nvars <= 3 else 3)
     terms = {}
     if dense:
         expos = list(_exponents(nvars, top))
@@ -144,15 +181,19 @@ def _exponents(nvars, top):
 
 
 def same(packed, ref):
-    """Exact agreement, and the packed data in lowest terms."""
+    """Exact agreement, and the packed data in lowest terms; the terms
+    view iterates, reads and unpacks every exponent tuple."""
     assert packed.vars == ref.vars
     assert packed.order == ref.order
     assert dict(packed.terms) == ref.terms
+    assert dict(packed.terms.items()) == ref.terms
+    assert sorted(packed.terms) == sorted(ref.terms)
+    assert len(packed.terms) == len(ref.terms)
     assert packed.den == lcm(*(c.q for c in ref.terms.values()))
 
 
 CASES = [(nvars, dense, kind, order)
-         for nvars in (1, 2, 3)
+         for nvars in (1, 2, 3, 4, 5)
          for dense in (False, True)
          for kind in ("gauss", "sqrt2", "mixed")
          for order in (4, EXACT)]
@@ -176,7 +217,8 @@ def test_ring_ops_match_reference(nvars, dense, kind, order):
 
 
 @pytest.mark.parametrize("nvars,dense,kind",
-                         [(n, d, k) for n in (2, 3) for d in (False, True)
+                         [(n, d, k) for n in (2, 3, 4, 5)
+                          for d in (False, True)
                           for k in ("gauss", "sqrt2", "mixed")])
 def test_compose_matches_reference(nvars, dense, kind):
     rng = random.Random(repr((nvars, dense, kind)))
@@ -185,6 +227,111 @@ def test_compose_matches_reference(nvars, dense, kind):
         v = f.vars[-1]
         g, rg = rnd_pair(rng, nvars, 5, False, kind, zero_constant=True)
         same(f.compose({v: g}), rf.compose({v: rg}))
+
+
+FIELD_CASES = [(nvars, dense, kind) for nvars in (1, 2, 3, 4, 5)
+               for dense in (False, True)
+               for kind in ("gauss", "sqrt2", "mixed")]
+
+
+@pytest.mark.parametrize("nvars,dense,kind", FIELD_CASES)
+def test_field_ops_match_reference(nvars, dense, kind):
+    """Every operation that shifts or masks exponent fields of the packed
+    keys: slices, derivatives, antiderivatives, monomial factors,
+    embeddings into reordered and larger variable sets, the box of
+    `within`, valuations, degrees and single coefficients."""
+    rng = random.Random(repr(("fields", nvars, dense, kind)))
+    for order in (4, EXACT):
+        a, ra = rnd_pair(rng, nvars, order, dense, kind)
+        assert a.valuation() == ra.valuation()
+        for i, v in enumerate(a.vars):
+            for k, s in enumerate(a._var_slices(v, 0, 3)):
+                same(s, ra.coeff_of_var_power(i, k))
+            same(a.coeff_of_var_power(v, 2), ra.coeff_of_var_power(i, 2))
+            same(a.diff(v), ra.diff(i))
+            same(a.integrate(v), ra.integrate(i))
+            k = rng.randint(0, 3)
+            same(a.monomial_mul(v, k), ra.monomial_mul(i, k))
+            assert a.var_valuation(v) == ra.var_valuation(i)
+            assert a.var_degree(v) == ra.var_degree(i)
+            if ra.terms:
+                low = ra.var_valuation(i)
+                same(a.monomial_div(v, low), ra.monomial_mul(i, -low))
+                same(a.monomial_mul(v, k).monomial_div(v, k), ra)
+                with pytest.raises(SeriesError, match="not divisible"):
+                    a.monomial_div(v, low + 1)
+        if nvars >= 2:
+            u, v = rng.sample(a.vars, 2)
+            i, j = a.vars.index(u), a.vars.index(v)
+            ref = ra.coeff_of_var_power(i, 1)
+            same(a.coeff_of({u: 1, v: 0}),
+                 ref.coeff_of_var_power(j - (j > i), 0))
+        reordered = tuple(rng.sample(a.vars, nvars))
+        larger = list(reordered)
+        for extra in ("p", "q"):
+            larger.insert(rng.randint(0, len(larger)), extra)
+        for vars in (reordered, tuple(larger), a.vars + ("p",)):
+            same(a.embed(vars), ra.embed(vars))
+        box = {v: rng.randint(0, 2)
+               for v in rng.sample(a.vars, rng.randint(1, nvars))}
+        same(a.within(box),
+             ra.within([(a.vars.index(v), k) for v, k in box.items()]))
+        for e in list(ra.terms) + [tuple(rng.randint(0, 4) for _ in a.vars)]:
+            assert a.coefficient(e) == ra.terms.get(e, ZERO)
+
+
+def test_exponent_fields_hold_degrees_below_two_to_the_w():
+    """A total degree of 2**W - 1 loads, multiplies and reads back; a
+    product, monomial factor or antiderivative reaching 2**W is refused,
+    never carried into the next field, and so is such a term in a file."""
+    top = (1 << W) - 1
+    vars = ("z", "w")
+    z, w = (MultiSeries.variable(v, vars) for v in vars)
+    a = MultiSeries.monomial(ONE, (top - 1, 0), vars)
+    p = a * w
+    assert dict(p.terms) == {(top - 1, 1): ONE}
+    assert p.valuation() == p.max_degree() == top
+    assert p.coefficient((top - 1, 1)) == ONE
+    assert p.var_degree("z") == top - 1 and p.var_valuation("w") == 1
+    assert dict(p.diff("w").terms) == {(top - 1, 0): ONE}
+    b = MultiSeries.monomial(ONE, (0, top), vars)
+    assert dict(b.embed(("w", "x", "z")).terms) == {(top, 0, 0): ONE}
+    for reach in (lambda: p * w, lambda: b * z, lambda: b.monomial_mul("z", 1),
+                  lambda: b.integrate("z"),
+                  lambda: MultiSeries.monomial(ONE, (top, 1), vars)):
+        with pytest.raises(SeriesError, match="does not fit"):
+            reach()
+    # under a finite order of 2**W or more, a pair above the order is
+    # never formed, so it reaches nothing
+    c = (1 + b).truncate(top + 5)
+    assert dict((c * c).terms) == {(0, 0): ONE,
+                                   (0, top): GaussianRational.from_int(2)}
+    with pytest.raises(SeriesError, match="does not fit"):
+        c * z
+    j = serialize.series_to_json(b)
+    assert serialize.series_from_json(j) == b
+    j["terms"] = [[[top, 1], "1/1", "0/1"]]
+    with pytest.raises(FormatError, match="2\\*\\*20"):
+        serialize.series_from_json(j)
+
+
+def test_a_wrong_length_exponent_vector_is_refused():
+    """One exponent per variable: another length is an error, not a zero
+    coefficient, and so is a negative exponent."""
+    s = MultiSeries.monomial(ONE, (1, 1, 0), VARS)
+    assert s.coefficient((1, 1, 0)) == s.terms[(1, 1, 0)] == ONE
+    for e in ((1, 1), (1, 1, 0, 0), ()):
+        with pytest.raises(SeriesError, match="3 nonnegative"):
+            s.coefficient(e)
+        with pytest.raises(KeyError):
+            s.terms[e]
+        assert e not in s.terms and s.terms.get(e) is None
+        with pytest.raises(SeriesError):
+            MultiSeries(VARS, EXACT, {e: ONE})
+    with pytest.raises(SeriesError):
+        s.coefficient((1, -1, 0))
+    with pytest.raises(SeriesError):
+        MultiSeries.monomial(ONE, (2, -1, 0), VARS)
 
 
 def test_cancelling_results_are_zero_in_lowest_terms():
