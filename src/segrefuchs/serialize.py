@@ -11,8 +11,8 @@ parses every string into integers over one common denominator, and the
 writer reduces each packed component over the series' denominator by one
 gcd, so no coefficient object is built at the file edge.  Terms are
 written in exponent-tuple order, and a term of total degree 2**20 or more,
-which the kernel's W-bit exponent fields cannot hold, is refused with
-FormatError before it is packed.
+which the kernel's exponent fields cannot hold, is refused by the packing
+itself, its SeriesError raised as a FormatError.
 
 Every integer field (an m, sign, order, exponent or pole) is read by one
 reader that takes a JSON integer only: a float, a bool or a numeric string
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import GaussianRational
-from .series import (LaurentInW, EXACT, W as FIELD_BITS, _exps, _key,
+from .series import (LaurentInW, EXACT, SeriesError, _exp_items, _pack,
                      _reduced)
 from .surfaces import (RealDefining, ComplexDefining, split_admissible,
                        require_reality, Z, ZB, WB, U, W)
@@ -106,8 +106,7 @@ def series_to_json(s):
     """Each coefficient as its re, im (and, when nonzero, re and im sqrt2)
     parts, each written from its packed integer over the series' den."""
     terms = []
-    n = len(s.vars)
-    for e, t in sorted((_exps(k, n), t) for k, t in s.num.items()):
+    for e, t in sorted(_exp_items(s)):
         terms.append([list(e)] + [_rat(x, s.den)
                                   for x in (t if t[2] or t[3] else t[:2])])
     return {"vars": list(s.vars), "order": _order_to_json(s.order),
@@ -130,22 +129,23 @@ def series_from_json(d):
         if len(exps) != len(vars) or min(exps, default=0) < 0:
             raise FormatError("exponents %r do not match the variables %r"
                               % (exps, vars))
-        if sum(exps) >= 1 << FIELD_BITS:
-            raise FormatError("term %r has total degree 2**%d or more"
-                              % (exps, FIELD_BITS))
-        if exps in parts or sum(exps) > order:
+        try:
+            key = _pack(exps, len(vars))
+        except SeriesError as err:
+            raise FormatError("term %r: %s" % (exps, err)) from None
+        if key in parts or sum(exps) > order:
             raise FormatError("term %r is repeated or above the order %s"
                               % (exps, order))
         if len(entry) not in (3, 5):
             raise FormatError("coefficient needs 2 or 4 rational strings")
         ps = [_unrat(p) for p in entry[1:]]
-        parts[exps] = ps + [(0, 1)] * (4 - len(ps))
+        parts[key] = ps + [(0, 1)] * (4 - len(ps))
     den = lcm(*(q for ps in parts.values() for _, q in ps))
     num = {}
     for e, ps in parts.items():
         t = tuple(n * (den // q) for n, q in ps)
         if any(t):
-            num[_key(e)] = t
+            num[e] = t
     return _reduced(vars, order, den, num)
 
 

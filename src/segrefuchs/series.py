@@ -99,8 +99,15 @@ def _merge_vars(v1, v2):
 def _room(degree):
     """Refuse a total degree that the exponent fields cannot hold."""
     if degree >= 1 << W:
-        raise SeriesError("total degree %d does not fit the %d-bit exponent "
-                          "fields" % (degree, W))
+        raise SeriesError("total degree %d is 2**%d or more and does not "
+                          "fit the exponent fields" % (degree, W))
+
+
+def _nonnegative(k):
+    """Refuse a negative power of a monomial factor: a key step of -k would
+    borrow across the fields."""
+    if k < 0:
+        raise SeriesError("monomial power %d is negative" % k)
 
 
 def _pack(e, n):
@@ -109,13 +116,8 @@ def _pack(e, n):
     if len(e) != n or min(e, default=0) < 0:
         raise SeriesError("exponents %r are not %d nonnegative integers"
                           % (e, n))
-    _room(sum(e))
-    return _key(e)
-
-
-def _key(e):
-    """The key of a checked exponent vector e."""
     k = sum(e)
+    _room(k)
     for x in e:
         k = k << W | x
     return k
@@ -129,6 +131,21 @@ def _exps(k, n):
 def _slot(vars, v):
     """The bit offset of v's exponent field in a key over vars."""
     return W * (len(vars) - 1 - vars.index(v))
+
+
+def _exp_items(s):
+    """The (exponent vector, packed coefficient) pairs of s."""
+    n = len(s.vars)
+    return ((_exps(k, n), t) for k, t in s.num.items())
+
+
+def _degrees_in(s, vs):
+    """{key: the total exponent of the variables vs} over the keys of s."""
+    degs = dict.fromkeys(s.num, 0)
+    for v in vs:
+        o = _slot(s.vars, v)
+        degs = {k: d + (k >> o & _MASK) for k, d in degs.items()}
+    return degs
 
 
 @cache
@@ -330,16 +347,12 @@ class MultiSeries:
             if v not in vars:
                 raise SeriesError("cannot drop variable %r" % v)
         blocks = _blocks(self.vars, vars)
-        if len(blocks) == 1:  # e.g. variables appended after self's
-            (s, mask, d), = blocks
-            num = {(k >> s & mask) << d: t for k, t in self.num.items()}
-        else:
-            num = {}
-            for k, t in self.num.items():
-                e = 0
-                for s, mask, d in blocks:
-                    e |= (k >> s & mask) << d
-                num[e] = t
+        num = {}
+        for k, t in self.num.items():
+            e = 0
+            for s, mask, d in blocks:
+                e |= (k >> s & mask) << d
+            num[e] = t
         return _packed(vars, self.order, self.den, num)
 
     # ---------- ring operations ----------
@@ -514,9 +527,8 @@ class MultiSeries:
         return max((e & m for e in self.num), default=0) >> s
 
     def monomial_mul(self, var, k):
-        """self * var**k; a negative k divides (monomial_div)."""
-        if k < 0:
-            return self.monomial_div(var, -k)
+        """self * var**k, for k >= 0."""
+        _nonnegative(k)
         if self.order + k >= 1 << W:
             _room(self.max_degree() + k)
         step = k * ((1 << _slot(self.vars, var)) + (1 << W * len(self.vars)))
@@ -524,9 +536,9 @@ class MultiSeries:
                        {e + step: t for e, t in self.num.items()})
 
     def monomial_div(self, var, k):
-        """Exact division by var**k; raises if any term is not divisible."""
-        if k < 0:
-            return self.monomial_mul(var, -k)
+        """Exact division by var**k, k >= 0; raises if any term is not
+        divisible."""
+        _nonnegative(k)
         s = _slot(self.vars, var)
         step = k * ((1 << s) + (1 << W * len(self.vars)))
         num = {}
@@ -622,8 +634,8 @@ def _mac(acc, f, rows, cols):
     accumulated in place.  The kernel's one multiply-add.
 
     The rows are the smaller operand, each checked once: a row with no
-    sqrt2 part, or nothing but sqrt2 parts, meets every column in 8
-    products instead of 16."""
+    sqrt2 part, as most rows of the pipeline's products are, meets every
+    column in 8 products instead of 16."""
     if len(rows) > len(cols):
         rows, cols = cols, rows
     for ea, (a1, b1, c1, d1) in rows:
@@ -636,21 +648,6 @@ def _mac(acc, f, rows, cols):
                 y = a1 * b2 + b1 * a2
                 z = a1 * c2 - b1 * d2
                 w = a1 * d2 + b1 * c2
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = [x, y, z, w]
-                else:
-                    s[0] += x
-                    s[1] += y
-                    s[2] += z
-                    s[3] += w
-        elif not (a1 or b1):
-            for eb, (a2, b2, c2, d2) in cols:
-                e = ea + eb
-                x = 2 * (c1 * c2 - d1 * d2)
-                y = 2 * (c1 * d2 + d1 * c2)
-                z = c1 * a2 - d1 * b2
-                w = d1 * a2 + c1 * b2
                 s = acc.get(e)
                 if s is None:
                     acc[e] = [x, y, z, w]

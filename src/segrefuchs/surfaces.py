@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 from .qfield import ONE, I
 from .series import (MultiSeries, EXACT, SeriesError, exp_series, log_series,
-                     solve_implicit, _MASK, _packed, _reduced, _slot)
+                     solve_implicit, _degrees_in, _packed, _reduced)
 from .errors import (OrderTooLowError, RealityViolation, NotNormalizableError,
                      SegrefuchsError)
 
@@ -199,15 +199,9 @@ def bar_series(s):
     For f(z, zb, wb) this realizes bar(f)(zb, z, w) as a series over the
     ambient commuting variables.
     """
-    s1, s2 = _slot(s.vars, Z), _slot(s.vars, ZB)
-    # adding (k2 - k1) * step moves the z exponent k1 to the zb field and
-    # the zb exponent k2 to the z field
-    step = (1 << s1) - (1 << s2)
-    num = {}
-    for e, (a, b, c, d) in s.num.items():
-        num[e + ((e >> s2 & _MASK) - (e >> s1 & _MASK)) * step] = \
-            (a, -b, c, -d)
-    return _packed(s.vars, s.order, s.den, num)
+    t = s.rename({Z: ZB, ZB: Z}).embed(s.vars)
+    return _packed(s.vars, s.order, s.den,
+                   {e: (a, -b, c, -d) for e, (a, b, c, d) in t.num.items()})
 
 
 def check_reality(M):
@@ -310,8 +304,7 @@ def normalize_lead(series):
     # lambda**deg = f[deg] * sqrt2**(k * (deg % 2)), f[deg] rational
     r, k = lam
     # the degree in the first two variables, z and zb, of each key
-    s1, s2 = (_slot(series.vars, v) for v in series.vars[:2])
-    degs = {e: (e >> s1 & _MASK) + (e >> s2 & _MASK) for e in series.num}
+    degs = _degrees_in(series, series.vars[:2])
     f = {deg: lam_sq ** (deg // 2) * r ** (deg % 2)
          for deg in set(degs.values())}
     den = lcm(*(x.denominator for x in f.values()))

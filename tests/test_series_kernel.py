@@ -252,6 +252,10 @@ def test_field_ops_match_reference(nvars, dense, kind):
             same(a.integrate(v), ra.integrate(i))
             k = rng.randint(0, 3)
             same(a.monomial_mul(v, k), ra.monomial_mul(i, k))
+            # a negative step would borrow across the fields
+            for op in (a.monomial_mul, a.monomial_div):
+                with pytest.raises(SeriesError, match="negative"):
+                    op(v, -1)
             assert a.var_valuation(v) == ra.var_valuation(i)
             assert a.var_degree(v) == ra.var_degree(i)
             if ra.terms:
