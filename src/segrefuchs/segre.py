@@ -124,9 +124,8 @@ def eliminate(M, order=None):
     g = segre_graph(M)
     m = M.m
     vars5 = (Z, WV, ZETA, XIB, ETAB)
-    F1 = g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5)
-    F2 = g.w.embed(vars5) - MultiSeries.variable(WV, vars5)
-    lam, _ = solve_implicit([F1, F2], (Z, WV, ZETA), (XIB, ETAB))
+    lam, _ = solve_implicit([g.zeta.embed(vars5), g.w.embed(vars5)],
+                            (Z, WV, ZETA), (XIB, ETAB), (ZETA, WV))
     # the quotient is needed through lam's order minus m only
     lam = lam.truncate(lam.order - m + 1)
     flow = lam.diff(Z) + lam.diff(WV).monomial_mul(ZETA, 1) \

@@ -126,9 +126,6 @@ def series_from_json(d):
     parts = {}
     for entry in d["terms"]:
         exps = tuple(_int(x) for x in entry[0])
-        if len(exps) != len(vars) or min(exps, default=0) < 0:
-            raise FormatError("exponents %r do not match the variables %r"
-                              % (exps, vars))
         try:
             key = _pack(exps, len(vars))
         except SeriesError as err:

@@ -52,13 +52,13 @@ over one common denominator by the multiply-add loop of `__mul__`, then
 reduced by one gcd, and the parts become a series once, at the end.
 `divide` runs the same scheme on b q = a, q_d = (a_d - sum_{t>0} b_t
 q_{d-t}) / b_0, the kernel's one packed-part solve loop.
-`solve_implicit` solves inversions alone: n of the x-variables enter F
-only through a constant invertible linear term, as in the elimination and
-the real-complex transfers.  It lifts its solution by Newton's method,
-doubling the precision per step, and the solution's own derivative in
-those variables gives the inverse Jacobian, so a step composes F alone
-(Newton reversion, Brent and Kung, again).  `linalg.det` of the Jacobian
-at the origin decides solvability first: a zero one is refused.
+`solve_implicit` solves inversions H(x, y) = t alone, the caller naming
+the inputs t among the x-variables, as in the elimination and the
+real-complex transfers.  It lifts its solution by Newton's method,
+doubling the precision per step, and the solution's own derivative in t
+is the inverse Jacobian, so a step composes H alone (Newton reversion,
+Brent and Kung, again).  `linalg.det` of the Jacobian at the origin
+decides solvability first: a zero one is refused.
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -804,37 +804,43 @@ def divide(a, b):
 
 # ---------- implicit solve ----------
 
-def solve_implicit(F, x_vars, y_vars):
-    """Solve F(x, y(x)) = 0 for y with y(0) = 0 by Newton reversion.
+def solve_implicit(H, x_vars, y_vars, t_vars):
+    """Solve H(x, y(x)) = t for y with y(0) = 0 by Newton reversion.
 
-    F is a list of series over x_vars + y_vars, one per unknown.  Requires
-    F(0,0) = 0 and an invertible Jacobian J = dF/dy at the origin; the
-    returned series satisfy the system modulo total degree order+1, order
-    the lowest trusted order among F, which must be finite.  The error on a
-    singular Jacobian carries the exact Jacobian determinant, which for the
-    elimination is the Levi determinant; `inverse` alone would not give it.
+    H is a list of series over x_vars + y_vars, one per unknown, and t_vars
+    names the input t_i of each equation: n of the x-variables, which H
+    does not read.  Any other call is refused with SeriesError.  Requires
+    H(0,0) = 0 and an invertible Jacobian J = dH/dy at the origin, refused
+    with SingularJacobianError when its determinant is 0; the returned
+    series, over x_vars, satisfy the system modulo total degree order+1,
+    order the lowest trusted order among H, which must be finite.
 
-    F must be an inversion: n of the x-variables, xt, enter F only through
-    a constant invertible linear term, F = C xt + H(z, y), z the other
-    x-variables.  Any other system is refused with SeriesError.  Then y(x)
-    solves H(z, y) = -C xt, and differentiating that in xt gives
-    J(y) dy/dxt = -C, so J(y)^-1 = -(dy/dxt) C^-1: the solution's own
-    derivative is the inverse Jacobian (Newton reversion, Brent and Kung,
-    J. ACM 25 (1978)).  A step lifts y from precision p to q: it composes F
-    alone at precision q and subtracts J(y)^-1 F(x, y) through degree q.
-    From y trusted through degree p that derivative is trusted through
-    p-1, so the steps keep q <= 2p, the precisions halving back from the
-    target and rounding up; the first step, from y = 0, uses J(0)^-1.  So
-    F is composed once at full precision.
+    The solver works on F = H - t.  Differentiating H(x, y) = t in t gives
+    J(y) dy/dt = I, so the solution's own derivative is the inverse
+    Jacobian, and a step is y <- y - (dy/dt) (H(x, y) - t) (Newton
+    reversion, Brent and Kung, J. ACM 25 (1978)).  A step lifts y from
+    precision p to q: it composes F alone at precision q.  From y trusted
+    through degree p, dy/dt is trusted through p-1, so the steps keep
+    q <= 2p, the precisions halving back from the target and rounding up;
+    the first step, from y = 0, uses J(0)^-1.  So F is composed once at
+    full precision.
 
     The solution truncated to an order is unique, hence equal to any other
     method's.
     """
     n = len(y_vars)
-    if len(F) != n:
-        raise SeriesError("need as many equations as unknowns")
+    if not len(H) == len(t_vars) == n:
+        raise SeriesError("need one equation and one input per unknown")
+    for t in t_vars:
+        if t not in x_vars:
+            raise SeriesError("input %r is not among the x-variables" % t)
+        if any(t in h.vars and h.var_degree(t) for h in H):
+            raise SeriesError("H reads the input %r" % t)
     all_vars = tuple(x_vars) + tuple(y_vars)
-    F = [f.embed(_merge_vars(f.vars, all_vars)) for f in F]
+    F = []
+    for h, t in zip(H, t_vars):
+        h = h.embed(_merge_vars(h.vars, all_vars))
+        F.append(h - MultiSeries.variable(t, h.vars))
     for f in F:
         if not f.constant_term().is_zero():
             raise SeriesError("F(0,0) != 0")
@@ -845,7 +851,6 @@ def solve_implicit(F, x_vars, y_vars):
     J0inv = linalg.inverse(J0)
 
     order = _finite_order(min(F, key=lambda f: f.order), "solve_implicit")
-    xt, Cinv = _linear_inputs(F, x_vars)
     steps = [order]
     while steps[-1] > 1:
         steps.append((steps[-1] + 1) // 2)
@@ -854,16 +859,15 @@ def solve_implicit(F, x_vars, y_vars):
     for p, q in pairwise(reversed(steps)):
         r = [f.truncate(q).compose(dict(zip(y_vars, ys))) for f in F]
         if p == 0:
-            delta = [-s for s in _apply(J0inv, r)]
+            delta = _apply(J0inv, r)
         else:
-            Cr = _apply(Cinv, r)
             delta = []
             for y in ys:
                 acc = MultiSeries.zero(y.vars)
-                for v, s in zip(xt, Cr):
-                    acc = acc + y.diff(v).truncate(q - p - 1) * s
+                for t, s in zip(t_vars, r):
+                    acc = acc + y.diff(t).truncate(q - p - 1) * s
                 delta.append(acc)
-        ys = [y + _polynomial(dl, q) for y, dl in zip(ys, delta)]
+        ys = [y - _polynomial(dl, q) for y, dl in zip(ys, delta)]
     return [y.truncate(order) for y in ys]
 
 
@@ -887,32 +891,6 @@ def _apply(M, v):
                 acc = acc + s.scale(c)
         out.append(acc)
     return out
-
-
-def _linear_inputs(F, x_vars):
-    """(xt, C^-1) for the first n x-variables xt that enter F only through
-    a linear term C xt, each with a column of C independent of those before
-    it; a SeriesError when fewer than n are."""
-    xt, columns = [], []
-    for v in x_vars:
-        if len(xt) == len(F):
-            break
-        col = []
-        for f in F:
-            s, unit = _slot(f.vars, v), _unit(f.vars, v)
-            key = _pack(unit, len(f.vars))
-            if any(e >> s & _MASK and e != key for e in f.num):
-                break
-            col.append(f.coefficient(unit))
-        else:
-            if linalg.rank(columns + [col]) > len(columns):
-                xt.append(v)
-                columns.append(col)
-    if len(xt) < len(F):
-        raise SeriesError("solve_implicit needs an inversion: %d of the "
-                          "x-variables must enter F only through a constant "
-                          "invertible linear term" % len(F))
-    return xt, linalg.inverse([list(row) for row in zip(*columns)])
 
 
 class SingularJacobianError(SeriesError):

@@ -324,7 +324,7 @@ def real_to_complex(Mr):
     """Transfer real m-admissible data to the complex exponential form.
 
     On v = F(z, zb, u), wb = u - i*F is explicit in wb: one implicit solve
-    (Jacobian -1) inverts it for u = U(z, zb, wb), and w = u + i*F = 2U - wb.
+    (Jacobian 1) inverts it for u = U(z, zb, wb), and w = u + i*F = 2U - wb.
     The exponential shape is then factored out and z rescaled so the z*zb
     coefficient of phi is exactly 1; the squared rescale is recorded on the
     result.  Real data and an exact transfer give a real result, so its
@@ -334,9 +334,8 @@ def real_to_complex(Mr):
     require_reality(Mr)
     vars4 = (Z, ZB, U, WB)
     F = Mr.defining_series().embed(vars4)
-    G = (MultiSeries.variable(WB, vars4) - MultiSeries.variable(U, vars4)
-         + F.scale(I))
-    u = solve_implicit([G], (Z, ZB, WB), (U,))[0]
+    H = MultiSeries.variable(U, vars4) - F.scale(I)
+    u = solve_implicit([H], (Z, ZB, WB), (U,), (WB,))[0]
     R = u.scale(2) - MultiSeries.variable(WB, u.vars)
     theta = R.monomial_div(WB, 1)
     if not (theta.constant_term() == ONE):
@@ -370,9 +369,9 @@ def complex_to_real(Mc):
     R = Mc.defining_series()
     # solve (R(z,zb,wb) + wb)/2 = u for wb(z, zb, u)
     vars4 = (Z, ZB, U, WB)
-    G = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
-        Fraction(1, 2)) - MultiSeries.variable(U, vars4)
-    wb = solve_implicit([G], (Z, ZB, U), (WB,))[0]
+    H = (R.embed(vars4) + MultiSeries.variable(WB, vars4)).scale(
+        Fraction(1, 2))
+    wb = solve_implicit([H], (Z, ZB, U), (WB,), (U,))[0]
     F = (MultiSeries.variable(U, wb.vars) - wb).scale(-I)
     m = nonminimality_order(F)
     if m != Mc.m:

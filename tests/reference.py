@@ -289,12 +289,11 @@ def verify_ode(M, E):
 
 
 def segre_system(g):
-    """The arguments of eliminate's solve for the graph g: F = (w_p'/w_p^m
-    - zeta, w_p - w), solved for (xib, etab) over (z, w, zeta)."""
+    """The arguments of eliminate's solve for the graph g: H = (w_p'/w_p^m,
+    w_p) = (zeta, w), solved for (xib, etab) over (z, w, zeta)."""
     vars5 = (Z, WV, ZETA, XIB, ETAB)
-    return ([g.zeta.embed(vars5) - MultiSeries.variable(ZETA, vars5),
-             g.w.embed(vars5) - MultiSeries.variable(WV, vars5)],
-            (Z, WV, ZETA), (XIB, ETAB))
+    return ([g.zeta.embed(vars5), g.w.embed(vars5)],
+            (Z, WV, ZETA), (XIB, ETAB), (ZETA, WV))
 
 
 def eliminate_by_composition(M):

@@ -578,6 +578,37 @@ def test_determinism_byte_identical(model_file, tmp_path):
     assert Path(a).read_text() == Path(b).read_text()
 
 
+# a real file, and the complex form that `verify` writes of it: every
+# command works on the complex form, so the two files answer alike.  The
+# real file runs the transfer's inversion, both run the elimination's, and
+# the complex file runs the loader's complex branch with its recorded scale
+REAL_AND_COMPLEX = {
+    "model-m1-N24": lambda: build_real(1, 1, {}, 24),
+    "dense-m2-N17": lambda: dense_surface(17, 2, True),
+    "sqrt2-m2-N20": lambda: build_real(2, 1, SQRT2_TABLE, 20),
+}
+
+
+@pytest.mark.parametrize("label", list(REAL_AND_COMPLEX))
+def test_a_real_file_and_its_complex_form_give_the_same_payloads(label,
+                                                                 tmp_path):
+    real, verified, complex_, out = (tmp_path / name for name in (
+        "real.json", "verified.json", "complex.json", "out.json"))
+    real.write_text(serialize.dumps(serialize.surface_to_json(
+        REAL_AND_COMPLEX[label]())))
+    assert main(["verify", str(real), "-o", str(verified)]) == EXIT_OK
+    surface = json.loads(verified.read_text())["surface"]
+    assert surface["form"] == "complex"
+    complex_.write_text(serialize.dumps(surface))
+    for argv in (["derive-ode"], ["symmetries", "--real-form"]):
+        payloads = []
+        for path in (real, complex_):
+            assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) \
+                == EXIT_OK
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1]
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
     assert main(["selftest", "--seed", "7"]) == EXIT_OK
@@ -646,6 +677,10 @@ def _declared_12(d):
 
 def _exact_order(d):
     d["order"] = d["series"]["order"] = 1000000
+
+
+def _short_exponent(d):
+    d["series"]["terms"].append([[2, 2], "1/1", "0/1"])
 
 
 def _repeated_exponent(d):
@@ -779,6 +814,8 @@ PINNED = [
      EXIT_FORMAT),
     ("negative-exponent", ["verify", "{in}"],
      _with(REAL5, _negative_exponent), EXIT_FORMAT),
+    ("short-exponent", ["verify", "{in}"],
+     _with(REAL5, _short_exponent), EXIT_FORMAT),
     ("ragged-system", ["monodromy", "{in}"], _with(SYSTEM2, _ragged),
      EXIT_FORMAT),
     ("empty-system", ["monodromy", "{in}"], _with(SYSTEM2, _empty),

@@ -165,48 +165,45 @@ def _fixed_point_oracle(order):
 
 def test_solve_implicit_catalan():
     order = 4
-    x = var("x", ("x", "y"), order)
     y = var("y", ("x", "y"), order)
-    sol = solve_implicit([y - x - y * y], ("x",), ("y",))[0]
+    sol = solve_implicit([y - y * y], ("x",), ("y",), ("x",))[0]
     oracle = _fixed_point_oracle(order)
     assert sol == oracle
     assert sol.coefficient((4,)) == qi(5)
 
 
 def test_solve_implicit_identity_and_triangular():
-    x = var("x", ("x", "y"), 5)
     y = var("y", ("x", "y"), 5)
-    assert solve_implicit([y - x], ("x",), ("y",))[0] == \
+    assert solve_implicit([y], ("x",), ("y",), ("x",))[0] == \
         var("x", ("x",), 5)
-    # an inversion needs one x-variable per unknown, entering linearly
+    # an inversion names one input per unknown
     v = ("x1", "x2", "y1", "y2")
     x1, x2, y1, y2 = (var(n, v, 5) for n in v)
-    s1, s2 = solve_implicit([y1 - x1, y2 - y1 * y1 - x2], ("x1", "x2"),
-                            ("y1", "y2"))
+    s1, s2 = solve_implicit([y1, y2 - y1 * y1], ("x1", "x2"),
+                            ("y1", "y2"), ("x1", "x2"))
     x1, x2 = (var(n, ("x1", "x2"), 5) for n in ("x1", "x2"))
     assert s1 == x1
     assert s2 == (x1 ** 2 + x2).truncate(5)
 
 
 def test_solve_implicit_residual_postcondition():
-    """x enters F only through -x, as an inversion needs; the random
-    perturbation is a series in y alone."""
+    """H(y) = x, as an inversion needs; the random perturbation is a
+    series in y alone."""
     rng = random.Random(6)
     order = 5
     x = var("x", ("x", "y"), order)
     y = var("y", ("x", "y"), order)
     pert = rnd_series(rng, ("y",), order).embed(("x", "y"))
     pert = (pert - MultiSeries.const(pert.constant_term(), ("x", "y"))) * y
-    F = y - x - (y * y).scale(3) - pert.scale(Fraction(1, 2))
-    sol = solve_implicit([F], ("x",), ("y",))[0]
-    assert F.compose({"y": sol}).is_zero()
+    H = y - (y * y).scale(3) - pert.scale(Fraction(1, 2))
+    sol = solve_implicit([H], ("x",), ("y",), ("x",))[0]
+    assert (H - x).compose({"y": sol}).is_zero()
 
 
 def test_solve_implicit_singular_jacobian():
-    x = var("x", ("x", "y"), 4)
     y = var("y", ("x", "y"), 4)
     with pytest.raises(SingularJacobianError) as exc:
-        solve_implicit([y * y - x], ("x",), ("y",))
+        solve_implicit([y * y], ("x",), ("y",), ("x",))
     assert exc.value.determinant.is_zero()
 
 

@@ -20,7 +20,7 @@ from segrefuchs.errors import FormatError, SegrefuchsError
 from segrefuchs.qfield import GaussianRational, ZERO, ONE, qi
 from segrefuchs.series import (MultiSeries, EXACT, SeriesError, W,
                                SingularJacobianError, divide, exp_series,
-                               log_series, solve_implicit, _linear_inputs)
+                               log_series, solve_implicit)
 from reference import identical, of_sqrt2, solve_by_degree, spy_compose
 
 VARS = ("z", "w", "t")
@@ -528,7 +528,7 @@ def test_series_functions_refuse_an_exact_argument():
             log_series(1 + x)
     # y = x + y**2 with F exact: Newton lifting would never stop
     with pytest.raises(SeriesError):
-        solve_implicit([w - z - w * w], ("z",), ("w",))
+        solve_implicit([w - w * w], ("z",), ("w",), ("z",))
 
 
 def test_exactness_survives_every_kernel_operation():
@@ -597,50 +597,60 @@ SOLVE_CASES = [(n, kind) for n in (1, 2, 3)
 
 @pytest.mark.parametrize("n,kind", SOLVE_CASES)
 def test_solve_implicit_matches_fixed_point(n, kind):
-    """Inversions with F exact, trusted past, at and below the solve's
-    order; truncated to order 1, where z too enters only linearly, so the
-    solve takes n of the n + 1 linear inputs; and truncated to order 0,
-    where F has lost its Jacobian and both refuse."""
+    """Inversions with H exact, trusted past, at and below the solve's
+    order; truncated to order 1; and truncated to order 0, where H has
+    lost its Jacobian and both refuse."""
     rng = random.Random(repr(("solve", n, kind)))
-    for F_order, order in ((EXACT, 6), (8, 6), (4, 6), (5, 1), (5, 0)):
-        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, F_order)
-        F = [f.truncate(order) for f in F]
+    for H_order, order in ((EXACT, 6), (8, 6), (4, 6), (5, 1), (5, 0)):
+        H, x_vars, y_vars, t_vars = rnd_inversion(rng, n, kind, True,
+                                                  H_order)
+        H = [h.truncate(order) for h in H]
         try:
-            ref = solve_by_degree(F, x_vars, y_vars)
+            ref = solve_by_degree(minus_inputs(H, t_vars), x_vars, y_vars)
         except SingularJacobianError as err:
             assert order == 0
             with pytest.raises(SingularJacobianError) as got:
-                solve_implicit(F, x_vars, y_vars)
+                solve_implicit(H, x_vars, y_vars, t_vars)
             assert got.value.determinant == err.determinant
             continue
-        for got, r in zip(solve_implicit(F, x_vars, y_vars), ref):
+        for got, r in zip(solve_implicit(H, x_vars, y_vars, t_vars), ref):
             identical(got, r)
 
 
 def test_singular_jacobian_carries_the_determinant():
-    x, y1, y2 = (MultiSeries.variable(v, ("x", "y1", "y2"))
-                 for v in ("x", "y1", "y2"))
+    v = ("z", "x1", "x2", "y1", "y2")
+    z, y1, y2 = (MultiSeries.variable(x, v) for x in ("z", "y1", "y2"))
     # Jacobian [[1, 2], [2, 4]] at the origin: determinant 0
-    F = [(y1 + y2.scale(2) - x).truncate(4),
-         (y1.scale(2) + y2.scale(4) + x * x).truncate(4)]
-    for solve in (solve_implicit, solve_by_degree):
-        with pytest.raises(SingularJacobianError) as err:
-            solve(F, ("x",), ("y1", "y2"))
-        assert err.value.determinant == ZERO
+    H = [(y1 + y2.scale(2)).truncate(4),
+         (y1.scale(2) + y2.scale(4) + z * z).truncate(4)]
+    t_vars = ("x1", "x2")
+    with pytest.raises(SingularJacobianError) as err:
+        solve_implicit(H, v[:3], ("y1", "y2"), t_vars)
+    assert err.value.determinant == ZERO
+    with pytest.raises(SingularJacobianError) as err:
+        solve_by_degree(minus_inputs(H, t_vars), v[:3], ("y1", "y2"))
+    assert err.value.determinant == ZERO
 
 
 # ---------- inversions: the reversion step ----------
 
+def minus_inputs(H, t_vars):
+    """The system H - t = 0 of the inversion H = t, as the oracle
+    reference.solve_by_degree takes it."""
+    return [h - MultiSeries.variable(t, h.vars) for h, t in zip(H, t_vars)]
+
+
 def rnd_inversion(rng, n, kind, dense, order, nonlinear=False):
-    """F(x, y) = C a + H(z, y) in n unknowns y1..yn.  The x-variables
-    a1..an enter only through C, invertible and dense or a scaled
-    permutation; z enters H through z**2 and its terms of degree 2 and 3
-    in (z, y), present with probability 1/2 (dense) or 1/6; b enters
-    nowhere, so the solve must pass over it.  With `nonlinear`, every a_k
-    also enters the first equation through a_k**2, so F is no inversion.
-    The equations
-    after the first are trusted one degree further than it.  Returns
-    (F, x_vars, y_vars), x_vars in random order."""
+    """H(x, y) = -C^-1 G(z, y) in n unknowns y1..yn, to be solved for
+    H = a: the inputs a1..an enter the system G + C a = 0 only through C,
+    invertible and dense or a scaled permutation.  z enters G through z**2
+    and its terms of degree 2 and 3 in (z, y), present with probability
+    1/2 (dense) or 1/6; b enters nowhere, so the solve must pass over it.
+    With `nonlinear`, every a_k also enters the first equation of G
+    through a_k**2, so H reads its inputs and is no inversion.  The
+    equations of G after the first are trusted one degree further than it.
+    Returns (H, x_vars, y_vars, t_vars), x_vars in random order and t_vars
+    the inputs a1..an."""
     a_vars = tuple("a%d" % k for k in range(1, n + 1))
     y_vars = tuple("y%d" % k for k in range(1, n + 1))
     vars = ("z", "b") + a_vars + y_vars
@@ -650,22 +660,20 @@ def rnd_inversion(rng, n, kind, dense, order, nonlinear=False):
         while True:
             M = [[entry(i, k) for k in range(n)] for i in range(n)]
             try:
-                linalg.inverse(M)
-                return M
+                return M, linalg.inverse(M)
             except SegrefuchsError:
                 pass
 
     def at(pos, k=1):
         return tuple(k if j == pos else 0 for j in range(len(vars)))
 
-    C = invertible(lambda i, k: rnd_coeff(rng, kind)
-                   if dense or perm[i] == k else ZERO)
-    J0 = invertible(lambda i, k: rnd_coeff(rng, kind))
-    F = []
+    _, Cinv = invertible(lambda i, k: rnd_coeff(rng, kind)
+                         if dense or perm[i] == k else ZERO)
+    J0, _ = invertible(lambda i, k: rnd_coeff(rng, kind))
+    G = []
     for i in range(n):
         terms = {at(0): rnd_coeff(rng, kind)}
         for k in range(n):
-            terms[at(2 + k)] = C[i][k]
             terms[at(2 + n + k)] = J0[i][k]
         for e in _exponents(n + 1, 3):
             if sum(e) >= 2 and rng.random() < (0.5 if dense else 1 / 6):
@@ -674,10 +682,12 @@ def rnd_inversion(rng, n, kind, dense, order, nonlinear=False):
         if nonlinear and i == 0:
             for k in range(n):
                 terms[at(2 + k, 2)] = ONE
-        F.append(MultiSeries(vars, order + (i > 0), terms))
+        G.append(MultiSeries(vars, order + (i > 0), terms))
+    H = [sum((g.scale(-c) for c, g in zip(row, G) if not c.is_zero()),
+             MultiSeries.zero(vars)) for row in Cinv]
     x_vars = list(vars[:2 + n])
     rng.shuffle(x_vars)
-    return F, tuple(x_vars), y_vars
+    return H, tuple(x_vars), y_vars, a_vars
 
 
 INVERSION_CASES = [(n, kind, dense) for n in (1, 2, 3)
@@ -690,11 +700,10 @@ def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
     coefficient and in the trusted order."""
     rng = random.Random(repr(("inversion", n, kind, dense)))
     for order in (2, 3, 4, 7):
-        F, x_vars, y_vars = rnd_inversion(rng, n, kind, dense, order)
-        xt, _ = _linear_inputs(F, x_vars)
-        assert sorted(xt) == ["a%d" % k for k in range(1, n + 1)]
-        for got, ref in zip(solve_implicit(F, x_vars, y_vars),
-                            solve_by_degree(F, x_vars, y_vars)):
+        H, x_vars, y_vars, t_vars = rnd_inversion(rng, n, kind, dense, order)
+        for got, ref in zip(solve_implicit(H, x_vars, y_vars, t_vars),
+                            solve_by_degree(minus_inputs(H, t_vars), x_vars,
+                                            y_vars)):
             identical(got, ref)
             assert got.order == order
 
@@ -702,65 +711,78 @@ def test_inversion_matches_the_degree_by_degree_solve(n, kind, dense):
 @pytest.mark.parametrize("n,kind", [(n, kind) for n in (1, 2, 3)
                                     for kind in ("gauss", "sqrt2")])
 def test_nonlinear_inputs_match_the_degree_by_degree_solve(n, kind):
-    """With every a_k also entering nonlinearly, F is no inversion, and
-    solve_implicit refuses it with SeriesError.  With one new input t_i
-    per equation, F - t is an inversion again, and its solution at t = 0
-    equals the oracle's solution of F; its packed parts meet sqrt2
-    coefficients and denominators other than 1."""
+    """With every a_k also entering nonlinearly, H reads its inputs, and
+    solve_implicit refuses to solve H = a with SeriesError.  The system
+    F = H - a, solved for F = t with one new input t_i per equation, is an
+    inversion, and its solution at t = 0 equals the oracle's solution of
+    F; its packed parts meet sqrt2 coefficients and denominators other
+    than 1."""
     rng = random.Random(repr(("nonlinear", n, kind)))
     t_vars = tuple("t%d" % k for k in range(1, n + 1))
     for order in (2, 3, 6):
-        F, x_vars, y_vars = rnd_inversion(rng, n, kind, True, order,
-                                          nonlinear=True)
-        assert any(f.den != 1 for f in F)
-        assert (kind == "sqrt2") == any(t[2] or t[3] for f in F
-                                        for t in f.num.values())
-        with pytest.raises(SeriesError, match="needs an inversion"):
-            solve_implicit(F, x_vars, y_vars)
-        vars = F[0].vars + t_vars
-        G = [f.embed(vars) - MultiSeries.variable(t, vars)
-             for f, t in zip(F, t_vars)]
+        H, x_vars, y_vars, a_vars = rnd_inversion(rng, n, kind, True, order,
+                                                  nonlinear=True)
+        assert any(h.den != 1 for h in H)
+        assert (kind == "sqrt2") == any(t[2] or t[3] for h in H
+                                        for t in h.num.values())
+        with pytest.raises(SeriesError, match="reads the input"):
+            solve_implicit(H, x_vars, y_vars, a_vars)
+        F = minus_inputs(H, a_vars)
         at_zero = {t: MultiSeries.zero(x_vars) for t in t_vars}
-        for got, ref in zip(solve_implicit(G, x_vars + t_vars, y_vars),
+        for got, ref in zip(solve_implicit(F, x_vars + t_vars, y_vars,
+                                           t_vars),
                             solve_by_degree(F, x_vars, y_vars)):
             identical(got.compose(at_zero), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inversion_composes_F_alone(monkeypatch, n):
-    """A step of an inversion composes each equation once and no Jacobian
-    entry.  At order 9 the precisions are 1, 2, 3, 5 and 9: q <= 2p after
-    the first step, so five steps and 5n compositions."""
-    F, x_vars, y_vars = rnd_inversion(random.Random(n), n, "gauss", True, 9)
+    """A step of an inversion composes each equation F = H - t once and no
+    Jacobian entry.  At order 9 the precisions are 1, 2, 3, 5 and 9:
+    q <= 2p after the first step, so five steps and 5n compositions."""
+    H, x_vars, y_vars, t_vars = rnd_inversion(random.Random(n), n, "gauss",
+                                              True, 9)
     composed = spy_compose(monkeypatch)
-    solve_implicit(F, x_vars, y_vars)
+    solve_implicit(H, x_vars, y_vars, t_vars)
     assert len(composed) == 5 * n
     for s in composed:
         assert any(dict(s.terms) == {e: c for e, c in f.terms.items()
-                                     if sum(e) <= s.order} for f in F)
+                                     if sum(e) <= s.order}
+                   for f in minus_inputs(H, t_vars))
 
 
 def test_inversion_refusals():
-    """The solve's refusals: a nonzero F(0, 0), a singular Jacobian at the
-    origin, reported with its determinant, and linear inputs whose C is
-    singular."""
+    """The solve's refusals: counts of equations, inputs and unknowns that
+    differ; an input that is no x-variable, or that H reads, as it does
+    when a caller still subtracts it; a nonzero H(0, 0); and a singular
+    Jacobian at the origin, reported with its determinant."""
     v = ("z", "a1", "a2", "y1", "y2")
     z, a1, a2, y1, y2 = (MultiSeries.variable(x, v) for x in v)
+    x_vars, y_vars = v[:3], v[3:]
+    H = [(y1 + z * z).truncate(5), (y2 + y1 * y2).truncate(5)]
+    for args in ((H[:1], x_vars, y_vars, ("a1", "a2")),
+                 (H, x_vars, y_vars, ("a1",)),
+                 (H, x_vars, y_vars[:1], ("a1", "a2"))):
+        with pytest.raises(SeriesError, match="one equation and one input"):
+            solve_implicit(*args)
+    with pytest.raises(SeriesError, match="not among the x-variables"):
+        solve_implicit(H, ("z", "a1"), y_vars, ("a1", "a2"))
+    for G in ([H[0] - a1, H[1]], [H[0], H[1] + a2 * a2 * z]):
+        with pytest.raises(SeriesError, match="reads the input"):
+            solve_implicit(G, x_vars, y_vars, ("a1", "a2"))
     with pytest.raises(SeriesError, match=r"F\(0,0\)"):
-        solve_implicit([(y1 - a1 + ONE).truncate(5)], ("z", "a1"), ("y1",))
+        solve_implicit([(y1 + ONE).truncate(5)], ("z", "a1"), ("y1",),
+                       ("a1",))
     with pytest.raises(SingularJacobianError) as err:
-        solve_implicit([(y1 * y1 + z * y1 - a1).truncate(5)], ("z", "a1"),
-                       ("y1",))
+        solve_implicit([(y1 * y1 + z * y1).truncate(5)], ("z", "a1"),
+                       ("y1",), ("a1",))
     assert err.value.determinant == ZERO
-    # a1 and a2 enter linearly, but through dependent columns of C
-    with pytest.raises(SeriesError, match="needs an inversion"):
-        solve_implicit([(y1 - a1 - a2).truncate(5),
-                        (y2 - (a1 + a2).scale(2)).truncate(5)],
-                       ("z", "a1", "a2"), ("y1", "y2"))
-    # Jacobian [[1, 2], [2, 4]] at the origin, C = [[0, -1], [-1, 0]]
-    F = [(y1 + y2.scale(2) - a2 + z * z).truncate(5),
-         (y1.scale(2) + y2.scale(4) - a1).truncate(5)]
-    for solve in (solve_implicit, solve_by_degree):
-        with pytest.raises(SingularJacobianError) as err:
-            solve(F, ("z", "a1", "a2"), ("y1", "y2"))
-        assert err.value.determinant == ZERO
+    # Jacobian [[1, 2], [2, 4]] at the origin, inputs (a2, a1)
+    H = [(y1 + y2.scale(2) + z * z).truncate(5),
+         (y1.scale(2) + y2.scale(4)).truncate(5)]
+    with pytest.raises(SingularJacobianError) as err:
+        solve_implicit(H, x_vars, y_vars, ("a2", "a1"))
+    assert err.value.determinant == ZERO
+    with pytest.raises(SingularJacobianError) as err:
+        solve_by_degree(minus_inputs(H, ("a2", "a1")), x_vars, y_vars)
+    assert err.value.determinant == ZERO

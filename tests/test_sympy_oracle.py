@@ -138,22 +138,19 @@ def test_solve_implicit_residual_against_sympy():
     R, _, _, y1, y2, _, _ = field_ring(vars)
     order = 6
     rng = random.Random(14)
-    # F = A y + C x + (terms of degree >= 2 in y), A invertible and
-    # C = [[1, c], [0, 1]]: F(0, 0) = 0, and x enters through C alone, as
-    # an inversion needs
-    F = []
+    # H = A y + (terms of degree >= 2 in y), A invertible, solved for
+    # H = x: H(0, 0) = 0, and H does not read x, as an inversion needs
+    H = []
     for i in range(2):
         lin = {(0, 0, 1, 0): GaussianRational.from_int(2 if i == 0 else 1),
-               (0, 0, 0, 1): GaussianRational.from_int(1 if i == 0 else 3),
-               (1 - i, i, 0, 0): ONE}
-        if i == 0:
-            lin[(0, 1, 0, 0)] = rnd_coeff(rng)
+               (0, 0, 0, 1): GaussianRational.from_int(1 if i == 0 else 3)}
         expos = [(0, 0) + tuple(rng.randint(0, 2) for _ in range(2))
                  for _ in range(5)]
         nonlin = {e: rnd_coeff(rng) for e in expos if sum(e) >= 2}
-        F.append(MultiSeries(vars, EXACT, {**nonlin, **lin}))
-    ys = solve_implicit([f.truncate(order) for f in F], ("x1", "x2"),
-                        ("y1", "y2"))
+        H.append(MultiSeries(vars, EXACT, {**nonlin, **lin}))
+    ys = solve_implicit([h.truncate(order) for h in H], ("x1", "x2"),
+                        ("y1", "y2"), ("x1", "x2"))
+    F = [h - MultiSeries.variable(x, vars) for h, x in zip(H, ("x1", "x2"))]
     assert [y.order for y in ys] == [order, order]
     Y = [to_ring(y, R) for y in ys]
     for f in F:
