@@ -57,7 +57,10 @@ def pullback_surface(M, B):
     to the admissible form when possible.
 
     E has the order N + l(m-1) of phi's order N shifted by etab^(l(m-1)),
-    so a pullback past MAX_ORDER is refused before any series work.  The
+    so a pullback past MAX_ORDER is refused before any series work.  So is
+    an s whose pulled-back leading term xi xib eta^s etab^s, of degree
+    2s + 2, lies above MAX_ORDER: no input order reaches it, and the
+    pullback would degenerate at every order a surface file can hold.  The
     solve is the fixed-point iteration R <- etab exp(E(R)) from R = 0,
     until two iterates are equal.  E reads eta only through z = xi eta^s
     inside phi, and phi_z carries zb = xib etab^s, since phi has no pure-z
@@ -78,6 +81,10 @@ def pullback_surface(M, B):
         raise SegrefuchsError("the pullback exponent would have order %d; "
                               "the highest supported order is %d"
                               % (top, MAX_ORDER))
+    if 2 * s + 2 > MAX_ORDER:
+        raise SegrefuchsError("the pulled-back leading term would have "
+                              "degree %d; the highest supported order is %d"
+                              % (2 * s + 2, MAX_ORDER))
     # pulled-back relation before solving:
     #   eta^l = etab^l exp( eps i etab^(l(m-1)) phi(xi eta^s, xib etab^s,
     #                                               etab^l) );

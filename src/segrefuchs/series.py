@@ -36,29 +36,40 @@ the next field, so it is refused with a SeriesError.  Exponent tuples stay
 the interface: the constructor, `monomial`, `coefficient` and the `terms`
 view take and yield them.
 
+Products go through one driver, `_mul_into`, which adds f * a * b into
+a dict of packed sums: the kernel's one order rule for products, its cuts
+at the order and its refusal of degrees the fields cannot hold.  A
+one-term operand shifts the other's keys and scales its terms, with no
+sort.  `__mul__`, the Horner steps of `compose` and the Newton correction
+of `solve_implicit` each build one series per call.
+
 The series functions each do their work about once.  `compose`
 evaluates every substituted variable v by Horner in s = subs[v], and
 composes the slice of v**k only through degree order - k*val(s): it meets
 s**k, of valuation k*val(s), so its terms past that land above the order;
 the Horner accumulator, trusted only as far as the last slice added to it,
 is then cut the same way (truncated composition, Brent and Kung, J. ACM 25
-(1978)).  `exp_series` and `log_series` compute one homogeneous degree
-at a time from the Euler-operator identities theta E = theta X * E and
-theta L * T = theta T (theta = sum x_i d/dx_i multiplies total degree d by
-d), about one truncated product in all (van der Hoeven, "Relax, but don't
-be too lazy", JSC 34 (2002)).  A degree is a packed part over its own
-reduced denominator, not a MultiSeries: its coefficient pairs are summed
-over one common denominator by the multiply-add loop of `__mul__`, then
+(1978)).  The chain runs on packed (order, den, num) triples, sliced in
+one pass per level; a step acc * s + slice is one driver call into the
+slice's terms over the common denominator, divided by its content.
+`exp_series` and `log_series` compute one homogeneous degree at a time
+from the Euler-operator identities theta E = theta X * E and theta L * T =
+theta T (theta = sum x_i d/dx_i multiplies total degree d by d), about one
+truncated product in all (van der Hoeven, "Relax, but don't be too lazy",
+JSC 34 (2002)).  A degree is a packed part over its own reduced
+denominator, not a MultiSeries: its coefficient pairs are summed over one
+common denominator by the kernel's one multiply-add loop `_mac`, then
 reduced by one gcd, and the parts become a series once, at the end.
 `divide` runs the same scheme on b q = a, q_d = (a_d - sum_{t>0} b_t
-q_{d-t}) / b_0, the kernel's one packed-part solve loop.
-`solve_implicit` solves inversions H(x, y) = t alone, the caller naming
-the inputs t among the x-variables, as in the elimination and the
-real-complex transfers.  It lifts its solution by Newton's method,
-doubling the precision per step, and the solution's own derivative in t
-is the inverse Jacobian, so a step composes H alone (Newton reversion,
-Brent and Kung, again).  `linalg.det` of the Jacobian at the origin
-decides solvability first: a zero one is refused.
+q_{d-t}) / b_0, the kernel's one packed-part solve loop.  `solve_implicit`
+solves inversions H(x, y) = t alone, the caller naming the inputs t among
+the x-variables, as in the elimination and the real-complex transfers.  It
+lifts its solution by Newton's method, doubling the precision per step,
+and the solution's own derivative in t is the inverse Jacobian, so a step
+composes H alone (Newton reversion, Brent and Kung, again); the correction
+sum_t dy/dt r_t accumulates into y's terms, one dict per unknown.
+`linalg.det` of the Jacobian at the origin decides solvability first: a
+zero one is refused.
 
 LaurentInW wraps a MultiSeries with a declared pole order in one
 distinguished variable, normalized so the body is not divisible by that
@@ -67,7 +78,7 @@ variable while the pole is positive.
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from functools import cache
+from functools import cache, partial
 from itertools import chain, pairwise
 from math import gcd, inf, lcm
 
@@ -177,12 +188,11 @@ def _packed(vars, order, den, num):
     return s
 
 
-def _reduced(vars, order, den, num):
-    """Series from packed data, dividing den and every component by their
-    common content."""
+def _lowest(den, num):
+    """(den, num) divided by their common content; no terms get den 1."""
     if not num:
-        den = 1
-    elif den != 1:
+        return 1, num
+    if den != 1:
         # one term usually settles it; otherwise one gcd over everything
         g = gcd(den, *next(iter(num.values())))
         if g != 1:
@@ -191,7 +201,53 @@ def _reduced(vars, order, den, num):
             den //= g
             num = {e: (a // g, b // g, c // g, d // g)
                    for e, (a, b, c, d) in num.items()}
-    return _packed(vars, order, den, num)
+    return den, num
+
+
+def _reduced(vars, order, den, num):
+    """Series from packed data, dividing den and every component by their
+    common content."""
+    return _packed(vars, order, *_lowest(den, num))
+
+
+def _lim(order, shift):
+    """The least key of total degree above order, the degree field at bit
+    shift; EXACT for an exact order, which every key is below."""
+    return EXACT if order == EXACT else (order + 1) << shift
+
+
+def _sorted(num, shift):
+    """(total degrees ascending, matching (key, packed) pairs in key order)
+    of the packed terms num, the degree field at bit shift."""
+    items = sorted(num.items())
+    return [k >> shift for k, _ in items], items
+
+
+def _moved(num, src, dst):
+    """The packed terms num over the variables src, keyed over dst, which
+    holds them all."""
+    if src == dst:
+        return num
+    blocks = _blocks(src, dst)
+    out = {}
+    for k, t in num.items():
+        e = 0
+        for s, mask, d in blocks:
+            e |= (k >> s & mask) << d
+        out[e] = t
+    return out
+
+
+def _without(vars, v):
+    """(vars without v, the offset of v's field, the mask of the fields
+    below it, the offset of the degree field over the rest).  A key e over
+    vars whose v-exponent is k has the key (e >> at + W << at | e & below)
+    - (k << shift) over the rest: v's field goes, the fields above it move
+    down into its place and the degree drops by k."""
+    i = vars.index(v)
+    rest = vars[:i] + vars[i + 1:]
+    at = W * (len(rest) - i)
+    return rest, at, (1 << at) - 1, W * len(rest)
 
 
 class Terms(Mapping):
@@ -231,8 +287,7 @@ class MultiSeries:
         self.vars = tuple(vars)
         self.order = order
         self._by_degree = None
-        # the least key of total degree above the order
-        lim = EXACT if order == EXACT else (order + 1) << W * len(self.vars)
+        lim = _lim(order, W * len(self.vars))
         coeffs = {}
         for e, c in (terms or {}).items():
             c = _as_coeff(c)
@@ -309,15 +364,17 @@ class MultiSeries:
         """(total degrees ascending, matching (key, packed) pairs in key
         order); computed once per series, since series are never mutated."""
         if self._by_degree is None:
-            items = sorted(self.num.items())
-            shift = W * len(self.vars)
-            self._by_degree = ([k >> shift for k, _ in items], items)
+            self._by_degree = _sorted(self.num, W * len(self.vars))
         return self._by_degree
+
+    def _operand(self):
+        """The operand (order, num, by_degree) of the product driver."""
+        return self.order, self.num, self._degree_sorted
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        lim = (order + 1) << W * len(self.vars)
+        lim = _lim(order, W * len(self.vars))
         return _reduced(self.vars, order, self.den,
                         {k: t for k, t in self.num.items() if k < lim})
 
@@ -346,14 +403,8 @@ class MultiSeries:
         for v in self.vars:
             if v not in vars:
                 raise SeriesError("cannot drop variable %r" % v)
-        blocks = _blocks(self.vars, vars)
-        num = {}
-        for k, t in self.num.items():
-            e = 0
-            for s, mask, d in blocks:
-                e |= (k >> s & mask) << d
-            num[e] = t
-        return _packed(vars, self.order, self.den, num)
+        return _packed(vars, self.order, self.den,
+                       _moved(self.num, self.vars, vars))
 
     # ---------- ring operations ----------
 
@@ -386,7 +437,7 @@ class MultiSeries:
                     continue
             num[e] = (x, y, z, w)
         if order < max(a.order, b.order):
-            lim = (order + 1) << W * len(a.vars)
+            lim = _lim(order, W * len(a.vars))
             num = {e: t for e, t in num.items() if e < lim}
         return _reduced(a.vars, order, den, num)
 
@@ -418,34 +469,11 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return self.scale(other)
         a, b = self._aligned(other)
-        if not a.num or not b.num:
-            return MultiSeries.zero(a.vars, min(a.order + b.valuation(),
-                                                b.order + a.valuation()))
-        adeg, aitems = a._degree_sorted()
-        bdeg, bitems = b._degree_sorted()
-        order = min(a.order + bdeg[0], b.order + adeg[0])
-        # iterate the smaller operand outside, one degree of it at a time;
-        # its inner loop stops at the last term of b that fits under the
-        # order
-        if len(aitems) > len(bitems):
-            a, b = b, a
-            adeg, aitems, bdeg, bitems = bdeg, bitems, adeg, aitems
-        if min(order, adeg[-1] + bdeg[-1]) >= 1 << W:
-            # the highest degree a pair under the order reaches
-            _room(max(da + bdeg[j - 1] for da in adeg
-                      if (j := bisect_right(bdeg, order - da))))
-        room0 = order - bdeg[0]
+        shift = W * len(a.vars)
         acc = {}
-        lo, n = 0, len(adeg)
-        while lo < n and adeg[lo] <= room0:
-            da = adeg[lo]
-            mid = bisect_right(adeg, da, lo)
-            _mac(acc, 1, aitems[lo:mid],
-                 bitems[:bisect_right(bdeg, order - da)])
-            lo = mid
-        num = {e: tuple(t) for e, t in acc.items()
-               if t[0] or t[1] or t[2] or t[3]}
-        return _reduced(a.vars, order, a.den * b.den, num)
+        order = _mul_into(acc, 1, a._operand(), b._operand(), shift, EXACT)
+        return _packed(a.vars, order, *_settled(acc, a.den * b.den, order,
+                                                shift))
 
     __rmul__ = __mul__
 
@@ -496,23 +524,12 @@ class MultiSeries:
 
     def coeff_of_var_power(self, var, k):
         """Coefficient series of var**k, over the remaining variables."""
-        return self._var_slices(var, k, k)[0]
-
-    def _var_slices(self, var, lo, hi):
-        """[coeff_of_var_power(var, k) for k in lo..hi], in one pass: a
-        key loses var's field, the fields above it move down into its
-        place and the degree drops by var's exponent."""
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        s, shift = W * (len(rest) - i), W * len(rest)
-        sw, below = s + W, (1 << s) - 1
-        parts = [{} for _ in range(lo, hi + 1)]
-        for e, t in self.num.items():
-            k = e >> s & _MASK
-            if lo <= k <= hi:
-                parts[k - lo][(e >> sw << s | e & below) - (k << shift)] = t
-        return [_reduced(rest, self.order - k, self.den, part)
-                for k, part in enumerate(parts, lo)]
+        rest, at, below, shift = _without(self.vars, var)
+        up, drop = at + W, k << shift
+        return _reduced(rest, self.order - k, self.den,
+                        {(e >> up << at | e & below) - drop: t
+                         for e, t in self.num.items()
+                         if e >> at & _MASK == k})
 
     def coeff_of(self, powers):
         """Coefficient series for a dict var->power, remaining vars kept."""
@@ -527,11 +544,13 @@ class MultiSeries:
         return max((e & m for e in self.num), default=0) >> s
 
     def monomial_mul(self, var, k):
-        """self * var**k, for k >= 0."""
+        """self * var**k, for k >= 0; self itself for k = 0."""
         _nonnegative(k)
+        step = k * ((1 << _slot(self.vars, var)) + (1 << W * len(self.vars)))
+        if not step:
+            return self
         if self.order + k >= 1 << W:
             _room(self.max_degree() + k)
-        step = k * ((1 << _slot(self.vars, var)) + (1 << W * len(self.vars)))
         return _packed(self.vars, self.order + k, self.den,
                        {e + step: t for e, t in self.num.items()})
 
@@ -559,8 +578,10 @@ class MultiSeries:
         lower degree.
         """
         subs = {v: s for v, s in subs.items() if v in self.vars}
+        if not subs:
+            return self
         for v, s in subs.items():
-            if not s.constant_term().is_zero() and self.order != EXACT:
+            if 0 in s.num and self.order != EXACT:
                 raise SeriesError(
                     "substitution for %r has a constant term; composing it "
                     "into a truncated series is unsound" % v)
@@ -571,8 +592,17 @@ class MultiSeries:
         order = self.order
         for s in subs.values():
             order = min(order, s.order)
-        subs = {v: s.embed(out_vars).truncate(order) for v, s in subs.items()}
-        return _compose_rec(self, subs, out_vars, order)
+        # one Horner level per substituted variable, in the order of vars
+        levels, vars = [], self.vars
+        for v in self.vars:
+            if v in subs:
+                vars, at, below, shift = _without(vars, v)
+                s = subs[v].embed(out_vars).truncate(order)
+                levels.append((s._operand(), s.den, s.valuation(), at, below,
+                               shift))
+        return _reduced(out_vars, *_compose_rec(
+            (levels, kept, out_vars), 0, self.order, self.den, self.num,
+            order))
 
     # ---------- text ----------
 
@@ -599,39 +629,131 @@ def _as_coeff(c):
     return g
 
 
-def _compose_rec(f, subs, out_vars, order):
-    """f with subs substituted, trusted through order, by Horner in the
-    first substituted variable v of f.  The slice of v**k meets s**k, of
-    valuation k*val(s), so it is composed only through order - k*val(s).
-    The accumulator is trusted only as far as the last slice added to it,
-    so each product with s stops where its terms would land above the
-    order.  An exact order cuts nothing (a zero exact s has valuation inf).
+def _compose_rec(plan, i, f_order, den, num, order):
+    """The packed (order, den, num) of the terms num over den, trusted
+    through f_order, with plan's levels i, i+1, ... substituted, trusted
+    through order.  plan is (levels, the variables left after the last
+    level, the output variables); a level substitutes s for one variable v
+    by Horner in v, on the slices of the terms by their power of v, made in
+    one pass.
+
+    The slice of v**k meets s**k, of valuation k*val(s), so it is composed
+    only through order - k*val(s); a zero exact s has valuation inf, and an
+    exact order cuts nothing.  A Horner step acc * s + slice is one call of
+    the product driver into the slice's terms over the common denominator,
+    cut at the lower of the product's and the slice's orders, and divided
+    by its content.
     """
-    sub_here = [v for v in f.vars if v in subs]
-    if not sub_here:
-        return f.embed(out_vars).truncate(order)
-    v = sub_here[0]
-    s = subs[v]
-    val = s.valuation()
-    slices = [_compose_rec(c, subs, out_vars,
-                           order - k * val if order != EXACT else order)
-              for k, c in enumerate(f._var_slices(v, 0, f.var_degree(v)))]
-    acc = slices.pop()
-    while slices:
-        acc = acc * s + slices.pop()
+    if not num:
+        return min(f_order, order), 1, num
+    levels, kept, out_vars = plan
+    if i == len(levels):
+        if order < f_order:
+            f_order = order
+            lim = _lim(order, W * len(kept))
+            num = {k: t for k, t in num.items() if k < lim}
+        return f_order, den if num else 1, _moved(num, kept, out_vars)
+    s, s_den, val, at, below, shift = levels[i]
+    up = at + W
+    parts = {}
+    for e, t in num.items():
+        k = e >> at & _MASK
+        part = parts.get(k)
+        if part is None:
+            part = parts[k] = {}
+        part[(e >> up << at | e & below) - (k << shift)] = t
+    out = W * len(out_vars)
+    acc = None
+    for k in range(max(parts), -1, -1):
+        c_order, c_den, c_num = _compose_rec(
+            plan, i + 1, f_order - k, den, parts.get(k, {}),
+            order - k * val if order != EXACT else order)
+        if acc is None:
+            acc = c_order, c_den, c_num
+            continue
+        a_order, a_den, a_num = acc
+        p_den = a_den * s_den
+        step_den = lcm(p_den, c_den)
+        g = step_den // c_den
+        step = dict(c_num) if g == 1 else {
+            e: (x * g, y * g, z * g, w * g)
+            for e, (x, y, z, w) in c_num.items()}
+        step_order = _mul_into(step, step_den // p_den,
+                               (a_order, a_num, partial(_sorted, a_num, out)),
+                               s, out, c_order)
+        acc = step_order, *_settled(step, step_den, step_order, out)
     return acc
 
 
-# ---------- homogeneous parts ----------
+# ---------- the product driver ----------
 #
-# exp, log and divide work one total degree at a time on packed parts: a
-# part is a pair (den, items), items a list of (exponent, (a, b, c, d))
-# pairs standing for the terms (a, b, c, d) / den.
+# Products accumulate into a dict from keys to packed sums (a, b, c, d)
+# over one denominator the caller chose; a dict becomes packed terms in
+# lowest terms once, in `_settled`.
+
+def _mul_into(acc, f, a, b, shift, cap):
+    """Add f * a * b to acc through total degree min(cap, the product's
+    order) and return that order.
+
+    a and b are operands (order, num, by_degree): packed terms keyed with
+    the degree field at bit `shift`, their trusted order, and a function
+    giving their (degrees, items) in key order, called only where a cut
+    needs it.  f takes a * b to the denominator of acc's sums.  The
+    product's order is min(a.order + val b, b.order + val a), an operand
+    without terms having valuation order + 1.  A one-term operand shifts
+    the keys of the other and scales it; otherwise the smaller operand
+    runs outside, one degree of it at a time, and its inner loop stops at
+    the last term of the other that fits under the order.  A pair formed
+    under the order whose degree the exponent fields cannot hold is
+    refused.
+    """
+    if len(a[1]) > len(b[1]):
+        a, b = b, a
+    a_order, anum, a_sorted = a
+    b_order, bnum, b_sorted = b
+    if not anum:
+        vb = min(bnum) >> shift if bnum else b_order + 1
+        return min(cap, a_order + vb, b_order + a_order + 1)
+    if len(anum) == 1:
+        (k0, t0), = anum.items()
+        d0 = k0 >> shift
+        order = min(cap, a_order + (min(bnum) >> shift), b_order + d0)
+        lim = _lim(order - d0, shift)
+        _mac(acc, f, [(k0, t0)], [(k, t) for k, t in bnum.items() if k < lim])
+    else:
+        adeg, aitems = a_sorted()
+        bdeg, bitems = b_sorted()
+        order = min(cap, a_order + bdeg[0], b_order + adeg[0])
+        room0 = order - bdeg[0]
+        lo, n = 0, len(adeg)
+        while lo < n and adeg[lo] <= room0:
+            da = adeg[lo]
+            mid = bisect_right(adeg, da, lo)
+            _mac(acc, f, aitems[lo:mid],
+                 bitems[:bisect_right(bdeg, order - da)])
+            lo = mid
+    # a pair's key carries into the degree field only past 2**W, and acc's
+    # own terms fit, so its highest key tells
+    if order >= 1 << W and acc:
+        _room(max(acc) >> shift)
+    return order
+
+
+def _settled(acc, den, order, shift):
+    """(den, the nonzero sums of acc of total degree at most order) in
+    lowest terms."""
+    if acc:
+        lim = _lim(order, shift)
+        acc = {e: t for e, t in acc.items()
+               if e < lim and (t[0] or t[1] or t[2] or t[3])}
+    return _lowest(den, acc)
+
 
 def _mac(acc, f, rows, cols):
     """acc[ea + eb] += f * ta * tb for every (ea, ta) in rows and (eb, tb)
-    in cols, acc mapping keys to [x, y, z, w] sums: mul_parts inlined and
-    accumulated in place.  The kernel's one multiply-add.
+    in cols, acc mapping keys to packed sums, each replaced by a new tuple:
+    mul_parts inlined.  The kernel's one multiply-add, under the product
+    driver and the packed parts of exp, log and divide.
 
     The rows are the smaller operand, each checked once: a row with no
     sqrt2 part, as most rows of the pipeline's products are, meets every
@@ -649,13 +771,8 @@ def _mac(acc, f, rows, cols):
                 z = a1 * c2 - b1 * d2
                 w = a1 * d2 + b1 * c2
                 s = acc.get(e)
-                if s is None:
-                    acc[e] = [x, y, z, w]
-                else:
-                    s[0] += x
-                    s[1] += y
-                    s[2] += z
-                    s[3] += w
+                acc[e] = (x, y, z, w) if s is None else \
+                    (s[0] + x, s[1] + y, s[2] + z, s[3] + w)
         else:
             for eb, (a2, b2, c2, d2) in cols:
                 e = ea + eb
@@ -664,14 +781,15 @@ def _mac(acc, f, rows, cols):
                 z = a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2)
                 w = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
                 s = acc.get(e)
-                if s is None:
-                    acc[e] = [x, y, z, w]
-                else:
-                    s[0] += x
-                    s[1] += y
-                    s[2] += z
-                    s[3] += w
+                acc[e] = (x, y, z, w) if s is None else \
+                    (s[0] + x, s[1] + y, s[2] + z, s[3] + w)
 
+
+# ---------- homogeneous parts ----------
+#
+# exp, log and divide work one total degree at a time on packed parts: a
+# part is a pair (den, items), items a list of (exponent, (a, b, c, d))
+# pairs standing for the terms (a, b, c, d) / den.
 
 def _parts(s, top):
     """[the homogeneous part of s of total degree d for d = 0..top], each
@@ -704,7 +822,7 @@ def _dot(terms, m):
     acc = {}
     for f, (da, ra), (db, rb) in terms:
         _mac(acc, f * (den // (da * db)), ra, rb)
-    items = [(e, tuple(t)) for e, t in acc.items()
+    items = [(e, t) for e, t in acc.items()
              if t[0] or t[1] or t[2] or t[3]]
     den *= m
     # no items leave g = den, so an empty part gets den 1
@@ -855,19 +973,16 @@ def solve_implicit(H, x_vars, y_vars, t_vars):
     while steps[-1] > 1:
         steps.append((steps[-1] + 1) // 2)
     steps.append(0)
-    ys = [MultiSeries.zero(tuple(x_vars), EXACT)] * n
+    x_vars = tuple(x_vars)
+    ys = [MultiSeries.zero(x_vars, EXACT)] * n
+    # from y = 0, dy/dt is J(0)^-1
+    dydt = [[MultiSeries.const(c, x_vars) for c in row] for row in J0inv]
     for p, q in pairwise(reversed(steps)):
         r = [f.truncate(q).compose(dict(zip(y_vars, ys))) for f in F]
-        if p == 0:
-            delta = _apply(J0inv, r)
-        else:
-            delta = []
-            for y in ys:
-                acc = MultiSeries.zero(y.vars)
-                for t, s in zip(t_vars, r):
-                    acc = acc + y.diff(t).truncate(q - p - 1) * s
-                delta.append(acc)
-        ys = [y - _polynomial(dl, q) for y, dl in zip(ys, delta)]
+        if p:
+            dydt = [[y.diff(t).truncate(q - p - 1) for t in t_vars]
+                    for y in ys]
+        ys = [_corrected(y, row, r, q) for y, row in zip(ys, dydt)]
     return [y.truncate(order) for y in ys]
 
 
@@ -875,22 +990,25 @@ def _unit(vars, v):
     return tuple(int(u == v) for u in vars)
 
 
-def _polynomial(s, q):
-    """The terms of s through degree q, as an exact polynomial."""
-    s = s.truncate(q)
-    return _packed(s.vars, EXACT, s.den, s.num)
-
-
-def _apply(M, v):
-    """The vector M v, for a constant matrix M and a vector v of series."""
-    out = []
-    for row in M:
-        acc = MultiSeries.zero(v[0].vars)
-        for c, s in zip(row, v):
-            if not c.is_zero():
-                acc = acc + s.scale(c)
-        out.append(acc)
-    return out
+def _corrected(y, dydt, r, q):
+    """The Newton step y - sum_t dydt_t r_t through degree q, an exact
+    polynomial: the products of every input accumulate into y's terms over
+    one common denominator."""
+    vars = y.vars
+    for s in r:
+        vars = _merge_vars(vars, s.vars)
+    y = y.embed(vars)
+    pairs = [(d.embed(vars), s.embed(vars)) for d, s in zip(dydt, r)]
+    shift = W * len(vars)
+    den = lcm(y.den, *(d.den * s.den for d, s in pairs))
+    g = den // y.den
+    acc = {e: (a * g, b * g, c * g, d * g)
+           for e, (a, b, c, d) in y.num.items()}
+    order = q
+    for d, s in pairs:
+        order = _mul_into(acc, -(den // (d.den * s.den)), d._operand(),
+                          s._operand(), shift, order)
+    return _packed(vars, EXACT, *_settled(acc, den, order, shift))
 
 
 class SingularJacobianError(SeriesError):

@@ -243,6 +243,29 @@ def test_blowup_above_max_order_is_refused(tmp_path, capsys):
     assert json.loads(out.read_text())["defining"]["order"] == 1001
 
 
+def test_blowup_s_above_max_order_is_refused(tmp_path, capsys):
+    """The pulled-back leading term xi xib eta^s etab^s has degree 2s + 2,
+    which no surface file reaches past MAX_ORDER: s = 500 and s = 2**20 - 1,
+    whose degree the exponent fields could not hold, are refused with
+    exit 14 and an empty output before any series work, while s = 499
+    degenerates at the sqrt2 rung's complex order 18 (exit 11)."""
+    p = tmp_path / "sqrt2.json"
+    p.write_text(serialize.dumps(serialize.surface_to_json(
+        build_real(2, 1, SQRT2_TABLE, 20))))
+    out = tmp_path / "out.json"
+    assert main(["blowup", str(p), "--blowup", "s=499",
+                 "-o", str(out)]) == EXIT_ORDER
+    assert capsys.readouterr().err == "OrderTooLowError: pullback " \
+        "degenerated: every substituted term vanishes at complex order 18\n"
+    for s in (500, 2 ** 20 - 1):
+        assert main(["blowup", str(p), "--blowup", "s=%d" % s,
+                     "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "SegrefuchsError: the pulled-back " \
+            "leading term would have degree %d; the highest supported order " \
+            "is 1000\n" % (2 * s + 2)
+        assert not out.exists()
+
+
 def test_monodromy_command_and_reverse(tmp_path, capsys):
     S = const_system([[qi(Fraction(1, 2))]], 10)
     p = tmp_path / "sys.json"

@@ -245,9 +245,8 @@ def test_field_ops_match_reference(nvars, dense, kind):
         a, ra = rnd_pair(rng, nvars, order, dense, kind)
         assert a.valuation() == ra.valuation()
         for i, v in enumerate(a.vars):
-            for k, s in enumerate(a._var_slices(v, 0, 3)):
-                same(s, ra.coeff_of_var_power(i, k))
-            same(a.coeff_of_var_power(v, 2), ra.coeff_of_var_power(i, 2))
+            for k in range(4):
+                same(a.coeff_of_var_power(v, k), ra.coeff_of_var_power(i, k))
             same(a.diff(v), ra.diff(i))
             same(a.integrate(v), ra.integrate(i))
             k = rng.randint(0, 3)
@@ -539,7 +538,8 @@ def test_exactness_survives_every_kernel_operation():
               p.diff("z").diff("z").diff("z").diff("z"), p.integrate("w"),
               p.monomial_mul("z", 4), p.monomial_mul("w", 2).monomial_div(
                   "w", 3), p.coeff_of_var_power("w", 1),
-              *p._var_slices("z", 0, 4), p.coeff_of({"z": 1, "w": 1})):
+              *(p.coeff_of_var_power("z", k) for k in range(5)),
+              p.coeff_of({"z": 1, "w": 1})):
         assert r.order == EXACT
     assert zero.valuation() == zero.var_valuation("z") == EXACT
     # a finite order stays finite however high it is
@@ -786,3 +786,179 @@ def test_inversion_refusals():
     with pytest.raises(SingularJacobianError) as err:
         solve_by_degree(minus_inputs(H, ("a2", "a1")), x_vars, y_vars)
     assert err.value.determinant == ZERO
+
+
+# ---------- one packed accumulator per composition, step and product ------
+#
+# compose runs its Horner steps, solve_implicit its Newton correction and
+# __mul__ a one-term product on packed terms, building one series per call.
+# RefSeries is their oracle here, its result packed by the constructor, so
+# `identical` compares the kernel's packed data and order with it.
+
+def as_ref(s):
+    return RefSeries(s.vars, s.order, dict(s.terms))
+
+
+def packed(ref):
+    return MultiSeries(ref.vars, ref.order, ref.terms)
+
+
+def nonzero_coeff(rng, kind):
+    c = rnd_coeff(rng, kind)
+    return ONE if c.is_zero() else c
+
+
+def gapped(rng, kind, order):
+    """A random f over VARS whose exponents are 0, 1 or 3 in every variable,
+    so each Horner chain meets an empty slice, of order f.order - 2, between
+    non-empty ones; its first term is z**3 t, so that slice is there."""
+    terms = {(3, 0, 1): nonzero_coeff(rng, kind)}
+    for _ in range(rng.randint(2, 6)):
+        e = tuple(rng.choice((0, 1, 3)) for _ in VARS)
+        if sum(e) <= 7:
+            terms.setdefault(e, rnd_coeff(rng, kind))
+    return MultiSeries(VARS, order, terms)
+
+
+def substitution(rng, kind, shape):
+    """A series over (a, b, z) with zero constant term: one term, an exact
+    or a finite-order zero, or random terms of valuation 1, 2 or 3."""
+    vars = ("a", "b", "z")
+    if shape == "one-term":
+        e = (0, 0, 0)
+        while not sum(e):
+            e = tuple(rng.randint(0, 2) for _ in vars)
+        return MultiSeries(vars, rng.choice((5, EXACT)),
+                           {e: nonzero_coeff(rng, kind)})
+    if shape == "exact-zero":
+        return MultiSeries.zero(vars)
+    if shape == "finite-zero":
+        return MultiSeries.zero(vars, rng.choice((3, 6)))
+    g, _ = rnd_pair(rng, 3, rng.choice((4, 6, EXACT)), rng.random() < 0.5,
+                    kind, zero_constant=True)
+    val = rng.randint(1, 3)
+    return MultiSeries(vars, g.order, {e: c for e, c in g.terms.items()
+                                       if sum(e) >= val})
+
+
+@pytest.mark.parametrize("nsubs,kind",
+                         [(n, k) for n in (1, 2, 3)
+                          for k in ("gauss", "sqrt2", "mixed")])
+def test_accumulated_compose_matches_reference(nsubs, kind):
+    """Substitutions of 1-3 variables with different orders and
+    valuations: one-term ones, exact and finite-order zeros, and random
+    ones of valuation 1-3, into an f whose empty slices lower the
+    accumulator's order between non-empty ones."""
+    rng = random.Random(repr(("accumulated compose", nsubs, kind)))
+    shapes = ("one-term", "exact-zero", "finite-zero", "random", "random")
+    for _ in range(6):
+        f = gapped(rng, kind, rng.choice((5, 7, EXACT)))
+        subs = {v: substitution(rng, kind, rng.choice(shapes))
+                for v in rng.sample(VARS, nsubs)}
+        identical(f.compose(subs), packed(as_ref(f).compose(
+            {v: as_ref(s) for v, s in subs.items()})))
+
+
+@pytest.mark.parametrize("kind", ["gauss", "sqrt2", "mixed"])
+def test_one_term_products_match_reference(kind):
+    """A product with a one-term operand on either side, its coefficient
+    Gaussian, sqrt2 or both, exact or truncated below or above the other
+    operand's order; and with a zero of either kind of order."""
+    rng = random.Random(repr(("one-term products", kind)))
+    for _ in range(8):
+        e = tuple(rng.randint(0, 2) for _ in VARS)
+        one = MultiSeries(VARS, rng.choice((sum(e), sum(e) + 2, EXACT)),
+                          {e: nonzero_coeff(rng, kind)})
+        b, _ = rnd_pair(rng, 3, rng.choice((2, 4, EXACT)),
+                        rng.random() < 0.5,
+                        rng.choice(("gauss", "sqrt2", "mixed")))
+        zero = MultiSeries.zero(VARS, rng.choice((3, EXACT)))
+        for x, y in ((one, b), (b, one), (one, one), (one, zero),
+                     (zero, one)):
+            identical(x * y, packed(as_ref(x) * as_ref(y)))
+
+
+def unit(vars, v):
+    return tuple(int(u == v) for u in vars)
+
+
+def ref_inversion(H, x_vars, y_vars, t_vars):
+    """The solution of H(x, y) = t one degree at a time in RefSeries
+    arithmetic: y_d = -J0^-1 [F(x, y_<d)]_d, F = H - t and J0 = dF/dy at
+    the origin, trusted through the lowest order among H."""
+    order = min(h.order for h in H)
+    F = []
+    for h, t in zip(H, t_vars):
+        F.append(as_ref(h) + RefSeries(h.vars, EXACT,
+                                       {unit(h.vars, t): -ONE}))
+    Jinv = linalg.inverse([[f.terms.get(unit(f.vars, yv), ZERO)
+                            for yv in y_vars] for f in F])
+    ys = [RefSeries(x_vars, EXACT, {}) for _ in y_vars]
+    for d in range(1, order + 1):
+        vals = [f.truncate(d).compose(dict(zip(y_vars, ys))).embed(x_vars)
+                for f in F]
+        for i, row in enumerate(Jinv):
+            part = {}
+            for c, v in zip(row, vals):
+                for e, x in v.terms.items():
+                    if sum(e) == d:
+                        part[e] = part.get(e, ZERO) - c * x
+            ys[i] = ys[i] + RefSeries(x_vars, EXACT, part)
+    return [RefSeries(x_vars, order, y.terms) for y in ys]
+
+
+@pytest.mark.parametrize("n,kind", [(n, kind) for n in (1, 2, 3)
+                                    for kind in ("gauss", "sqrt2")])
+def test_newton_correction_matches_reference(n, kind):
+    """Inversions in 1-3 unknowns, sparse and dense: the correction's one
+    accumulator per unknown gives the reference's packed solution."""
+    rng = random.Random(repr(("newton correction", n, kind)))
+    for dense, order in ((False, 3), (True, 3), (False, 5)):
+        H, x_vars, y_vars, t_vars = rnd_inversion(rng, n, kind, dense, order)
+        for got, ref in zip(solve_implicit(H, x_vars, y_vars, t_vars),
+                            ref_inversion(H, x_vars, y_vars, t_vars)):
+            identical(got, packed(ref))
+
+
+def test_accumulated_products_refuse_degrees_past_the_fields():
+    """A one-term product and a Horner step that form a pair of total
+    degree 2**W under their order are refused; one whose only such pair
+    lies above the order is not, and agrees with the reference."""
+    top = (1 << W) - 1
+    vars = ("z", "w")
+    z, w = (MultiSeries.variable(v, vars) for v in vars)
+    high = MultiSeries.monomial(ONE, (0, top), vars)
+    with pytest.raises(SeriesError, match="does not fit"):
+        high * (1 + z)
+    # 1 + w**top through top + 5: the pair w**(2 top) lies above the order
+    c = (1 + high).truncate(top + 5)
+    for x, y in ((high.truncate(top + 5), c), (c, high.truncate(top + 5))):
+        identical(x * y, packed(as_ref(x) * as_ref(y)))
+    f = MultiSeries.monomial(ONE, (1, 1), ("x", "y"))
+    identical(f.compose({"x": c, "y": c}),
+              packed(as_ref(f).compose({"x": as_ref(c), "y": as_ref(c)})))
+    assert dict(f.compose({"x": c, "y": c}).terms) == {
+        (0, 0): ONE, (0, top): GaussianRational.from_int(2)}
+    with pytest.raises(SeriesError, match="does not fit"):
+        f.compose({"x": c, "y": (1 + w).truncate(top + 5)})
+
+
+def test_compose_and_newton_steps_make_no_series_arithmetic(monkeypatch):
+    """A composition's Horner steps and a Newton step's correction each
+    accumulate into one packed dict: a two-variable compose and an
+    inversion in two unknowns call MultiSeries.__mul__ and __add__ only to
+    form F = H - t, once per equation."""
+    rng = random.Random("no series arithmetic")
+    f, _ = rnd_pair(rng, 3, 6, True, "mixed")
+    subs = {v: substitution(rng, "mixed", "random") for v in ("z", "t")}
+    H, x_vars, y_vars, t_vars = rnd_inversion(rng, 2, "gauss", True, 9)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def spy(a, b, op=getattr(MultiSeries, name), name=name):
+            calls.append(name)
+            return op(a, b)
+        monkeypatch.setattr(MultiSeries, name, spy)
+    f.compose(subs)
+    assert calls == []
+    solve_implicit(H, x_vars, y_vars, t_vars)
+    assert calls == ["__add__", "__add__"]
