@@ -56,11 +56,12 @@ def pullback_surface(M, B):
     The result is validated to keep normal coordinates and is renormalized
     to the admissible form when possible.
 
-    E has the order N + l(m-1) of phi's order N shifted by etab^(l(m-1)),
-    so a pullback past MAX_ORDER is refused before any series work.  So is
-    an s whose pulled-back leading term xi xib eta^s etab^s, of degree
-    2s + 2, lies above MAX_ORDER: no input order reaches it, and the
-    pullback would degenerate at every order a surface file can hold.  The
+    No degree the pullback forms may exceed MAX_ORDER, and each is refused
+    before any series work: E's order N + l(m-1), phi's order N shifted by
+    etab^(l(m-1)); the degree l of w = eta^l, which that misses at m = 1;
+    and the degree 2s + 2 of the pulled-back leading term xi xib eta^s
+    etab^s, which no input order reaches past it, so the pullback would
+    degenerate at every order a surface file can hold.  The
     solve is the fixed-point iteration R <- etab exp(E(R)) from R = 0,
     until two iterates are equal.  E reads eta only through z = xi eta^s
     inside phi, and phi_z carries zb = xib etab^s, since phi has no pure-z
@@ -76,15 +77,14 @@ def pullback_surface(M, B):
                                "leading defining terms; order %d given"
                                % order)
     s, l = B.s, B.l
-    top = order + l * (M.m - 1)
-    if top > MAX_ORDER:
-        raise SegrefuchsError("the pullback exponent would have order %d; "
-                              "the highest supported order is %d"
-                              % (top, MAX_ORDER))
-    if 2 * s + 2 > MAX_ORDER:
-        raise SegrefuchsError("the pulled-back leading term would have "
-                              "degree %d; the highest supported order is %d"
-                              % (2 * s + 2, MAX_ORDER))
+    for what, degree in (("pullback exponent would have order",
+                          order + l * (M.m - 1)),
+                         ("substitution w = eta^l would have degree", l),
+                         ("pulled-back leading term would have degree",
+                          2 * s + 2)):
+        if degree > MAX_ORDER:
+            raise SegrefuchsError("the %s %d; the highest supported order "
+                                  "is %d" % (what, degree, MAX_ORDER))
     # pulled-back relation before solving:
     #   eta^l = etab^l exp( eps i etab^(l(m-1)) phi(xi eta^s, xib etab^s,
     #                                               etab^l) );

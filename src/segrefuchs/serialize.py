@@ -203,14 +203,12 @@ def surface_from_json(d):
                           % (form, "; ".join(defects)))
     series = series.truncate(order - shift)
     if real:
-        M = RealDefining(m, sign, series)
-    else:
-        scale_sq = Fraction(*_unrat(d["scale_sq"])) \
-            if "scale_sq" in d else None
-        if scale_sq is not None and scale_sq <= 0:
-            raise FormatError("scale_sq %s is not positive: it is the "
-                              "squared rescale 1/|c|" % scale_sq)
-        M = ComplexDefining(m, sign, series, scale_sq)
+        return RealDefining(m, sign, series)
+    scale_sq = Fraction(*_unrat(d["scale_sq"])) if "scale_sq" in d else None
+    if scale_sq is not None and scale_sq <= 0:
+        raise FormatError("scale_sq %s is not positive: it is the squared "
+                          "rescale 1/|c|" % scale_sq)
+    M = ComplexDefining(m, sign, series, scale_sq)
     require_reality(M)
     return M
 

@@ -641,8 +641,13 @@ def _compose_rec(plan, i, f_order, den, num, order):
     only through order - k*val(s); a zero exact s has valuation inf, and an
     exact order cuts nothing.  A Horner step acc * s + slice is one call of
     the product driver into the slice's terms over the common denominator,
-    cut at the lower of the product's and the slice's orders, and divided
-    by its content.
+    cut at the product's order, and divided by its content.  That order is
+    the slice's: order <= f_order at every call, since a truncated f takes
+    no s with a constant term, so each slice comes back trusted exactly
+    through order - k*val(s), and acc, entering step k, through
+    order - (k+1)*val(s); as s.order >= order, acc * s is trusted through
+    min(acc.order + val(s), s.order + val(acc)) = order - k*val(s), for an
+    empty acc or slice (valuation order + 1) and a zero s too.
     """
     if not num:
         return min(f_order, order), 1, num
@@ -680,7 +685,7 @@ def _compose_rec(plan, i, f_order, den, num, order):
             for e, (x, y, z, w) in c_num.items()}
         step_order = _mul_into(step, step_den // p_den,
                                (a_order, a_num, partial(_sorted, a_num, out)),
-                               s, out, c_order)
+                               s, out, EXACT)
         acc = step_order, *_settled(step, step_den, step_order, out)
     return acc
 

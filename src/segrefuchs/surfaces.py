@@ -10,7 +10,8 @@ Each transfer makes one implicit solve of the relation between u and wb
 (w = u + iv, so wb = u - i*v), reads the other side off linearly, and
 renormalizes the leading coefficient by a real rescaling z -> lambda*z
 with rational lambda**2; the rescale factor is recorded on the result.
-All data is exact.
+All data is exact, and a real surface is real by construction: `RealDefining`
+refuses h_kl != conj(h_lk), so no transfer or command checks it again.
 
 A complex surface's order is the order of its phi series; a real surface's
 order is that of its psi series plus m, the order its defining series
@@ -78,8 +79,9 @@ def split_admissible(psi):
 class RealDefining:
     """Real m-admissible data: m, sign and psi(z, zb, u) of v = u^m psi.
 
-    psi = eps*z*zb + sum_{k,l>=2} h_kl(u) z^k zb^l.  Its order is psi's
-    order plus m, since v = u^m psi is trusted m orders past psi.
+    psi = eps*z*zb + sum_{k,l>=2} h_kl(u) z^k zb^l, real: the constructor
+    refuses h_kl != conj(h_lk).  Its order is psi's order plus m, since
+    v = u^m psi is trusted m orders past psi.
     """
 
     def __init__(self, m, eps, psi):
@@ -92,6 +94,10 @@ class RealDefining:
         self.m = m
         self.eps = eps
         self.psi = psi.embed((Z, ZB, U))
+        bad = self.reality_defect()
+        if bad is not None:
+            raise RealityViolation("real data violates h_kl = conj(h_lk) "
+                                   "at (k, l) = %s" % (bad,))
 
     @property
     def order(self):
@@ -219,17 +225,8 @@ def check_reality(M):
 
 
 def require_reality(M):
-    """Raise RealityViolation unless M is real.
-
-    The real form must satisfy h_kl = conj(h_lk), i.e. psi = bar(psi); the
-    complex form must have a zero check_reality residual.
-    """
-    if isinstance(M, RealDefining):
-        bad = M.reality_defect()
-        if bad:
-            raise RealityViolation("real data violates h_kl = conj(h_lk) "
-                                   "at (k, l) = %s" % (bad,))
-        return
+    """Raise RealityViolation unless the complex surface M has a zero
+    check_reality residual; a RealDefining is real by construction."""
     res = M.reality_residual
     if not res.is_zero():
         e = min(res.terms, key=lambda t: (sum(t), t))
@@ -331,7 +328,6 @@ def real_to_complex(Mr):
     reality residual is left to `validate_complex`, which `verify` reports.
     """
     require_min_order(Mr)
-    require_reality(Mr)
     vars4 = (Z, ZB, U, WB)
     F = Mr.defining_series().embed(vars4)
     H = MultiSeries.variable(U, vars4) - F.scale(I)
@@ -383,9 +379,7 @@ def complex_to_real(Mc):
     if defects:
         raise NotNormalizableError("real form is not m-admissible: %s"
                                    % "; ".join(defects))
-    Mr = RealDefining(m, eps, psi)
-    require_reality(Mr)
-    return Mr
+    return RealDefining(m, eps, psi)
 
 
 def build_complex(m, eps, phi_kl, order):

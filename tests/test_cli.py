@@ -3,10 +3,13 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,7 +28,8 @@ from segrefuchs.surfaces import (build_real, build_complex, real_to_complex,
                                  ComplexDefining, RealDefining,
                                  admissible_series, check_reality,
                                  split_admissible, Z, ZB, WB)
-from reference import SQRT2_TABLE, const_system, dense_surface, kl_table
+from reference import (SQRT2_TABLE, const_system, dense_surface,
+                       expm_oracle, kl_table)
 
 
 @pytest.fixture
@@ -266,6 +270,27 @@ def test_blowup_s_above_max_order_is_refused(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_blowup_l_above_max_order_is_refused(model_file, tmp_path, capsys):
+    """At m = 1 the pullback exponent's order N + l(m-1) does not involve
+    l, so the substitution w = eta^l, of degree l, is capped on its own:
+    l = 1001 and l = 2**20, whose degree the exponent fields could not
+    hold, exit 14 with an empty output before any series work; l = 1000
+    runs."""
+    out = tmp_path / "out.json"
+    for l in (1001, 2 ** 20):
+        capsys.readouterr()
+        assert main(["blowup", model_file, "--blowup", "s=1,l=%d" % l,
+                     "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "SegrefuchsError: the " \
+            "substitution w = eta^l would have degree %d; the highest " \
+            "supported order is 1000\n" % l
+        assert not out.exists()
+    assert main(["blowup", model_file, "--blowup", "s=1,l=1000",
+                 "-o", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    assert (d["m_star"], d["defining"]["order"]) == (3, 13)
+
+
 def test_monodromy_command_and_reverse(tmp_path, capsys):
     S = const_system([[qi(Fraction(1, 2))]], 10)
     p = tmp_path / "sys.json"
@@ -468,27 +493,35 @@ def test_ode_reader_takes_integer_fields_as_json_integers():
 
 
 def test_only_verify_computes_a_reality_residual(tmp_path, monkeypatch):
-    """On a real file the loader checks h_kl = conj(h_lk) and the transfer
-    is exact, so no command re-derives the reality of its complex form:
-    verify reports it through validate_complex, once, and the other
-    surface commands compute none."""
-    seen = []
+    """A RealDefining is real by construction: loading a real file checks
+    h_kl = conj(h_lk) once, and no transfer or command checks it again.
+    The transfer is exact, so no command re-derives the reality of its
+    complex form either: verify reports it through validate_complex, once,
+    and the other surface commands compute none."""
+    seen, defects = [], []
+    defect = RealDefining.reality_defect
 
     def counted(M):
         seen.append(M)
         return check_reality(M)
 
-    monkeypatch.setattr(surfaces, "check_reality", counted)
+    def counted_defect(M):
+        defects.append(M)
+        return defect(M)
+
     p = tmp_path / "real.json"
     p.write_text(serialize.dumps(serialize.surface_to_json(
         build_real(1, 1, {}, 8))))
+    monkeypatch.setattr(surfaces, "check_reality", counted)
+    monkeypatch.setattr(RealDefining, "reality_defect", counted_defect)
     for argv, calls in ((["verify"], 1), (["derive-ode"], 0),
                         (["check-fuchsian"], 0), (["symmetries"], 0),
                         (["blowup", "--blowup", "s=2"], 0)):
         seen.clear()
+        defects.clear()
         assert main([argv[0], str(p), "-o", str(tmp_path / "out.json")]
                     + argv[1:]) == EXIT_OK
-        assert len(seen) == calls, argv[0]
+        assert (len(seen), len(defects)) == (calls, 1), argv[0]
 
 
 @pytest.mark.parametrize("case", ["dense", "model", "zzb-u", "zzb-wb",
@@ -635,6 +668,23 @@ def test_a_real_file_and_its_complex_form_give_the_same_payloads(label,
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
     assert main(["selftest", "--seed", "7"]) == EXIT_OK
+
+
+def test_the_module_entry_point_runs_a_command(tmp_path):
+    """python -m segrefuchs.cli reaches main through the module's
+    __main__ line, under -W error, and writes nothing where it runs."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-W", "error", "-m",
+                          "segrefuchs.cli", "selftest", "--seed", "7"],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert (run.returncode, run.stdout, run.stderr) == \
+        (EXIT_OK, "selftest: oracle equivalence holds\n", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- one failure path: every input ends in a documented exit code -----------
@@ -971,6 +1021,89 @@ def test_pinned_cases_exit_with_their_code(argv, content, code, workdir,
     if code in (EXIT_FORMAT, EXIT_ORDER):
         # a refused input writes no payload
         assert not (workdir / "out.json").exists()
+
+
+# ---- end-to-end pins: one command on one input, and what its output holds --
+#
+# A pin of what a command answers on a ladder surface is a row here: the
+# input's label, the command's argv and a reader of its output text, with
+# the value the reader must give.
+
+END_TO_END_INPUTS = dict(REAL_AND_COMPLEX, **{
+    "model-m3-N28": lambda: build_real(3, 1, {}, 28),
+    "const-2x2": lambda: const_system(
+        [[qi(Fraction(1, 2)), qi(Fraction(1, 3))],
+         [qi(0), qi(Fraction(-1, 4))]], 10),
+})
+
+
+def _fields(*keys):
+    return lambda text: tuple(json.loads(text)[k] for k in keys)
+
+
+def _pullback(text):
+    d = json.loads(text)
+    return (d["m_star"], d["defining"]["order"], len(d["defining"]["terms"]),
+            "surface" in d)
+
+
+def _is_exp_2_pi_i_a(text):
+    """The monodromy of dy/dw = A y / w for a constant A is exp(2 pi i A)."""
+    M = np.array([[complex(*v) for v in row]
+                  for row in json.loads(text)["matrix"]])
+    A = np.array([[1 / 2, 1 / 3], [0, -1 / 4]])
+    return bool(np.max(np.abs(M - expm_oracle(2j * np.pi * A))) < 1e-8)
+
+
+END_TO_END = [
+    # the real m=1 model's Y-systems skip every degree past 0 that has
+    # nothing to solve
+    ("model-m1-N24", ["symmetries", "--real-form"],
+     _fields("dimension", "order"), (2, 17)),
+    # the sqrt2 rung's jet filter drops both Frobenius candidates
+    ("sqrt2-m2-N20", ["symmetries", "--real-form"],
+     _fields("dimension", "order", "dropped_candidates"), (0, 7, 2)),
+    # the elimination's two-unknown inversion, with sqrt2 coefficients
+    ("sqrt2-m2-N20", ["derive-ode"], _fields("oracle_agreement", "order"),
+     (True, 17)),
+    # the pullback composes three substituted variables at once
+    ("sqrt2-m2-N20", ["blowup", "--blowup", "s=1,l=2"], _pullback,
+     (5, 21, 6, True)),
+    # the m=3 model: Phi's quotient along the first integral, shifted by w^3
+    ("model-m3-N28", ["derive-ode"], _fields("oracle_agreement", "order"),
+     (True, 24)),
+    # a dense m=2 surface: products over five variables, every h_kl
+    # coefficient nonzero
+    ("dense-m2-N17", ["derive-ode"], _fields("oracle_agreement", "order"),
+     (True, 14)),
+    ("dense-m2-N17", ["symmetries", "--real-form"],
+     _fields("dimension", "order"), (0, 4)),
+    # the blow-up search answers s = 2 with a single pullback
+    ("model-m1-N24", ["blowup", "--auto", "6"], _fields("s", "m_star"),
+     (2, 5)),
+    # the pullback's fixed-point iteration at s = 1, its smallest gain per
+    # step; l = 3 leaves the xi-rescale out of the field
+    ("model-m1-N24", ["blowup", "--blowup", "s=1,l=3"], _pullback,
+     (3, 24, 6, False)),
+    # check-fuchsian's table: the verdict line comes first
+    ("model-m1-N24", ["check-fuchsian", "--format", "table"],
+     lambda text: text.splitlines()[0],
+     "verdict: fuchsian (m = 1, real form)"),
+    ("const-2x2", ["monodromy"], _is_exp_2_pi_i_a, True),
+]
+
+
+@pytest.mark.parametrize(
+    "label,argv,read,expected", END_TO_END,
+    ids=["%s-%s" % (row[0], "-".join(row[1])) for row in END_TO_END])
+def test_end_to_end_pins(label, argv, read, expected, tmp_path):
+    x = END_TO_END_INPUTS[label]()
+    doc = (serialize.system_to_json(x) if isinstance(x, LinearODESystem)
+           else serialize.surface_to_json(x))
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(serialize.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) == EXIT_OK
+    assert read(out.read_text()) == expected
 
 
 def test_system_entries_at_the_cap_load():

@@ -28,6 +28,9 @@ def random_real_table(rng, order, fuchsian, m):
         deg = rng.randint(max(lo, 0), max(lo, 0) + 2)
         c = qi(Fraction(rng.randint(1, 4), rng.randint(1, 3)),
                rng.randint(-2, 2))
+        if k == l:
+            # h_kk = conj(h_kk) is real
+            c = qi(c.re)
         tbl[(k, l)] = u_series({deg: c})
         if k != l:
             tbl[(l, k)] = u_series({deg: conj(c)})

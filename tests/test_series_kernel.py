@@ -821,9 +821,14 @@ def gapped(rng, kind, order):
 
 
 def substitution(rng, kind, shape):
-    """A series over (a, b, z) with zero constant term: one term, an exact
-    or a finite-order zero, or random terms of valuation 1, 2 or 3."""
+    """A series over (a, b, z): one term, an exact or a finite-order zero,
+    random terms of valuation 1, 2 or 3, or random terms with a nonzero
+    constant term, which only an exact f may take."""
     vars = ("a", "b", "z")
+    if shape == "constant":
+        g, _ = rnd_pair(rng, 3, rng.choice((4, EXACT)), rng.random() < 0.5,
+                        kind)
+        return g + MultiSeries.const(nonzero_coeff(rng, kind), vars)
     if shape == "one-term":
         e = (0, 0, 0)
         while not sum(e):
@@ -846,15 +851,18 @@ def substitution(rng, kind, shape):
                           for k in ("gauss", "sqrt2", "mixed")])
 def test_accumulated_compose_matches_reference(nsubs, kind):
     """Substitutions of 1-3 variables with different orders and
-    valuations: one-term ones, exact and finite-order zeros, and random
-    ones of valuation 1-3, into an f whose empty slices lower the
-    accumulator's order between non-empty ones."""
+    valuations: one-term ones, exact and finite-order zeros, random ones of
+    valuation 1-3 and, into an exact f, ones with a constant term, into an
+    f whose empty slices lower the accumulator's order between non-empty
+    ones.  A Horner step is cut at its product's order alone, which is the
+    slice's order in each of these cases."""
     rng = random.Random(repr(("accumulated compose", nsubs, kind)))
     shapes = ("one-term", "exact-zero", "finite-zero", "random", "random")
-    for _ in range(6):
+    for _ in range(8):
         f = gapped(rng, kind, rng.choice((5, 7, EXACT)))
-        subs = {v: substitution(rng, kind, rng.choice(shapes))
-                for v in rng.sample(VARS, nsubs)}
+        subs = {v: substitution(rng, kind, rng.choice(
+            shapes + ("constant",) * 2 if f.order == EXACT else shapes))
+            for v in rng.sample(VARS, nsubs)}
         identical(f.compose(subs), packed(as_ref(f).compose(
             {v: as_ref(s) for v, s in subs.items()})))
 

@@ -211,6 +211,13 @@ def test_reality_detects_single_perturbation():
         require_reality(bad)
 
 
+def test_a_real_surface_is_real_by_construction():
+    """h23 = (1+i) u^2 with h32 = 0 is admissible but not real, and no
+    RealDefining holds it."""
+    with pytest.raises(RealityViolation, match=r"at \(k, l\) = \(2, 3\)"):
+        build_real(2, 1, {(2, 3): u_series({2: qi(1, 1)})}, 12)
+
+
 # the surfaces of the benchmark's ladders: dense Fuchsian tables, a dense
 # non-Fuchsian one, the models and the structured h tables, at the
 # workloads' (m, N)
